@@ -39,7 +39,6 @@ from .collocation import (
     assemble,
     condition_number,
     dump_gram,
-    eval_jet,
     factorize_and_solve,
 )
 from .config import ExperimentConfig, echo_config, parse_config

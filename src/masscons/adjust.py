@@ -11,6 +11,15 @@ Incomplete-data pipeline (horizontal observations ``data``, base field u_c,
                  along p (or the closed-form descent ratio),
   5. adjusted    u_plus = u_c + t p.
 
+The line search and the diagnostics need p at the quadrature nodes; one
+multiplier jet there gives both its values and its analytic divergence
+div p = -div m + L lambda (L the multiplier's interior operator). The
+divergence of u_plus is composed through the step like its values, so
+``div_mean``/``div_max`` and the node arrays on the result cost no further
+kernel sums. Only when an analytic divergence is missing (a non-scalar 2x2
+S, or a base field without one) do they fall back to the central-difference
+oracle :func:`~masscons.fields.divergence_fd`.
+
 Full-observation pipeline (3D initial field, 3x3 weights): the same chain in
 the S-weighted geometry, with residual r = u_c - initial, anisotropic
 multiplier equation div(S^-1 grad lambda) = div r, direction
@@ -34,7 +43,7 @@ Face policies map each face to one of:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +56,7 @@ from .collocation import (
     condition_number,
     factorize_and_solve,
 )
-from .errors import ContractError, DegenerateDirectionError
+from .errors import ContractError, DegenerateDirectionError, DomainError
 from .fields import (
     Field2,
     Field3,
@@ -223,7 +232,11 @@ class Metrics:
 
 @dataclass(frozen=True)
 class AdjustmentResult:
-    """Step length, direction, adjusted field, multiplier, and diagnostics."""
+    """Step length, direction, adjusted field, multiplier, and diagnostics.
+
+    ``node_values`` and ``node_div`` are u_plus and its divergence at the
+    quadrature nodes the adjustment ran on, (m, 3) and (m,).
+    """
 
     t_c: float
     p: Field3
@@ -231,6 +244,8 @@ class AdjustmentResult:
     multiplier: MultiplierSolution
     gram: GramSystem
     metrics: Metrics
+    node_values: np.ndarray
+    node_div: np.ndarray
     oracle_bc: bool = False
 
 
@@ -313,29 +328,40 @@ def boundary_data(
     return out
 
 
+def _direction_jet(misfit_field: Field3, solution: MultiplierSolution, pts: np.ndarray):
+    """Values of p at (m, 3) points and its analytic divergence (None without div m)."""
+    _, grad, op = solution.jet(pts)
+    if solution.aniso is not None:
+        grad = grad @ solution.aniso
+    vals = -misfit_field.fn(pts) + grad
+    div = None if misfit_field.div is None else -misfit_field.div(pts) + op
+    return vals, div
+
+
 def descent_direction(misfit_field: Field3, solution: MultiplierSolution) -> Field3:
     """Steepest-descent direction p = -m + grad lambda (or -r + A grad lambda).
 
-    Its analytic divergence, -div m + lap lambda, vanishes at the collocation
+    Its analytic divergence, -div m + L lambda, vanishes at the collocation
     nodes up to the linear-solve residual.
     """
-    a = solution.aniso
-
-    def fn(pts):
-        g = solution.gradient(pts)
-        if a is not None:
-            g = g @ a
-        return -misfit_field.fn(pts) + g
-
     div = None
     if misfit_field.div is not None:
-        div = lambda pts: -misfit_field.div(pts) + solution.operator_laplacian(pts)
-
-    return Field3(fn=fn, div=div)
+        div = lambda pts: _direction_jet(misfit_field, solution, pts)[1]
+    return Field3(fn=lambda pts: _direction_jet(misfit_field, solution, pts)[0], div=div)
 
 
 def _weighted_sum(a: np.ndarray, w: np.ndarray, b: np.ndarray, qw: np.ndarray) -> float:
     return float(np.sum(qw * np.einsum("ij,jk,ik->i", a, w, b)))
+
+
+def _require_finite(what: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} at the quadrature nodes are not finite")
+
+
+def _require_finite_step(t: float) -> None:
+    if not np.isfinite(t):
+        raise DomainError(f"step length is not finite ({t})")
 
 
 def _step_from_arrays(
@@ -356,8 +382,11 @@ def _step_from_arrays(
             f"direction has no horizontal content (<S Mp, Mp> = {denom:.3e}, <p, p> = {pp:.3e})"
         )
     if formula == CLOSED_FORM:
-        return pp / denom
-    return -_weighted_sum(vals_uc2 - vals_data, w, mp, qw) / denom
+        t = pp / denom
+    else:
+        t = -_weighted_sum(vals_uc2 - vals_data, w, mp, qw) / denom
+    _require_finite_step(t)
+    return t
 
 
 def step_length(
@@ -377,10 +406,14 @@ def step_length(
     )
 
 
-def _divergence_stats(u_plus: Field3, quad: Quadrature, box: BoxDomain, check_box: bool) -> tuple[float, float]:
+def _node_divergence(
+    div_uplus: np.ndarray | None, u_plus: Field3, quad: Quadrature, box: BoxDomain, check_box: bool
+) -> np.ndarray:
+    """The composed analytic divergence of u_plus at the nodes, else the FD oracle's."""
+    if div_uplus is not None:
+        return div_uplus
     h = 1e-5 * box.diameter()
-    d = divergence_fd(u_plus, quad.nodes, h, box=box if check_box else None)
-    return float(np.mean(d)), float(np.max(np.abs(d)))
+    return divergence_fd(u_plus, quad.nodes, h, box=box if check_box else None)
 
 
 def _relative_error(vals_uplus: np.ndarray, exact: Field3 | None, quad: Quadrature) -> float:
@@ -424,6 +457,9 @@ def adjust(
     u_c = base.build(data)
     vals_data = data(quad.nodes)
     vals_uc = u_c(quad.nodes)
+    _require_finite("data values", vals_data)
+    _require_finite("base field values", vals_uc)
+    div_uc = None if u_c.div is None else u_c.divergence(quad.nodes)
     d0 = vals_uc[:, :2] - vals_data
     j_before = 0.5 * _weighted_sum(d0, w, d0, quad.weights)
 
@@ -434,18 +470,19 @@ def adjust(
         system = assemble(nodes, kernel, bcs, rhs)
         solution = factorize_and_solve(system, trunc_tol=trunc_tol, row_scaling=row_scaling)
         p = descent_direction(m, solution)
-        vals_p = p(quad.nodes)
+        vals_p, div_p = _direction_jet(m, solution, quad.nodes)
         t = _step_from_arrays(vals_p, vals_uc[:, :2], vals_data, w, quad.weights, formula)
         u_c = add_scaled(u_c, t, p)
         vals_uc = vals_uc + t * vals_p
+        div_uc = None if div_uc is None or div_p is None else div_uc + t * div_p
 
     u_plus = u_c
     d1 = vals_uc[:, :2] - vals_data
-    div_mean, div_max = _divergence_stats(u_plus, quad, domain, check_box=topo is None)
+    div = _node_divergence(div_uc, u_plus, quad, domain, check_box=topo is None)
     metrics = Metrics(
         rel_error=_relative_error(vals_uc, exact, quad),
-        div_mean=div_mean,
-        div_max=div_max,
+        div_mean=float(np.mean(div)),
+        div_max=float(np.max(np.abs(div))),
         kappa=condition_number(system),
         j_before=j_before,
         j_after=0.5 * _weighted_sum(d1, w, d1, quad.weights),
@@ -454,7 +491,8 @@ def adjust(
     )
     oracle = any(kind == ORACLE_NEUMANN for _, kind in policy.items())
     return AdjustmentResult(
-        t_c=t, p=p, u_plus=u_plus, multiplier=solution, gram=system, metrics=metrics, oracle_bc=oracle
+        t_c=t, p=p, u_plus=u_plus, multiplier=solution, gram=system, metrics=metrics,
+        node_values=vals_uc, node_div=div, oracle_bc=oracle,
     )
 
 
@@ -530,6 +568,11 @@ def adjust_full(
     identity = np.array_equal(w, np.eye(3))
     aniso = np.eye(3) if identity else np.linalg.inv(w)
 
+    vals_init = initial(quad.nodes)
+    vals_uc = u_c(quad.nodes)
+    _require_finite("initial values", vals_init)
+    _require_finite("base field values", vals_uc)
+
     nodes = grid_centers(domain, n_per_axis, topo=topo)
     residual_field = subtract(u_c, initial)
     rhs = poisson_rhs(residual_field, domain)
@@ -539,9 +582,7 @@ def adjust_full(
     p = descent_direction(residual_field, solution)
 
     qw = quad.weights
-    vals_init = initial(quad.nodes)
-    vals_uc = u_c(quad.nodes)
-    vals_p = p(quad.nodes)
+    vals_p, div_p = _direction_jet(residual_field, solution, quad.nodes)
     # Full observation: M is the identity, so the denominator <S Mp, Mp> runs
     # over the observed components of p, which are all of them; the
     # closed-form ratio is exactly one.
@@ -554,16 +595,20 @@ def adjust_full(
         t = pp / denom
     else:
         t = -_weighted_sum(vals_uc - vals_init, w, vals_mp, qw) / denom
+    _require_finite_step(t)
 
     u_plus = add_scaled(u_c, t, p)
     vals_uplus = vals_uc + t * vals_p
+    div_uplus = None
+    if u_c.div is not None and div_p is not None:
+        div_uplus = u_c.divergence(quad.nodes) + t * div_p
+    div = _node_divergence(div_uplus, u_plus, quad, domain, check_box=topo is None)
     d0 = vals_uc - vals_init
     d1 = vals_uplus - vals_init
-    div_mean, div_max = _divergence_stats(u_plus, quad, domain, check_box=topo is None)
     metrics = Metrics(
         rel_error=_relative_error(vals_uplus, exact, quad),
-        div_mean=div_mean,
-        div_max=div_max,
+        div_mean=float(np.mean(div)),
+        div_max=float(np.max(np.abs(div))),
         kappa=condition_number(system),
         j_before=0.5 * _weighted_sum(d0, w, d0, qw),
         j_after=0.5 * _weighted_sum(d1, w, d1, qw),
@@ -572,7 +617,8 @@ def adjust_full(
     )
     oracle = any(kind == ORACLE_NEUMANN for _, kind in policy.items())
     return AdjustmentResult(
-        t_c=t, p=p, u_plus=u_plus, multiplier=solution, gram=system, metrics=metrics, oracle_bc=oracle
+        t_c=t, p=p, u_plus=u_plus, multiplier=solution, gram=system, metrics=metrics,
+        node_values=vals_uplus, node_div=div, oracle_bc=oracle,
     )
 
 
@@ -595,7 +641,7 @@ def sasaki(
     This is :func:`adjust_full` with a zero base field and unit step; with
     identity weights it reduces to the isotropic pipeline bit for bit.
     """
-    result = adjust_full(
+    return adjust_full(
         initial,
         weights,
         domain,
@@ -610,8 +656,3 @@ def sasaki(
         exact=exact,
         row_scaling=row_scaling,
     )
-    if result.t_c != 1.0:
-        # The ratio of two evaluations of the same quadrature sum; force the
-        # analytic value if roundoff ever perturbs it.
-        result = replace(result, t_c=1.0, u_plus=add_scaled(zero3(), 1.0, result.p))
-    return result

@@ -15,6 +15,11 @@ which keeps the solve meaningful in the severely ill-conditioned flat-kernel
 regime and picks the minimal-norm solution on rank-deficient (pure-Neumann)
 systems. Rows are not equilibrated by default; ``row_scaling=True`` scales
 each row to unit max-norm before the SVD.
+
+The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
+returns lambda, grad lambda and the interior operator applied to lambda from
+one pass over byte-bounded blocks of target points; the per-quantity
+evaluators select from it.
 """
 
 from __future__ import annotations
@@ -37,13 +42,14 @@ __all__ = [
     "assemble",
     "factorize_and_solve",
     "condition_number",
-    "eval_jet",
     "dump_gram",
 ]
 
 log = logging.getLogger(__name__)
 
 _CHUNK = 2048
+# Float64 elements per (rows, N) block of MultiplierSolution.jet (512 KiB).
+_BLOCK_ELEMENTS = 1 << 16
 
 ROW_INTERIOR = "interior-laplacian"
 ROW_ANISO = "anisotropic-laplacian"
@@ -166,8 +172,19 @@ def assemble(
 class MultiplierSolution:
     """RBF coefficients over the centers, with its kernel and interior operator.
 
-    Evaluation is chunked over target points so large quadrature grids do not
-    materialize (m, N, 3, 3) blocks.
+    Every evaluator is a selection from one chunked kernel pass (:meth:`jet`).
+    With d = x - c_j and s_j = 1 + c^2 |d|^2 formed by GEMM expansion, each
+    derivative is a few mat-vecs against the (rows, N) blocks W_q = s^(-q/2):
+
+        lambda      = W_1 beta
+        grad lambda = -c^2 (x (W_3 beta) - W_3 (beta o C))
+        lap lambda  = -3 c^2 W_5 beta
+        hess lambda = -c^2 (W_3 beta) I + 3 c^4 (x x^T (W_5 beta) - x g^T - g x^T
+                      + W_5 (beta o C C^T)),   g = W_5 (beta o C)
+
+    with C the centers as rows. The anisotropic operator is sum_kl A_kl of
+    the Hessian. No (m, N, 3) or (m, N, 3, 3) block is ever formed, and each
+    (rows, N) block holds about ``_BLOCK_ELEMENTS`` float64 values.
     """
 
     coeffs: np.ndarray
@@ -179,68 +196,105 @@ class MultiplierSolution:
     rank: int
     trunc_tol: float
 
-    def _reduce(self, pts, block, width: int = 0) -> np.ndarray:
-        p, single = as_points(pts)
+    def _sums(self, pts, hessian: bool):
+        """(lambda, grad, lap, hess or None) at (m, 3) points from one chunked pass."""
+        m = len(pts)
+        beta = self.coeffs
         # An identically zero coefficient vector (e.g. zero data with zero
         # boundary values) short-circuits the kernel sums.
-        if not self.coeffs.any():
-            shape = (len(p),) if width == 0 else (len(p),) + (3,) * width
-            out = np.zeros(shape)
-        else:
-            parts = [block(p[start : start + _CHUNK]) for start in range(0, len(p), _CHUNK)]
-            out = np.concatenate(parts)
-        return out[0] if single else out
+        if not beta.any():
+            return np.zeros(m), np.zeros((m, 3)), np.zeros(m), (np.zeros((m, 3, 3)) if hessian else None)
+
+        # Shifting to the centers' centroid keeps the expanded |x - c_j|^2 and
+        # the gradient's x (W_3 beta) - W_3 (beta o C) accurate when the
+        # domain lies far from the origin.
+        origin = self.nodes.points.mean(axis=0)
+        centers = self.nodes.points - origin
+        x_all = pts - origin
+        n = len(centers)
+        c2 = self.kernel.shape**2
+        cc = np.einsum("ij,ij->i", centers, centers)
+        bc = beta[:, None] * centers
+        rhs3 = np.column_stack([beta, bc])
+        rhs5 = beta[:, None]
+        if hessian:
+            bcc = (bc[:, :, None] * centers[:, None, :]).reshape(n, 9)
+            rhs5 = np.column_stack([beta, bc, bcc])
+
+        value = np.empty(m)
+        sum3 = np.empty((m, 4))
+        lap5 = np.empty((m, rhs5.shape[1]))
+        rows = max(1, _BLOCK_ELEMENTS // n)
+        for start in range(0, m, rows):
+            block = slice(start, start + rows)
+            x = x_all[block]
+            s = x @ centers.T
+            s *= -2.0
+            s += np.einsum("ij,ij->i", x, x)[:, None]
+            s += cc
+            s *= c2
+            s += 1.0
+            root = np.sqrt(s)
+            value[block] = (1.0 / root) @ beta
+            sum3[block] = (1.0 / (s * root)) @ rhs3
+            # -3 c^2 s^(-5/2) exactly as lap_phi forms it, so the Laplacian is
+            # the assembled interior rows applied to beta.
+            w = s * s
+            w *= root
+            np.divide(1.0, w, out=w)
+            w *= -3.0 * c2
+            lap5[block] = w @ rhs5
+
+        grad = -c2 * (x_all * sum3[:, :1] - sum3[:, 1:])
+        lap = lap5[:, 0]
+        hess = None
+        if hessian:
+            # 3 c^4 sum_j beta_j s^(-5/2) d d^T = -c^2 sum_j beta_j (-3 c^2 s^(-5/2)) d d^T.
+            g5 = lap5[:, 1:4]
+            moment = (
+                x_all[:, :, None] * x_all[:, None, :] * lap[:, None, None]
+                - x_all[:, :, None] * g5[:, None, :]
+                - g5[:, :, None] * x_all[:, None, :]
+                + lap5[:, 4:].reshape(m, 3, 3)
+            )
+            hess = -c2 * (sum3[:, 0, None, None] * np.eye(3) + moment)
+        return value, grad, lap, hess
+
+    def jet(self, pts):
+        """(lambda, grad lambda, L lambda) at one point or a batch, from one kernel pass.
+
+        L is this solution's interior operator: the Laplacian, or
+        sum_kl A_kl d_k d_l when ``aniso`` is set. Single-point input gives
+        (float, (3,), float); batches give ((m,), (m, 3), (m,)).
+        """
+        p, single = as_points(pts)
+        value, grad, op, hess = self._sums(p, hessian=self.aniso is not None)
+        if hess is not None:
+            op = np.einsum("kl,mkl->m", self.aniso, hess)
+        if single:
+            return float(value[0]), grad[0], float(op[0])
+        return value, grad, op
 
     def value(self, pts):
-        centers = self.nodes.points
-
-        def block(x):
-            d = x[:, None, :] - centers[None, :, :]
-            return phi_sq(np.sum(d * d, axis=-1), self.kernel) @ self.coeffs
-
-        out = self._reduce(pts, block)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.jet(pts)[0]
 
     def gradient(self, pts):
-        centers = self.nodes.points
-
-        def block(x):
-            g = grad_phi(x[:, None, :], centers[None, :, :], self.kernel)
-            return np.einsum("mnk,n->mk", g, self.coeffs)
-
-        return self._reduce(pts, block, width=1)
+        return self.jet(pts)[1]
 
     def laplacian(self, pts):
-        centers = self.nodes.points
+        p, single = as_points(pts)
+        lap = self._sums(p, hessian=False)[2]
+        return float(lap[0]) if single else lap
 
-        def block(x):
-            return lap_phi(x[:, None, :], centers[None, :, :], self.kernel) @ self.coeffs
-
-        out = self._reduce(pts, block)
-        return float(out) if np.ndim(out) == 0 else out
-
+    # No caller in the package; the benchmark's tracer wraps this name.
     def hessian(self, pts):
-        centers = self.nodes.points
-
-        def block(x):
-            h = hess_phi(x[:, None, :], centers[None, :, :], self.kernel)
-            return np.einsum("mnkl,n->mkl", h, self.coeffs)
-
-        return self._reduce(pts, block, width=2)
+        p, single = as_points(pts)
+        hess = self._sums(p, hessian=True)[3]
+        return hess[0] if single else hess
 
     def operator_laplacian(self, pts):
         """Apply this solution's interior operator: lap, or sum_kl A_kl d_k d_l."""
-        if self.aniso is None:
-            return self.laplacian(pts)
-        centers = self.nodes.points
-        a = self.aniso
-
-        def block(x):
-            h = hess_phi(x[:, None, :], centers[None, :, :], self.kernel)
-            return np.einsum("kl,mnkl->mn", a, h) @ self.coeffs
-
-        out = self._reduce(pts, block)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.jet(pts)[2]
 
 
 def factorize_and_solve(
@@ -292,11 +346,6 @@ def condition_number(system: GramSystem) -> float:
     if sigma[-1] == 0.0:
         return float("inf")
     return float(sigma[0] / sigma[-1])
-
-
-def eval_jet(solution: MultiplierSolution, pts):
-    """Evaluate (lambda, grad lambda, lap lambda) at one point or a batch."""
-    return solution.value(pts), solution.gradient(pts), solution.laplacian(pts)
 
 
 def _sci(v: float) -> str:

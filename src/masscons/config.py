@@ -85,9 +85,12 @@ def _split_values(raw: str) -> list[str]:
 
 def _parse_float(raw: str, key: str, line: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"{key}: not a number: {raw!r}", line) from None
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{key}: not a finite number: {raw!r}", line)
+    return value
 
 
 def _parse_int(raw: str, key: str, line: int) -> int:

@@ -41,8 +41,8 @@ class KernelParams:
     shape: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise DomainError(f"shape parameter must be positive, got {self.shape}")
+        if not (self.shape > 0 and np.isfinite(self.shape)):
+            raise DomainError(f"shape parameter must be finite and positive, got {self.shape}")
 
 
 def _sq_radius(x: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from masscons.adjust import (
     step_length,
 )
 from masscons.collocation import MultiplierSolution, assemble, factorize_and_solve
-from masscons.errors import ContractError, DegenerateDirectionError
+from masscons.errors import ContractError, DegenerateDirectionError, DomainError
 from masscons.fields import (
     Field2,
     Field3,
@@ -31,7 +31,7 @@ from masscons.fields import (
     midpoint_rule,
     zero3,
 )
-from masscons.geometry import BoxDomain, FaceLabel, grid_centers
+from masscons.geometry import BoxDomain, FaceLabel, Topography, grid_centers
 from masscons.kernel import KernelParams
 
 EX51 = example_field("ex51")
@@ -353,3 +353,103 @@ def test_face_policy_validation():
         BaseFieldPolicy(kind="nothing")
     with pytest.raises(ContractError):
         BaseFieldPolicy(kind="custom")
+
+
+def _hill(box, amplitude=2.0, width=3.0):
+    x0, y0 = 0.5 * (box.xmin + box.xmax), 0.5 * (box.ymin + box.ymax)
+    bump = lambda x, y: amplitude * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / width**2)
+    grad = lambda x, y: np.stack(
+        [-2.0 * (x - x0) / width**2 * bump(x, y), -2.0 * (y - y0) / width**2 * bump(x, y)], axis=-1
+    )
+    return Topography(height=lambda x, y: box.zmin + bump(x, y), grad=grad)
+
+
+def _ex51_flat():
+    quad = midpoint_rule(EX51.domain, 12)
+    result = adjust(
+        EX51.data, EX51.domain, KernelParams(1e-3), 4,
+        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad, exact=EX51.exact,
+    )
+    return result, quad, EX51.domain
+
+
+def _ex53_sasaki_hill():
+    weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
+    topo = _hill(EX53.domain)
+    quad = midpoint_rule(EX53.domain, 8, topo=topo)
+    result = sasaki(
+        inject(EX53.data), weights, EX53.domain, KernelParams(0.01), 4, topo=topo,
+        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad, exact=EX53.exact,
+    )
+    return result, quad, None
+
+
+@pytest.mark.parametrize("make", [_ex51_flat, _ex53_sasaki_hill], ids=["ex51", "ex53-sasaki-hill"])
+def test_analytic_divergence_matches_fd_oracle(make):
+    result, quad, box = make()
+    h = 1e-5 * (box if box is not None else EX53.domain).diameter()
+    fd = divergence_fd(result.u_plus, quad.nodes, h, box=box)
+    # At this step the oracle's error is roundoff of the field values over h
+    # (2e-6 on ex51 at N = 512), which grows with the coefficient size and
+    # shrinks as 1/h; its spread against the step 2h measures it on this run.
+    atol = 4.0 * np.abs(fd - divergence_fd(result.u_plus, quad.nodes, 2.0 * h, box=box)).max() + 1e-9
+    np.testing.assert_allclose(result.node_div, fd, rtol=0, atol=atol)
+    assert abs(result.metrics.div_mean - np.mean(fd)) <= atol
+    assert abs(result.metrics.div_max - np.max(np.abs(fd))) <= atol
+    # the cached node values are u_plus at the nodes
+    np.testing.assert_allclose(result.node_values, result.u_plus(quad.nodes), rtol=0, atol=1e-12)
+
+
+def test_non_scalar_weight_takes_fd_divergence_fallback():
+    quad = midpoint_rule(EX51.domain, 8)
+    result = adjust(
+        EX51.data, EX51.domain, KernelParams(0.1), 4, weights=np.diag([2.0, 1.0]),
+        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad, exact=EX51.exact,
+    )
+    assert result.p.div is None
+    fd = divergence_fd(result.u_plus, quad.nodes, 1e-5 * EX51.domain.diameter(), box=EX51.domain)
+    assert np.array_equal(result.node_div, fd)
+    assert np.isfinite(result.metrics.div_mean) and np.isfinite(result.metrics.div_max)
+    assert result.metrics.div_max == np.max(np.abs(fd))
+
+
+def _nan_on_ground(pts):
+    # finite at every quadrature node; NaN on the z = 0 face, where the
+    # sealed ground reads the misfit flux, so only the solve sees it
+    vals = pts[:, :2].copy()
+    vals[pts[:, 2] == 0.0] = np.nan
+    return vals
+
+
+_CONST_NAN = Field2(fn=lambda p: np.full((len(p), 2), np.nan))
+_CONST_INF = Field2(fn=lambda p: np.full((len(p), 2), np.inf))
+
+
+@pytest.mark.parametrize(
+    "run, match",
+    [
+        (lambda quad: adjust(_CONST_NAN, EX51.domain, KernelParams(0.1), 3, quad=quad), "data values"),
+        (
+            lambda quad: adjust(
+                EX51.data, EX51.domain, KernelParams(0.1), 3,
+                base=BaseFieldPolicy.vertical(float("nan")), quad=quad,
+            ),
+            "base field values",
+        ),
+        (
+            lambda quad: sasaki(inject(_CONST_INF), np.eye(3), EX51.domain, KernelParams(0.1), 3, quad=quad),
+            "initial values",
+        ),
+        (
+            lambda quad: adjust(
+                Field2(fn=_nan_on_ground), EX51.domain, KernelParams(0.1), 3,
+                policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad,
+            ),
+            "step length",
+        ),
+    ],
+    ids=["nan-data", "nan-base", "inf-initial", "nan-step"],
+)
+def test_non_finite_input_raises_domain_error(run, match):
+    with pytest.raises(DomainError, match=match):
+        run(midpoint_rule(EX51.domain, 6))

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from masscons.collocation import (
+    _BLOCK_ELEMENTS,
     DirichletLambda,
     MultiplierSolution,
     NeumannLambda,
     assemble,
     condition_number,
     dump_gram,
-    eval_jet,
     factorize_and_solve,
 )
 from masscons.errors import ContractError, SingularSystemError
 from masscons.fields import example_field
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
-from masscons.kernel import KernelParams
+from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi
 
 CUBE = BoxDomain(-2, 2, -2, 2, -2, 2)
 SLAB = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -174,7 +174,7 @@ def test_eval_jet():
         coeffs=np.zeros(len(nodes)), nodes=nodes, kernel=kp,
         aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12,
     )
-    val, grad, lap = eval_jet(zeroed, np.array([0.1, 0.2, 0.3]))
+    val, grad, lap = zeroed.jet(np.array([0.1, 0.2, 0.3]))
     assert val == 0.0 and lap == 0.0
     assert np.all(grad == 0.0)
 
@@ -187,10 +187,60 @@ def test_eval_jet():
         coeffs=np.array([1.0]), nodes=lone_center, kernel=kp,
         aniso=None, residual=0.0, residual_norm=0.0, rank=1, trunc_tol=1e-12,
     )
-    val, grad, lap = eval_jet(single, np.array([0.0, 0.0, 1.0]))
+    val, grad, lap = single.jet(np.array([0.0, 0.0, 1.0]))
     assert val == 1.0
     assert np.all(grad == 0.0)
     assert lap == pytest.approx(-3.0 * 0.8**2, rel=1e-14)
+
+
+SPD = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
+
+
+@pytest.mark.parametrize("aniso", [None, SPD], ids=["isotropic", "spd"])
+@pytest.mark.parametrize("shape", [1e-3, 0.05, 0.7])
+def test_jet_matches_direct_kernel_sums(shape, aniso):
+    # Reference: the kernel's closed-form derivatives contracted with beta
+    # pair by pair. The jet reorders the sums (GEMM-expanded radii, mat-vecs
+    # per block), so the two agree to roundoff on sum_j |beta_j| times each
+    # quantity's kernel scale: |phi| <= 1, |grad phi| <= c, |lap phi| <= 3 c^2
+    # and |hess phi|_kl <= 4 c^2. 1e-12 of that leaves room for the
+    # cancellation of float64 sums with signed coefficients.
+    nodes = grid_centers(CUBE, 4)
+    centers = nodes.points
+    rng = np.random.default_rng(11)
+    beta = rng.normal(size=len(nodes)) * 1e6
+    kp = KernelParams(shape)
+    solution = MultiplierSolution(
+        coeffs=beta, nodes=nodes, kernel=kp, aniso=aniso,
+        residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12,
+    )
+    rows = _BLOCK_ELEMENTS // len(nodes)
+    pts = np.vstack([rng.uniform(-3.0, 3.0, (rows + 37, 3)), centers[:5]])
+    assert len(pts) % rows != 0
+
+    x, c = pts[:, None, :], centers[None, :, :]
+    value_ref = phi(np.linalg.norm(x - c, axis=-1), kp) @ beta
+    grad_ref = np.einsum("mnk,n->mk", grad_phi(x, c, kp), beta)
+    if aniso is None:
+        op_ref = lap_phi(x, c, kp) @ beta
+        op_scale = 3.0 * shape**2
+    else:
+        op_ref = np.einsum("kl,mnkl,n->m", aniso, hess_phi(x, c, kp), beta)
+        op_scale = 4.0 * shape**2 * np.abs(aniso).sum()
+    tol = 1e-12 * np.abs(beta).sum()
+
+    value, grad, op = solution.jet(pts)
+    assert value.shape == (len(pts),) and grad.shape == (len(pts), 3) and op.shape == (len(pts),)
+    np.testing.assert_allclose(value, value_ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=tol * shape)
+    np.testing.assert_allclose(op, op_ref, rtol=0, atol=tol * op_scale)
+
+    for i in (0, len(pts) - 1):
+        v1, g1, op1 = solution.jet(pts[i])
+        assert isinstance(v1, float) and isinstance(op1, float) and g1.shape == (3,)
+        assert abs(v1 - value_ref[i]) <= tol
+        np.testing.assert_allclose(g1, grad_ref[i], rtol=0, atol=tol * shape)
+        assert abs(op1 - op_ref[i]) <= tol * op_scale
 
 
 def test_eval_jet_gradient_matches_fd():

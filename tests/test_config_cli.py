@@ -65,6 +65,19 @@ def test_parse_rejects_bad_values(tmp_path):
         parse_config(write_cfg(tmp_path, "example = ex51\nn = 3\nc = 1\ns = 1,0,0,-1\n"))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("w_b", "nan"), ("eps", "inf"), ("c", "inf"), ("trunc_tol", "nan"), ("domain", "-inf,2,-2,2,0,2")],
+)
+def test_parse_rejects_non_finite_numbers(tmp_path, key, value):
+    text = "example = ex53\nn = 3\n" + ("" if key == "c" else "c = 0.1\n") + f"{key} = {value}\n"
+    path = write_cfg(tmp_path, text)
+    line = text.count("\n")
+    with pytest.raises(ConfigurationError, match=f"line {line}: {key}: not a finite number"):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_bc_shorthand_and_override(tmp_path):
     text = MINIMAL + "bc = no-flow-through\nbc_top = flow-through\n"
     cfg = parse_config(write_cfg(tmp_path, text))
@@ -140,6 +153,26 @@ def test_failed_rows_are_recorded(tmp_path):
     table = (tmp_path / "fail" / "table.csv").read_text().splitlines()
     assert len(table) == 3
     assert "DegenerateDirectionError" in table[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_data_fails_the_row(tmp_path):
+    # eps = 1e308 parses, but the sheared data overflows to inf at the nodes
+    text = f"example = ex53\neps = 1e308\nn = 3\nc = 0.1\nquad = 4\nout = {tmp_path / 'inf'}\n"
+    path = write_cfg(tmp_path, text)
+    rows = run_experiment(parse_config(path))
+    assert rows[0].error.startswith("DomainError: data values")
+    assert not (tmp_path / "inf" / "field_N3.csv").exists()
+    assert main(["run", str(path)]) == 3
+
+
+def test_field_div_column_reproduces_table_stats(tmp_path):
+    out = tmp_path / "results"
+    rows = run_experiment(parse_config(write_cfg(tmp_path, fast_cfg_text(out))))
+    for row, n in zip(rows, (3, 4)):
+        div = np.loadtxt(out / f"field_N{n}.csv", delimiter=",", skiprows=1)[:, -1]
+        assert float(np.mean(div)) == row.div_mean
+        assert float(np.max(np.abs(div))) == row.div_max
 
 
 def test_sweep_shape_kappa_monotone(tmp_path):

@@ -39,6 +39,12 @@ def test_shape_must_be_positive():
         KernelParams(-1.0)
 
 
+@pytest.mark.parametrize("shape", [float("inf"), float("-inf"), float("nan")])
+def test_shape_must_be_finite(shape):
+    with pytest.raises(DomainError, match="finite"):
+        KernelParams(shape)
+
+
 def test_phi_strictly_decreasing():
     rng = np.random.default_rng(0)
     for c in (0.001, 0.1, 1.0, 10.0):

@@ -8,12 +8,12 @@ by asymmetric (Kansa) collocation with inverse multiquadric kernels and a
 truncated-SVD dense solve.
 
 Library entry points: :func:`masscons.adjust.adjust` (horizontal data),
-:func:`masscons.adjust.sasaki` (full observations, classical one-shot), and
-the ``masscons`` CLI for config-driven experiment tables.
+:func:`masscons.adjust.sasaki` (full observations, classical one-shot), both
+one line search over a :class:`masscons.adjust.Problem`, and the
+``masscons`` CLI for config-driven experiment tables.
 """
 
 from .adjust import (
-    FIELD_DIRICHLET,
     FLOW_THROUGH,
     MINIMIZER,
     NO_FLOW_THROUGH,
@@ -22,9 +22,11 @@ from .adjust import (
     AdjustmentResult,
     BaseFieldPolicy,
     FaceBcPolicy,
+    Problem,
     adjust,
     adjust_full,
     boundary_data,
+    build_system,
     descent_direction,
     misfit,
     poisson_rhs,
@@ -62,7 +64,6 @@ from .fields import (
     l2_ip,
     midpoint_rule,
     objective,
-    objective_full,
     observe,
     weighted_ip,
 )

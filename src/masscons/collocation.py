@@ -13,8 +13,7 @@ The resulting dense square system G beta = b is solved by a truncated-SVD
 pseudo-inverse: directions with sigma < trunc_tol * sigma_max are discarded,
 which keeps the solve meaningful in the severely ill-conditioned flat-kernel
 regime and picks the minimal-norm solution on rank-deficient (pure-Neumann)
-systems. Rows are not equilibrated by default; ``row_scaling=True`` scales
-each row to unit max-norm before the SVD.
+systems.
 
 The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
 returns lambda, grad lambda and the interior operator applied to lambda from
@@ -81,8 +80,7 @@ class NeumannLambda:
 class GramSystem:
     """Dense collocation system with its build context.
 
-    ``singular_values`` is populated by :func:`factorize_and_solve`. When the
-    solve used row scaling they are the singular values of the scaled matrix.
+    ``singular_values`` is populated by :func:`factorize_and_solve`.
     """
 
     matrix: np.ndarray
@@ -297,35 +295,25 @@ class MultiplierSolution:
         return self.jet(pts)[2]
 
 
-def factorize_and_solve(
-    system: GramSystem, trunc_tol: float = 1e-12, row_scaling: bool = False
-) -> MultiplierSolution:
+def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> MultiplierSolution:
     """Solve G beta = b by the truncated-SVD pseudo-inverse.
 
     Singular directions with sigma < trunc_tol * sigma_max are discarded.
     Both the normalized residual |G beta - b| / max(|b|, 1) and the raw
-    2-norm are recorded on the returned solution (computed on the unscaled
-    system even when ``row_scaling`` is on).
+    2-norm are recorded on the returned solution.
     """
-    matrix, rhs = system.matrix, system.rhs
-    if row_scaling:
-        scale = np.abs(matrix).max(axis=1)
-        scale[scale == 0] = 1.0
-        matrix = matrix / scale[:, None]
-        rhs = rhs / scale
-
-    u, sigma, vt = np.linalg.svd(matrix)
+    u, sigma, vt = np.linalg.svd(system.matrix)
     system.singular_values = sigma
     if sigma[0] == 0.0:
         raise SingularSystemError("all singular values are zero")
     keep = sigma >= trunc_tol * sigma[0]
-    coeffs = vt[keep].T @ ((u[:, keep].T @ rhs) / sigma[keep])
+    coeffs = vt[keep].T @ ((u[:, keep].T @ system.rhs) / sigma[keep])
 
     resid = system.matrix @ coeffs - system.rhs
     residual_norm = float(np.linalg.norm(resid))
     residual = residual_norm / max(float(np.linalg.norm(system.rhs)), 1.0)
     if residual > 1e-6:
-        log.warning("collocation solve residual %.3e (rank %d of %d)", residual, keep.sum(), len(rhs))
+        log.warning("collocation solve residual %.3e (rank %d of %d)", residual, keep.sum(), len(coeffs))
     return MultiplierSolution(
         coeffs=coeffs,
         nodes=system.nodes,

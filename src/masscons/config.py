@@ -17,14 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adjust import (
-    FIELD_DIRICHLET,
-    FLOW_THROUGH,
-    MINIMIZER,
-    NO_FLOW_THROUGH,
-    ORACLE_NEUMANN,
-    CLOSED_FORM,
-)
+from .adjust import BASE_KINDS, FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER
 from .errors import ConfigurationError
 from .fields import example_field, validate_weights
 from .geometry import BoxDomain
@@ -32,12 +25,12 @@ from .geometry import BoxDomain
 __all__ = ["ExperimentConfig", "parse_config", "echo_config", "write_echo"]
 
 _EXAMPLES = ("ex51", "ex52", "ex53")
-_BASES = ("zero", "inject", "inject+vertical", "vertical")
-_BC_KINDS = (FLOW_THROUGH, NO_FLOW_THROUGH, FIELD_DIRICHLET, ORACLE_NEUMANN)
-_FORMULAS = (MINIMIZER, CLOSED_FORM)
 _TOPOGRAPHIES = ("off", "hill")
 
 _FACE_KEYS = ("bc_bottom", "bc_top", "bc_xmin", "bc_xmax", "bc_ymin", "bc_ymax")
+# Settings of the horizontal line search; full-observation mode (9-entry s)
+# has no base policy, one pass and a unit closed-form step, so it rejects them.
+_HORIZONTAL_KEYS = ("base", "w_b", "formula", "iterations")
 
 
 @dataclass(frozen=True)
@@ -199,21 +192,27 @@ def parse_config(path) -> ExperimentConfig:
             validate_weights(np.asarray(s_entries).reshape(dim, dim), dim)
         except Exception as exc:
             raise ConfigurationError(f"s: {exc}", got[1]) from None
+        if dim == 3:
+            for key in _HORIZONTAL_KEYS:
+                if key in raw:
+                    raise ConfigurationError(
+                        f"{key}: not used in full-observation mode (9-entry s)", raw[key][1]
+                    )
 
     got = take("base")
-    base = _require_choice(got[0], _BASES, "base", got[1]) if got else "zero"
+    base = _require_choice(got[0], BASE_KINDS, "base", got[1]) if got else "zero"
     got = take("w_b")
     w_b = _parse_float(got[0], "w_b", got[1]) if got else 1.0
 
     bc_values = {}
     got = take("bc")
-    default_bc = _require_choice(got[0], _BC_KINDS, "bc", got[1]) if got else FLOW_THROUGH
+    default_bc = _require_choice(got[0], FACE_POLICIES, "bc", got[1]) if got else FLOW_THROUGH
     for key in _FACE_KEYS:
         got = take(key)
-        bc_values[key] = _require_choice(got[0], _BC_KINDS, key, got[1]) if got else default_bc
+        bc_values[key] = _require_choice(got[0], FACE_POLICIES, key, got[1]) if got else default_bc
 
     got = take("formula")
-    formula = _require_choice(got[0], _FORMULAS, "formula", got[1]) if got else MINIMIZER
+    formula = _require_choice(got[0], FORMULAS, "formula", got[1]) if got else MINIMIZER
 
     got = take("trunc_tol")
     trunc_tol = _parse_float(got[0], "trunc_tol", got[1]) if got else 1e-12
@@ -263,8 +262,10 @@ def _fmt_value(value) -> str:
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
-    """Render every resolved setting in the parseable flat format."""
-    lines = []
+    """Render every resolved setting in the parseable flat format.
+
+    Full-observation mode omits the horizontal-only settings it rejects.
+    """
     order = [
         ("example", cfg.example),
         ("n", cfg.grid_sizes),
@@ -289,9 +290,8 @@ def echo_config(cfg: ExperimentConfig) -> str:
         ("iterations", cfg.iterations),
         ("out", cfg.out),
     ]
-    for key, value in order:
-        lines.append(f"{key} = {_fmt_value(value)}")
-    return "\n".join(lines) + "\n"
+    skip = _HORIZONTAL_KEYS if cfg.sasaki_mode else ()
+    return "".join(f"{key} = {_fmt_value(value)}\n" for key, value in order if key not in skip)
 
 
 def write_echo(cfg: ExperimentConfig, path) -> None:

@@ -24,7 +24,7 @@ class ConfigurationError(MassconsError, ValueError):
 
 
 class DegenerateDirectionError(MassconsError, ArithmeticError):
-    """The search direction has no horizontal content; no step length exists."""
+    """The search direction has no observed content; no step length exists."""
 
 
 class SingularSystemError(MassconsError, ArithmeticError):

@@ -28,7 +28,6 @@ __all__ = [
     "observe",
     "inject",
     "zero3",
-    "constant3",
     "add_scaled",
     "subtract",
     "validate_weights",
@@ -37,7 +36,6 @@ __all__ = [
     "weighted_ip",
     "l2_ip",
     "objective",
-    "objective_full",
     "divergence_fd",
     "ExampleCase",
     "example_field",
@@ -107,12 +105,6 @@ def inject(data: Field2) -> Field3:
 def zero3() -> Field3:
     zero = lambda pts: np.zeros(len(pts))
     return Field3(fn=lambda pts: np.zeros((len(pts), 3)), div=zero, hdiv=zero)
-
-
-def constant3(v) -> Field3:
-    v = np.asarray(v, dtype=float)
-    zero = lambda pts: np.zeros(len(pts))
-    return Field3(fn=lambda pts: np.broadcast_to(v, (len(pts), 3)).copy(), div=zero, hdiv=zero)
 
 
 def add_scaled(u: Field3, t: float, p: Field3) -> Field3:
@@ -240,13 +232,6 @@ def objective(u: Field3, data: Field2, weights: np.ndarray, quad: Quadrature) ->
     """
     d = u(quad.nodes)[:, :2] - data(quad.nodes)
     w = validate_weights(weights, 2)
-    return 0.5 * float(np.sum(quad.weights * np.einsum("ij,jk,ik->i", d, w, d)))
-
-
-def objective_full(u: Field3, initial: Field3, weights: np.ndarray, quad: Quadrature) -> float:
-    """Full-observation objective: half the 3x3-weighted squared deviation from ``initial``."""
-    d = u(quad.nodes) - initial(quad.nodes)
-    w = validate_weights(weights, 3)
     return 0.5 * float(np.sum(quad.weights * np.einsum("ij,jk,ik->i", d, w, d)))
 
 

@@ -29,17 +29,15 @@ from .adjust import (
     AdjustmentResult,
     BaseFieldPolicy,
     FaceBcPolicy,
-    _full_boundary_data,
+    Problem,
     adjust,
-    boundary_data,
-    misfit,
-    poisson_rhs,
+    build_system,
     sasaki,
 )
-from .collocation import dump_gram, factorize_and_solve, assemble
+from .collocation import dump_gram
 from .config import ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
-from .fields import ExampleCase, example_field, inject, midpoint_rule, subtract, zero3
+from .fields import ExampleCase, example_field, inject, midpoint_rule, zero3
 from .fields import divergence_fd  # noqa: F401  # unused; the benchmark's tracer patches this name
 from .geometry import Topography, grid_centers
 from .kernel import KernelParams
@@ -136,16 +134,6 @@ def _hill_topography(cfg: ExperimentConfig) -> Topography | None:
     return Topography(height=height, grad=grad)
 
 
-def _base_policy(cfg: ExperimentConfig) -> BaseFieldPolicy:
-    if cfg.base == "zero":
-        return BaseFieldPolicy.zero()
-    if cfg.base == "inject":
-        return BaseFieldPolicy.inject_data()
-    if cfg.base == "inject+vertical":
-        return BaseFieldPolicy.inject_plus_vertical(cfg.w_b)
-    return BaseFieldPolicy.vertical(cfg.w_b)
-
-
 def _face_policy(cfg: ExperimentConfig) -> FaceBcPolicy:
     return FaceBcPolicy(
         bottom=cfg.bc_bottom,
@@ -183,7 +171,7 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
                 kernel,
                 n,
                 topo=topo,
-                base=_base_policy(cfg),
+                base=BaseFieldPolicy(cfg.base, cfg.w_b),
                 weights=cfg.weight_matrix(),
                 policy=_face_policy(cfg),
                 formula=cfg.formula,
@@ -334,31 +322,27 @@ def sweep(
 def dump_gram_for_config(
     cfg: ExperimentConfig, out_override: str | None = None
 ) -> list[str]:
-    """Assemble and factorize the multiplier system per grid size; dump G, b, sigma."""
+    """Assemble and factorize the multiplier system per grid size; dump G, b, sigma.
+
+    The system is the first pass of the row's line search: about a zero base
+    field in full-observation mode, else about the configured base field.
+    """
     out = _prepare_out(cfg, out_override)
     case = example_field(cfg.example, eps=cfg.eps)
     box = cfg.box()
     topo = _hill_topography(cfg)
-    kernel = KernelParams(cfg.shape)
-    policy = _face_policy(cfg)
+    if cfg.sasaki_mode:
+        problem, u_c = Problem.full(inject(case.data), cfg.weight_matrix()), zero3()
+    else:
+        problem = Problem.horizontal(case.data, cfg.weight_matrix())
+        u_c = BaseFieldPolicy(cfg.base, cfg.w_b).build(case.data)
     paths = []
     for n in cfg.grid_sizes:
         nodes = grid_centers(box, n, topo=topo)
-        if cfg.sasaki_mode:
-            weights = cfg.weight_matrix()
-            identity = np.array_equal(weights, np.eye(3))
-            aniso = np.eye(3) if identity else np.linalg.inv(weights)
-            residual_field = subtract(zero3(), inject(case.data))
-            rhs = poisson_rhs(residual_field, box)
-            bcs = _full_boundary_data(policy, residual_field, nodes, aniso, inject(case.data), case.exact)
-            system = assemble(nodes, kernel, bcs, rhs, aniso=aniso)
-        else:
-            u_c = _base_policy(cfg).build(case.data)
-            m = misfit(u_c, case.data, cfg.weight_matrix())
-            rhs = poisson_rhs(m, box)
-            bcs = boundary_data(policy, m, nodes, exact=case.exact, base=u_c)
-            system = assemble(nodes, kernel, bcs, rhs)
-        factorize_and_solve(system, trunc_tol=cfg.trunc_tol)
+        _, system, _ = build_system(
+            problem, u_c, nodes, KernelParams(cfg.shape), box, _face_policy(cfg),
+            exact=case.exact, trunc_tol=cfg.trunc_tol,
+        )
         path = os.path.join(out, f"gram_N{n**3}.txt")
         dump_gram(system, path)
         paths.append(path)

@@ -24,13 +24,11 @@ from masscons.adjust import (
     CLOSED_FORM,
     BaseFieldPolicy,
     FaceBcPolicy,
+    Problem,
     adjust,
     adjust_full,
-    boundary_data,
-    misfit,
-    poisson_rhs,
+    build_system,
 )
-from masscons.collocation import assemble, factorize_and_solve
 from masscons.config import parse_config
 from masscons.fields import divergence_fd, example_field, face_rule, inject, midpoint_rule, zero3
 from masscons.geometry import grid_centers
@@ -168,15 +166,14 @@ def _interior_pde_residual(cfg, n):
         bottom=cfg.bc_bottom, top=cfg.bc_top, xmin=cfg.bc_xmin,
         xmax=cfg.bc_xmax, ymin=cfg.bc_ymin, ymax=cfg.bc_ymax,
     )
-    base = BaseFieldPolicy.zero() if cfg.base == "zero" else BaseFieldPolicy.vertical(cfg.w_b)
-    u_c = base.build(case.data)
-    m = misfit(u_c, case.data, cfg.weight_matrix())
-    rhs = poisson_rhs(m, cfg.box())
-    bcs = boundary_data(policy, m, nodes, exact=case.exact, base=u_c)
-    system = assemble(nodes, KernelParams(cfg.shape), bcs, rhs)
-    solution = factorize_and_solve(system, trunc_tol=cfg.trunc_tol)
+    u_c = BaseFieldPolicy(cfg.base, cfg.w_b).build(case.data)
+    problem = Problem.horizontal(case.data, cfg.weight_matrix())
+    _, system, solution = build_system(
+        problem, u_c, nodes, KernelParams(cfg.shape), cfg.box(), policy,
+        exact=case.exact, trunc_tol=cfg.trunc_tol,
+    )
     interior = nodes.interior
-    dev = solution.laplacian(nodes.points[interior]) - rhs(nodes.points[interior])
+    dev = solution.laplacian(nodes.points[interior]) - system.rhs[interior]
     return float(np.abs(dev).max()), solution.residual_norm
 
 

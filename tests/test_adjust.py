@@ -1,3 +1,4 @@
+import importlib
 import logging
 
 import numpy as np
@@ -11,6 +12,7 @@ from masscons.adjust import (
     CLOSED_FORM,
     BaseFieldPolicy,
     FaceBcPolicy,
+    Problem,
     adjust,
     adjust_full,
     boundary_data,
@@ -122,6 +124,28 @@ def test_boundary_data_policies(caplog):
     with caplog.at_level(logging.WARNING):
         boundary_data(FaceBcPolicy.uniform(NO_FLOW_THROUGH), m, nodes)
     assert any("Neumann" in record.message for record in caplog.records)
+
+    # full observation with 3x3 weights S: Neumann rows carry the conormal
+    # S^-1 nu, and oracle rows the flux (exact - initial) . nu about a zero base
+    weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
+    initial = inject(EX53.data)
+    problem = Problem.full(initial, weights)
+    nodes53 = grid_centers(EX53.domain, 3)
+    r = problem.residual(zero3())
+    bcs53 = boundary_data(
+        FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN), r, nodes53,
+        exact=EX53.exact, base=zero3(), aniso=problem.aniso,
+    )
+    pts = nodes53.points[nodes53.boundary]
+    r_vals, oracle_vals = r(pts), EX53.exact(pts) - initial(pts)
+    for row, i in enumerate(nodes53.boundary):
+        label, nu, bc = FaceLabel(nodes53.labels[i]), nodes53.normals[i], bcs53[int(i)]
+        if label in (FaceLabel.BOTTOM, FaceLabel.TOP):
+            np.testing.assert_allclose(bc.direction, np.linalg.solve(weights, nu), rtol=1e-13)
+            flux = r_vals[row] if label is FaceLabel.BOTTOM else oracle_vals[row]
+            assert bc.flux == float(flux @ nu)
+        else:
+            assert bc == DirichletLambda(0.0)
 
 
 def test_boundary_data_oracle_requires_exact():
@@ -351,8 +375,25 @@ def test_face_policy_validation():
         FaceBcPolicy(bottom="sealed")
     with pytest.raises(ContractError):
         BaseFieldPolicy(kind="nothing")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, formula="bogus"),
+        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, iterations=0),
+        lambda: adjust_full(inject(EX51.data), np.eye(3), EX51.domain, KernelParams(0.1), 3, formula="bogus"),
+    ],
+    ids=["adjust-formula", "adjust-iterations", "full-formula"],
+)
+def test_bad_options_fail_before_assembly(run, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the system was assembled before the options were checked")
+
+    # the package attribute masscons.adjust is the function; patch the module
+    monkeypatch.setattr(importlib.import_module("masscons.adjust"), "assemble", no_assembly)
     with pytest.raises(ContractError):
-        BaseFieldPolicy(kind="custom")
+        run()
 
 
 def _hill(box, amplitude=2.0, width=3.0):

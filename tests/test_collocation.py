@@ -293,13 +293,6 @@ def test_pure_neumann_gradient_stable_across_truncation():
     assert np.abs(tight.gradient(probes) - loose.gradient(probes)).max() <= 1e-8
 
 
-def test_row_scaling_flag():
-    system = ex51_system(3, 0.001)
-    scaled = factorize_and_solve(system, row_scaling=True)
-    assert np.all(np.isfinite(scaled.coeffs))
-    assert np.isfinite(scaled.residual)
-
-
 def test_dump_gram(tmp_path):
     nodes = grid_centers(SLAB, 3)
     system = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)

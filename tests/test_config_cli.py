@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from masscons.cli import main
-from masscons.collocation import condition_number, factorize_and_solve
+from masscons.collocation import condition_number
 from masscons.config import echo_config, parse_config
 from masscons.errors import ConfigurationError
-from masscons.runner import TABLE_COLUMNS, run_experiment, sweep
+from masscons.fields import example_field, midpoint_rule
+from masscons.runner import TABLE_COLUMNS, _run_one, run_experiment, sweep
 
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
 
@@ -100,6 +101,20 @@ def test_sasaki_mode_from_weight_size(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, MINIMAL + "s = 1,0,0,0,1,0,0,0,1\n"))
     assert cfg.sasaki_mode
     assert cfg.weight_matrix().shape == (3, 3)
+    echoed = write_cfg(tmp_path, echo_config(cfg), name="echo.cfg")
+    assert parse_config(echoed) == cfg
+
+
+@pytest.mark.parametrize(
+    "key, value", [("formula", "minimizer"), ("base", "vertical"), ("w_b", "4.0"), ("iterations", "3")]
+)
+def test_full_mode_rejects_horizontal_keys(tmp_path, key, value):
+    # full observation has no base policy, one pass and a unit step; a key
+    # for those would be echoed as applied while changing nothing
+    path = write_cfg(tmp_path, MINIMAL + "s = 1,0,0,0,1,0,0,0,1\n" + f"{key} = {value}\n")
+    with pytest.raises(ConfigurationError, match=f"line 5: {key}: not used in full-observation mode"):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_run_experiment_artifacts(tmp_path):
@@ -187,19 +202,18 @@ def test_sweep_shape_kappa_monotone(tmp_path):
     assert (tmp_path / "s" / "sweep.csv").exists()
 
     # independent conditioning oracle per swept value
-    from masscons.adjust import BaseFieldPolicy, FaceBcPolicy, NO_FLOW_THROUGH, boundary_data, misfit, poisson_rhs
-    from masscons.collocation import assemble
-    from masscons.fields import example_field, zero3
+    from masscons.adjust import FaceBcPolicy, NO_FLOW_THROUGH, Problem, build_system
+    from masscons.fields import zero3
     from masscons.geometry import grid_centers
     from masscons.kernel import KernelParams
 
     case = example_field("ex51")
     nodes = grid_centers(case.domain, 5)
+    problem = Problem.horizontal(case.data)
     for value, row in zip(values, rows):
-        m = misfit(zero3(), case.data, np.eye(2))
-        bcs = boundary_data(FaceBcPolicy(bottom=NO_FLOW_THROUGH), m, nodes)
-        system = assemble(nodes, KernelParams(value), bcs, poisson_rhs(m, case.domain))
-        factorize_and_solve(system)
+        _, system, _ = build_system(
+            problem, zero3(), nodes, KernelParams(value), case.domain, FaceBcPolicy(bottom=NO_FLOW_THROUGH)
+        )
         assert condition_number(system) == pytest.approx(row.kappa, rel=1e-10)
 
 
@@ -258,6 +272,30 @@ def test_cli_dump_gram(tmp_path):
     assert main(["dump-gram", str(cfg_path)]) == 0
     assert (tmp_path / "dump" / "gram_N27.txt").exists()
     assert "# nodes" in (tmp_path / "dump" / "gram_N27.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "example = ex51\nc = 0.5\ns = 2,0.3,0.3,1\nbase = vertical\nw_b = 0.5\nbc_bottom = no-flow-through\n",
+        "example = ex53\nc = 0.05\ns = 2,0.5,0.1,0.5,1.5,-0.3,0.1,-0.3,1\n"
+        "bc_bottom = no-flow-through\nbc_top = oracle-neumann\n",
+    ],
+    ids=["horizontal", "sasaki-aniso-oracle"],
+)
+def test_dump_gram_matches_the_solved_system(tmp_path, text):
+    # dump-gram writes the system the row's line search solves, bit for bit
+    path = write_cfg(tmp_path, text + "n = 3\nquad = 4\n")
+    assert main(["dump-gram", str(path), "--out", str(tmp_path / "dump")]) == 0
+    lines = (tmp_path / "dump" / "gram_N27.txt").read_text().splitlines()
+    matrix = np.array([[float(v) for v in line.split(",")] for line in lines[1:28]])
+    rhs = np.array([float(v) for v in lines[29].split(",")])
+
+    cfg = parse_config(path)
+    quad = midpoint_rule(cfg.box(), cfg.quad)
+    _, result = _run_one(cfg, example_field(cfg.example, eps=cfg.eps), 3, quad)
+    assert np.array_equal(matrix, result.gram.matrix)
+    assert np.array_equal(rhs, result.gram.rhs)
 
 
 def test_run_experiment_sasaki_mode(tmp_path):

@@ -50,6 +50,7 @@ from .errors import (
     DegenerateDirectionError,
     DomainError,
     MassconsError,
+    NonDescentError,
     SingularSystemError,
 )
 from .fields import (

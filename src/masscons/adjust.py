@@ -44,6 +44,7 @@ Face policies map each face to one of:
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,7 +59,7 @@ from .collocation import (
     condition_number,
     factorize_and_solve,
 )
-from .errors import ContractError, DegenerateDirectionError, DomainError
+from .errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
 from .fields import (
     Field2,
     Field3,
@@ -114,6 +115,11 @@ FORMULAS = (MINIMIZER, CLOSED_FORM)
 
 # Relative threshold below which <S Mp, Mp> counts as zero observed content.
 _DEGENERATE_RTOL = 1e-14
+# Relative rise of the objective over the line search that counts as ascent.
+_DESCENT_RTOL = 1e-12
+# Bytes per squared node count of the dense solve: the matrix, the SVD's copy
+# of it, U, V^T and LAPACK workspace, eight N x N float64 arrays in all.
+_SOLVE_BYTES_PER_PAIR = 8 * 8
 
 
 @dataclass(frozen=True)
@@ -361,6 +367,24 @@ def boundary_data(
     return out
 
 
+def _physical_memory() -> int | None:
+    """Physical memory in bytes, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_memory(n: int) -> None:
+    need = _SOLVE_BYTES_PER_PAIR * n * n
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise DomainError(
+            f"a grid of {n} nodes needs about {need} bytes for the dense solve, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def build_system(
     problem: Problem,
     u_c: Field3,
@@ -374,8 +398,11 @@ def build_system(
     """Assemble and solve the multiplier system of ``problem`` about the base field u_c.
 
     Returns the residual field r(u_c), the factorized collocation system and
-    its multiplier. ``exact`` is required by oracle-neumann faces.
+    its multiplier. ``exact`` is required by oracle-neumann faces. A grid
+    whose dense solve would not fit in physical memory raises DomainError
+    before anything is assembled.
     """
+    _require_memory(len(nodes.points))
     residual_field = problem.residual(u_c)
     aniso = problem.aniso
     bcs = boundary_data(policy, residual_field, nodes, exact=exact, base=u_c, aniso=aniso)
@@ -496,7 +523,8 @@ def _line_search(
     """``iterations`` line-search passes of ``problem`` from the base field u_c.
 
     Each pass rebuilds the multiplier system about the current field, which
-    then becomes the next pass's base field.
+    then becomes the next pass's base field. Passes that end with a larger
+    objective than they started from raise NonDescentError.
     """
     _require_formula(formula)
     if iterations < 1:
@@ -526,6 +554,12 @@ def _line_search(
         div_uc = None if div_uc is None or div_p is None else div_uc + t * div_p
         d = vals_uc[:, :k] - vals_obs
 
+    j_after = 0.5 * _weighted_sum(d, w, d, qw)
+    if j_after > j_before * (1.0 + _DESCENT_RTOL):
+        raise NonDescentError(
+            f"the line search raised the objective from j_before = {j_before:.6e} "
+            f"to j_after = {j_after:.6e} (formula {formula})"
+        )
     div = _node_divergence(div_uc, u_c, quad, domain, check_box=topo is None)
     metrics = Metrics(
         rel_error=_relative_error(vals_uc, exact, quad),
@@ -533,7 +567,7 @@ def _line_search(
         div_max=float(np.max(np.abs(div))),
         kappa=condition_number(system),
         j_before=j_before,
-        j_after=0.5 * _weighted_sum(d, w, d, qw),
+        j_after=j_after,
         residual=solution.residual,
         residual_norm=solution.residual_norm,
     )

@@ -5,7 +5,8 @@
     masscons dump-gram <config> [--out DIR]
 
 Exit codes: 0 all rows succeeded, 2 configuration error, 3 at least one row
-failed (failed rows are recorded in the table with their error message).
+failed (failed rows are recorded in the table with their error message) or
+dump-gram could not build a system.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MassconsError
 from .runner import dump_gram_for_config, run_experiment, sweep
 
 
@@ -70,6 +71,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MassconsError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     failed = [row for row in rows if row.error]
     for row in rows:

@@ -9,6 +9,12 @@ boundary operator at boundary nodes:
     row i = phi_j(x_i)                        Dirichlet node
     row i = grad phi_j(x_i) . nu_i            Neumann node (nu may be a conormal A nu)
 
+Each row kind is built in blocks of at most _BLOCK_ELEMENTS // N target rows,
+so every kernel array (at most the (rows, N, 3, 3) Hessian block, 4.5 MiB)
+has a fixed byte size whatever N is; only the N x N matrix grows with N.
+Every entry is computed elementwise, so the block split does not change a bit
+of the matrix.
+
 The resulting dense square system G beta = b is solved by a truncated-SVD
 pseudo-inverse: directions with sigma < trunc_tol * sigma_max are discarded,
 which keeps the solve meaningful in the severely ill-conditioned flat-kernel
@@ -46,8 +52,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 2048
-# Float64 elements per (rows, N) block of MultiplierSolution.jet (512 KiB).
+# Float64 elements per (rows, N) block (512 KiB), in assembly and in
+# MultiplierSolution.jet; a (rows, N, 3, 3) Hessian block is 9 times that.
 _BLOCK_ELEMENTS = 1 << 16
 
 ROW_INTERIOR = "interior-laplacian"
@@ -96,6 +102,12 @@ def _is_identity(a: np.ndarray | None) -> bool:
     return a is not None and a.shape == (3, 3) and np.array_equal(a, np.eye(3))
 
 
+def _row_blocks(m: int, n: int):
+    """Slices of at most ``_BLOCK_ELEMENTS // n`` (at least one) of m rows against n centers."""
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    return (slice(start, start + rows) for start in range(0, m, rows))
+
+
 def assemble(
     nodes: NodeSet,
     kernel: KernelParams,
@@ -109,6 +121,7 @@ def assemble(
     interior source evaluated at the interior nodes. ``aniso`` switches the
     interior operator to sum_kl A_kl d_k d_l; the exact identity matrix is
     routed through the isotropic path so it reproduces those rows bit for bit.
+    The kernels are called on row blocks of at most _BLOCK_ELEMENTS // N rows.
     """
     pts = nodes.points
     n = len(pts)
@@ -128,16 +141,16 @@ def assemble(
     matrix = np.empty((n, n))
     rhs = np.empty(n)
     kinds: list[str] = [""] * n
+    centers = pts[None, :, :]
 
     interior = nodes.interior
-    for start in range(0, len(interior), _CHUNK):
-        idx = interior[start : start + _CHUNK]
+    for block in _row_blocks(len(interior), n):
+        idx = interior[block]
         x = pts[idx][:, None, :]
         if aniso is None:
-            matrix[idx] = lap_phi(x, pts[None, :, :], kernel)
+            matrix[idx] = lap_phi(x, centers, kernel)
         else:
-            hess = hess_phi(x, pts[None, :, :], kernel)
-            matrix[idx] = np.einsum("kl,mnkl->mn", aniso, hess)
+            matrix[idx] = np.einsum("kl,mnkl->mn", aniso, hess_phi(x, centers, kernel))
     rhs[interior] = np.asarray(f(pts[interior]), dtype=float)
     kind_interior = ROW_INTERIOR if aniso is None else ROW_ANISO
     for i in interior:
@@ -146,20 +159,22 @@ def assemble(
     dir_idx = np.array(sorted(i for i, bc in bcs.items() if isinstance(bc, DirichletLambda)), dtype=int)
     neu_idx = np.array(sorted(i for i, bc in bcs.items() if isinstance(bc, NeumannLambda)), dtype=int)
 
-    if len(dir_idx):
-        d = pts[dir_idx][:, None, :] - pts[None, :, :]
-        matrix[dir_idx] = phi_sq(np.sum(d * d, axis=-1), kernel)
-        rhs[dir_idx] = [bcs[int(i)].value for i in dir_idx]
-        for i in dir_idx:
-            kinds[i] = ROW_DIRICHLET
+    for block in _row_blocks(len(dir_idx), n):
+        idx = dir_idx[block]
+        d = pts[idx][:, None, :] - centers
+        matrix[idx] = phi_sq(np.sum(d * d, axis=-1), kernel)
+    rhs[dir_idx] = [bcs[int(i)].value for i in dir_idx]
+    for i in dir_idx:
+        kinds[i] = ROW_DIRICHLET
 
-    if len(neu_idx):
-        grads = grad_phi(pts[neu_idx][:, None, :], pts[None, :, :], kernel)
-        dirs = np.array([bcs[int(i)].direction for i in neu_idx], dtype=float)
-        matrix[neu_idx] = np.einsum("mnk,mk->mn", grads, dirs)
-        rhs[neu_idx] = [bcs[int(i)].flux for i in neu_idx]
-        for i in neu_idx:
-            kinds[i] = ROW_NEUMANN
+    dirs = np.array([bcs[int(i)].direction for i in neu_idx], dtype=float).reshape(-1, 3)
+    for block in _row_blocks(len(neu_idx), n):
+        idx = neu_idx[block]
+        grads = grad_phi(pts[idx][:, None, :], centers, kernel)
+        matrix[idx] = np.einsum("mnk,mk->mn", grads, dirs[block])
+    rhs[neu_idx] = [bcs[int(i)].flux for i in neu_idx]
+    for i in neu_idx:
+        kinds[i] = ROW_NEUMANN
 
     return GramSystem(
         matrix=matrix, rhs=rhs, row_kinds=tuple(kinds), nodes=nodes, kernel=kernel, aniso=aniso
@@ -222,9 +237,7 @@ class MultiplierSolution:
         value = np.empty(m)
         sum3 = np.empty((m, 4))
         lap5 = np.empty((m, rhs5.shape[1]))
-        rows = max(1, _BLOCK_ELEMENTS // n)
-        for start in range(0, m, rows):
-            block = slice(start, start + rows)
+        for block in _row_blocks(m, n):
             x = x_all[block]
             s = x @ centers.T
             s *= -2.0

@@ -29,3 +29,7 @@ class DegenerateDirectionError(MassconsError, ArithmeticError):
 
 class SingularSystemError(MassconsError, ArithmeticError):
     """The collocation matrix is identically zero / has no nonzero singular values."""
+
+
+class NonDescentError(MassconsError, ArithmeticError):
+    """The line search ended with a larger objective than it started from."""

@@ -66,13 +66,18 @@ TABLE_COLUMNS = (
     "residual_norm",
     "trunc_tol",
     "oracle_bc",
+    "rank",
     "error",
 )
 
 
 @dataclass(frozen=True)
 class TableRow:
-    """One experiment row; ``error`` is nonempty when the row failed."""
+    """One experiment row; ``error`` is nonempty when the row failed.
+
+    ``rank`` is the number of singular directions the last pass's truncated
+    solve kept; None (written ``nan``) on a failed row.
+    """
 
     n_nodes: int
     shape: float
@@ -87,6 +92,7 @@ class TableRow:
     residual_norm: float = float("nan")
     trunc_tol: float = float("nan")
     oracle_bc: bool = False
+    rank: int | None = None
     wall_time: float = float("nan")
     error: str = ""
 
@@ -105,6 +111,7 @@ class TableRow:
             _sci(self.residual_norm),
             _sci(self.trunc_tol),
             str(int(self.oracle_bc)),
+            "nan" if self.rank is None else str(self.rank),
             self.error,
         ]
 
@@ -203,6 +210,7 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
         residual_norm=m.residual_norm,
         trunc_tol=cfg.trunc_tol,
         oracle_bc=result.oracle_bc,
+        rank=result.multiplier.rank,
         wall_time=wall,
     )
     return row, result

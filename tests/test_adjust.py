@@ -23,7 +23,7 @@ from masscons.adjust import (
     step_length,
 )
 from masscons.collocation import MultiplierSolution, assemble, factorize_and_solve
-from masscons.errors import ContractError, DegenerateDirectionError, DomainError
+from masscons.errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
 from masscons.fields import (
     Field2,
     Field3,
@@ -393,6 +393,44 @@ def test_bad_options_fail_before_assembly(run, monkeypatch):
     # the package attribute masscons.adjust is the function; patch the module
     monkeypatch.setattr(importlib.import_module("masscons.adjust"), "assemble", no_assembly)
     with pytest.raises(ContractError):
+        run()
+
+
+def _sealed_vertical_base(formula):
+    # A constant updraft under a sealed bottom and xmax: the closed-form ratio
+    # presumes a vanishing boundary term, which these faces do not give.
+    return adjust(
+        EX51.data, EX51.domain, KernelParams(0.1), 3,
+        base=BaseFieldPolicy.vertical(2.0),
+        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, xmax=NO_FLOW_THROUGH),
+        formula=formula, quad=midpoint_rule(EX51.domain, 12),
+    )
+
+
+def test_ascending_step_raises_non_descent():
+    with pytest.raises(NonDescentError, match=r"j_before = .* j_after = .*closed-form"):
+        _sealed_vertical_base(CLOSED_FORM)
+    result = _sealed_vertical_base(MINIMIZER)
+    assert result.metrics.j_after < result.metrics.j_before
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3),
+        lambda: sasaki(inject(EX51.data), np.diag([1.0, 2.0, 4.0]), EX51.domain, KernelParams(0.1), 3),
+    ],
+    ids=["adjust", "sasaki"],
+)
+def test_grid_too_large_for_memory_fails_before_assembly(run, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the system was assembled before the memory check")
+
+    module = importlib.import_module("masscons.adjust")
+    monkeypatch.setattr(module, "assemble", no_assembly)
+    monkeypatch.setattr(module, "_physical_memory", lambda: 1000)
+    # 27 nodes need 8 * 27^2 float64 = 46656 bytes
+    with pytest.raises(DomainError, match=r"27 nodes needs about 46656 bytes.* 1000 bytes"):
         run()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from masscons.collocation import (
 from masscons.errors import ContractError, SingularSystemError
 from masscons.fields import example_field
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
-from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi
+from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi, phi_sq
 
 CUBE = BoxDomain(-2, 2, -2, 2, -2, 2)
 SLAB = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -67,16 +69,70 @@ def test_identity_anisotropy_reproduces_isotropic_rows():
     assert iso.row_kinds == aniso.row_kinds
 
 
-def test_anisotropic_rows_contract_hessian():
-    nodes = grid_centers(CUBE, 3)
-    a = np.diag([1.0, 0.5, 0.25])
-    system = assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F, aniso=a)
-    (i,) = nodes.interior
-    assert system.row_kinds[i] == "anisotropic-laplacian"
-    from masscons.kernel import hess_phi
+SPD = np.array([[1.0, 0.2, 0.1], [0.2, 0.5, -0.1], [0.1, -0.1, 0.25]])
 
-    expected = np.einsum("kl,nkl->n", a, hess_phi(nodes.points[i], nodes.points, KernelParams(0.7)))
-    np.testing.assert_allclose(system.matrix[i], expected, rtol=0, atol=0)
+
+def mixed_bcs(nodes, a):
+    """Neumann rows along the conormal A nu on bottom, top and xmin; Dirichlet elsewhere."""
+    neumann_faces = (FaceLabel.BOTTOM, FaceLabel.TOP, FaceLabel.XMIN)
+    return {
+        int(i): NeumannLambda(0.5, a @ nodes.normals[i])
+        if nodes.labels[i] in neumann_faces
+        else DirichletLambda(0.25)
+        for i in nodes.boundary
+    }
+
+
+def test_anisotropic_rows_contract_hessian():
+    # 1000 centers: the 512 interior rows span several row blocks
+    nodes = grid_centers(CUBE, 10)
+    kernel = KernelParams(0.7)
+    interior = nodes.interior
+    assert len(interior) > _BLOCK_ELEMENTS // len(nodes.points)
+    for a in (np.diag([1.0, 0.5, 0.25]), SPD):
+        system = assemble(nodes, kernel, dirichlet_all(nodes), ZERO_F, aniso=a)
+        assert {system.row_kinds[i] for i in interior} == {"anisotropic-laplacian"}
+        hess = hess_phi(nodes.points[interior][:, None, :], nodes.points[None, :, :], kernel)
+        expected = np.einsum("kl,mnkl->mn", a, hess)
+        np.testing.assert_allclose(system.matrix[interior], expected, rtol=0, atol=0)
+
+
+def test_boundary_rows_match_unblocked_kernels():
+    nodes = grid_centers(CUBE, 10)
+    kernel = KernelParams(0.7)
+    bcs = mixed_bcs(nodes, SPD)
+    system = assemble(nodes, kernel, bcs, ZERO_F, aniso=SPD)
+    pts = nodes.points
+    dirichlet = [i for i in sorted(bcs) if isinstance(bcs[i], DirichletLambda)]
+    neumann = [i for i in sorted(bcs) if isinstance(bcs[i], NeumannLambda)]
+    rows = _BLOCK_ELEMENTS // len(pts)
+    assert len(dirichlet) > rows and len(neumann) > rows
+
+    d = pts[dirichlet][:, None, :] - pts[None, :, :]
+    expected = phi_sq(np.sum(d * d, axis=-1), kernel)
+    np.testing.assert_allclose(system.matrix[dirichlet], expected, rtol=0, atol=0)
+    assert np.all(system.rhs[dirichlet] == 0.25)
+    assert {system.row_kinds[i] for i in dirichlet} == {"dirichlet"}
+
+    grads = grad_phi(pts[neumann][:, None, :], pts[None, :, :], kernel)
+    dirs = np.array([bcs[i].direction for i in neumann])
+    expected = np.einsum("mnk,mk->mn", grads, dirs)
+    np.testing.assert_allclose(system.matrix[neumann], expected, rtol=0, atol=0)
+    assert np.all(system.rhs[neumann] == 0.5)
+    assert {system.row_kinds[i] for i in neumann} == {"neumann"}
+
+
+def test_assembly_memory_is_bounded_by_bytes():
+    # Unblocked, the (512, 1000, 3, 3) Hessian block alone is 37 MB.
+    nodes = grid_centers(CUBE, 10)
+    bcs = mixed_bcs(nodes, SPD)
+    tracemalloc.start()
+    try:
+        system = assemble(nodes, KernelParams(0.7), bcs, ZERO_F, aniso=SPD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - system.matrix.nbytes <= 32 * 2**20
 
 
 def test_bc_coverage_errors():

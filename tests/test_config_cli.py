@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -126,7 +127,11 @@ def test_run_experiment_artifacts(tmp_path):
 
     table = (out / "table.csv").read_text().splitlines()
     assert table[0] == ",".join(TABLE_COLUMNS)
+    assert TABLE_COLUMNS[-2:] == ("rank", "error")
     assert len(table) == 3
+    for line, row in zip(table[1:], rows):
+        assert 1 <= row.rank <= row.n_nodes
+        assert line.split(",")[-2] == str(row.rank)
     assert (out / "timings.csv").exists()
     assert (out / "field_N3.csv").exists()
     assert (out / "field_N4.csv").exists()
@@ -168,6 +173,31 @@ def test_failed_rows_are_recorded(tmp_path):
     table = (tmp_path / "fail" / "table.csv").read_text().splitlines()
     assert len(table) == 3
     assert "DegenerateDirectionError" in table[1]
+    assert all(row.rank is None for row in rows)
+    assert table[1].split(",")[TABLE_COLUMNS.index("rank")] == "nan"
+
+
+def test_ascending_row_fails_with_exit_code_3(tmp_path):
+    text = (
+        "example = ex51\nn = 3\nc = 0.1\nbase = vertical\nw_b = 2.0\n"
+        "bc_bottom = no-flow-through\nbc_xmax = no-flow-through\nquad = 12\n"
+    )
+    closed = write_cfg(tmp_path, text + f"formula = closed-form\nout = {tmp_path / 'cf'}\n", name="cf.cfg")
+    assert main(["run", str(closed)]) == 3
+    row = (tmp_path / "cf" / "table.csv").read_text().splitlines()[1]
+    assert row.split(",")[-1].startswith("NonDescentError: the line search raised the objective")
+    minimizer = write_cfg(tmp_path, text + f"formula = minimizer\nout = {tmp_path / 'mn'}\n", name="mn.cfg")
+    assert main(["run", str(minimizer)]) == 0
+
+
+def test_grid_too_large_for_memory_fails_the_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("masscons.adjust"), "_physical_memory", lambda: 1000)
+    path = write_cfg(tmp_path, fast_cfg_text(tmp_path / "big"))
+    assert main(["run", str(path)]) == 3
+    table = (tmp_path / "big" / "table.csv").read_text().splitlines()
+    assert len(table) == 3
+    assert all(',"DomainError: a grid of' in line for line in table[1:])
+    assert main(["dump-gram", str(path)]) == 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -472,20 +472,20 @@ def _step(
 
 
 def step_length(
+    problem: Problem,
     p: Field3,
     u_c: Field3,
-    data: Field2,
-    weights,
     quad: Quadrature,
     formula: str = MINIMIZER,
 ) -> float:
-    """Step along p. ``minimizer`` is the exact 1D minimizer of the objective;
-    ``closed-form`` is the closed-form ratio <p,p> / <S Mp, Mp>, which
-    presumes the boundary term of the integration by parts vanishes."""
+    """Step along p from the base field u_c for ``problem``, as the line search takes it.
+
+    ``minimizer`` is the exact 1D minimizer of the objective; ``closed-form``
+    is the ratio <G p, p> / <S Mp, Mp>, which presumes the boundary term of
+    the integration by parts vanishes."""
     _require_formula(formula)
-    w = validate_weights(weights, 2)
-    misfit_obs = u_c(quad.nodes)[:, :2] - data(quad.nodes)
-    return _step(p(quad.nodes), misfit_obs, w, np.eye(3), quad.weights, formula)
+    misfit_obs = u_c(quad.nodes)[:, : len(problem.weights)] - problem.observed(quad.nodes)
+    return _step(p(quad.nodes), misfit_obs, problem.weights, problem.metric, quad.weights, formula)
 
 
 def _node_divergence(

@@ -7,12 +7,14 @@ last column instead of aborting the run. Wall times go to ``timings.csv``
 so ``table.csv`` stays byte-identical across reruns of the same
 configuration. ``field_N{n}.csv`` samples the adjusted and exact fields and
 the adjusted field's divergence on the quadrature grid, from the node values
-the adjustment already computed. ``config.echo`` re-parses to an equal
-configuration.
+the adjustment already computed, as ``%.17e`` (18 significant digits, one more
+than round trip needs; ``nan`` and ``inf`` spelled as Python spells them); a
+failed row writes none. ``config.echo`` re-parses to an equal configuration.
 
 Rows may execute concurrently (``threads > 1``); files are written after all
 rows complete, in configuration order, so output bytes do not depend on
-scheduling.
+scheduling. The field files of a run are written together, block by block over
+the nodes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -232,12 +235,37 @@ def _write_timings(path, rows: list[TableRow]) -> None:
             writer.writerow((str(row.n_nodes), _sci(row.wall_time)))
 
 
-def _write_field(path, case: ExampleCase, result: AdjustmentResult, quad) -> None:
-    """u_plus, the exact field and div u_plus at the nodes, as cached by the adjustment."""
-    table = np.column_stack([quad.nodes, result.node_values, case.exact(quad.nodes), result.node_div])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,y,z,u1,u2,u3,u1_exact,u2_exact,u3_exact,div\n")
-        np.savetxt(fh, table, fmt="%.17e", delimiter=",", newline="\n")
+# The six columns every field file of a run shares (x, y, z and the exact
+# field) are formatted once per block into a template whose doubled %% slots
+# take each file's own four columns (u_plus and its divergence) in a second
+# pass. Each line is np.savetxt's "%.17e" row, byte for byte.
+_FIELD_HEADER = "x,y,z,u1,u2,u3,u1_exact,u2_exact,u3_exact,div\n"
+_FIELD_LINE = "%.17e,%.17e,%.17e,%%.17e,%%.17e,%%.17e,%.17e,%.17e,%.17e,%%.17e\n"
+# Rows per block: the text of a block, not of a whole file, is held in memory.
+_FIELD_BLOCK_ROWS = 1024
+
+
+def _write_fields(paths, case: ExampleCase, results: list[AdjustmentResult], quad) -> None:
+    """u_plus, the exact field and div u_plus at the nodes, one file per result.
+
+    The node values are the ones the adjustment cached; the exact field is
+    evaluated once for all files, which are written together, block by block.
+    """
+    if not paths:
+        return
+    nodes = quad.nodes
+    exact = case.exact(nodes)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="ascii", newline="\n")) for path in paths]
+        for fh in files:
+            fh.write(_FIELD_HEADER)
+        for start in range(0, len(nodes), _FIELD_BLOCK_ROWS):
+            block = slice(start, start + _FIELD_BLOCK_ROWS)
+            shared = np.column_stack([nodes[block], exact[block]])
+            template = (_FIELD_LINE * len(shared)) % tuple(shared.ravel().tolist())
+            for fh, result in zip(files, results):
+                own = np.column_stack([result.node_values[block], result.node_div[block]])
+                fh.write(template % tuple(own.ravel().tolist()))
 
 
 def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
@@ -277,9 +305,12 @@ def run_experiment(
     _write_rows(os.path.join(out, "table.csv"), rows)
     _write_timings(os.path.join(out, "timings.csv"), rows)
     write_echo(cfg, os.path.join(out, "config.echo"))
-    for n, (row, result) in zip(cfg.grid_sizes, outcomes):
-        if result is not None:
-            _write_field(os.path.join(out, f"field_N{n}.csv"), case, result, quad)
+    done = [
+        (os.path.join(out, f"field_N{n}.csv"), result)
+        for n, (_, result) in zip(cfg.grid_sizes, outcomes)
+        if result is not None
+    ]
+    _write_fields([path for path, _ in done], case, [result for _, result in done], quad)
     return rows
 
 

@@ -205,8 +205,9 @@ def test_step_length_formulas_agree_when_multiplier_vanishes():
         aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12,
     )
     p = descent_direction(m, solution)
-    t_min = step_length(p, u_c, EX52.data, np.eye(2), quad, MINIMIZER)
-    t_desc = step_length(p, u_c, EX52.data, np.eye(2), quad, CLOSED_FORM)
+    problem = Problem.horizontal(EX52.data)
+    t_min = step_length(problem, p, u_c, quad, MINIMIZER)
+    t_desc = step_length(problem, p, u_c, quad, CLOSED_FORM)
     assert t_min == pytest.approx(1.0, abs=1e-12)
     assert t_desc == pytest.approx(t_min, rel=1e-12)
 
@@ -215,7 +216,18 @@ def test_step_length_degenerate_direction():
     quad = midpoint_rule(EX51.domain, 8)
     vertical = Field3(fn=lambda p: np.column_stack([np.zeros((len(p), 2)), p[:, 2:3] + 1.0]))
     with pytest.raises(DegenerateDirectionError):
-        step_length(vertical, zero3(), EX51.data, np.eye(2), quad, MINIMIZER)
+        step_length(Problem.horizontal(EX51.data), vertical, zero3(), quad, MINIMIZER)
+
+
+@pytest.mark.parametrize("formula", [MINIMIZER, CLOSED_FORM])
+def test_step_length_matches_full_observation_line_search(formula):
+    weights = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
+    quad = midpoint_rule(EX51.domain, 8)
+    result = adjust_full(
+        inject(EX51.data), weights, EX51.domain, KernelParams(0.5), 4, quad=quad, formula=formula,
+    )
+    t = step_length(Problem.full(inject(EX51.data), weights), result.p, zero3(), quad, formula)
+    assert t == pytest.approx(result.t_c, rel=1e-12)
 
 
 def test_adjust_exact_recovery_ex52():

@@ -1,7 +1,9 @@
 import importlib
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ import pytest
 from masscons.cli import main
 from masscons.collocation import condition_number
 from masscons.config import echo_config, parse_config
-from masscons.errors import ConfigurationError
+from masscons.errors import ConfigurationError, DomainError
 from masscons.fields import example_field, midpoint_rule
-from masscons.runner import TABLE_COLUMNS, _run_one, run_experiment, sweep
+from masscons.runner import _FIELD_BLOCK_ROWS, TABLE_COLUMNS, _run_one, _write_fields, run_experiment, sweep
 
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
 
@@ -218,6 +220,84 @@ def test_field_div_column_reproduces_table_stats(tmp_path):
         div = np.loadtxt(out / f"field_N{n}.csv", delimiter=",", skiprows=1)[:, -1]
         assert float(np.mean(div)) == row.div_mean
         assert float(np.max(np.abs(div))) == row.div_max
+
+
+FIELD_HEADER = "x,y,z,u1,u2,u3,u1_exact,u2_exact,u3_exact,div\n"
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308])
+
+
+def savetxt_field(path, nodes, values, exact, div):
+    """The field file as np.savetxt writes it: the reference for the block writer."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(FIELD_HEADER)
+        np.savetxt(fh, np.column_stack([nodes, values, exact, div]), fmt="%.17e", delimiter=",", newline="\n")
+    return path.read_bytes()
+
+
+def with_specials(rng, shape, shift):
+    """Values over the whole float64 exponent range, with each special value at the start and end."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    specials = np.roll(SPECIAL, shift)[: min(a.size, len(SPECIAL))]
+    a.flat[: len(specials)] = specials
+    a.flat[a.size - len(specials):] = specials[::-1]
+    return a
+
+
+@pytest.mark.parametrize("rows", [1, 2 * _FIELD_BLOCK_ROWS + 3])
+def test_field_writer_matches_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    nodes, exact = with_specials(rng, (rows, 3), 0), with_specials(rng, (rows, 3), 3)
+    results = [
+        SimpleNamespace(node_values=with_specials(rng, (rows, 3), k), node_div=with_specials(rng, rows, k + 3))
+        for k in (1, 2)
+    ]
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    _write_fields(paths, SimpleNamespace(exact=lambda pts: exact), results, SimpleNamespace(nodes=nodes))
+    for path, result in zip(paths, results):
+        expected = savetxt_field(tmp_path / "ref.csv", nodes, result.node_values, exact, result.node_div)
+        assert path.read_bytes() == expected
+
+
+def test_failed_middle_row_leaves_its_field_file_out(tmp_path, monkeypatch):
+    runner = importlib.import_module("masscons.runner")
+    adjust = runner.adjust
+
+    def fail_middle(data, box, kernel, n, **kwargs):
+        if n == 4:
+            raise DomainError("injected failure")
+        return adjust(data, box, kernel, n, **kwargs)
+
+    monkeypatch.setattr(runner, "adjust", fail_middle)
+    out = tmp_path / "results"
+    cfg = parse_config(write_cfg(tmp_path, fast_cfg_text(out).replace("n = 3,4", "n = 3,4,5")))
+    rows = run_experiment(cfg)
+    assert [row.error for row in rows] == ["", "DomainError: injected failure", ""]
+    assert not (out / "field_N4.csv").exists()
+    case = example_field(cfg.example, eps=cfg.eps)
+    quad = midpoint_rule(cfg.box(), cfg.quad)
+    for n in (3, 5):
+        _, result = _run_one(cfg, case, n, quad)
+        expected = savetxt_field(
+            tmp_path / "ref.csv", quad.nodes, result.node_values, case.exact(quad.nodes), result.node_div
+        )
+        assert (out / f"field_N{n}.csv").read_bytes() == expected
+
+
+def test_field_writer_memory_is_bounded_by_blocks(tmp_path):
+    # Formatting a whole 32^3-node file in one call holds more than 20 MiB of text.
+    case = example_field("ex51")
+    quad = midpoint_rule(case.domain, 32)
+    rng = np.random.default_rng(0)
+    m = len(quad.nodes)
+    results = [SimpleNamespace(node_values=rng.standard_normal((m, 3)), node_div=rng.standard_normal(m)) for _ in range(3)]
+    paths = [tmp_path / f"field_{k}.csv" for k in range(3)]
+    tracemalloc.start()
+    try:
+        _write_fields(paths, case, results, quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_sweep_shape_kappa_monotone(tmp_path):

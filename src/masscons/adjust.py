@@ -117,8 +117,8 @@ FORMULAS = (MINIMIZER, CLOSED_FORM)
 _DEGENERATE_RTOL = 1e-14
 # Relative rise of the objective over the line search that counts as ascent.
 _DESCENT_RTOL = 1e-12
-# Bytes per squared node count of the dense solve: the matrix, the SVD's copy
-# of it, U, V^T and LAPACK workspace, eight N x N float64 arrays in all.
+# Bytes per N^2 of the dense solve, a conservative bound: dgelsd holds the matrix,
+# numpy's copy of it and O(N log N) workspace (aniso-sweep, N = 1728, peaks at 138 MB).
 _SOLVE_BYTES_PER_PAIR = 8 * 8
 
 

@@ -15,11 +15,11 @@ has a fixed byte size whatever N is; only the N x N matrix grows with N.
 Every entry is computed elementwise, so the block split does not change a bit
 of the matrix.
 
-The resulting dense square system G beta = b is solved by a truncated-SVD
-pseudo-inverse: directions with sigma < trunc_tol * sigma_max are discarded,
-which keeps the solve meaningful in the severely ill-conditioned flat-kernel
-regime and picks the minimal-norm solution on rank-deficient (pure-Neumann)
-systems.
+The dense square system G beta = b gets its truncated-SVD minimum-norm
+solution from one LAPACK dgelsd call (``np.linalg.lstsq``), keeping the
+directions with sigma > trunc_tol * sigma_max. That keeps the solve meaningful
+in the ill-conditioned flat-kernel regime and on rank-deficient (pure-Neumann)
+systems; dgelsd returns the rank and the spectrum without forming U or V^T.
 
 The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
 returns lambda, grad lambda and the interior operator applied to lambda from
@@ -309,24 +309,23 @@ class MultiplierSolution:
 
 
 def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> MultiplierSolution:
-    """Solve G beta = b by the truncated-SVD pseudo-inverse.
+    """Solve G beta = b for the truncated-SVD minimum-norm solution by LAPACK dgelsd.
 
-    Singular directions with sigma < trunc_tol * sigma_max are discarded.
-    Both the normalized residual |G beta - b| / max(|b|, 1) and the raw
-    2-norm are recorded on the returned solution.
+    It keeps sigma > trunc_tol * sigma_max (LAPACK's strict rule) and stores the
+    full descending spectrum on ``system``; values below about eps * sigma_max
+    are roundoff. The normalized residual |G beta - b| / max(|b|, 1) and the
+    raw 2-norm go on the returned solution.
     """
-    u, sigma, vt = np.linalg.svd(system.matrix)
+    coeffs, _, rank, sigma = np.linalg.lstsq(system.matrix, system.rhs, rcond=trunc_tol)
     system.singular_values = sigma
     if sigma[0] == 0.0:
         raise SingularSystemError("all singular values are zero")
-    keep = sigma >= trunc_tol * sigma[0]
-    coeffs = vt[keep].T @ ((u[:, keep].T @ system.rhs) / sigma[keep])
 
     resid = system.matrix @ coeffs - system.rhs
     residual_norm = float(np.linalg.norm(resid))
     residual = residual_norm / max(float(np.linalg.norm(system.rhs)), 1.0)
     if residual > 1e-6:
-        log.warning("collocation solve residual %.3e (rank %d of %d)", residual, keep.sum(), len(coeffs))
+        log.warning("collocation solve residual %.3e (rank %d of %d)", residual, rank, len(coeffs))
     return MultiplierSolution(
         coeffs=coeffs,
         nodes=system.nodes,
@@ -334,7 +333,7 @@ def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> Multipl
         aniso=system.aniso,
         residual=residual,
         residual_norm=residual_norm,
-        rank=int(keep.sum()),
+        rank=int(rank),
         trunc_tol=float(trunc_tol),
     )
 

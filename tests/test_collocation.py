@@ -222,6 +222,59 @@ def test_singular_system_error():
         factorize_and_solve(system)
 
 
+def _synthetic_system(sigma, seed):
+    """A 64-node system whose matrix is U diag(sigma) V^T for random orthogonal U, V."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    nodes = grid_centers(CUBE, 4)
+    system = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)
+    system.matrix = (u * sigma) @ v.T
+    system.rhs = rng.standard_normal(n)
+    return system, u, v
+
+
+def _gapped_spectrum(tol):
+    """24 singular values from 1 down to 3 tol, then 40 from tol / 3 down to 1e-16."""
+    return np.concatenate([np.logspace(0, np.log10(3 * tol), 24), np.logspace(np.log10(tol / 3), -16, 40)])
+
+
+def test_truncated_solve_matches_explicit_svd():
+    # A threshold 10 times higher or lower than tol changes the rank of either
+    # spectrum. The coefficients are compared with the explicit pseudo-inverse
+    # at tol = 1e-4 only: at the default 1e-12 the kept subspace itself has a
+    # condition number of 3e11, so two float64 solves differ far above 1e-10.
+    for seed, tol in ((3, 1e-4), (5, 1e-12)):
+        sigma = _gapped_spectrum(tol)
+        system, u, v = _synthetic_system(sigma, seed)
+        solution = factorize_and_solve(system, trunc_tol=tol)
+        keep = sigma > tol * sigma[0]
+        assert solution.rank == keep.sum() == 24
+        sv = system.singular_values
+        assert sv.shape == (64,)
+        assert np.all(np.diff(sv) <= 0)
+        direct = np.linalg.svd(system.matrix, compute_uv=False)
+        top = direct >= 1e-8 * direct[0]
+        np.testing.assert_allclose(sv[top], direct[top], rtol=1e-12, atol=0)
+        if tol == 1e-4:
+            explicit = v[:, keep] @ ((u[:, keep].T @ system.rhs) / sigma[keep])
+            assert np.linalg.norm(solution.coeffs - explicit) <= 1e-10 * np.linalg.norm(explicit)
+
+    # Rank deficient: the last 40 singular values are exactly zero, so the
+    # solution must be the minimum-norm one, orthogonal to the null space.
+    sigma = _gapped_spectrum(1e-4)
+    sigma[24:] = 0.0
+    system, u, v = _synthetic_system(sigma, seed=4)
+    solution = factorize_and_solve(system, trunc_tol=1e-4)
+    assert solution.rank == 24
+    assert np.linalg.norm(v[:, 24:].T @ solution.coeffs) <= 1e-12 * np.linalg.norm(solution.coeffs)
+
+    system.matrix = np.zeros_like(system.matrix)
+    with pytest.raises(SingularSystemError):
+        factorize_and_solve(system)
+
+
 def test_eval_jet():
     nodes = grid_centers(SLAB, 3)
     kp = KernelParams(0.8)

@@ -117,9 +117,10 @@ FORMULAS = (MINIMIZER, CLOSED_FORM)
 _DEGENERATE_RTOL = 1e-14
 # Relative rise of the objective over the line search that counts as ascent.
 _DESCENT_RTOL = 1e-12
-# Bytes per N^2 of the dense solve, a conservative bound: dgelsd holds the matrix,
-# numpy's copy of it and O(N log N) workspace (aniso-sweep, N = 1728, peaks at 138 MB).
-_SOLVE_BYTES_PER_PAIR = 8 * 8
+# Bytes per N^2 of one row's dense solve: 3 N^2 float64, the matrix and numpy's
+# copy of it for dgelsd plus one N^2 of headroom for the O(N log N) workspace and
+# the assembly blocks. A run frees each row's system before assembling the next.
+_SOLVE_BYTES_PER_PAIR = 3 * 8
 
 
 @dataclass(frozen=True)
@@ -543,6 +544,7 @@ def _line_search(
 
     nodes = grid_centers(domain, n_per_axis, topo=topo)
     for _ in range(iterations):
+        system = None  # the previous pass's matrix is freed before the next is assembled
         r, system, solution = build_system(
             problem, u_c, nodes, kernel, domain, policy, exact=exact, trunc_tol=trunc_tol
         )

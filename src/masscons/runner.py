@@ -14,7 +14,9 @@ failed row writes none. ``config.echo`` re-parses to an equal configuration.
 Rows may execute concurrently (``threads > 1``); files are written after all
 rows complete, in configuration order, so output bytes do not depend on
 scheduling. The field files of a run are written together, block by block over
-the nodes.
+the nodes. A finished row keeps only its table row and, in a run, its node
+values and divergence; its N x N collocation system is freed before the next
+row is assembled, so a run holds one system per row in flight.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -219,6 +222,13 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
     return row, result
 
 
+def _node_fields(row: TableRow, result: AdjustmentResult | None):
+    """The row and what the field writer reads of its result, without the collocation system."""
+    if result is None:
+        return row, None
+    return row, SimpleNamespace(node_values=result.node_values, node_div=result.node_div)
+
+
 def _write_rows(path, rows: list[TableRow]) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -245,10 +255,11 @@ _FIELD_LINE = "%.17e,%.17e,%.17e,%%.17e,%%.17e,%%.17e,%.17e,%.17e,%.17e,%%.17e\n
 _FIELD_BLOCK_ROWS = 1024
 
 
-def _write_fields(paths, case: ExampleCase, results: list[AdjustmentResult], quad) -> None:
+def _write_fields(paths, case: ExampleCase, results: list[SimpleNamespace], quad) -> None:
     """u_plus, the exact field and div u_plus at the nodes, one file per result.
 
-    The node values are the ones the adjustment cached; the exact field is
+    Each result has the ``node_values`` and ``node_div`` of an
+    :class:`AdjustmentResult`: the values the adjustment cached. The exact field is
     evaluated once for all files, which are written together, block by block.
     """
     if not paths:
@@ -298,7 +309,7 @@ def run_experiment(
     case = example_field(cfg.example, eps=cfg.eps)
     quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
 
-    jobs = [lambda n=n: _run_one(cfg, case, n, quad) for n in cfg.grid_sizes]
+    jobs = [lambda n=n: _node_fields(*_run_one(cfg, case, n, quad)) for n in cfg.grid_sizes]
     outcomes = _map_rows(jobs, threads)
 
     rows = [row for row, _ in outcomes]
@@ -350,9 +361,8 @@ def sweep(
                 raise ConfigurationError("trunc_tol must be positive")
             variants.append((replace(cfg, trunc_tol=float(value)), cfg.grid_sizes[0]))
 
-    jobs = [lambda v=v, n=n: _run_one(v, case, n, quad) for v, n in variants]
-    outcomes = _map_rows(jobs, threads)
-    rows = [row for row, _ in outcomes]
+    jobs = [lambda v=v, n=n: _run_one(v, case, n, quad)[0] for v, n in variants]
+    rows = _map_rows(jobs, threads)
     _write_rows(os.path.join(out, "sweep.csv"), rows)
     write_echo(cfg, os.path.join(out, "config.echo"))
     return rows
@@ -384,6 +394,7 @@ def dump_gram_for_config(
         )
         path = os.path.join(out, f"gram_N{n**3}.txt")
         dump_gram(system, path)
+        del system  # freed before the next grid size is assembled
         paths.append(path)
     return paths
 

@@ -8,7 +8,11 @@ Step sizes follow the calibrated rules
     laplacian   : h = 1e-2 / clip(c, 0.1, 2.0)
 
 which keep the worst relative error over c in [1e-3, 10] below ~3e-7.
+
+``traced_peak`` measures the peak allocation of a call for the memory tests.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -77,3 +81,13 @@ def fd_hess_phi(x: np.ndarray, center: np.ndarray, params: KernelParams, h: floa
 
     out = (4.0 * central(h / 2) - central(h)) / 3.0
     return 0.5 * (out + np.transpose(out, (0, 2, 1)))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees while fn runs: numpy's own arrays, not LAPACK's workspace."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

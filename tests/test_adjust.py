@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from masscons.adjust import (
     FLOW_THROUGH,
     MINIMIZER,
@@ -441,9 +442,20 @@ def test_grid_too_large_for_memory_fails_before_assembly(run, monkeypatch):
     module = importlib.import_module("masscons.adjust")
     monkeypatch.setattr(module, "assemble", no_assembly)
     monkeypatch.setattr(module, "_physical_memory", lambda: 1000)
-    # 27 nodes need 8 * 27^2 float64 = 46656 bytes
-    with pytest.raises(DomainError, match=r"27 nodes needs about 46656 bytes.* 1000 bytes"):
+    # 27 nodes need 3 * 27^2 float64 = 17496 bytes
+    with pytest.raises(DomainError, match=r"27 nodes needs about 17496 bytes.* 1000 bytes"):
         run()
+
+
+def test_line_search_passes_hold_one_collocation_system_at_a_time():
+    quad = midpoint_rule(EX51.domain, 6)
+
+    def peak(iterations):
+        kernel = KernelParams(0.1)
+        return traced_peak(lambda: adjust(EX51.data, EX51.domain, kernel, 9, quad=quad, iterations=iterations))
+
+    # Half of one 729 x 729 float64 matrix: the second pass must not add the first pass's.
+    assert peak(2) - peak(1) < 729**2 * 8 // 2
 
 
 def _hill(box, amplitude=2.0, width=3.0):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from masscons.cli import main
 from masscons.collocation import condition_number
 from masscons.config import echo_config, parse_config
@@ -162,6 +163,12 @@ def test_threads_do_not_change_output(tmp_path):
     run_experiment(cfg_a, threads=1)
     run_experiment(cfg_b, threads=2)
     assert (tmp_path / "st" / "table.csv").read_bytes() == (tmp_path / "mt" / "table.csv").read_bytes()
+    text = "example = ex51\nn = 4\nc = 0.1\nbc_bottom = no-flow-through\nquad = 8\n"
+    for threads in (1, 2):
+        out = tmp_path / f"sw{threads}"
+        cfg = parse_config(write_cfg(tmp_path, text + f"out = {out}\n", name=f"sw{threads}.cfg"))
+        sweep(cfg, "c", [0.1, 0.25, 0.05], threads=threads)
+    assert (tmp_path / "sw1" / "sweep.csv").read_bytes() == (tmp_path / "sw2" / "sweep.csv").read_bytes()
 
 
 def test_failed_rows_are_recorded(tmp_path):
@@ -340,14 +347,40 @@ def test_sweep_n_kappa_monotone(tmp_path):
 
 
 def test_single_value_sweep_matches_run(tmp_path):
-    text = "example = ex51\nn = 4\nc = 0.1\nbc_bottom = no-flow-through\nquad = 8\n"
-    cfg_run = parse_config(write_cfg(tmp_path, text + f"out = {tmp_path / 'run'}\n", name="r.cfg"))
-    cfg_sweep = parse_config(write_cfg(tmp_path, text + f"out = {tmp_path / 'swp'}\n", name="s.cfg"))
-    run_experiment(cfg_run)
-    sweep(cfg_sweep, "c", [0.1])
-    run_lines = (tmp_path / "run" / "table.csv").read_text().splitlines()
-    sweep_lines = (tmp_path / "swp" / "sweep.csv").read_text().splitlines()
-    assert run_lines == sweep_lines
+    # Each row of a sweep over c is, byte for byte, the table row of a run at that c alone.
+    text = "example = ex51\nn = 4\nbc_bottom = no-flow-through\nquad = 8\n"
+    values = [0.1, 0.25, 0.05]
+    cfg_sweep = parse_config(write_cfg(tmp_path, text + f"c = 0.1\nout = {tmp_path / 'swp'}\n", name="s.cfg"))
+    sweep(cfg_sweep, "c", values)
+    sweep_lines = (tmp_path / "swp" / "sweep.csv").read_bytes().splitlines(keepends=True)
+    assert len(sweep_lines) == 1 + len(values)
+    for k, c in enumerate(values):
+        out = tmp_path / f"run{k}"
+        run_experiment(parse_config(write_cfg(tmp_path, text + f"c = {c}\nout = {out}\n", name=f"r{k}.cfg")))
+        assert (out / "table.csv").read_bytes() == sweep_lines[0] + sweep_lines[1 + k]
+
+
+# N = 9^3 = 729 centers: one collocation matrix is 729^2 float64, 4.25 MB.
+HALF_MATRIX_729 = 729**2 * 8 // 2
+
+
+def test_sweep_holds_one_collocation_system_at_a_time(tmp_path):
+    text = (
+        "example = ex53\neps = 0.1\nn = 9\nc = 0.01\ns = 2,0.5,0.1,0.5,1.5,0.2,0.1,0.2,1\n"
+        f"quad = 6\nbc_bottom = no-flow-through\nout = {tmp_path / 'swp'}\n"
+    )
+    cfg = parse_config(write_cfg(tmp_path, text))
+    one = traced_peak(lambda: sweep(cfg, "c", [0.01]))
+    four = traced_peak(lambda: sweep(cfg, "c", [0.01, 0.02, 0.05, 0.1]))
+    assert four - one < HALF_MATRIX_729
+
+
+def test_run_holds_one_collocation_system_at_a_time(tmp_path):
+    text = "example = ex51\nc = 0.1\nbc_bottom = no-flow-through\nquad = 6\n"
+    alone = parse_config(write_cfg(tmp_path, text + f"n = 9\nout = {tmp_path / 'a'}\n", name="a.cfg"))
+    three = parse_config(write_cfg(tmp_path, text + f"n = 7,8,9\nout = {tmp_path / 'b'}\n", name="b.cfg"))
+    # The rows before N = 729 hold 343^2 + 512^2 float64 (3.0 MB) if their systems are kept.
+    assert traced_peak(lambda: run_experiment(three)) - traced_peak(lambda: run_experiment(alone)) < 2**20
 
 
 def test_sweep_validation(tmp_path):

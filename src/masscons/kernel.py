@@ -11,6 +11,7 @@ the radial chain rule; writing s = 1 + c**2 * r**2 and d = x - center,
     grad phi = -c**2 * d * s**(-3/2)
     hess phi = -c**2 * s**(-3/2) * I + 3 c**4 * (d d^T) * s**(-5/2)
     lap  phi = -3 c**2 * s**(-5/2)
+    A : hess phi = -c**2 tr(A) s**(-3/2) + 3 c**4 (d^T A d) s**(-5/2)   (lap_phi, aniso=A)
 
 The apparent phi'(r)/r singularity of the radial chain rule cancels
 analytically, so r = 0 needs no special casing and the gradient vanishes
@@ -19,8 +20,8 @@ exactly at the center. Finite differencing exists only in the test suite.
 All functions broadcast over leading axes: points may be single (3,)
 vectors, stacked (m, 3) arrays, or pairwise (m, 1, 3) vs (1, n, 3) blocks,
 which is how the collocation assembly calls them, with at most 2**16 // n
-rows per call: a block holds at most 2**16 pairs (512 KiB per scalar, 4.5 MiB
-for the Hessian) whatever n is. The fractional powers are
+rows per call: a block holds at most 2**16 pairs (512 KiB per scalar, 1.5 MiB
+for the gradient) whatever n is. The fractional powers are
 evaluated as sqrt-and-divide, which is considerably faster than ``**-1.5``
 on large pairwise blocks and bit-for-bit deterministic.
 """
@@ -121,14 +122,28 @@ def hess_phi(x, center, params: KernelParams):
     )
 
 
-def lap_phi(x, center, params: KernelParams):
-    """Laplacian of phi(||x - center||); shape (...,).
+def lap_phi(x, center, params: KernelParams, aniso=None):
+    """Interior operator applied to phi(||x - center||); shape (...,).
 
-    Strictly negative everywhere; equals -3 c^2 at x = center.
+    With ``aniso`` None this is the Laplacian, strictly negative everywhere and
+    -3 c^2 at x = center. With a 3x3 ``aniso`` A it is A : hess phi, the sum
+    over all nine A_kl (A need not be symmetric), built from (...,) arrays
+    without the Hessian; it equals -c^2 tr(A) at x = center and changes sign.
     """
     x = np.asarray(x, dtype=float)
     center = np.asarray(center, dtype=float)
     c2 = params.shape**2
     s = 1.0 + c2 * _sq_radius(x, center)
-    out = -3.0 * c2 * _inv52(s)
+    if aniso is None:
+        out = -3.0 * c2 * _inv52(s)
+    else:
+        # d^T A d from all nine A_kl: an inverted SPD matrix is not bitwise symmetric.
+        a = np.asarray(aniso, dtype=float)
+        d0, d1, d2 = (x[..., k] - center[..., k] for k in range(3))
+        quad = d0 * (a[0, 0] * d0 + (a[0, 1] + a[1, 0]) * d1 + (a[0, 2] + a[2, 0]) * d2)
+        quad += d1 * (a[1, 1] * d1 + (a[1, 2] + a[2, 1]) * d2)
+        quad += a[2, 2] * d2 * d2
+        del d0, d1, d2  # freed before the s^(-5/2) temporaries
+        # -c^2 tr(A) s^(-3/2) + 3 c^4 quad s^(-5/2) over the common s^(-5/2)
+        out = (3.0 * c2 * quad - np.trace(a) * s) * (c2 * _inv52(s))
     return float(out) if np.ndim(out) == 0 else out

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from masscons.collocation import (
     _BLOCK_ELEMENTS,
     DirichletLambda,
@@ -89,12 +90,23 @@ def test_anisotropic_rows_contract_hessian():
     kernel = KernelParams(0.7)
     interior = nodes.interior
     assert len(interior) > _BLOCK_ELEMENTS // len(nodes.points)
-    for a in (np.diag([1.0, 0.5, 0.25]), SPD):
+    x = nodes.points[interior][:, None, :]
+    centers = nodes.points[None, :, :]
+    # Diagonal, SPD, the inverse of an SPD matrix (not bitwise symmetric, as
+    # Problem.aniso is) and SPD plus a skew part, which A : hess phi ignores.
+    inverse = np.linalg.inv(SPD)
+    assert not np.array_equal(inverse, inverse.T)
+    skew = np.array([[0.0, 0.3, -0.2], [-0.3, 0.0, 0.1], [0.2, -0.1, 0.0]])
+    for a in (np.diag([1.0, 0.5, 0.25]), SPD, inverse, SPD + skew):
         system = assemble(nodes, kernel, dirichlet_all(nodes), ZERO_F, aniso=a)
+        rows = system.matrix[interior]
         assert {system.row_kinds[i] for i in interior} == {"anisotropic-laplacian"}
-        hess = hess_phi(nodes.points[interior][:, None, :], nodes.points[None, :, :], kernel)
-        expected = np.einsum("kl,mnkl->mn", a, hess)
-        np.testing.assert_allclose(system.matrix[interior], expected, rtol=0, atol=0)
+        # the block split does not change a bit of the closed-form operator
+        np.testing.assert_allclose(rows, lap_phi(x, centers, kernel, a), rtol=0, atol=0)
+        # and the closed form is A : hess phi up to roundoff
+        contracted = np.einsum("kl,mnkl->mn", a, hess_phi(x, centers, kernel))
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        assert np.all(np.abs(rows - contracted) <= 1e-13 * scale)
 
 
 def test_boundary_rows_match_unblocked_kernels():
@@ -123,7 +135,8 @@ def test_boundary_rows_match_unblocked_kernels():
 
 
 def test_assembly_memory_is_bounded_by_bytes():
-    # Unblocked, the (512, 1000, 3, 3) Hessian block alone is 37 MB.
+    # Blocked, this assembly peaks under 6 MiB above the matrix; unblocked,
+    # its gradient and difference arrays over all 1000 centers take 27 MiB.
     nodes = grid_centers(CUBE, 10)
     bcs = mixed_bcs(nodes, SPD)
     tracemalloc.start()
@@ -132,7 +145,15 @@ def test_assembly_memory_is_bounded_by_bytes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - system.matrix.nbytes <= 32 * 2**20
+    assert peak - system.matrix.nbytes <= 12 * 2**20
+
+
+def test_anisotropic_assembly_holds_no_hessian_block():
+    # N = 729: a (89, 729, 3, 3) Hessian block and its products held 16.8 MB
+    # above the matrix; the closed-form operator holds a few (rows, N) arrays.
+    nodes = grid_centers(CUBE, 9)
+    peak = traced_peak(lambda: assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F, aniso=SPD))
+    assert peak < len(nodes.points) ** 2 * 8 + 6 * 2**20
 
 
 def test_bc_coverage_errors():

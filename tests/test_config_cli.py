@@ -14,7 +14,9 @@ from masscons.collocation import condition_number
 from masscons.config import echo_config, parse_config
 from masscons.errors import ConfigurationError, DomainError
 from masscons.fields import example_field, midpoint_rule
-from masscons.runner import _FIELD_BLOCK_ROWS, TABLE_COLUMNS, _run_one, _write_fields, run_experiment, sweep
+from masscons.runner import (
+    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, _run_one, _write_fields, dump_gram_for_config, run_experiment, sweep,
+)
 
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
 
@@ -381,6 +383,16 @@ def test_run_holds_one_collocation_system_at_a_time(tmp_path):
     three = parse_config(write_cfg(tmp_path, text + f"n = 7,8,9\nout = {tmp_path / 'b'}\n", name="b.cfg"))
     # The rows before N = 729 hold 343^2 + 512^2 float64 (3.0 MB) if their systems are kept.
     assert traced_peak(lambda: run_experiment(three)) - traced_peak(lambda: run_experiment(alone)) < 2**20
+
+
+def test_dump_gram_holds_one_collocation_system_at_a_time(tmp_path):
+    text = f"example = ex51\nc = 0.1\nbc_bottom = no-flow-through\nquad = 4\nout = {tmp_path / 'dg'}\n"
+    alone = parse_config(write_cfg(tmp_path, text + "n = 6\n", name="a.cfg"))
+    both = parse_config(write_cfg(tmp_path, text + "n = 5,6\n", name="b.cfg"))
+    # Kept while N = 216 is assembled and solved, the N = 125 system adds its
+    # 125^2 float64 matrix (125 kB) to the peak.
+    extra = traced_peak(lambda: dump_gram_for_config(both)) - traced_peak(lambda: dump_gram_for_config(alone))
+    assert extra < 125**2 * 8 // 2
 
 
 def test_sweep_validation(tmp_path):

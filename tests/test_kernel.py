@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import fd_grad_phi, fd_hess_phi, fd_lap_phi, fd_step_grad, fd_step_lap
 from masscons.errors import DomainError
@@ -165,3 +168,30 @@ def test_pairwise_broadcasting():
     gblock = grad_phi(pts[:, None, :], centers[None, :, :], kp)
     assert gblock.shape == (4, 5, 3)
     np.testing.assert_array_equal(gblock[2, 3], grad_phi(pts[2], centers[3], kp))
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    b=arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)),
+    c=st.floats(1e-3, 2.0),
+    xs=arrays(float, (6, 3), elements=st.floats(-2.0, 2.0)),
+    centers=arrays(float, (6, 3), elements=st.floats(-2.0, 2.0)),
+)
+def test_anisotropic_operator_is_the_contracted_hessian(b, c, xs, centers):
+    # Random SPD A = B B^T + I/2 and point/center pairs in a box.
+    a = b @ b.T + 0.5 * np.eye(3)
+    kp = KernelParams(c)
+    op = lap_phi(xs, centers, kp, aniso=a)
+    # |hess phi| <= 4 c^2 s^(-3/2) entrywise, and the two terms of the operator
+    # cancel, so errors are measured against that size, not the result's.
+    s = 1.0 + c * c * np.sum((xs - centers) ** 2, axis=1)
+    scale = c * c * s**-1.5
+    contracted = np.einsum("kl,mkl->m", a, hess_phi(xs, centers, kp))
+    assert np.all(np.abs(op - contracted) <= 1e-12 * scale * np.abs(a).sum())
+    # The identity tensor is the Laplacian up to a few ulps of the cancelling terms.
+    iso = lap_phi(xs, centers, kp, aniso=np.eye(3))
+    assert np.all(np.abs(iso - lap_phi(xs, centers, kp)) <= 8 * EPS * 3 * scale)
+    assert np.all(lap_phi(centers, centers, kp, aniso=a) == -c * c * np.trace(a))

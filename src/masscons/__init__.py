@@ -69,7 +69,7 @@ from .fields import (
     weighted_ip,
 )
 from .geometry import BoxDomain, FaceLabel, NodeSet, Topography, classify, grid_centers
-from .kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi
+from .kernel import KernelParams, grad_phi, hess_phi, lap_phi
 from .runner import REFERENCE_RESULTS, TableRow, run_experiment, sweep, write_reference_comparison
 
 __version__ = "0.1.0"

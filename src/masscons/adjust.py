@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -125,7 +125,7 @@ _SOLVE_BYTES_PER_PAIR = 3 * 8
 
 @dataclass(frozen=True)
 class FaceBcPolicy:
-    """One boundary policy per face of the box."""
+    """One boundary policy per face of the box, named as the FaceLabel in lower case."""
 
     bottom: str = FLOW_THROUGH
     top: str = FLOW_THROUGH
@@ -141,27 +141,13 @@ class FaceBcPolicy:
 
     @classmethod
     def uniform(cls, kind: str) -> "FaceBcPolicy":
-        return cls(**{f: kind for f in ("bottom", "top", "xmin", "xmax", "ymin", "ymax")})
+        return cls(**{f.name: kind for f in fields(cls)})
 
     def items(self):
-        return (
-            ("bottom", self.bottom),
-            ("top", self.top),
-            ("xmin", self.xmin),
-            ("xmax", self.xmax),
-            ("ymin", self.ymin),
-            ("ymax", self.ymax),
-        )
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
     def for_label(self, label: FaceLabel) -> str:
-        return {
-            FaceLabel.BOTTOM: self.bottom,
-            FaceLabel.TOP: self.top,
-            FaceLabel.XMIN: self.xmin,
-            FaceLabel.XMAX: self.xmax,
-            FaceLabel.YMIN: self.ymin,
-            FaceLabel.YMAX: self.ymax,
-        }[label]
+        return getattr(self, label.name.lower())
 
 
 @dataclass(frozen=True)

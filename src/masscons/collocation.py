@@ -4,10 +4,10 @@ One global inverse multiquadric ansatz lambda(x) = sum_j beta_j phi(|x - c_j|)
 is collocated against the interior operator at interior nodes and against the
 boundary operator at boundary nodes:
 
-    row i = lap phi_j(x_i)                    interior, isotropic
-    row i = sum_kl A_kl d_k d_l phi_j(x_i)    interior, anisotropic operator div(A grad .)
-    row i = phi_j(x_i)                        Dirichlet node
-    row i = grad phi_j(x_i) . nu_i            Neumann node (nu may be a conormal A nu)
+    row i = lap phi_j(x_i)              interior, isotropic
+    row i = A : hess phi_j(x_i)         interior, anisotropic operator div(A grad .)
+    row i = phi_j(x_i)                  Dirichlet node
+    row i = grad phi_j(x_i) . nu_i      Neumann node (nu may be a conormal A nu)
 
 Each row kind is built in blocks of at most _BLOCK_ELEMENTS // N target rows,
 so every kernel array (at most the (rows, N, 3) gradient block, 1.5 MiB)
@@ -30,15 +30,14 @@ evaluators select from it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ContractError, SingularSystemError
 from .geometry import FaceLabel, NodeSet, as_points
-from .kernel import KernelParams, grad_phi, lap_phi, phi_sq
-from .kernel import hess_phi  # noqa: F401  # unused; the benchmark's tracer patches this name
+from .kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
 
 __all__ = [
     "DirichletLambda",
@@ -99,10 +98,6 @@ class GramSystem:
     singular_values: np.ndarray | None = None
 
 
-def _is_identity(a: np.ndarray | None) -> bool:
-    return a is not None and a.shape == (3, 3) and np.array_equal(a, np.eye(3))
-
-
 def _row_blocks(m: int, n: int):
     """Slices of at most ``_BLOCK_ELEMENTS // n`` (at least one) of m rows against n centers."""
     rows = max(1, _BLOCK_ELEMENTS // n)
@@ -120,8 +115,7 @@ def assemble(
 
     ``bcs`` must cover exactly the boundary node indices. ``f`` is the
     interior source evaluated at the interior nodes. ``aniso`` switches the
-    interior operator to sum_kl A_kl d_k d_l; the exact identity matrix is
-    routed through the isotropic path so it reproduces those rows bit for bit.
+    interior operator to A : hess, in the closed form of :func:`lap_phi`.
     The kernels are called on row blocks of at most _BLOCK_ELEMENTS // N rows.
     """
     pts = nodes.points
@@ -135,9 +129,6 @@ def assemble(
             f"boundary conditions must cover exactly the boundary nodes "
             f"(missing {missing}, extra {extra})"
         )
-
-    if _is_identity(aniso):
-        aniso = None
 
     matrix = np.empty((n, n))
     rhs = np.empty(n)
@@ -187,15 +178,16 @@ class MultiplierSolution:
     With d = x - c_j and s_j = 1 + c^2 |d|^2 formed by GEMM expansion, each
     derivative is a few mat-vecs against the (rows, N) blocks W_q = s^(-q/2):
 
-        lambda      = W_1 beta
-        grad lambda = -c^2 (x (W_3 beta) - W_3 (beta o C))
-        lap lambda  = -3 c^2 W_5 beta
-        hess lambda = -c^2 (W_3 beta) I + 3 c^4 (x x^T (W_5 beta) - x g^T - g x^T
-                      + W_5 (beta o C C^T)),   g = W_5 (beta o C)
+        lambda          = W_1 beta
+        grad lambda     = -c^2 (x (W_3 beta) - W_3 (beta o C))
+        lap lambda      = -3 c^2 W_5 beta
+        A : hess lambda = -c^2 tr(A) (W_3 beta) + 3 c^4 sum_j beta_j s_j^(-5/2) d^T A d,
+        d^T A d         = x^T A x - x^T (A + A^T) c_j + c_j^T A c_j
 
-    with C the centers as rows. The anisotropic operator is sum_kl A_kl of
-    the Hessian. No (m, N, 3) or (m, N, 3, 3) block is ever formed, and each
-    (rows, N) block holds about ``_BLOCK_ELEMENTS`` float64 values.
+    with C the centers as rows, so the operator takes W_5 [beta, beta o C,
+    beta o (c_j^T A c_j)], the closed form :func:`lap_phi` assembles. No
+    (m, N, 3) or (m, N, 3, 3) block is ever formed, and each (rows, N) block
+    holds about ``_BLOCK_ELEMENTS`` float64 values.
     """
 
     coeffs: np.ndarray
@@ -207,30 +199,36 @@ class MultiplierSolution:
     rank: int
     trunc_tol: float
 
-    def _sums(self, pts, hessian: bool):
-        """(lambda, grad, lap, hess or None) at (m, 3) points from one chunked pass."""
-        m = len(pts)
+    def jet(self, pts):
+        """(lambda, grad lambda, L lambda) at one point or a batch, from one kernel pass.
+
+        L is this solution's interior operator: the Laplacian, or A : hess
+        lambda when ``aniso`` is A. Single-point input gives (float, (3,),
+        float); batches give ((m,), (m, 3), (m,)).
+        """
+        p, single = as_points(pts)
+        m = len(p)
         beta = self.coeffs
         # An identically zero coefficient vector (e.g. zero data with zero
         # boundary values) short-circuits the kernel sums.
         if not beta.any():
-            return np.zeros(m), np.zeros((m, 3)), np.zeros(m), (np.zeros((m, 3, 3)) if hessian else None)
+            return (0.0, np.zeros(3), 0.0) if single else (np.zeros(m), np.zeros((m, 3)), np.zeros(m))
 
         # Shifting to the centers' centroid keeps the expanded |x - c_j|^2 and
         # the gradient's x (W_3 beta) - W_3 (beta o C) accurate when the
         # domain lies far from the origin.
         origin = self.nodes.points.mean(axis=0)
         centers = self.nodes.points - origin
-        x_all = pts - origin
+        x_all = p - origin
         n = len(centers)
         c2 = self.kernel.shape**2
+        a = self.aniso
         cc = np.einsum("ij,ij->i", centers, centers)
         bc = beta[:, None] * centers
         rhs3 = np.column_stack([beta, bc])
         rhs5 = beta[:, None]
-        if hessian:
-            bcc = (bc[:, :, None] * centers[:, None, :]).reshape(n, 9)
-            rhs5 = np.column_stack([beta, bc, bcc])
+        if a is not None:
+            rhs5 = np.column_stack([beta, bc, beta * np.einsum("ij,jk,ik->i", centers, a, centers)])
 
         value = np.empty(m)
         sum3 = np.empty((m, 4))
@@ -255,31 +253,15 @@ class MultiplierSolution:
             lap5[block] = w @ rhs5
 
         grad = -c2 * (x_all * sum3[:, :1] - sum3[:, 1:])
-        lap = lap5[:, 0]
-        hess = None
-        if hessian:
-            # 3 c^4 sum_j beta_j s^(-5/2) d d^T = -c^2 sum_j beta_j (-3 c^2 s^(-5/2)) d d^T.
-            g5 = lap5[:, 1:4]
-            moment = (
-                x_all[:, :, None] * x_all[:, None, :] * lap[:, None, None]
-                - x_all[:, :, None] * g5[:, None, :]
-                - g5[:, :, None] * x_all[:, None, :]
-                + lap5[:, 4:].reshape(m, 3, 3)
+        op = lap5[:, 0]
+        if a is not None:
+            # 3 c^4 W_5 = -c^2 (-3 c^2 W_5), and d^T A d expands over the lap5 columns.
+            quad = (
+                np.einsum("ij,jk,ik->i", x_all, a, x_all) * op
+                - np.einsum("ij,ij->i", x_all @ (a + a.T), lap5[:, 1:4])
+                + lap5[:, 4]
             )
-            hess = -c2 * (sum3[:, 0, None, None] * np.eye(3) + moment)
-        return value, grad, lap, hess
-
-    def jet(self, pts):
-        """(lambda, grad lambda, L lambda) at one point or a batch, from one kernel pass.
-
-        L is this solution's interior operator: the Laplacian, or
-        sum_kl A_kl d_k d_l when ``aniso`` is set. Single-point input gives
-        (float, (3,), float); batches give ((m,), (m, 3), (m,)).
-        """
-        p, single = as_points(pts)
-        value, grad, op, hess = self._sums(p, hessian=self.aniso is not None)
-        if hess is not None:
-            op = np.einsum("kl,mkl->m", self.aniso, hess)
+            op = -c2 * (np.trace(a) * sum3[:, 0] + quad)
         if single:
             return float(value[0]), grad[0], float(op[0])
         return value, grad, op
@@ -291,18 +273,21 @@ class MultiplierSolution:
         return self.jet(pts)[1]
 
     def laplacian(self, pts):
-        p, single = as_points(pts)
-        lap = self._sums(p, hessian=False)[2]
-        return float(lap[0]) if single else lap
+        return replace(self, aniso=None).jet(pts)[2]
 
     # No caller in the package; the benchmark's tracer wraps this name.
     def hessian(self, pts):
+        """Hessian of lambda, (3, 3) per point, summed from hess_phi over row blocks."""
         p, single = as_points(pts)
-        hess = self._sums(p, hessian=True)[3]
+        centers = self.nodes.points[None, :, :]
+        hess = np.empty((len(p), 3, 3))
+        for block in _row_blocks(len(p), len(self.coeffs)):
+            h = hess_phi(p[block][:, None, :], centers, self.kernel)
+            hess[block] = np.einsum("mnkl,n->mkl", h, self.coeffs)
         return hess[0] if single else hess
 
     def operator_laplacian(self, pts):
-        """Apply this solution's interior operator: lap, or sum_kl A_kl d_k d_l."""
+        """Apply this solution's interior operator: lap, or A : hess."""
         return self.jet(pts)[2]
 
 

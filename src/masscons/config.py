@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adjust import BASE_KINDS, FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER
+from .adjust import BASE_KINDS, FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER, FaceBcPolicy
 from .errors import ConfigurationError
 from .fields import example_field, validate_weights
 from .geometry import BoxDomain
@@ -27,7 +27,10 @@ __all__ = ["ExperimentConfig", "parse_config", "echo_config", "write_echo"]
 _EXAMPLES = ("ex51", "ex52", "ex53")
 _TOPOGRAPHIES = ("off", "hill")
 
-_FACE_KEYS = ("bc_bottom", "bc_top", "bc_xmin", "bc_xmax", "bc_ymin", "bc_ymax")
+_FACE_KEYS = tuple(f"bc_{f.name}" for f in fields(FaceBcPolicy))
+# Config keys whose name differs from their ExperimentConfig field; every other
+# field is its own key, and the echo follows the field order.
+_KEYS = {"grid_sizes": "n", "shape": "c", "s_entries": "s"}
 # Settings of the horizontal line search; full-observation mode (9-entry s)
 # has no base policy, one pass and a unit closed-form step, so it rejects them.
 _HORIZONTAL_KEYS = ("base", "w_b", "formula", "iterations")
@@ -116,8 +119,7 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigurationError(f"duplicate key {key!r}", lineno)
             raw[key] = (value, lineno)
 
-    known = {f.name for f in fields(ExperimentConfig)} - {"grid_sizes", "s_entries", "shape"}
-    known |= {"n", "c", "s", "bc"}
+    known = {_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig)} | {"bc"}
     for key, (_, lineno) in raw.items():
         if key not in known:
             raise ConfigurationError(f"unknown key {key!r}", lineno)
@@ -266,32 +268,12 @@ def echo_config(cfg: ExperimentConfig) -> str:
 
     Full-observation mode omits the horizontal-only settings it rejects.
     """
-    order = [
-        ("example", cfg.example),
-        ("n", cfg.grid_sizes),
-        ("c", cfg.shape),
-        ("eps", cfg.eps),
-        ("domain", cfg.domain),
-        ("topography", cfg.topography),
-        ("hill_amplitude", cfg.hill_amplitude),
-        ("hill_width", cfg.hill_width),
-        ("s", cfg.s_entries),
-        ("base", cfg.base),
-        ("w_b", cfg.w_b),
-        ("bc_bottom", cfg.bc_bottom),
-        ("bc_top", cfg.bc_top),
-        ("bc_xmin", cfg.bc_xmin),
-        ("bc_xmax", cfg.bc_xmax),
-        ("bc_ymin", cfg.bc_ymin),
-        ("bc_ymax", cfg.bc_ymax),
-        ("formula", cfg.formula),
-        ("trunc_tol", cfg.trunc_tol),
-        ("quad", cfg.quad),
-        ("iterations", cfg.iterations),
-        ("out", cfg.out),
-    ]
     skip = _HORIZONTAL_KEYS if cfg.sasaki_mode else ()
-    return "".join(f"{key} = {_fmt_value(value)}\n" for key, value in order if key not in skip)
+    return "".join(
+        f"{_KEYS.get(f.name, f.name)} = {_fmt_value(getattr(cfg, f.name))}\n"
+        for f in fields(cfg)
+        if f.name not in skip
+    )
 
 
 def write_echo(cfg: ExperimentConfig, path) -> None:

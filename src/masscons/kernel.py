@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["KernelParams", "phi", "grad_phi", "hess_phi", "lap_phi"]
+__all__ = ["KernelParams", "phi_sq", "grad_phi", "hess_phi", "lap_phi"]
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,8 @@ def _inv52(s: np.ndarray) -> np.ndarray:
     return 1.0 / (s * s * np.sqrt(s))
 
 
-def phi(r, params: KernelParams):
-    """Kernel profile phi(r) = (1 + (r c)^2)^(-1/2).
-
-    Parameters
-    ----------
-    r : float or ndarray
-        Nonnegative radii.
-    params : KernelParams
-
-    Returns
-    -------
-    float or ndarray
-        Values in (0, 1], equal to 1 at r = 0, strictly decreasing in r.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("radius must be nonnegative")
-    out = 1.0 / np.sqrt(1.0 + (r * params.shape) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
 def phi_sq(r2, params: KernelParams):
-    """phi evaluated from squared radii (assembly fast path, no extra sqrt)."""
+    """phi from squared radii r2 = r^2: values in (0, 1], 1 at r = 0, strictly decreasing."""
     return 1.0 / np.sqrt(1.0 + params.shape**2 * np.asarray(r2, dtype=float))
 
 

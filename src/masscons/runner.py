@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +40,7 @@ from .adjust import (
     build_system,
     sasaki,
 )
-from .collocation import dump_gram
+from .collocation import _sci, dump_gram
 from .config import ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
 from .fields import ExampleCase, example_field, inject, midpoint_rule, zero3
@@ -58,29 +58,12 @@ __all__ = [
     "write_reference_comparison",
 ]
 
-TABLE_COLUMNS = (
-    "N",
-    "c",
-    "kappa",
-    "div_mean",
-    "rel_error",
-    "div_max",
-    "t_c",
-    "j_before",
-    "j_after",
-    "residual",
-    "residual_norm",
-    "trunc_tol",
-    "oracle_bc",
-    "rank",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class TableRow:
     """One experiment row; ``error`` is nonempty when the row failed.
 
+    The fields before ``wall_time`` are the ``table.csv`` columns, in order.
     ``rank`` is the number of singular directions the last pass's truncated
     solve kept; None (written ``nan``) on a failed row.
     """
@@ -89,8 +72,8 @@ class TableRow:
     shape: float
     kappa: float = float("nan")
     div_mean: float = float("nan")
-    div_max: float = float("nan")
     rel_error: float = float("nan")
+    div_max: float = float("nan")
     t_c: float = float("nan")
     j_before: float = float("nan")
     j_after: float = float("nan")
@@ -99,35 +82,24 @@ class TableRow:
     trunc_tol: float = float("nan")
     oracle_bc: bool = False
     rank: int | None = None
-    wall_time: float = float("nan")
     error: str = ""
+    wall_time: float = float("nan")
 
     def csv_values(self) -> list[str]:
-        return [
-            str(self.n_nodes),
-            _sci(self.shape),
-            _sci(self.kappa),
-            _sci(self.div_mean),
-            _sci(self.rel_error),
-            _sci(self.div_max),
-            _sci(self.t_c),
-            _sci(self.j_before),
-            _sci(self.j_after),
-            _sci(self.residual),
-            _sci(self.residual_norm),
-            _sci(self.trunc_tol),
-            str(int(self.oracle_bc)),
-            "nan" if self.rank is None else str(self.rank),
-            self.error,
-        ]
+        return [_cell(getattr(self, f.name)) for f in fields(self)[:-1]]
 
 
-def _sci(v: float) -> str:
-    if v != v:
+TABLE_COLUMNS = tuple(
+    {"n_nodes": "N", "shape": "c"}.get(f.name, f.name) for f in fields(TableRow)[:-1]
+)
+
+
+def _cell(v) -> str:
+    if v is None:
         return "nan"
-    if v in (float("inf"), float("-inf")):
-        return "inf" if v > 0 else "-inf"
-    return np.format_float_scientific(v, unique=True)
+    if isinstance(v, bool):
+        return str(int(v))
+    return _sci(v) if isinstance(v, float) else str(v)
 
 
 def _hill_topography(cfg: ExperimentConfig) -> Topography | None:
@@ -148,14 +120,7 @@ def _hill_topography(cfg: ExperimentConfig) -> Topography | None:
 
 
 def _face_policy(cfg: ExperimentConfig) -> FaceBcPolicy:
-    return FaceBcPolicy(
-        bottom=cfg.bc_bottom,
-        top=cfg.bc_top,
-        xmin=cfg.bc_xmin,
-        xmax=cfg.bc_xmax,
-        ymin=cfg.bc_ymin,
-        ymax=cfg.bc_ymax,
-    )
+    return FaceBcPolicy(**{f.name: getattr(cfg, f"bc_{f.name}") for f in fields(FaceBcPolicy)})
 
 
 def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[TableRow, AdjustmentResult | None]:
@@ -201,23 +166,15 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
         )
         return row, None
     wall = time.perf_counter() - started
-    m = result.metrics
     row = TableRow(
         n_nodes=n**3,
         shape=cfg.shape,
-        kappa=m.kappa,
-        div_mean=m.div_mean,
-        div_max=m.div_max,
-        rel_error=m.rel_error,
         t_c=result.t_c,
-        j_before=m.j_before,
-        j_after=m.j_after,
-        residual=m.residual,
-        residual_norm=m.residual_norm,
         trunc_tol=cfg.trunc_tol,
         oracle_bc=result.oracle_bc,
         rank=result.multiplier.rank,
         wall_time=wall,
+        **asdict(result.metrics),
     )
     return row, result
 

@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 
-from masscons.kernel import KernelParams, grad_phi, phi
+from masscons.kernel import KernelParams, grad_phi, phi_sq
 
 
 def fd_step_grad(c: float) -> float:
@@ -27,8 +27,9 @@ def fd_step_lap(c: float) -> float:
     return 1e-2 / min(max(c, 0.1), 2.0)
 
 
-def _radii(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x - center, axis=1)
+def _phi(x: np.ndarray, center: np.ndarray, params: KernelParams) -> np.ndarray:
+    d = x - center
+    return phi_sq(np.sum(d * d, axis=1), params)
 
 
 def fd_grad_phi(x: np.ndarray, center: np.ndarray, params: KernelParams, h: float) -> np.ndarray:
@@ -41,7 +42,7 @@ def fd_grad_phi(x: np.ndarray, center: np.ndarray, params: KernelParams, h: floa
             xp[:, k] += hh
             xm = x.copy()
             xm[:, k] -= hh
-            g[:, k] = (phi(_radii(xp, center), params) - phi(_radii(xm, center), params)) / (2 * hh)
+            g[:, k] = (_phi(xp, center, params) - _phi(xm, center, params)) / (2 * hh)
         return g
 
     return (4.0 * central(h / 2) - central(h)) / 3.0
@@ -51,7 +52,7 @@ def fd_lap_phi(x: np.ndarray, center: np.ndarray, params: KernelParams, h: float
     """Richardson second differences of phi summed over axes; x, center are (m, 3)."""
 
     def central(hh):
-        p0 = phi(_radii(x, center), params)
+        p0 = _phi(x, center, params)
         total = np.zeros(len(x))
         for k in range(3):
             xp = x.copy()
@@ -59,7 +60,7 @@ def fd_lap_phi(x: np.ndarray, center: np.ndarray, params: KernelParams, h: float
             xm = x.copy()
             xm[:, k] -= hh
             total += (
-                phi(_radii(xp, center), params) - 2 * p0 + phi(_radii(xm, center), params)
+                _phi(xp, center, params) - 2 * p0 + _phi(xm, center, params)
             ) / hh**2
         return total
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from masscons.adjust import Problem
 from masscons.collocation import (
     _BLOCK_ELEMENTS,
     DirichletLambda,
@@ -15,9 +16,9 @@ from masscons.collocation import (
     factorize_and_solve,
 )
 from masscons.errors import ContractError, SingularSystemError
-from masscons.fields import example_field
+from masscons.fields import example_field, zero3
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
-from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi, phi_sq
+from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
 
 CUBE = BoxDomain(-2, 2, -2, 2, -2, 2)
 SLAB = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -63,11 +64,19 @@ def test_interior_diagonal_is_lap_at_zero():
 
 
 def test_identity_anisotropy_reproduces_isotropic_rows():
+    # Identity weights never reach the anisotropic operator: Problem.aniso is
+    # None for them. Passed explicitly, the identity's closed-form rows are
+    # the Laplacian rows up to roundoff.
+    assert Problem.full(zero3(), np.eye(3)).aniso is None
     nodes = grid_centers(CUBE, 4)
     iso = assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F)
     aniso = assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F, aniso=np.eye(3))
-    assert np.array_equal(iso.matrix, aniso.matrix)
-    assert iso.row_kinds == aniso.row_kinds
+    interior = nodes.interior
+    rows = aniso.matrix[interior]
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    assert np.all(np.abs(rows - iso.matrix[interior]) <= 1e-13 * scale)
+    boundary = nodes.boundary
+    assert np.array_equal(iso.matrix[boundary], aniso.matrix[boundary])
 
 
 SPD = np.array([[1.0, 0.2, 0.1], [0.2, 0.5, -0.1], [0.1, -0.1, 0.25]])
@@ -326,7 +335,12 @@ def test_eval_jet():
 SPD = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
 
 
-@pytest.mark.parametrize("aniso", [None, SPD], ids=["isotropic", "spd"])
+SKEW = np.array([[0.0, 0.3, -0.2], [-0.3, 0.0, 0.1], [0.2, -0.1, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "aniso", [None, SPD, np.linalg.inv(SPD), SPD + SKEW], ids=["isotropic", "spd", "inv-spd", "spd-skew"]
+)
 @pytest.mark.parametrize("shape", [1e-3, 0.05, 0.7])
 def test_jet_matches_direct_kernel_sums(shape, aniso):
     # Reference: the kernel's closed-form derivatives contracted with beta
@@ -349,13 +363,17 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
     assert len(pts) % rows != 0
 
     x, c = pts[:, None, :], centers[None, :, :]
-    value_ref = phi(np.linalg.norm(x - c, axis=-1), kp) @ beta
+    value_ref = phi_sq(np.sum((x - c) ** 2, axis=-1), kp) @ beta
     grad_ref = np.einsum("mnk,n->mk", grad_phi(x, c, kp), beta)
+    hess_ref = np.einsum("mnkl,n->mkl", hess_phi(x, c, kp), beta)
+    lap_ref = lap_phi(x, c, kp) @ beta
+    lap_scale = 3.0 * shape**2
     if aniso is None:
-        op_ref = lap_phi(x, c, kp) @ beta
-        op_scale = 3.0 * shape**2
+        op_ref, op_scale = lap_ref, lap_scale
     else:
-        op_ref = np.einsum("kl,mnkl,n->m", aniso, hess_phi(x, c, kp), beta)
+        # inv(SPD) is not bitwise symmetric and SPD + SKEW not at all; the
+        # operator sums all nine entries, and A : hess ignores a skew part
+        op_ref = np.einsum("kl,mkl->m", aniso, hess_ref)
         op_scale = 4.0 * shape**2 * np.abs(aniso).sum()
     tol = 1e-12 * np.abs(beta).sum()
 
@@ -364,6 +382,18 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
     np.testing.assert_allclose(value, value_ref, rtol=0, atol=tol)
     np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=tol * shape)
     np.testing.assert_allclose(op, op_ref, rtol=0, atol=tol * op_scale)
+
+    # hessian sums hess_phi over row blocks; its trace is the Laplacian and
+    # its contraction with A the jet's operator
+    hess = solution.hessian(pts)
+    assert hess.shape == (len(pts), 3, 3)
+    np.testing.assert_allclose(hess, hess_ref, rtol=0, atol=tol * 4.0 * shape**2)
+    lap = solution.laplacian(pts)
+    np.testing.assert_allclose(np.trace(hess, axis1=1, axis2=2), lap, rtol=0, atol=tol * lap_scale)
+    np.testing.assert_allclose(lap, lap_ref, rtol=0, atol=tol * lap_scale)
+    if aniso is not None:
+        np.testing.assert_allclose(np.einsum("kl,mkl->m", aniso, hess), op, rtol=0, atol=tol * op_scale)
+    assert solution.hessian(pts[0]).shape == (3, 3)
 
     for i in (0, len(pts) - 1):
         v1, g1, op1 = solution.jet(pts[i])

@@ -15,7 +15,8 @@ from masscons.config import echo_config, parse_config
 from masscons.errors import ConfigurationError, DomainError
 from masscons.fields import example_field, midpoint_rule
 from masscons.runner import (
-    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, _run_one, _write_fields, dump_gram_for_config, run_experiment, sweep,
+    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _run_one, _write_fields, _write_rows, dump_gram_for_config,
+    run_experiment, sweep,
 )
 
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
@@ -109,6 +110,52 @@ def test_sasaki_mode_from_weight_size(tmp_path):
     assert cfg.weight_matrix().shape == (3, 3)
     echoed = write_cfg(tmp_path, echo_config(cfg), name="echo.cfg")
     assert parse_config(echoed) == cfg
+
+
+def test_echo_literal_text(tmp_path):
+    # The echo order follows the ExperimentConfig fields; the round trips
+    # above hold for any order, so the text is pinned here.
+    horizontal = MINIMAL + "s = 2,0.1,0.1,1\nbase = vertical\nw_b = 0.75\nbc = no-flow-through\n"
+    horizontal += "bc_top = flow-through\ntrunc_tol = 1e-10\n"
+    assert echo_config(parse_config(write_cfg(tmp_path, horizontal))) == (
+        "example = ex51\nn = 3,5,8\nc = 0.001\neps = 0.1\ndomain = -2,2,-2,2,0,2\ntopography = off\n"
+        "hill_amplitude = 0.4\nhill_width = 1.0\ns = 2.0,0.1,0.1,1.0\nbase = vertical\nw_b = 0.75\n"
+        "bc_bottom = no-flow-through\nbc_top = flow-through\nbc_xmin = no-flow-through\n"
+        "bc_xmax = no-flow-through\nbc_ymin = no-flow-through\nbc_ymax = no-flow-through\n"
+        "formula = minimizer\ntrunc_tol = 1e-10\nquad = 32\niterations = 1\nout = results\n"
+    )
+    full = (
+        "example = ex53\nn = 4\nc = 0.01\nquad = 8\ntopography = hill\n"
+        "s = 2,0.5,0,0.5,1.5,0,0,0,1\nbc_bottom = no-flow-through\nout = res/ex53\n"
+    )
+    assert echo_config(parse_config(write_cfg(tmp_path, full))) == (
+        "example = ex53\nn = 4\nc = 0.01\neps = 0.1\ndomain = -7,7,-7,7,0,7\ntopography = hill\n"
+        "hill_amplitude = 1.4000000000000001\nhill_width = 3.5\n"
+        "s = 2.0,0.5,0.0,0.5,1.5,0.0,0.0,0.0,1.0\nbc_bottom = no-flow-through\nbc_top = flow-through\n"
+        "bc_xmin = flow-through\nbc_xmax = flow-through\nbc_ymin = flow-through\n"
+        "bc_ymax = flow-through\ntrunc_tol = 1e-12\nquad = 8\nout = res/ex53\n"
+    )
+
+
+def test_table_literal_columns_and_line(tmp_path):
+    # TABLE_COLUMNS and csv_values both follow the TableRow fields; pinned
+    # literally so that a reordered field fails here.
+    assert TABLE_COLUMNS == (
+        "N", "c", "kappa", "div_mean", "rel_error", "div_max", "t_c", "j_before", "j_after",
+        "residual", "residual_norm", "trunc_tol", "oracle_bc", "rank", "error",
+    )
+    row = TableRow(
+        n_nodes=27, shape=0.01, kappa=float("inf"), div_mean=-0.0, rel_error=5e-324,
+        div_max=float("-inf"), t_c=1.25, j_before=0.1, j_after=float("nan"), residual=3e-17,
+        residual_norm=1e300, trunc_tol=1e-12, oracle_bc=True, rank=None, wall_time=2.5,
+        error="DomainError: grid of 8, too large",
+    )
+    path = tmp_path / "table.csv"
+    _write_rows(path, [row])
+    assert path.read_text().splitlines()[1] == (
+        '27,1.e-02,inf,-0.e+00,5.e-324,-inf,1.25e+00,1.e-01,nan,3.e-17,1.e+300,1.e-12,1,nan,'
+        '"DomainError: grid of 8, too large"'
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import fd_grad_phi, fd_hess_phi, fd_lap_phi, fd_step_grad, fd_step_lap
 from masscons.errors import DomainError
-from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi
+from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
 
 
 def random_triples(rng, count):
@@ -21,18 +21,12 @@ def random_triples(rng, count):
 
 
 def test_phi_values():
+    # phi_sq takes the squared radius r^2
     for c in (0.001, 0.5, 1.0, 7.0):
-        assert phi(0.0, KernelParams(c)) == 1.0
-    assert phi(1.0, KernelParams(1.0)) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
-    # closed-form evaluation at a flat-regime shape value
-    assert phi(2.0, KernelParams(0.001)) == pytest.approx(0.999998000006, abs=1e-12)
-
-
-def test_phi_rejects_negative_radius():
-    with pytest.raises(DomainError):
-        phi(-0.5, KernelParams(1.0))
-    with pytest.raises(DomainError):
-        phi(np.array([0.1, -0.1]), KernelParams(1.0))
+        assert phi_sq(0.0, KernelParams(c)) == 1.0
+    assert phi_sq(1.0, KernelParams(1.0)) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+    # closed-form evaluation at a flat-regime shape value, r = 2
+    assert phi_sq(4.0, KernelParams(0.001)) == pytest.approx(0.999998000006, abs=1e-12)
 
 
 def test_shape_must_be_positive():
@@ -52,7 +46,7 @@ def test_phi_strictly_decreasing():
     rng = np.random.default_rng(0)
     for c in (0.001, 0.1, 1.0, 10.0):
         radii = np.sort(rng.uniform(0.0, 50.0, 200))
-        vals = phi(radii, KernelParams(c))
+        vals = phi_sq(radii**2, KernelParams(c))
         assert np.all(np.diff(vals) < 0)
         assert np.all((vals > 0) & (vals <= 1))
 
@@ -151,8 +145,8 @@ def test_kernel_purity_bit_identical():
     assert np.array_equal(grad_phi(xs, centers, kp), grad_phi(xs, centers, kp))
     assert np.array_equal(hess_phi(xs, centers, kp), hess_phi(xs, centers, kp))
     assert np.array_equal(lap_phi(xs, centers, kp), lap_phi(xs, centers, kp))
-    radii = np.linalg.norm(xs - centers, axis=1)
-    assert np.array_equal(phi(radii, kp), phi(radii, kp))
+    r2 = np.sum((xs - centers) ** 2, axis=1)
+    assert np.array_equal(phi_sq(r2, kp), phi_sq(r2, kp))
 
 
 def test_pairwise_broadcasting():

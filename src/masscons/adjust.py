@@ -362,12 +362,16 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _require_memory(n: int) -> None:
-    need = _SOLVE_BYTES_PER_PAIR * n * n
+def _require_memory(*sizes: int) -> None:
+    """Raise DomainError unless the dense solves of grids of ``sizes`` nodes fit in memory at once."""
+    need = _SOLVE_BYTES_PER_PAIR * sum(n * n for n in sizes)
     have = _physical_memory()
     if have is not None and need > have:
+        grids = f"a grid of {sizes[0]} nodes needs" if len(sizes) == 1 else (
+            f"grids of {', '.join(map(str, sizes))} nodes solved at once need"
+        )
         raise DomainError(
-            f"a grid of {n} nodes needs about {need} bytes for the dense solve, "
+            f"{grids} about {need} bytes for the dense solve, "
             f"more than the {have} bytes of physical memory"
         )
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import parse_config
+from .config import parse_config, parse_values
 from .errors import ConfigurationError, MassconsError
-from .runner import dump_gram_for_config, run_experiment, sweep
+from .runner import SWEEP_PARAMS, dump_gram_for_config, run_experiment, sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep one parameter, all else fixed")
     sweep_p.add_argument("config")
-    sweep_p.add_argument("--param", required=True, choices=("c", "n", "trunc_tol"))
+    sweep_p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--out", default=None)
     sweep_p.add_argument("--threads", type=int, default=1)
@@ -45,13 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_values(raw: str, parameter: str):
-    parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
-    if parameter == "n":
-        return [int(p) for p in parts]
-    return [float(p) for p in parts]
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -59,10 +52,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             rows = run_experiment(cfg, threads=args.threads, out_override=args.out)
         elif args.command == "sweep":
-            try:
-                values = _parse_values(args.values, args.param)
-            except ValueError as exc:
-                raise ConfigurationError(f"--values: {exc}") from None
+            values = parse_values(args.param, args.values)
             rows = sweep(cfg, args.param, values, threads=args.threads, out_override=args.out)
         else:
             for path in dump_gram_for_config(cfg, out_override=args.out):

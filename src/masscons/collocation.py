@@ -299,6 +299,8 @@ def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> Multipl
     are roundoff. The normalized residual |G beta - b| / max(|b|, 1) and the
     raw 2-norm go on the returned solution.
     """
+    if not 0 < trunc_tol < 1:  # dgelsd would replace an rcond >= 1 by machine epsilon
+        raise ContractError(f"trunc_tol must lie in (0, 1), got {trunc_tol}")
     coeffs, _, rank, sigma = np.linalg.lstsq(system.matrix, system.rhs, rcond=trunc_tol)
     system.singular_values = sigma
     if sigma[0] == 0.0:

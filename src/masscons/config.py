@@ -1,9 +1,12 @@
 """Flat key = value experiment configuration: parsing, validation, echo.
 
 The format is one ``key = value`` per line, ``#`` comments, and arrays as
-comma-separated values. Unknown and duplicate keys are hard errors carrying
-the offending line number, as are invariant violations. All numeric parsing
-goes through ``float``/``int`` and is locale independent.
+comma-separated values. Every setting's default, value type, bounds and
+choices are declared once, on its :class:`ExperimentConfig` field, and the
+class checks them on construction. ``parse_config`` only types the stated
+values and adds the offending key's line number to an error; unknown and
+duplicate keys are hard errors with a line number too. All numeric parsing
+goes through ``int``/``float`` and is locale independent.
 
 ``echo_config`` renders every resolved setting back into the same format
 with full round-trip precision, so re-parsing an echo file reproduces the
@@ -12,20 +15,19 @@ configuration exactly.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .adjust import BASE_KINDS, FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER, FaceBcPolicy
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .fields import example_field, validate_weights
 from .geometry import BoxDomain
 
-__all__ = ["ExperimentConfig", "parse_config", "echo_config", "write_echo"]
-
-_EXAMPLES = ("ex51", "ex52", "ex53")
-_TOPOGRAPHIES = ("off", "hill")
+__all__ = ["ExperimentConfig", "KEY_FIELDS", "parse_config", "parse_values", "echo_config", "write_echo"]
 
 _FACE_KEYS = tuple(f"bc_{f.name}" for f in fields(FaceBcPolicy))
 # Config keys whose name differs from their ExperimentConfig field; every other
@@ -36,32 +38,121 @@ _KEYS = {"grid_sizes": "n", "shape": "c", "s_entries": "s"}
 _HORIZONTAL_KEYS = ("base", "w_b", "formula", "iterations")
 
 
+def _setting(default=MISSING, kind=float, many=False, above=None, below=None, choices=None):
+    """A config field: its default, the type of one value, whether it holds a
+    tuple of values, the open bounds a number must lie in and the choices of a text."""
+    return field(
+        default=default,
+        metadata={"kind": kind, "many": many, "above": above, "below": below, "choices": choices},
+    )
+
+
+def _fail(key: str, message) -> ConfigurationError:
+    return ConfigurationError(f"{key}: {message}", key=key)
+
+
+def _checked(key: str, value, kind, many, above, below, choices):
+    """``value`` as its field's type, or ConfigurationError naming ``key``."""
+    if many:
+        try:
+            values = tuple(value)
+        except TypeError:
+            raise _fail(key, f"expected comma-separated values, got {value!r}") from None
+        if not values:
+            raise _fail(key, "needs at least one value")
+        return tuple(_checked(key, v, kind, False, above, below, choices) for v in values)
+    if kind is str:
+        if not isinstance(value, str):
+            raise _fail(key, f"not text: {value!r}")
+        if choices is not None and value not in choices:
+            raise _fail(key, f"expected one of {choices}, got {value!r}")
+        return value
+    if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise _fail(key, f"not an integer: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _fail(key, f"not a number: {value!r}")
+    value = kind(value)
+    if not math.isfinite(value):
+        raise _fail(key, f"not a finite number: {value!r}")
+    if (above is not None and not value > above) or (below is not None and not value < below):
+        bound = f"greater than {above}" if below is None else f"in ({above}, {below})"
+        raise _fail(key, f"must be {bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment settings; every field has a concrete value."""
+    """Experiment settings, checked and resolved on construction.
 
-    example: str
-    grid_sizes: tuple[int, ...]
-    shape: float
-    eps: float = 0.1
-    domain: tuple[float, float, float, float, float, float] = (-2.0, 2.0, -2.0, 2.0, 0.0, 2.0)
-    topography: str = "off"
-    hill_amplitude: float = 0.0
-    hill_width: float = 1.0
-    s_entries: tuple[float, ...] = (1.0, 0.0, 0.0, 1.0)
-    base: str = "zero"
-    w_b: float = 1.0
-    bc_bottom: str = FLOW_THROUGH
-    bc_top: str = FLOW_THROUGH
-    bc_xmin: str = FLOW_THROUGH
-    bc_xmax: str = FLOW_THROUGH
-    bc_ymin: str = FLOW_THROUGH
-    bc_ymax: str = FLOW_THROUGH
-    formula: str = MINIMIZER
-    trunc_tol: float = 1e-12
-    quad: int = 32
-    iterations: int = 1
-    out: str = "results"
+    Each field declares its default and what its values must meet; a value
+    that does not raises ConfigurationError naming the config key. Floats
+    must be finite. ``domain``, ``hill_amplitude`` and ``hill_width`` default
+    to None, resolved to the example's box, 20 % of the box height and 25 %
+    of its smaller horizontal extent, so a constructed config equals what
+    ``parse_config`` returns for a file stating the same keys. The resolved
+    values are stored: ``replace`` with another example or domain keeps them.
+    """
+
+    example: str = _setting(kind=str)  # an id of fields.example_field
+    grid_sizes: tuple[int, ...] = _setting(kind=int, many=True, above=1)
+    shape: float = _setting(above=0.0)
+    eps: float = _setting(0.1, above=0.0)
+    domain: tuple[float, float, float, float, float, float] | None = _setting(None, many=True)
+    topography: str = _setting("off", kind=str, choices=("off", "hill"))
+    hill_amplitude: float | None = _setting(None)  # in [0, box height)
+    hill_width: float | None = _setting(None, above=0.0)
+    s_entries: tuple[float, ...] = _setting((1.0, 0.0, 0.0, 1.0), many=True)  # 2x2 or 3x3, SPD
+    base: str = _setting("zero", kind=str, choices=BASE_KINDS)
+    w_b: float = _setting(1.0)
+    bc_bottom: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
+    bc_top: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
+    bc_xmin: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
+    bc_xmax: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
+    bc_ymin: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
+    bc_ymax: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
+    formula: str = _setting(MINIMIZER, kind=str, choices=FORMULAS)
+    # LAPACK's dgelsd treats trunc_tol >= 1 as machine epsilon and keeps every direction.
+    trunc_tol: float = _setting(1e-12, above=0.0, below=1.0)
+    quad: int = _setting(32, kind=int, above=0)
+    iterations: int = _setting(1, kind=int, above=0)
+    out: str = _setting("results", kind=str)
+
+    def __post_init__(self):
+        def resolve(name, value):
+            object.__setattr__(self, name, value)
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                resolve(f.name, _checked(_KEYS.get(f.name, f.name), value, **f.metadata))
+        try:
+            case = example_field(self.example, eps=self.eps)
+        except ConfigurationError as exc:
+            raise _fail("example", exc) from None
+
+        if self.domain is None:
+            resolve("domain", tuple(float(b) for b in case.domain.bounds))
+        elif len(self.domain) != 6:
+            raise _fail("domain", "needs 6 values: xmin,xmax,ymin,ymax,zmin,zmax")
+        else:
+            try:
+                self.box()
+            except ConfigurationError:
+                raise _fail("domain", "bounds must satisfy lower < upper per axis") from None
+        xmin, xmax, ymin, ymax, zmin, zmax = self.domain
+        if self.hill_amplitude is None:
+            resolve("hill_amplitude", 0.2 * (zmax - zmin))
+        if self.hill_width is None:
+            resolve("hill_width", 0.25 * min(xmax - xmin, ymax - ymin))
+        if not 0 <= self.hill_amplitude < zmax - zmin:
+            raise _fail("hill_amplitude", f"must lie in [0, domain height), got {self.hill_amplitude!r}")
+
+        if len(self.s_entries) not in (4, 9):
+            raise _fail("s", "needs 4 entries (2x2) or 9 entries (3x3)")
+        try:
+            validate_weights(self.weight_matrix())
+        except ContractError as exc:
+            raise _fail("s", exc) from None
 
     @property
     def sasaki_mode(self) -> bool:
@@ -75,35 +166,30 @@ class ExperimentConfig:
         return BoxDomain(*self.domain)
 
 
-def _split_values(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip() != ""]
+# Config key -> ExperimentConfig field.
+KEY_FIELDS = {_KEYS.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 
 
-def _parse_float(raw: str, key: str, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(f"{key}: not a number: {raw!r}", line) from None
-    if not np.isfinite(value):
-        raise ConfigurationError(f"{key}: not a finite number: {raw!r}", line)
-    return value
+def _typed(kind, raw: str):
+    """``raw`` as one value of ``kind``; text that does not convert is kept, for the config to reject."""
+    if kind is str:
+        return raw
+    for convert in (int, float) if kind is int else (float,):
+        try:
+            return convert(raw)
+        except ValueError:
+            pass
+    return raw
 
 
-def _parse_int(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{key}: not an integer: {raw!r}", line) from None
-
-
-def _require_choice(value: str, choices: tuple[str, ...], key: str, line: int) -> str:
-    if value not in choices:
-        raise ConfigurationError(f"{key}: expected one of {choices}, got {value!r}", line)
-    return value
+def parse_values(key: str, raw: str) -> list:
+    """The comma-separated values of config key ``key``, each typed as one value of its field."""
+    kind = KEY_FIELDS[key].metadata["kind"]
+    return [_typed(kind, part.strip()) for part in raw.split(",") if part.strip() != ""]
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a configuration file into a resolved ExperimentConfig."""
+    """Parse a configuration file into a checked ExperimentConfig."""
     if not os.path.isfile(path):
         raise ConfigurationError(f"configuration file not found: {path}")
     raw: dict[str, tuple[str, int]] = {}
@@ -117,142 +203,32 @@ def parse_config(path) -> ExperimentConfig:
             key, value = (part.strip() for part in text.split("=", 1))
             if key in raw:
                 raise ConfigurationError(f"duplicate key {key!r}", lineno)
+            if key not in KEY_FIELDS and key != "bc":
+                raise ConfigurationError(f"unknown key {key!r}", lineno)
             raw[key] = (value, lineno)
 
-    known = {_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig)} | {"bc"}
-    for key, (_, lineno) in raw.items():
-        if key not in known:
-            raise ConfigurationError(f"unknown key {key!r}", lineno)
+    for key, f in KEY_FIELDS.items():
+        if f.default is MISSING and key not in raw:
+            raise ConfigurationError(f"missing required key {key!r}")
+    if "bc" in raw:  # shorthand for every face not stated on its own line
+        shorthand = raw.pop("bc")
+        for key in _FACE_KEYS:
+            raw.setdefault(key, shorthand)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return raw.get(key)
-
-    got = take("example")
-    if got is None:
-        raise ConfigurationError("missing required key 'example'")
-    example = _require_choice(got[0], _EXAMPLES, "example", got[1])
-
-    got = take("eps")
-    eps = _parse_float(got[0], "eps", got[1]) if got else 0.1
-    if not eps > 0:
-        raise ConfigurationError("eps must be positive", got[1])
-
-    got = take("n")
-    if got is None:
-        raise ConfigurationError("missing required key 'n'")
-    grid_sizes = tuple(_parse_int(v, "n", got[1]) for v in _split_values(got[0]))
-    if not grid_sizes or any(n < 2 for n in grid_sizes):
-        raise ConfigurationError("grid sizes must all be at least 2", got[1])
-
-    got = take("c")
-    if got is None:
-        raise ConfigurationError("missing required key 'c'")
-    shape = _parse_float(got[0], "c", got[1])
-    if not shape > 0:
-        raise ConfigurationError("c must be positive", got[1])
-
-    case = example_field(example, eps=eps)
-    got = take("domain")
-    if got is None:
-        domain = case.domain.bounds
-    else:
-        vals = tuple(_parse_float(v, "domain", got[1]) for v in _split_values(got[0]))
-        if len(vals) != 6:
-            raise ConfigurationError("domain needs 6 values: xmin,xmax,ymin,ymax,zmin,zmax", got[1])
-        for k in range(3):
-            if not vals[2 * k] < vals[2 * k + 1]:
-                raise ConfigurationError("domain bounds must satisfy lower < upper per axis", got[1])
-        domain = vals
-
-    got = take("topography")
-    topography = _require_choice(got[0], _TOPOGRAPHIES, "topography", got[1]) if got else "off"
-    got = take("hill_amplitude")
-    hill_amplitude = (
-        _parse_float(got[0], "hill_amplitude", got[1]) if got else 0.2 * (domain[5] - domain[4])
-    )
-    got = take("hill_width")
-    hill_width = (
-        _parse_float(got[0], "hill_width", got[1])
-        if got
-        else 0.25 * min(domain[1] - domain[0], domain[3] - domain[2])
-    )
-    if topography == "hill":
-        if not 0 <= hill_amplitude < domain[5] - domain[4]:
-            raise ConfigurationError("hill_amplitude must lie in [0, domain height)")
-        if not hill_width > 0:
-            raise ConfigurationError("hill_width must be positive")
-
-    got = take("s")
-    if got is None:
-        s_entries = (1.0, 0.0, 0.0, 1.0)
-    else:
-        s_entries = tuple(_parse_float(v, "s", got[1]) for v in _split_values(got[0]))
-        if len(s_entries) not in (4, 9):
-            raise ConfigurationError("s needs 4 entries (2x2) or 9 entries (3x3)", got[1])
-        dim = 2 if len(s_entries) == 4 else 3
-        try:
-            validate_weights(np.asarray(s_entries).reshape(dim, dim), dim)
-        except Exception as exc:
-            raise ConfigurationError(f"s: {exc}", got[1]) from None
-        if dim == 3:
-            for key in _HORIZONTAL_KEYS:
-                if key in raw:
-                    raise ConfigurationError(
-                        f"{key}: not used in full-observation mode (9-entry s)", raw[key][1]
-                    )
-
-    got = take("base")
-    base = _require_choice(got[0], BASE_KINDS, "base", got[1]) if got else "zero"
-    got = take("w_b")
-    w_b = _parse_float(got[0], "w_b", got[1]) if got else 1.0
-
-    bc_values = {}
-    got = take("bc")
-    default_bc = _require_choice(got[0], FACE_POLICIES, "bc", got[1]) if got else FLOW_THROUGH
-    for key in _FACE_KEYS:
-        got = take(key)
-        bc_values[key] = _require_choice(got[0], FACE_POLICIES, key, got[1]) if got else default_bc
-
-    got = take("formula")
-    formula = _require_choice(got[0], FORMULAS, "formula", got[1]) if got else MINIMIZER
-
-    got = take("trunc_tol")
-    trunc_tol = _parse_float(got[0], "trunc_tol", got[1]) if got else 1e-12
-    if not trunc_tol > 0:
-        raise ConfigurationError("trunc_tol must be positive", got[1])
-
-    got = take("quad")
-    quad = _parse_int(got[0], "quad", got[1]) if got else 32
-    if quad < 1:
-        raise ConfigurationError("quad must be at least 1", got[1])
-
-    got = take("iterations")
-    iterations = _parse_int(got[0], "iterations", got[1]) if got else 1
-    if iterations < 1:
-        raise ConfigurationError("iterations must be at least 1", got[1])
-
-    got = take("out")
-    out = got[0] if got else "results"
-
-    return ExperimentConfig(
-        example=example,
-        grid_sizes=grid_sizes,
-        shape=shape,
-        eps=eps,
-        domain=domain,
-        topography=topography,
-        hill_amplitude=hill_amplitude,
-        hill_width=hill_width,
-        s_entries=s_entries,
-        base=base,
-        w_b=w_b,
-        formula=formula,
-        trunc_tol=trunc_tol,
-        quad=quad,
-        iterations=iterations,
-        out=out,
-        **bc_values,
-    )
+    values = {}
+    for key, (text, _) in raw.items():
+        f = KEY_FIELDS[key]
+        many, kind = f.metadata["many"], f.metadata["kind"]
+        values[f.name] = tuple(parse_values(key, text)) if many else _typed(kind, text)
+    try:
+        cfg = ExperimentConfig(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(str(exc), raw[exc.key][1] if exc.key in raw else None) from None
+    if cfg.sasaki_mode:
+        for key in _HORIZONTAL_KEYS:
+            if key in raw:
+                raise ConfigurationError(f"{key}: not used in full-observation mode (9-entry s)", raw[key][1])
+    return cfg
 
 
 def _fmt_value(value) -> str:

@@ -14,13 +14,14 @@ class ContractError(MassconsError, ValueError):
 
 
 class ConfigurationError(MassconsError, ValueError):
-    """Invalid configuration value or configuration file."""
+    """Invalid configuration value or configuration file; ``key`` is the config key at fault, if any."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.key = key
 
 
 class DegenerateDirectionError(MassconsError, ArithmeticError):

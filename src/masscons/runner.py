@@ -36,12 +36,13 @@ from .adjust import (
     BaseFieldPolicy,
     FaceBcPolicy,
     Problem,
+    _require_memory,
     adjust,
     build_system,
     sasaki,
 )
 from .collocation import _sci, dump_gram
-from .config import ExperimentConfig, write_echo
+from .config import KEY_FIELDS, ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
 from .fields import ExampleCase, example_field, inject, midpoint_rule, zero3
 from .fields import divergence_fd  # noqa: F401  # unused; the benchmark's tracer patches this name
@@ -53,6 +54,7 @@ __all__ = [
     "TABLE_COLUMNS",
     "run_experiment",
     "sweep",
+    "SWEEP_PARAMS",
     "dump_gram_for_config",
     "REFERENCE_RESULTS",
     "write_reference_comparison",
@@ -102,6 +104,10 @@ def _cell(v) -> str:
     return _sci(v) if isinstance(v, float) else str(v)
 
 
+# The config keys a sweep varies.
+SWEEP_PARAMS = ("c", "n", "trunc_tol")
+
+
 def _hill_topography(cfg: ExperimentConfig) -> Topography | None:
     if cfg.topography != "hill":
         return None
@@ -124,39 +130,20 @@ def _face_policy(cfg: ExperimentConfig) -> FaceBcPolicy:
 
 
 def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[TableRow, AdjustmentResult | None]:
-    box = cfg.box()
-    topo = _hill_topography(cfg)
-    kernel = KernelParams(cfg.shape)
+    box, kernel = cfg.box(), KernelParams(cfg.shape)
+    # the settings both pipelines take
+    shared = dict(
+        topo=_hill_topography(cfg), policy=_face_policy(cfg), quad=quad, trunc_tol=cfg.trunc_tol,
+        exact=case.exact,
+    )
     started = time.perf_counter()
     try:
         if cfg.sasaki_mode:
-            result = sasaki(
-                inject(case.data),
-                cfg.weight_matrix(),
-                box,
-                kernel,
-                n,
-                topo=topo,
-                policy=_face_policy(cfg),
-                quad=quad,
-                trunc_tol=cfg.trunc_tol,
-                exact=case.exact,
-            )
+            result = sasaki(inject(case.data), cfg.weight_matrix(), box, kernel, n, **shared)
         else:
             result = adjust(
-                case.data,
-                box,
-                kernel,
-                n,
-                topo=topo,
-                base=BaseFieldPolicy(cfg.base, cfg.w_b),
-                weights=cfg.weight_matrix(),
-                policy=_face_policy(cfg),
-                formula=cfg.formula,
-                quad=quad,
-                trunc_tol=cfg.trunc_tol,
-                iterations=cfg.iterations,
-                exact=case.exact,
+                case.data, box, kernel, n, base=BaseFieldPolicy(cfg.base, cfg.w_b),
+                weights=cfg.weight_matrix(), formula=cfg.formula, iterations=cfg.iterations, **shared,
             )
     except (MassconsError, np.linalg.LinAlgError) as exc:
         wall = time.perf_counter() - started
@@ -249,9 +236,11 @@ def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
     return out
 
 
-def _map_rows(jobs, threads: int):
+def _map_rows(jobs, threads: int, sizes: list[int]):
+    """Run the row jobs, ``threads`` at a time; ``sizes`` are their node counts."""
     if threads <= 1:
         return [job() for job in jobs]
+    _require_memory(*sorted(sizes)[-threads:])  # rows in flight hold their systems at once
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]
@@ -267,7 +256,7 @@ def run_experiment(
     quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
 
     jobs = [lambda n=n: _node_fields(*_run_one(cfg, case, n, quad)) for n in cfg.grid_sizes]
-    outcomes = _map_rows(jobs, threads)
+    outcomes = _map_rows(jobs, threads, [n**3 for n in cfg.grid_sizes])
 
     rows = [row for row, _ in outcomes]
     _write_rows(os.path.join(out, "table.csv"), rows)
@@ -289,37 +278,27 @@ def sweep(
     threads: int = 1,
     out_override: str | None = None,
 ) -> list[TableRow]:
-    """One row per swept value with everything else fixed; writes sweep.csv."""
-    if parameter not in ("c", "n", "trunc_tol"):
-        raise ConfigurationError(f"sweep parameter must be c, n or trunc_tol, got {parameter!r}")
-    if parameter != "n" and len(cfg.grid_sizes) != 1:
-        raise ConfigurationError("sweeps over c or trunc_tol need a single grid size in the config")
+    """One row per swept value with everything else fixed; writes sweep.csv.
+
+    Each variant is ``cfg`` with the parameter's field replaced, so it is
+    checked as any config is; a value of ``n`` is the variant's one grid size.
+    """
+    if parameter not in SWEEP_PARAMS:
+        raise ConfigurationError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
     if len(values) == 0:
         raise ConfigurationError("sweep needs at least one value")
+    f = KEY_FIELDS[parameter]
+    variants = [replace(cfg, **{f.name: (v,) if f.metadata["many"] else v}) for v in values]
+    if any(len(v.grid_sizes) != 1 for v in variants):
+        raise ConfigurationError(f"a sweep over {parameter} needs a single grid size in the config")
 
     out = _prepare_out(cfg, out_override)
     cfg = replace(cfg, out=out)
     case = example_field(cfg.example, eps=cfg.eps)
     quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
 
-    variants: list[tuple[ExperimentConfig, int]] = []
-    for value in values:
-        if parameter == "n":
-            n = int(value)
-            if n < 2:
-                raise ConfigurationError("grid sizes must all be at least 2")
-            variants.append((cfg, n))
-        elif parameter == "c":
-            if not float(value) > 0:
-                raise ConfigurationError("c must be positive")
-            variants.append((replace(cfg, shape=float(value)), cfg.grid_sizes[0]))
-        else:
-            if not float(value) > 0:
-                raise ConfigurationError("trunc_tol must be positive")
-            variants.append((replace(cfg, trunc_tol=float(value)), cfg.grid_sizes[0]))
-
-    jobs = [lambda v=v, n=n: _run_one(v, case, n, quad)[0] for v, n in variants]
-    rows = _map_rows(jobs, threads)
+    jobs = [lambda v=v: _run_one(v, case, v.grid_sizes[0], quad)[0] for v in variants]
+    rows = _map_rows(jobs, threads, [v.grid_sizes[0] ** 3 for v in variants])
     _write_rows(os.path.join(out, "sweep.csv"), rows)
     write_echo(cfg, os.path.join(out, "config.echo"))
     return rows

@@ -15,7 +15,8 @@ from masscons.collocation import (
     dump_gram,
     factorize_and_solve,
 )
-from masscons.errors import ContractError, SingularSystemError
+from masscons.config import ExperimentConfig
+from masscons.errors import ConfigurationError, ContractError, SingularSystemError
 from masscons.fields import example_field, zero3
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
@@ -303,6 +304,19 @@ def test_truncated_solve_matches_explicit_svd():
     system.matrix = np.zeros_like(system.matrix)
     with pytest.raises(SingularSystemError):
         factorize_and_solve(system)
+
+
+def test_trunc_tol_must_lie_below_one():
+    # LAPACK's dgelsd replaces an rcond >= 1 by machine epsilon, so trunc_tol = 1
+    # or 2 kept all 64 directions, where sigma > trunc_tol * sigma_max keeps none.
+    system = ex51_system(4, 0.001)
+    assert factorize_and_solve(system, trunc_tol=0.999).rank == 1
+    for tol in (1.0, 2.0, 0.0, float("nan")):
+        with pytest.raises(ContractError, match="trunc_tol must lie in"):
+            factorize_and_solve(system, trunc_tol=tol)
+    for tol in (1.0, 2.0):
+        with pytest.raises(ConfigurationError, match=rf"trunc_tol: must be in \(0.0, 1.0\), got {tol}"):
+            ExperimentConfig("ex51", (4,), 0.001, trunc_tol=tol)
 
 
 def test_eval_jet():

@@ -7,11 +7,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from masscons.cli import main
 from masscons.collocation import condition_number
-from masscons.config import echo_config, parse_config
+from masscons.config import ExperimentConfig, echo_config, parse_config
 from masscons.errors import ConfigurationError, DomainError
 from masscons.fields import example_field, midpoint_rule
 from masscons.runner import (
@@ -86,6 +88,42 @@ def test_parse_rejects_non_finite_numbers(tmp_path, key, value):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("example", ["ex51", "ex52", "ex53"])
+def test_direct_construction_equals_parsed_minimal_file(tmp_path, example):
+    # the example's box and the hill defaults drawn from it are resolved in one place
+    cfg = parse_config(write_cfg(tmp_path, f"example = {example}\nn = 4\nc = 0.01\n"))
+    assert ExperimentConfig(example, (4,), 0.01) == cfg
+    assert echo_config(ExperimentConfig(example, (4,), 0.01)) == echo_config(cfg)
+
+
+INF, NAN = float("inf"), float("nan")
+OUT_OF_RANGE = [
+    (key, text, value)
+    for key in ("c", "eps", "trunc_tol", "n", "quad", "iterations")
+    for text, value in (("0", 0), ("-1", -1), ("inf", INF), ("nan", NAN))
+] + [("trunc_tol", "1", 1), ("trunc_tol", "2", 2.0)] + [
+    (key, "bogus", "bogus")
+    for key in ("example", "topography", "base", "formula", "bc_bottom", "bc_top", "bc_xmin",
+                "bc_xmax", "bc_ymin", "bc_ymax")
+]
+
+
+@pytest.mark.parametrize("key, text, value", OUT_OF_RANGE)
+def test_construction_rejects_what_the_parser_rejects(tmp_path, key, text, value):
+    stated = {"example": "ex51", "n": "3", "c": "0.1", key: text}
+    path = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in stated.items()))
+    line = list(stated).index(key) + 1
+    with pytest.raises(ConfigurationError) as parsed:
+        parse_config(path)
+    field = {"n": "grid_sizes", "c": "shape"}.get(key, key)
+    stated = {"example": "ex51", "grid_sizes": (3,), "shape": 0.1}
+    stated[field] = (value,) if key == "n" else value
+    with pytest.raises(ConfigurationError) as built:
+        ExperimentConfig(**stated)
+    assert str(built.value).startswith(f"{key}: ")
+    assert str(parsed.value) == f"line {line}: {built.value}"
+
+
 def test_bc_shorthand_and_override(tmp_path):
     text = MINIMAL + "bc = no-flow-through\nbc_top = flow-through\n"
     cfg = parse_config(write_cfg(tmp_path, text))
@@ -118,7 +156,7 @@ def test_echo_literal_text(tmp_path):
     horizontal = MINIMAL + "s = 2,0.1,0.1,1\nbase = vertical\nw_b = 0.75\nbc = no-flow-through\n"
     horizontal += "bc_top = flow-through\ntrunc_tol = 1e-10\n"
     assert echo_config(parse_config(write_cfg(tmp_path, horizontal))) == (
-        "example = ex51\nn = 3,5,8\nc = 0.001\neps = 0.1\ndomain = -2,2,-2,2,0,2\ntopography = off\n"
+        "example = ex51\nn = 3,5,8\nc = 0.001\neps = 0.1\ndomain = -2.0,2.0,-2.0,2.0,0.0,2.0\ntopography = off\n"
         "hill_amplitude = 0.4\nhill_width = 1.0\ns = 2.0,0.1,0.1,1.0\nbase = vertical\nw_b = 0.75\n"
         "bc_bottom = no-flow-through\nbc_top = flow-through\nbc_xmin = no-flow-through\n"
         "bc_xmax = no-flow-through\nbc_ymin = no-flow-through\nbc_ymax = no-flow-through\n"
@@ -129,12 +167,59 @@ def test_echo_literal_text(tmp_path):
         "s = 2,0.5,0,0.5,1.5,0,0,0,1\nbc_bottom = no-flow-through\nout = res/ex53\n"
     )
     assert echo_config(parse_config(write_cfg(tmp_path, full))) == (
-        "example = ex53\nn = 4\nc = 0.01\neps = 0.1\ndomain = -7,7,-7,7,0,7\ntopography = hill\n"
+        "example = ex53\nn = 4\nc = 0.01\neps = 0.1\ndomain = -7.0,7.0,-7.0,7.0,0.0,7.0\ntopography = hill\n"
         "hill_amplitude = 1.4000000000000001\nhill_width = 3.5\n"
         "s = 2.0,0.5,0.0,0.5,1.5,0.0,0.0,0.0,1.0\nbc_bottom = no-flow-through\nbc_top = flow-through\n"
         "bc_xmin = flow-through\nbc_xmax = flow-through\nbc_ymin = flow-through\n"
         "bc_ymax = flow-through\ntrunc_tol = 1e-12\nquad = 8\nout = res/ex53\n"
     )
+
+
+@st.composite
+def config_texts(draw):
+    """Config files over every example, with and without a domain and the hill keys."""
+    example = draw(st.sampled_from(["ex51", "ex52", "ex53"]))
+    sizes = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    positive = st.floats(1e-3, 10.0)
+    lines = [f"example = {example}", f"n = {','.join(map(str, sizes))}", f"c = {draw(positive)!r}"]
+    bounds = example_field(example, eps=0.1).domain.bounds
+    height = bounds[5] - bounds[4]
+    if draw(st.booleans()):
+        lows = draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+        spans = draw(st.lists(st.floats(0.5, 10.0), min_size=3, max_size=3))
+        lines.append("domain = " + ",".join(f"{lo!r},{lo + d!r}" for lo, d in zip(lows, spans)))
+        height = (lows[2] + spans[2]) - lows[2]
+    if draw(st.booleans()):
+        lines.append("topography = hill")
+    if draw(st.booleans()):
+        lines.append(f"hill_amplitude = {draw(st.floats(0.0, 0.9)) * height!r}")
+    if draw(st.booleans()):
+        lines.append(f"hill_width = {draw(positive)!r}")
+    dim = draw(st.sampled_from([2, 3]))
+    off = draw(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))
+    diag = draw(st.lists(st.floats(1.0, 3.0), min_size=dim, max_size=dim))
+    s = np.diag(diag)
+    s[np.triu_indices(dim, 1)] = off[: dim * (dim - 1) // 2]
+    s = np.triu(s) + np.triu(s, 1).T  # symmetric and diagonally dominant, so SPD
+    lines.append("s = " + ",".join(repr(float(v)) for v in s.ravel()))
+    if dim == 2 and draw(st.booleans()):
+        lines += ["base = vertical", f"w_b = {draw(positive)!r}", "formula = closed-form", "iterations = 2"]
+    if draw(st.booleans()):
+        lines += ["bc = no-flow-through", "bc_top = oracle-neumann"]
+    if draw(st.booleans()):
+        lines.append(f"trunc_tol = {draw(st.floats(1e-15, 0.5))!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(text=config_texts())
+def test_echo_is_a_fixed_point(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("echo")
+    cfg = parse_config(write_cfg(folder, text))
+    echo = echo_config(cfg)
+    again = parse_config(write_cfg(folder, echo, name="echo.cfg"))
+    assert again == cfg
+    assert echo_config(again) == echo
 
 
 def test_table_literal_columns_and_line(tmp_path):
@@ -256,6 +341,19 @@ def test_grid_too_large_for_memory_fails_the_row(tmp_path, monkeypatch):
     assert len(table) == 3
     assert all(',"DomainError: a grid of' in line for line in table[1:])
     assert main(["dump-gram", str(path)]) == 3
+
+
+def test_memory_guard_budgets_the_rows_in_flight(tmp_path, monkeypatch):
+    # 3 N^2 float64 per row: N = 64 alone needs 98,304 bytes, with N = 27 beside it 115,800
+    monkeypatch.setattr(importlib.import_module("masscons.adjust"), "_physical_memory", lambda: 100_000)
+    path = write_cfg(tmp_path, fast_cfg_text(tmp_path / "mem"))
+    assert main(["run", str(path), "--threads", "2"]) == 3
+    assert not (tmp_path / "mem" / "table.csv").exists()
+    assert main(["run", str(path), "--threads", "1"]) == 0
+    cfg = parse_config(path)
+    with pytest.raises(DomainError, match="grids of 27, 64 nodes solved at once need about 115800 bytes"):
+        sweep(cfg, "n", [3, 4], threads=2)
+    assert all(row.error == "" for row in sweep(cfg, "n", [3, 4], threads=1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -521,6 +619,15 @@ def test_cli_sweep_subcommand(tmp_path):
     assert main(["sweep", str(cfg_path), "--param", "c", "--values", "0.5,0.25"]) == 0
     lines = (tmp_path / "cs" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("param, value", [("c", "inf"), ("trunc_tol", "2"), ("n", "1"), ("c", "abc")])
+def test_cli_sweep_rejects_out_of_range_values(tmp_path, param, value):
+    # a swept value is checked as the config key it replaces
+    path = write_cfg(tmp_path, f"example = ex51\nn = 3\nc = 0.5\nquad = 4\nout = {tmp_path / 'bad'}\n")
+    good = "3" if param == "n" else "0.5"
+    assert main(["sweep", str(path), "--param", param, "--values", f"{good},{value}"]) == 2
+    assert not (tmp_path / "bad" / "sweep.csv").exists()
 
 
 def test_cli_out_override(tmp_path):

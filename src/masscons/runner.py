@@ -14,9 +14,10 @@ failed row writes none. ``config.echo`` re-parses to an equal configuration.
 Rows may execute concurrently (``threads > 1``); files are written after all
 rows complete, in configuration order, so output bytes do not depend on
 scheduling. The field files of a run are written together, block by block over
-the nodes. A finished row keeps only its table row and, in a run, its node
-values and divergence; its N x N collocation system is freed before the next
-row is assembled, so a run holds one system per row in flight.
+the nodes; a block formats each distinct value (bit pattern) once and gathers
+its lines as bytes. A finished row keeps only its table row and, in a run, its
+node values and divergence; its N x N collocation system is freed before the
+next row is assembled, so a run holds one system per row in flight.
 """
 
 from __future__ import annotations
@@ -189,12 +190,13 @@ def _write_timings(path, rows: list[TableRow]) -> None:
             writer.writerow((str(row.n_nodes), _sci(row.wall_time)))
 
 
-# The six columns every field file of a run shares (x, y, z and the exact
-# field) are formatted once per block into a template whose doubled %% slots
-# take each file's own four columns (u_plus and its divergence) in a second
-# pass. Each line is np.savetxt's "%.17e" row, byte for byte.
-_FIELD_HEADER = "x,y,z,u1,u2,u3,u1_exact,u2_exact,u3_exact,div\n"
-_FIELD_LINE = "%.17e,%.17e,%.17e,%%.17e,%%.17e,%%.17e,%.17e,%.17e,%.17e,%%.17e\n"
+# A block stacks the six columns the field files of a run share (x, y, z, the
+# exact field) and each file's own four (u_plus, div) and formats each distinct
+# bit pattern once, so 0.0 and -0.0 stay apart: space-padded to 25 bytes, the
+# longest "%.17e" text (-1.79769313486231571e+308), and a comma. The lines are
+# gathered as bytes and the padding dropped: np.savetxt's "%.17e" rows exactly.
+_FIELD_HEADER = b"x,y,z,u1,u2,u3,u1_exact,u2_exact,u3_exact,div\n"
+_FIELD_CELL = "%-25.17e,"
 # Rows per block: the text of a block, not of a whole file, is held in memory.
 _FIELD_BLOCK_ROWS = 1024
 
@@ -210,17 +212,24 @@ def _write_fields(paths, case: ExampleCase, results: list[SimpleNamespace], quad
         return
     nodes = quad.nodes
     exact = case.exact(nodes)
+    # a file's line is shared columns 0-2, its own 0-2, shared 3-5, its own 3
+    order = [np.r_[0:3, 6 + 4 * k : 9 + 4 * k, 3:6, 9 + 4 * k] for k in range(len(paths))]
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", encoding="ascii", newline="\n")) for path in paths]
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
         for fh in files:
             fh.write(_FIELD_HEADER)
         for start in range(0, len(nodes), _FIELD_BLOCK_ROWS):
             block = slice(start, start + _FIELD_BLOCK_ROWS)
-            shared = np.column_stack([nodes[block], exact[block]])
-            template = (_FIELD_LINE * len(shared)) % tuple(shared.ravel().tolist())
-            for fh, result in zip(files, results):
-                own = np.column_stack([result.node_values[block], result.node_div[block]])
-                fh.write(template % tuple(own.ravel().tolist()))
+            own = [c for r in results for c in (r.node_values[block], r.node_div[block])]
+            columns = np.column_stack([nodes[block], exact[block], *own])
+            bits, index = np.unique(columns.view(np.int64).ravel(), return_inverse=True)
+            text = ((_FIELD_CELL * len(bits)) % tuple(bits.view(np.float64).tolist())).encode("ascii")
+            cells = np.frombuffer(text, np.uint8).reshape(len(bits), -1)
+            index = index.reshape(columns.shape)
+            for fh, cols in zip(files, order):
+                buf = cells[index[:, cols]]
+                buf[:, -1, -1] = ord("\n")
+                fh.write(buf.tobytes().replace(b" ", b""))
 
 
 def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:

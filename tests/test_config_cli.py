@@ -2,6 +2,7 @@ import importlib
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from masscons.adjust import _DESCENT_RTOL
 from masscons.cli import main
 from masscons.collocation import condition_number
 from masscons.config import ExperimentConfig, echo_config, parse_config
-from masscons.errors import ConfigurationError, DomainError
+from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import example_field, midpoint_rule
 from masscons.runner import (
     _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _run_one, _write_fields, _write_rows, dump_gram_for_config,
@@ -291,6 +293,50 @@ def test_run_experiment_reproducible_bytes(tmp_path):
     assert (tmp_path / "a" / "field_N3.csv").read_bytes() == (tmp_path / "b" / "field_N3.csv").read_bytes()
 
 
+FACES = ("bottom", "top", "xmin", "xmax", "ymin", "ymax")
+# The errors a failed row may name: the package's own, and a LAPACK failure.
+TYPED_ERRORS = {cls.__name__ for cls in MassconsError.__subclasses__()} | {"LinAlgError"}
+
+
+@st.composite
+def small_horizontal_configs(draw):
+    """One-row horizontal-mode configs: ex51 or ex53, n = 3, quad 4, SPD 2x2 s, open or sealed faces.
+
+    ``oracle-neumann`` faces are left out: with a zero base field the
+    starting objective is not that of a feasible field, so such a row may
+    fail the descent check by design.
+    """
+    off = draw(st.floats(-0.3, 0.3))
+    diag = draw(st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2))
+    lines = [
+        f"example = {draw(st.sampled_from(['ex51', 'ex53']))}", "n = 3", "quad = 4",
+        f"c = {draw(st.floats(0.01, 1.0))!r}", f"s = {diag[0]!r},{off!r},{off!r},{diag[1]!r}",
+    ]
+    lines += [f"bc_{face} = {draw(st.sampled_from(['flow-through', 'no-flow-through']))}" for face in FACES]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(text=small_horizontal_configs())
+def test_runs_are_deterministic_and_descend(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("run")
+    cfg = parse_config(write_cfg(folder, text))
+    rows = run_experiment(cfg, out_override=str(folder / "a"))
+    run_experiment(cfg, out_override=str(folder / "b"))
+    names = sorted(p.name for p in (folder / "a").glob("*.csv") if p.name != "timings.csv")
+    assert names == sorted(p.name for p in (folder / "b").glob("*.csv") if p.name != "timings.csv")
+    for name in names:
+        assert (folder / "a" / name).read_bytes() == (folder / "b" / name).read_bytes()
+    for row in rows:
+        if row.error:
+            assert row.error.split(":")[0] in TYPED_ERRORS
+            continue
+        assert (folder / "a" / "field_N3.csv").exists()
+        values = [v for v in asdict(row).values() if isinstance(v, float)]
+        assert np.isfinite(values).all(), row
+        assert row.j_after <= row.j_before * (1.0 + _DESCENT_RTOL)
+
+
 def test_threads_do_not_change_output(tmp_path):
     cfg_a = parse_config(write_cfg(tmp_path, fast_cfg_text(tmp_path / "st"), name="st.cfg"))
     cfg_b = parse_config(write_cfg(tmp_path, fast_cfg_text(tmp_path / "mt"), name="mt.cfg"))
@@ -397,6 +443,15 @@ def with_specials(rng, shape, shift):
     return a
 
 
+def assert_writer_matches_savetxt(folder, nodes, exact, results):
+    """Each file _write_fields writes equals np.savetxt's, byte for byte."""
+    paths = [folder / f"field_{k}.csv" for k in range(len(results))]
+    _write_fields(paths, SimpleNamespace(exact=lambda pts: exact), results, SimpleNamespace(nodes=nodes))
+    for path, result in zip(paths, results):
+        expected = savetxt_field(folder / "ref.csv", nodes, result.node_values, exact, result.node_div)
+        assert path.read_bytes() == expected
+
+
 @pytest.mark.parametrize("rows", [1, 2 * _FIELD_BLOCK_ROWS + 3])
 def test_field_writer_matches_savetxt(tmp_path, rows):
     rng = np.random.default_rng(rows)
@@ -405,11 +460,58 @@ def test_field_writer_matches_savetxt(tmp_path, rows):
         SimpleNamespace(node_values=with_specials(rng, (rows, 3), k), node_div=with_specials(rng, rows, k + 3))
         for k in (1, 2)
     ]
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    _write_fields(paths, SimpleNamespace(exact=lambda pts: exact), results, SimpleNamespace(nodes=nodes))
-    for path, result in zip(paths, results):
-        expected = savetxt_field(tmp_path / "ref.csv", nodes, result.node_values, exact, result.node_div)
-        assert path.read_bytes() == expected
+    assert_writer_matches_savetxt(tmp_path, nodes, exact, results)
+
+
+def test_field_writer_keys_values_by_bit_pattern(tmp_path):
+    # Duplicates inside one block: values that compare equal as floats but
+    # print apart (0.0 and -0.0), NaNs of different payloads and signs, a
+    # constant column, and one value in shared and own columns of both files.
+    zero, neg_zero = 0.0, -0.0
+    nan_bits = [0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, -0x0008000000000000]
+    nans = np.array(nan_bits, dtype=np.int64).view(np.float64)
+    assert np.isnan(nans).all() and np.signbit(nans[3])
+    shared = 1.25
+    nodes = np.array([[zero, neg_zero, shared], [neg_zero, zero, nans[0]], [nans[1], shared, neg_zero]])
+    exact = np.column_stack([np.full(3, 7.5), nans[[2, 3, 0]], [neg_zero, zero, shared]])
+    results = [
+        SimpleNamespace(node_values=np.array([[shared, neg_zero, nans[3]], [zero, nans[2], 7.5], [shared] * 3]),
+                        node_div=np.array([neg_zero, nans[1], zero])),
+        SimpleNamespace(node_values=np.array([[neg_zero, shared, zero], [nans[0], zero, neg_zero], [7.5, shared, zero]]),
+                        node_div=np.array([shared, neg_zero, nans[3]])),
+    ]
+    assert_writer_matches_savetxt(tmp_path, nodes, exact, results)
+
+
+@st.composite
+def field_blocks(draw):
+    """Nodes, exact field and 1-3 results whose rows cross the writer's block size.
+
+    Values come from a small pool, which forces duplicates (0.0 and -0.0
+    often among them), or are raw float64 bit patterns (NaN payloads and
+    subnormals included).
+    """
+    rows = draw(st.integers(1, 2 * _FIELD_BLOCK_ROWS + 2))
+    files = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, 6 + 4 * files)
+    if draw(st.booleans()):
+        values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        columns = np.array(pool)[rng.integers(0, len(pool), shape)]
+    else:
+        columns = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, shape, endpoint=True).view(np.float64)
+    results = [
+        SimpleNamespace(node_values=columns[:, 6 + 4 * k : 9 + 4 * k], node_div=columns[:, 9 + 4 * k])
+        for k in range(files)
+    ]
+    return columns[:, :3], columns[:, 3:6], results
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(block=field_blocks())
+def test_field_writer_matches_savetxt_on_any_bits(tmp_path_factory, block):
+    assert_writer_matches_savetxt(tmp_path_factory.mktemp("fields"), *block)
 
 
 def test_failed_middle_row_leaves_its_field_file_out(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,8 +20,8 @@ from masscons.config import ExperimentConfig, echo_config, parse_config
 from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import example_field, midpoint_rule
 from masscons.runner import (
-    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _run_one, _write_fields, _write_rows, dump_gram_for_config,
-    run_experiment, sweep,
+    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _run_one, _write_fields, _write_rows,
+    dump_gram_for_config, run_experiment, sweep,
 )
 
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
@@ -554,6 +555,123 @@ def test_field_writer_memory_is_bounded_by_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def printf_cells(values):
+    """Each value through "%-25.17e," on its own: the reference for _format_cells."""
+    text = b"".join(("%-25.17e," % v).encode("ascii") for v in values.tolist())
+    return np.frombuffer(text, np.uint8).reshape(len(values), 26)
+
+
+def assert_cells_match_printf(values):
+    values = np.asarray(values, np.float64)
+    assert np.array_equal(_format_cells(values), printf_cells(values))
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """The values _format_cells hands to Python's "%"."""
+    runner = importlib.import_module("masscons.runner")
+    printf, seen = runner._printf_cells, []
+
+    def counted(values):
+        seen.extend(values.tolist())
+        return printf(values)
+
+    monkeypatch.setattr(runner, "_printf_cells", counted)
+    return seen
+
+
+def outside_fast_range(v):
+    return not 1e-280 <= abs(v) <= 1e280
+
+
+def is_tie(v):
+    """v lies exactly halfway between two 18-significant-digit decimals."""
+    digits = Decimal(v).as_tuple().digits
+    return len(digits) > 18 and digits[18] == 5 and not any(digits[19:])
+
+
+def powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_cell_formatter_on_powers_of_ten_and_neighbours(fallback):
+    values = powers_of_ten_and_neighbours()
+    assert_cells_match_printf(values)
+    # 1e15 + 1/8 = 1000000000000000.125 is a tie
+    assert fallback and all(outside_fast_range(v) or is_tie(v) for v in fallback)
+
+
+def test_cell_formatter_carries_into_the_next_decade(fallback):
+    # 18-digit rounding carries a value to the next power of ten only next to one
+    carries = [
+        v for v in powers_of_ten_and_neighbours().tolist()
+        if not outside_fast_range(v) and int(("%.17e" % v).split("e")[1]) != Decimal(v).adjusted()
+    ]
+    assert carries  # 1e153 is just below 10^153 and prints as 1.00000000000000000e+153
+    assert_cells_match_printf(carries)
+    assert fallback == []
+
+
+def test_cell_formatter_on_extremes_and_special_values():
+    nan_bits = [0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, -0x0008000000000000, -1]
+    nans = np.array(nan_bits, dtype=np.int64).view(np.float64)
+    assert np.isnan(nans).all() and np.signbit(nans).tolist() == [False] * 3 + [True] * 2
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    assert_cells_match_printf([*extremes, *(-v for v in extremes), 0.0, -0.0, np.inf, -np.inf, *nans])
+
+
+def test_cell_formatter_leaves_decimal_ties_to_printf(fallback):
+    # M / 2^j with M odd has j decimals ending in 5; with 19 significant digits
+    # it is an exact tie at the 18th, which "%" rounds half to even.
+    rng = np.random.default_rng(0)
+    ties = []
+    for j in range(3, 28):
+        low, high = -(-(10**18) // 5**j), min((10**19 - 1) // 5**j, 2**53 - 1)
+        for m in rng.integers(low, high, 4, endpoint=True).tolist():
+            x = (m | 1) / 2**j
+            if is_tie(x):
+                ties += [x, -x]
+    assert len(ties) > 100
+    assert_cells_match_printf(ties)
+    assert sorted(fallback) == sorted(ties)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4096), extra=st.lists(st.floats(), max_size=20))
+def test_cell_formatter_matches_printf_on_any_bits(seed, size, extra):
+    int64 = np.iinfo(np.int64)
+    bits = np.random.default_rng(seed).integers(int64.min, int64.max, size, endpoint=True)
+    assert_cells_match_printf(np.concatenate([bits.view(np.float64), extra]))
+
+
+def test_import_builds_no_formatter_table():
+    # the formatter's tables are built on the first field file written, not at import
+    code = "import masscons.runner as r; print(r._format_tables.cache_info().currsize)"
+    env_src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_thread_count_below_one_is_a_configuration_error(tmp_path, threads):
+    out = tmp_path / "results"
+    path = write_cfg(tmp_path, fast_cfg_text(out).replace("n = 3,4", "n = 3"))
+    cfg = parse_config(path)
+    with pytest.raises(ConfigurationError, match="threads"):
+        run_experiment(cfg, threads=threads)
+    with pytest.raises(ConfigurationError, match="threads"):
+        sweep(cfg, "c", [0.1], threads=threads)
+    assert main(["run", str(path), "--threads", str(threads)]) == 2
+    assert main(["sweep", str(path), "--param", "c", "--values", "0.1", "--threads", str(threads)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_shape_kappa_monotone(tmp_path):

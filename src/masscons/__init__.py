@@ -8,7 +8,8 @@ by asymmetric (Kansa) collocation with inverse multiquadric kernels and a
 truncated-SVD minimum-norm dense solve (LAPACK dgelsd).
 
 Library entry points: :func:`masscons.adjust.adjust` (horizontal data),
-:func:`masscons.adjust.sasaki` (full observations, classical one-shot), both
+:func:`masscons.adjust.sasaki` (full observations, classical one-shot: the
+full-observation :func:`masscons.adjust.adjust_full` at its defaults), both
 one line search over a :class:`masscons.adjust.Problem`, and the
 ``masscons`` CLI for config-driven experiment tables.
 """
@@ -20,7 +21,6 @@ from .adjust import (
     ORACLE_NEUMANN,
     CLOSED_FORM,
     AdjustmentResult,
-    BaseFieldPolicy,
     FaceBcPolicy,
     Problem,
     adjust,

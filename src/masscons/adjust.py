@@ -7,7 +7,10 @@ metric G:
   horizontal data   r(u) = M* ( S (M u - data) ),  k = 2, G = I,
   full observation  r(u) = u - initial,             k = 3, G = S.
 
-Each pass of the line search about a base field u_c forms
+Both searches start from a constant updraft u_c = (0, 0, w_b): the
+horizontal one from the w_b it is given (zero by default), a modelling input
+the data cannot see, and the full-observation one from zero. Each pass of the
+line search about a base field u_c forms
 
   1. residual    r = r(u_c),
   2. multiplier  div(G^-1 grad lambda) = div r in the volume, with per-face
@@ -18,18 +21,20 @@ Each pass of the line search about a base field u_c forms
                  along p, or the closed-form ratio <G p, p> / <S Mp, Mp>,
   5. adjusted    u_plus = u_c + t p.
 
-With full observation the closed-form ratio is exactly one, and with u_c = 0
-the pass is the classical one-shot (Sasaki) adjustment
-u_plus = initial + S^-1 grad lambda.
+A pass's u_plus is the next pass's u_c; the passes end early once the misfit
+at the quadrature nodes is identically zero. With full observation the
+closed-form ratio is exactly one, so the one pass from zero is the classical
+one-shot (Sasaki) adjustment u_plus = initial + S^-1 grad lambda:
+:func:`sasaki` is :func:`adjust_full` at its defaults.
 
 The line search and the diagnostics need p at the quadrature nodes; one
 multiplier jet there gives both its values and its analytic divergence
 div p = -div r + L lambda (L the multiplier's interior operator). The
 divergence of u_plus is composed through the step like its values, so
 ``div_mean``/``div_max`` and the node arrays on the result cost no further
-kernel sums. Only when an analytic divergence is missing (a non-scalar 2x2
-S, or a base field without one) do they fall back to the central-difference
-oracle :func:`~masscons.fields.divergence_fd`.
+kernel sums. Only when the residual has no analytic divergence (a non-scalar
+2x2 S) do they fall back to the central-difference oracle
+:func:`~masscons.fields.divergence_fd`.
 
 Face policies map each face to one of:
 
@@ -66,11 +71,10 @@ from .fields import (
     Quadrature,
     add_scaled,
     divergence_fd,
-    inject,
     midpoint_rule,
     subtract,
+    updraft,
     validate_weights,
-    zero3,
 )
 from .geometry import BoxDomain, FaceLabel, NodeSet, Topography, grid_centers
 from .kernel import KernelParams
@@ -80,12 +84,10 @@ __all__ = [
     "NO_FLOW_THROUGH",
     "ORACLE_NEUMANN",
     "FACE_POLICIES",
-    "BASE_KINDS",
     "MINIMIZER",
     "CLOSED_FORM",
     "FORMULAS",
     "FaceBcPolicy",
-    "BaseFieldPolicy",
     "Problem",
     "Metrics",
     "AdjustmentResult",
@@ -106,8 +108,6 @@ FLOW_THROUGH = "flow-through"
 NO_FLOW_THROUGH = "no-flow-through"
 ORACLE_NEUMANN = "oracle-neumann"
 FACE_POLICIES = (FLOW_THROUGH, NO_FLOW_THROUGH, ORACLE_NEUMANN)
-
-BASE_KINDS = ("zero", "inject", "inject+vertical", "vertical")
 
 MINIMIZER = "minimizer"
 CLOSED_FORM = "closed-form"
@@ -148,63 +148,6 @@ class FaceBcPolicy:
 
     def for_label(self, label: FaceLabel) -> str:
         return getattr(self, label.name.lower())
-
-
-@dataclass(frozen=True)
-class BaseFieldPolicy:
-    """How the base field u_c is built from the data.
-
-    kinds: ``zero``; ``inject`` (u_c = M* data, the trivial horizontal
-    minimum, which makes the misfit vanish identically); ``inject+vertical``
-    (M* data plus a constant updraft w_b); ``vertical`` (just the constant
-    updraft).
-    """
-
-    kind: str = "zero"
-    w_b: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in BASE_KINDS:
-            raise ContractError(f"unknown base field kind {self.kind!r}")
-
-    @classmethod
-    def zero(cls) -> "BaseFieldPolicy":
-        return cls(kind="zero")
-
-    @classmethod
-    def inject_data(cls) -> "BaseFieldPolicy":
-        return cls(kind="inject")
-
-    @classmethod
-    def inject_plus_vertical(cls, w_b: float) -> "BaseFieldPolicy":
-        return cls(kind="inject+vertical", w_b=w_b)
-
-    @classmethod
-    def vertical(cls, w_b: float) -> "BaseFieldPolicy":
-        return cls(kind="vertical", w_b=w_b)
-
-    def build(self, data: Field2) -> Field3:
-        if self.kind == "zero":
-            return zero3()
-        if self.kind == "inject":
-            return inject(data)
-        if self.kind == "inject+vertical":
-            vertical = np.array([0.0, 0.0, self.w_b])
-            base = inject(data)
-            return Field3(
-                fn=lambda pts: base.fn(pts) + vertical,
-                div=base.div,
-                hdiv=base.hdiv,
-            )
-        w = self.w_b
-        zero = lambda pts: np.zeros(len(pts))
-        return Field3(
-            fn=lambda pts: np.column_stack(
-                [np.zeros(len(pts)), np.zeros(len(pts)), np.full(len(pts), w)]
-            ),
-            div=zero,
-            hdiv=zero,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,8 +277,7 @@ def boundary_data(
     if any(k == ORACLE_NEUMANN for k in kinds):
         if exact is None:
             raise ContractError("oracle-neumann boundary data requires the exact field")
-        base_field = base if base is not None else zero3()
-        oracle_vals = exact(pts) - base_field(pts) + r_vals
+        oracle_vals = exact(pts) - (base if base is not None else updraft())(pts) + r_vals
 
     out: dict[int, DirichletLambda | NeumannLambda] = {}
     for row, (i, kind) in enumerate(zip(idx, kinds)):
@@ -391,13 +333,16 @@ def build_system(
     Returns the residual field r(u_c), the factorized collocation system and
     its multiplier. ``exact`` is required by oracle-neumann faces. A grid
     whose dense solve would not fit in physical memory raises DomainError
-    before anything is assembled.
+    before anything is assembled, and a right-hand side that is not finite
+    raises DomainError before the solve.
     """
     _require_memory(len(nodes.points))
     residual_field = problem.residual(u_c)
     aniso = problem.aniso
     bcs = boundary_data(policy, residual_field, nodes, exact=exact, base=u_c, aniso=aniso)
     system = assemble(nodes, kernel, bcs, poisson_rhs(residual_field, box), aniso=aniso)
+    if not np.all(np.isfinite(system.rhs)):
+        raise DomainError("the right-hand side of the multiplier system is not finite")
     return residual_field, system, factorize_and_solve(system, trunc_tol=trunc_tol)
 
 
@@ -514,8 +459,9 @@ def _line_search(
     """``iterations`` line-search passes of ``problem`` from the base field u_c.
 
     Each pass rebuilds the multiplier system about the current field, which
-    then becomes the next pass's base field. Passes that end with a larger
-    objective than they started from raise NonDescentError.
+    then becomes the next pass's base field. The passes end early once the
+    misfit at the quadrature nodes is identically zero. Passes that end with
+    a larger objective than they started from raise NonDescentError.
     """
     _require_formula(formula)
     if iterations < 1:
@@ -528,12 +474,14 @@ def _line_search(
     vals_uc = u_c(quad.nodes)
     _require_finite(f"{problem.name} values", vals_obs)
     _require_finite("base field values", vals_uc)
-    div_uc = None if u_c.div is None else u_c.divergence(quad.nodes)
+    div_uc = u_c.divergence(quad.nodes)
     d = vals_uc[:, :k] - vals_obs
     j_before = 0.5 * _weighted_sum(d, w, d, qw)
 
     nodes = grid_centers(domain, n_per_axis, topo=topo)
-    for _ in range(iterations):
+    for i in range(iterations):
+        if i and not d.any():
+            break  # the data are matched exactly: a further pass has no direction
         system = None  # the previous pass's matrix is freed before the next is assembled
         r, system, solution = build_system(
             problem, u_c, nodes, kernel, domain, policy, exact=exact, trunc_tol=trunc_tol
@@ -577,7 +525,7 @@ def adjust(
     n_per_axis: int,
     *,
     topo: Topography | None = None,
-    base: BaseFieldPolicy | None = None,
+    w_b: float = 0.0,
     weights=None,
     policy: FaceBcPolicy | None = None,
     formula: str = MINIMIZER,
@@ -586,15 +534,15 @@ def adjust(
     iterations: int = 1,
     exact: Field3 | None = None,
 ) -> AdjustmentResult:
-    """Run the horizontal-data line search; one step by default.
+    """Run the horizontal-data line search from the updraft (0, 0, w_b); one pass by default.
 
-    With ``iterations > 1`` the adjusted field becomes the next base field and
-    the boundary data is rebuilt each pass. ``exact`` enables the relative
-    error metric and is required by oracle-neumann faces.
+    The data cannot see w_b: it is a modelling input. With ``iterations > 1``
+    the adjusted field becomes the next base field and the boundary data is
+    rebuilt each pass. ``exact`` enables the relative error metric and is
+    required by oracle-neumann faces.
     """
-    base = base if base is not None else BaseFieldPolicy.zero()
     return _line_search(
-        Problem.horizontal(data, weights), base.build(data), domain, kernel, n_per_axis,
+        Problem.horizontal(data, weights), updraft(w_b), domain, kernel, n_per_axis,
         topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol,
         iterations=iterations, exact=exact,
     )
@@ -608,57 +556,26 @@ def adjust_full(
     n_per_axis: int,
     *,
     topo: Topography | None = None,
-    base_field: Field3 | None = None,
     policy: FaceBcPolicy | None = None,
     formula: str = CLOSED_FORM,
     quad: Quadrature | None = None,
     trunc_tol: float = 1e-12,
     exact: Field3 | None = None,
 ) -> AdjustmentResult:
-    """Full-observation line search: every component of ``initial`` is data.
+    """Full-observation line search from zero: every component of ``initial`` is data.
 
-    The multiplier solves div(S^-1 grad lambda) = div(u_c - initial) with
-    boundary conditions (u_c - initial - S^-1 grad lambda) . nu = 0 or
-    lambda = 0 per face, the direction is p = -(u_c - initial) + S^-1 grad
-    lambda, and the closed-form step length is exactly one.
+    The multiplier solves div(S^-1 grad lambda) = -div initial with boundary
+    conditions (-initial - S^-1 grad lambda) . nu = 0 or lambda = 0 per face,
+    the direction is p = initial + S^-1 grad lambda, and the closed-form step
+    length is exactly one, so u_plus = initial + S^-1 grad lambda.
     """
-    u_c = base_field if base_field is not None else zero3()
     return _line_search(
-        Problem.full(initial, weights), u_c, domain, kernel, n_per_axis,
+        Problem.full(initial, weights), updraft(), domain, kernel, n_per_axis,
         topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol,
         iterations=1, exact=exact,
     )
 
 
-def sasaki(
-    initial: Field3,
-    weights,
-    domain: BoxDomain,
-    kernel: KernelParams,
-    n_per_axis: int,
-    *,
-    topo: Topography | None = None,
-    policy: FaceBcPolicy | None = None,
-    quad: Quadrature | None = None,
-    trunc_tol: float = 1e-12,
-    exact: Field3 | None = None,
-) -> AdjustmentResult:
-    """Classical one-shot adjustment u_plus = initial + S^-1 grad lambda.
-
-    This is :func:`adjust_full` with a zero base field and unit step; with
-    identity weights it reduces to the isotropic pipeline bit for bit.
-    """
-    return adjust_full(
-        initial,
-        weights,
-        domain,
-        kernel,
-        n_per_axis,
-        topo=topo,
-        base_field=zero3(),
-        policy=policy,
-        formula=CLOSED_FORM,
-        quad=quad,
-        trunc_tol=trunc_tol,
-        exact=exact,
-    )
+# The classical one-shot (Sasaki 1970) adjustment u_plus = initial + S^-1 grad lambda
+# is the full-observation line search at its defaults: zero base field, unit step.
+sasaki = adjust_full

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .adjust import BASE_KINDS, FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER, FaceBcPolicy
+from .adjust import FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER, FaceBcPolicy
 from .errors import ConfigurationError, ContractError
 from .fields import example_field, validate_weights
 from .geometry import BoxDomain
@@ -34,7 +34,7 @@ _FACE_KEYS = tuple(f"bc_{f.name}" for f in fields(FaceBcPolicy))
 # field is its own key, and the echo follows the field order.
 _KEYS = {"grid_sizes": "n", "shape": "c", "s_entries": "s"}
 # Settings of the horizontal line search; full-observation mode (9-entry s)
-# has no base policy, one pass and a unit closed-form step, so it rejects them.
+# starts from zero and takes one pass with a unit closed-form step, so it rejects them.
 _HORIZONTAL_KEYS = ("base", "w_b", "formula", "iterations")
 
 
@@ -102,8 +102,8 @@ class ExperimentConfig:
     hill_amplitude: float | None = _setting(None)  # in [0, box height)
     hill_width: float | None = _setting(None, above=0.0)
     s_entries: tuple[float, ...] = _setting((1.0, 0.0, 0.0, 1.0), many=True)  # 2x2 or 3x3, SPD
-    base: str = _setting("zero", kind=str, choices=BASE_KINDS)
-    w_b: float = _setting(1.0)
+    base: str = _setting("zero", kind=str, choices=("zero", "vertical"))
+    w_b: float = _setting(1.0)  # the updraft of base = vertical
     bc_bottom: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
     bc_top: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
     bc_xmin: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
@@ -157,6 +157,11 @@ class ExperimentConfig:
     @property
     def sasaki_mode(self) -> bool:
         return len(self.s_entries) == 9
+
+    @property
+    def base_updraft(self) -> float:
+        """The updraft w_b the line search starts from: ``w_b`` for a vertical base, else 0."""
+        return self.w_b if self.base == "vertical" and not self.sasaki_mode else 0.0
 
     def weight_matrix(self) -> np.ndarray:
         dim = 3 if self.sasaki_mode else 2

@@ -27,7 +27,7 @@ __all__ = [
     "Quadrature",
     "observe",
     "inject",
-    "zero3",
+    "updraft",
     "add_scaled",
     "subtract",
     "validate_weights",
@@ -102,9 +102,16 @@ def inject(data: Field2) -> Field3:
     return Field3(fn=fn, div=data.hdiv, hdiv=data.hdiv)
 
 
-def zero3() -> Field3:
+def updraft(w_b: float = 0.0) -> Field3:
+    """The constant field (0, 0, w_b); the zero field by default."""
+
+    def fn(pts):
+        out = np.zeros((len(pts), 3))
+        out[:, 2] = w_b
+        return out
+
     zero = lambda pts: np.zeros(len(pts))
-    return Field3(fn=lambda pts: np.zeros((len(pts), 3)), div=zero, hdiv=zero)
+    return Field3(fn=fn, div=zero, hdiv=zero)
 
 
 def add_scaled(u: Field3, t: float, p: Field3) -> Field3:

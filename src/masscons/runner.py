@@ -42,7 +42,6 @@ import numpy as np
 
 from .adjust import (
     AdjustmentResult,
-    BaseFieldPolicy,
     FaceBcPolicy,
     Problem,
     _require_memory,
@@ -53,7 +52,7 @@ from .adjust import (
 from .collocation import _sci, dump_gram
 from .config import KEY_FIELDS, ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
-from .fields import ExampleCase, example_field, inject, midpoint_rule, zero3
+from .fields import ExampleCase, example_field, inject, midpoint_rule, updraft
 from .fields import divergence_fd  # noqa: F401  # unused; the benchmark's tracer patches this name
 from .geometry import Topography, grid_centers
 from .kernel import KernelParams
@@ -151,7 +150,7 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
             result = sasaki(inject(case.data), cfg.weight_matrix(), box, kernel, n, **shared)
         else:
             result = adjust(
-                case.data, box, kernel, n, base=BaseFieldPolicy(cfg.base, cfg.w_b),
+                case.data, box, kernel, n, w_b=cfg.base_updraft,
                 weights=cfg.weight_matrix(), formula=cfg.formula, iterations=cfg.iterations, **shared,
             )
     except (MassconsError, np.linalg.LinAlgError) as exc:
@@ -470,18 +469,16 @@ def dump_gram_for_config(
 ) -> list[str]:
     """Assemble and factorize the multiplier system per grid size; dump G, b, sigma.
 
-    The system is the first pass of the row's line search: about a zero base
-    field in full-observation mode, else about the configured base field.
+    The system is the first pass of the row's line search, about the
+    configured updraft (zero in full-observation mode).
     """
     out = _prepare_out(cfg, out_override)
     case = example_field(cfg.example, eps=cfg.eps)
     box = cfg.box()
     topo = _hill_topography(cfg)
-    if cfg.sasaki_mode:
-        problem, u_c = Problem.full(inject(case.data), cfg.weight_matrix()), zero3()
-    else:
-        problem = Problem.horizontal(case.data, cfg.weight_matrix())
-        u_c = BaseFieldPolicy(cfg.base, cfg.w_b).build(case.data)
+    w = cfg.weight_matrix()
+    problem = Problem.full(inject(case.data), w) if cfg.sasaki_mode else Problem.horizontal(case.data, w)
+    u_c = updraft(cfg.base_updraft)
     paths = []
     for n in cfg.grid_sizes:
         nodes = grid_centers(box, n, topo=topo)

@@ -22,7 +22,6 @@ from masscons.adjust import (
     NO_FLOW_THROUGH,
     ORACLE_NEUMANN,
     CLOSED_FORM,
-    BaseFieldPolicy,
     FaceBcPolicy,
     Problem,
     adjust,
@@ -30,7 +29,7 @@ from masscons.adjust import (
     build_system,
 )
 from masscons.config import parse_config
-from masscons.fields import divergence_fd, example_field, face_rule, inject, midpoint_rule, zero3
+from masscons.fields import divergence_fd, example_field, face_rule, inject, midpoint_rule, updraft
 from masscons.geometry import grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi
 from masscons.runner import run_experiment, write_reference_comparison
@@ -116,7 +115,7 @@ def crit3_result(n=5):
     case = example_field("ex52")
     return adjust(
         case.data, case.domain, KernelParams(0.01), n,
-        base=BaseFieldPolicy.vertical(1.0),
+        w_b=1.0,
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=NO_FLOW_THROUGH),
         formula=MINIMIZER, exact=case.exact,
     )
@@ -141,7 +140,7 @@ def crit4_result():
     case = example_field("ex53", eps=0.1)
     return adjust(
         case.data, case.domain, KernelParams(0.5), 8,
-        base=BaseFieldPolicy.zero(), policy=FaceBcPolicy.uniform(ORACLE_NEUMANN),
+        policy=FaceBcPolicy.uniform(ORACLE_NEUMANN),
         formula=MINIMIZER, exact=case.exact,
     )
 
@@ -166,7 +165,7 @@ def _interior_pde_residual(cfg, n):
         bottom=cfg.bc_bottom, top=cfg.bc_top, xmin=cfg.bc_xmin,
         xmax=cfg.bc_xmax, ymin=cfg.bc_ymin, ymax=cfg.bc_ymax,
     )
-    u_c = BaseFieldPolicy(cfg.base, cfg.w_b).build(case.data)
+    u_c = updraft(cfg.base_updraft)
     problem = Problem.horizontal(case.data, cfg.weight_matrix())
     _, system, solution = build_system(
         problem, u_c, nodes, KernelParams(cfg.shape), cfg.box(), policy,

@@ -11,19 +11,19 @@ from masscons.adjust import (
     NO_FLOW_THROUGH,
     ORACLE_NEUMANN,
     CLOSED_FORM,
-    BaseFieldPolicy,
     FaceBcPolicy,
     Problem,
     adjust,
     adjust_full,
     boundary_data,
+    build_system,
     descent_direction,
     misfit,
     poisson_rhs,
     sasaki,
     step_length,
 )
-from masscons.collocation import MultiplierSolution, assemble, factorize_and_solve
+from masscons.collocation import MultiplierSolution, assemble, condition_number, factorize_and_solve
 from masscons.errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
 from masscons.fields import (
     Field2,
@@ -32,7 +32,7 @@ from masscons.fields import (
     example_field,
     inject,
     midpoint_rule,
-    zero3,
+    updraft,
 )
 from masscons.geometry import BoxDomain, FaceLabel, Topography, grid_centers
 from masscons.kernel import KernelParams
@@ -58,7 +58,7 @@ def test_misfit_vanishes_at_trivial_minimum():
 def test_misfit_zero_base():
     rng = np.random.default_rng(1)
     pts = rand_pts(rng, 200, EX51.domain)
-    m = misfit(zero3(), EX51.data, np.eye(2))
+    m = misfit(updraft(), EX51.data, np.eye(2))
     expected = np.column_stack([-pts[:, 0], -pts[:, 1], np.zeros(len(pts))])
     np.testing.assert_allclose(m(pts), expected, rtol=0, atol=1e-15)
 
@@ -73,15 +73,15 @@ def test_misfit_third_component_zero():
 
 def test_poisson_rhs_analytic_cases():
     rng = np.random.default_rng(3)
-    rhs51 = poisson_rhs(misfit(zero3(), EX51.data, np.eye(2)), EX51.domain)
+    rhs51 = poisson_rhs(misfit(updraft(), EX51.data, np.eye(2)), EX51.domain)
     pts = rand_pts(rng, 100, EX51.domain)
     np.testing.assert_array_equal(rhs51(pts), np.full(100, -2.0))
 
-    rhs52 = poisson_rhs(misfit(zero3(), EX52.data, np.eye(2)), EX52.domain)
+    rhs52 = poisson_rhs(misfit(updraft(), EX52.data, np.eye(2)), EX52.domain)
     pts2 = rand_pts(rng, 100, EX52.domain)
     np.testing.assert_array_equal(rhs52(pts2), np.zeros(100))
 
-    rhs53 = poisson_rhs(misfit(zero3(), EX53.data, np.eye(2)), EX53.domain)
+    rhs53 = poisson_rhs(misfit(updraft(), EX53.data, np.eye(2)), EX53.domain)
     pts3 = rand_pts(rng, 100, EX53.domain)
     np.testing.assert_allclose(rhs53(pts3), 0.1 * pts3[:, 2], rtol=0, atol=1e-15)
 
@@ -89,7 +89,7 @@ def test_poisson_rhs_analytic_cases():
 def test_poisson_rhs_fd_fallback():
     # a non-scalar weight matrix disables the analytic divergence path
     weights = np.array([[2.0, 0.0], [0.0, 1.0]])
-    m = misfit(zero3(), EX51.data, weights)
+    m = misfit(updraft(), EX51.data, weights)
     assert m.div is None
     rhs = poisson_rhs(m, EX51.domain)
     rng = np.random.default_rng(4)
@@ -100,7 +100,7 @@ def test_poisson_rhs_fd_fallback():
 
 def test_boundary_data_policies(caplog):
     nodes = grid_centers(EX51.domain, 3)
-    m = misfit(zero3(), EX51.data, np.eye(2))
+    m = misfit(updraft(), EX51.data, np.eye(2))
     policy = FaceBcPolicy(bottom=NO_FLOW_THROUGH)
     bcs = boundary_data(policy, m, nodes)
     from masscons.collocation import DirichletLambda, NeumannLambda
@@ -116,7 +116,7 @@ def test_boundary_data_policies(caplog):
 
     # vertical normal annihilates horizontal misfit on the top face
     nodes52 = grid_centers(EX52.domain, 3)
-    m52 = misfit(BaseFieldPolicy.vertical(1.0).build(EX52.data), EX52.data, np.eye(2))
+    m52 = misfit(updraft(1.0), EX52.data, np.eye(2))
     bcs52 = boundary_data(CRIT3_POLICY, m52, nodes52)
     for i in nodes52.boundary:
         if FaceLabel(nodes52.labels[i]) in (FaceLabel.TOP, FaceLabel.BOTTOM):
@@ -132,10 +132,10 @@ def test_boundary_data_policies(caplog):
     initial = inject(EX53.data)
     problem = Problem.full(initial, weights)
     nodes53 = grid_centers(EX53.domain, 3)
-    r = problem.residual(zero3())
+    r = problem.residual(updraft())
     bcs53 = boundary_data(
         FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN), r, nodes53,
-        exact=EX53.exact, base=zero3(), aniso=problem.aniso,
+        exact=EX53.exact, base=updraft(), aniso=problem.aniso,
     )
     pts = nodes53.points[nodes53.boundary]
     r_vals, oracle_vals = r(pts), EX53.exact(pts) - initial(pts)
@@ -151,7 +151,7 @@ def test_boundary_data_policies(caplog):
 
 def test_boundary_data_oracle_requires_exact():
     nodes = grid_centers(EX51.domain, 3)
-    m = misfit(zero3(), EX51.data, np.eye(2))
+    m = misfit(updraft(), EX51.data, np.eye(2))
     with pytest.raises(ContractError):
         boundary_data(FaceBcPolicy.uniform(ORACLE_NEUMANN), m, nodes)
 
@@ -172,7 +172,7 @@ def test_descent_direction_exact_config():
     # zero source and zero boundary data force beta = 0, so p is the injected data
     result = adjust(
         EX52.data, EX52.domain, KernelParams(0.01), 5,
-        base=BaseFieldPolicy.vertical(1.0), policy=CRIT3_POLICY, exact=EX52.exact,
+        w_b=1.0, policy=CRIT3_POLICY, exact=EX52.exact,
     )
     assert np.all(result.multiplier.coeffs == 0.0)
     rng = np.random.default_rng(6)
@@ -186,7 +186,7 @@ def test_descent_direction_recovers_linear_correction():
     # approaches the exact correction (x, y, -2z) in the flat regime.
     result = adjust(
         EX51.data, EX51.domain, KernelParams(0.05), 5,
-        base=BaseFieldPolicy.zero(), policy=FaceBcPolicy.uniform(ORACLE_NEUMANN),
+        policy=FaceBcPolicy.uniform(ORACLE_NEUMANN),
         exact=EX51.exact,
     )
     rng = np.random.default_rng(7)
@@ -199,7 +199,7 @@ def test_descent_direction_recovers_linear_correction():
 
 def test_step_length_formulas_agree_when_multiplier_vanishes():
     quad = midpoint_rule(EX52.domain, 12)
-    u_c = BaseFieldPolicy.vertical(1.0).build(EX52.data)
+    u_c = updraft(1.0)
     m = misfit(u_c, EX52.data, np.eye(2))
     solution = MultiplierSolution(
         coeffs=np.zeros(27), nodes=grid_centers(EX52.domain, 3), kernel=KernelParams(0.01),
@@ -217,7 +217,7 @@ def test_step_length_degenerate_direction():
     quad = midpoint_rule(EX51.domain, 8)
     vertical = Field3(fn=lambda p: np.column_stack([np.zeros((len(p), 2)), p[:, 2:3] + 1.0]))
     with pytest.raises(DegenerateDirectionError):
-        step_length(Problem.horizontal(EX51.data), vertical, zero3(), quad, MINIMIZER)
+        step_length(Problem.horizontal(EX51.data), vertical, updraft(), quad, MINIMIZER)
 
 
 @pytest.mark.parametrize("formula", [MINIMIZER, CLOSED_FORM])
@@ -227,14 +227,14 @@ def test_step_length_matches_full_observation_line_search(formula):
     result = adjust_full(
         inject(EX51.data), weights, EX51.domain, KernelParams(0.5), 4, quad=quad, formula=formula,
     )
-    t = step_length(Problem.full(inject(EX51.data), weights), result.p, zero3(), quad, formula)
+    t = step_length(Problem.full(inject(EX51.data), weights), result.p, updraft(), quad, formula)
     assert t == pytest.approx(result.t_c, rel=1e-12)
 
 
 def test_adjust_exact_recovery_ex52():
     result = adjust(
         EX52.data, EX52.domain, KernelParams(0.01), 5,
-        base=BaseFieldPolicy.vertical(1.0), policy=CRIT3_POLICY,
+        w_b=1.0, policy=CRIT3_POLICY,
         formula=MINIMIZER, exact=EX52.exact,
     )
     assert result.t_c == 1.0
@@ -242,19 +242,10 @@ def test_adjust_exact_recovery_ex52():
     assert result.metrics.j_after <= 1e-12
 
 
-def test_adjust_inject_base_is_degenerate():
-    with pytest.raises(DegenerateDirectionError):
-        adjust(
-            EX51.data, EX51.domain, KernelParams(0.5), 3,
-            base=BaseFieldPolicy.inject_data(), quad=midpoint_rule(EX51.domain, 8),
-        )
-
-
 def test_adjusted_field_is_base_plus_step():
     quad = midpoint_rule(EX51.domain, 8)
     result = adjust(
         EX51.data, EX51.domain, KernelParams(0.1), 4,
-        base=BaseFieldPolicy.zero(),
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
         quad=quad, exact=EX51.exact,
     )
@@ -267,7 +258,7 @@ def test_adjusted_field_is_base_plus_step():
 
     lifted = adjust(
         EX51.data, EX51.domain, KernelParams(0.1), 4,
-        base=BaseFieldPolicy.vertical(2.5),
+        w_b=2.5,
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
         quad=quad, exact=EX51.exact,
     )
@@ -281,7 +272,6 @@ def test_objective_descent_strict():
     quad = midpoint_rule(EX53.domain, 8)
     result = adjust(
         EX53.data, EX53.domain, KernelParams(0.01), 4,
-        base=BaseFieldPolicy.zero(),
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
         quad=quad, formula=MINIMIZER, exact=EX53.exact,
     )
@@ -293,7 +283,6 @@ def test_direction_divergence_free_at_collocation_nodes():
     quad = midpoint_rule(EX53.domain, 8)
     result = adjust(
         EX53.data, EX53.domain, KernelParams(0.05), 5,
-        base=BaseFieldPolicy.zero(),
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
         quad=quad, exact=EX53.exact,
     )
@@ -311,33 +300,38 @@ def test_iterations_keep_descending():
     quad = midpoint_rule(EX53.domain, 8)
     one = adjust(
         EX53.data, EX53.domain, KernelParams(0.05), 4,
-        base=BaseFieldPolicy.zero(), policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
+        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
         quad=quad, iterations=1,
     )
     two = adjust(
         EX53.data, EX53.domain, KernelParams(0.05), 4,
-        base=BaseFieldPolicy.zero(), policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
+        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
         quad=quad, iterations=2,
     )
     assert two.metrics.j_after <= one.metrics.j_after + 1e-12
 
 
 def test_sasaki_identity_weights_match_full_adjust_bitwise():
+    # sasaki is adjust_full at its defaults: one pass from the zero field with
+    # the unit closed-form step. With identity weights that pass is the
+    # isotropic system build_system solves about the zero field, bit for bit.
+    assert sasaki is adjust_full
     cube = BoxDomain(-2, 2, -2, 2, -2, 2)
     quad = midpoint_rule(cube, 8)
     initial = inject(EX51.data)
     kp = KernelParams(0.5)
     a = sasaki(initial, np.eye(3), cube, kp, 4, quad=quad, exact=EX51.exact)
-    b = adjust_full(
-        initial, np.eye(3), cube, kp, 4, base_field=zero3(),
-        formula=CLOSED_FORM, quad=quad, exact=EX51.exact,
+    r, system, solution = build_system(
+        Problem.full(initial, np.eye(3)), updraft(), grid_centers(cube, 4), kp, cube,
+        FaceBcPolicy.uniform(FLOW_THROUGH),
     )
-    assert a.t_c == 1.0 and b.t_c == 1.0
-    assert np.array_equal(a.multiplier.coeffs, b.multiplier.coeffs)
+    assert a.t_c == 1.0 and a.gram.aniso is None
+    assert np.array_equal(a.gram.matrix, system.matrix)
+    assert np.array_equal(a.multiplier.coeffs, solution.coeffs)
     rng = np.random.default_rng(9)
     pts = rand_pts(rng, 50, cube)
-    assert np.array_equal(a.u_plus(pts), b.u_plus(pts))
-    assert a.metrics.kappa == b.metrics.kappa
+    assert np.array_equal(a.u_plus(pts), descent_direction(r, solution)(pts))
+    assert a.metrics.kappa == condition_number(system)
 
 
 def test_sasaki_divergence_free_initial_field_is_kept():
@@ -386,8 +380,6 @@ def test_adjust_full_anisotropic_weights():
 def test_face_policy_validation():
     with pytest.raises(ContractError):
         FaceBcPolicy(bottom="sealed")
-    with pytest.raises(ContractError):
-        BaseFieldPolicy(kind="nothing")
 
 
 @pytest.mark.parametrize(
@@ -414,7 +406,7 @@ def _sealed_vertical_base(formula):
     # presumes a vanishing boundary term, which these faces do not give.
     return adjust(
         EX51.data, EX51.domain, KernelParams(0.1), 3,
-        base=BaseFieldPolicy.vertical(2.0),
+        w_b=2.0,
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, xmax=NO_FLOW_THROUGH),
         formula=formula, quad=midpoint_rule(EX51.domain, 12),
     )
@@ -518,7 +510,7 @@ def test_non_scalar_weight_takes_fd_divergence_fallback():
 
 def _nan_on_ground(pts):
     # finite at every quadrature node; NaN on the z = 0 face, where the
-    # sealed ground reads the misfit flux, so only the solve sees it
+    # sealed ground reads the misfit flux, so only the system's right-hand side sees it
     vals = pts[:, :2].copy()
     vals[pts[:, 2] == 0.0] = np.nan
     return vals
@@ -535,7 +527,7 @@ _CONST_INF = Field2(fn=lambda p: np.full((len(p), 2), np.inf))
         (
             lambda quad: adjust(
                 EX51.data, EX51.domain, KernelParams(0.1), 3,
-                base=BaseFieldPolicy.vertical(float("nan")), quad=quad,
+                w_b=float("nan"), quad=quad,
             ),
             "base field values",
         ),
@@ -548,10 +540,10 @@ _CONST_INF = Field2(fn=lambda p: np.full((len(p), 2), np.inf))
                 Field2(fn=_nan_on_ground), EX51.domain, KernelParams(0.1), 3,
                 policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad,
             ),
-            "step length",
+            "right-hand side",
         ),
     ],
-    ids=["nan-data", "nan-base", "inf-initial", "nan-step"],
+    ids=["nan-data", "nan-base", "inf-initial", "nan-rhs"],
 )
 def test_non_finite_input_raises_domain_error(run, match):
     with pytest.raises(DomainError, match=match):

@@ -17,7 +17,7 @@ from masscons.collocation import (
 )
 from masscons.config import ExperimentConfig
 from masscons.errors import ConfigurationError, ContractError, SingularSystemError
-from masscons.fields import example_field, zero3
+from masscons.fields import example_field, updraft
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
 
@@ -68,7 +68,7 @@ def test_identity_anisotropy_reproduces_isotropic_rows():
     # Identity weights never reach the anisotropic operator: Problem.aniso is
     # None for them. Passed explicitly, the identity's closed-form rows are
     # the Laplacian rows up to roundoff.
-    assert Problem.full(zero3(), np.eye(3)).aniso is None
+    assert Problem.full(updraft(), np.eye(3)).aniso is None
     nodes = grid_centers(CUBE, 4)
     iso = assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F)
     aniso = assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F, aniso=np.eye(3))

@@ -2,7 +2,7 @@ import importlib
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,6 +25,7 @@ from masscons.runner import (
 )
 
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -179,6 +180,16 @@ def test_echo_literal_text(tmp_path):
 
 
 @st.composite
+def spd_weights(draw, dim):
+    """An ``s`` line: a dim x dim weight matrix, symmetric and diagonally dominant, so SPD."""
+    off = draw(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))
+    s = np.diag(draw(st.lists(st.floats(1.0, 3.0), min_size=dim, max_size=dim)))
+    s[np.triu_indices(dim, 1)] = off[: dim * (dim - 1) // 2]
+    s = np.triu(s) + np.triu(s, 1).T
+    return "s = " + ",".join(repr(float(v)) for v in s.ravel())
+
+
+@st.composite
 def config_texts(draw):
     """Config files over every example, with and without a domain and the hill keys."""
     example = draw(st.sampled_from(["ex51", "ex52", "ex53"]))
@@ -199,12 +210,7 @@ def config_texts(draw):
     if draw(st.booleans()):
         lines.append(f"hill_width = {draw(positive)!r}")
     dim = draw(st.sampled_from([2, 3]))
-    off = draw(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))
-    diag = draw(st.lists(st.floats(1.0, 3.0), min_size=dim, max_size=dim))
-    s = np.diag(diag)
-    s[np.triu_indices(dim, 1)] = off[: dim * (dim - 1) // 2]
-    s = np.triu(s) + np.triu(s, 1).T  # symmetric and diagonally dominant, so SPD
-    lines.append("s = " + ",".join(repr(float(v)) for v in s.ravel()))
+    lines.append(draw(spd_weights(dim)))
     if dim == 2 and draw(st.booleans()):
         lines += ["base = vertical", f"w_b = {draw(positive)!r}", "formula = closed-form", "iterations = 2"]
     if draw(st.booleans()):
@@ -276,8 +282,6 @@ def test_run_experiment_artifacts(tmp_path):
     assert (out / "field_N3.csv").exists()
     assert (out / "field_N4.csv").exists()
 
-    from dataclasses import replace
-
     echoed = parse_config(out / "config.echo")
     assert echoed == replace(cfg, out=str(out))
 
@@ -300,25 +304,32 @@ TYPED_ERRORS = {cls.__name__ for cls in MassconsError.__subclasses__()} | {"LinA
 
 
 @st.composite
-def small_horizontal_configs(draw):
-    """One-row horizontal-mode configs: ex51 or ex53, n = 3, quad 4, SPD 2x2 s, open or sealed faces.
+def small_configs(draw):
+    """One-row configs: ex51 or ex53, n = 3, quad 4, open or sealed faces, flat or hill terrain.
 
-    ``oracle-neumann`` faces are left out: with a zero base field the
-    starting objective is not that of a feasible field, so such a row may
-    fail the descent check by design.
+    ``s`` is an SPD 2x2 (horizontal data) or 3x3 (full observation). A
+    horizontal config draws its base (zero, or vertical with a drawn w_b)
+    and one or two passes. ``oracle-neumann`` faces are left out: with a zero
+    base field the starting objective is not that of a feasible field, so
+    such a row may fail the descent check by design.
     """
-    off = draw(st.floats(-0.3, 0.3))
-    diag = draw(st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2))
+    dim = draw(st.sampled_from([2, 3]))
     lines = [
         f"example = {draw(st.sampled_from(['ex51', 'ex53']))}", "n = 3", "quad = 4",
-        f"c = {draw(st.floats(0.01, 1.0))!r}", f"s = {diag[0]!r},{off!r},{off!r},{diag[1]!r}",
+        f"c = {draw(st.floats(0.01, 1.0))!r}", draw(spd_weights(dim)),
     ]
     lines += [f"bc_{face} = {draw(st.sampled_from(['flow-through', 'no-flow-through']))}" for face in FACES]
+    if draw(st.booleans()):
+        lines.append("topography = hill")
+    if dim == 2:
+        if draw(st.booleans()):
+            lines += ["base = vertical", f"w_b = {draw(st.floats(-3.0, 3.0))!r}"]
+        lines.append(f"iterations = {draw(st.sampled_from([1, 2]))}")
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(text=small_horizontal_configs())
+@given(text=small_configs())
 def test_runs_are_deterministic_and_descend(tmp_path_factory, text):
     folder = tmp_path_factory.mktemp("run")
     cfg = parse_config(write_cfg(folder, text))
@@ -352,32 +363,47 @@ def test_threads_do_not_change_output(tmp_path):
     assert (tmp_path / "sw1" / "sweep.csv").read_bytes() == (tmp_path / "sw2" / "sweep.csv").read_bytes()
 
 
+# A constant updraft under a sealed bottom and xmax: the closed-form step
+# presumes a vanishing boundary term, which these faces do not give, so it ascends.
+ASCENDING = (
+    "example = ex51\nc = 0.1\nbase = vertical\nw_b = 2.0\n"
+    "bc_bottom = no-flow-through\nbc_xmax = no-flow-through\nquad = 12\n"
+)
+
+
 def test_failed_rows_are_recorded(tmp_path):
-    text = (
-        "example = ex51\nn = 3,4\nc = 0.1\nbase = inject\nquad = 6\n"
-        f"out = {tmp_path / 'fail'}\n"
-    )
+    text = ASCENDING + f"n = 3,4\nformula = closed-form\nout = {tmp_path / 'fail'}\n"
     cfg = parse_config(write_cfg(tmp_path, text))
     rows = run_experiment(cfg)
-    assert all("DegenerateDirectionError" in row.error for row in rows)
+    assert all(row.error.startswith("NonDescentError") for row in rows)
     table = (tmp_path / "fail" / "table.csv").read_text().splitlines()
     assert len(table) == 3
-    assert "DegenerateDirectionError" in table[1]
+    assert "NonDescentError" in table[1]
     assert all(row.rank is None for row in rows)
     assert table[1].split(",")[TABLE_COLUMNS.index("rank")] == "nan"
 
 
 def test_ascending_row_fails_with_exit_code_3(tmp_path):
-    text = (
-        "example = ex51\nn = 3\nc = 0.1\nbase = vertical\nw_b = 2.0\n"
-        "bc_bottom = no-flow-through\nbc_xmax = no-flow-through\nquad = 12\n"
-    )
+    text = ASCENDING + "n = 3\n"
     closed = write_cfg(tmp_path, text + f"formula = closed-form\nout = {tmp_path / 'cf'}\n", name="cf.cfg")
     assert main(["run", str(closed)]) == 3
     row = (tmp_path / "cf" / "table.csv").read_text().splitlines()[1]
     assert row.split(",")[-1].startswith("NonDescentError: the line search raised the objective")
     minimizer = write_cfg(tmp_path, text + f"formula = minimizer\nout = {tmp_path / 'mn'}\n", name="mn.cfg")
     assert main(["run", str(minimizer)]) == 0
+
+
+def test_passes_end_at_zero_misfit(tmp_path):
+    # ex52's first pass recovers the field exactly (J = 0), so a second pass
+    # would have no direction; further passes end early and change no byte
+    cfg = parse_config(CONFIG_DIR / "ex52.cfg")
+    names = ["table.csv"] + [f"field_N{n}.csv" for n in cfg.grid_sizes]
+    for k in (1, 2, 3):
+        rows = run_experiment(replace(cfg, iterations=k), out_override=str(tmp_path / f"it{k}"))
+        assert all(row.error == "" and row.j_after == 0.0 for row in rows)
+    for k in (2, 3):
+        for name in names:
+            assert (tmp_path / f"it{k}" / name).read_bytes() == (tmp_path / "it1" / name).read_bytes()
 
 
 def test_grid_too_large_for_memory_fails_the_row(tmp_path, monkeypatch):
@@ -412,6 +438,9 @@ def test_non_finite_data_fails_the_row(tmp_path):
     assert rows[0].error.startswith("DomainError: data values")
     assert not (tmp_path / "inf" / "field_N3.csv").exists()
     assert main(["run", str(path)]) == 3
+    # dump-gram has no quadrature nodes: the system's right-hand side holds the inf
+    assert main(["dump-gram", str(path), "--out", str(tmp_path / "dg")]) == 3
+    assert not (tmp_path / "dg" / "gram_N27.txt").exists()
 
 
 def test_field_div_column_reproduces_table_stats(tmp_path):
@@ -687,7 +716,7 @@ def test_sweep_shape_kappa_monotone(tmp_path):
 
     # independent conditioning oracle per swept value
     from masscons.adjust import FaceBcPolicy, NO_FLOW_THROUGH, Problem, build_system
-    from masscons.fields import zero3
+    from masscons.fields import updraft
     from masscons.geometry import grid_centers
     from masscons.kernel import KernelParams
 
@@ -696,7 +725,7 @@ def test_sweep_shape_kappa_monotone(tmp_path):
     problem = Problem.horizontal(case.data)
     for value, row in zip(values, rows):
         _, system, _ = build_system(
-            problem, zero3(), nodes, KernelParams(value), case.domain, FaceBcPolicy(bottom=NO_FLOW_THROUGH)
+            problem, updraft(), nodes, KernelParams(value), case.domain, FaceBcPolicy(bottom=NO_FLOW_THROUGH)
         )
         assert condition_number(system) == pytest.approx(row.kappa, rel=1e-10)
 
@@ -777,11 +806,15 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == 2
 
     failing = write_cfg(
-        tmp_path,
-        f"example = ex51\nn = 3\nc = 0.1\nbase = inject\nquad = 6\nout = {tmp_path / 'clif'}\n",
-        name="failing.cfg",
+        tmp_path, ASCENDING + f"n = 3\nformula = closed-form\nout = {tmp_path / 'clif'}\n", name="failing.cfg"
     )
     assert main(["run", str(failing)]) == 3
+
+    # the injected base kinds are gone: the data itself is not a starting field
+    removed = write_cfg(tmp_path, "example = ex51\nn = 3\nc = 0.1\nbase = inject\n", name="inject.cfg")
+    with pytest.raises(ConfigurationError, match=r"line 4: base: expected one of \('zero', 'vertical'\)"):
+        parse_config(removed)
+    assert main(["run", str(removed)]) == 2
 
 
 def test_cli_dump_gram(tmp_path):

@@ -13,9 +13,9 @@ from masscons.fields import (
     midpoint_rule,
     objective,
     observe,
+    updraft,
     validate_weights,
     weighted_ip,
-    zero3,
 )
 from masscons.geometry import BoxDomain
 
@@ -46,6 +46,13 @@ def test_inject_pads_zero():
     np.testing.assert_array_equal(vals[:, :2], pts[:, :2])
     assert np.all(vals[:, 2] == 0.0)
     assert np.all(inject(Field2(fn=lambda p: np.zeros((len(p), 2))))(pts) == 0.0)
+
+
+def test_updraft_is_constant_and_divergence_free():
+    pts = rand_pts(np.random.default_rng(3), 50)
+    np.testing.assert_array_equal(updraft(2.5)(pts), np.broadcast_to([0.0, 0.0, 2.5], (50, 3)))
+    assert np.all(updraft()(pts) == 0.0)
+    assert np.all(updraft(2.5).divergence(pts) == 0.0) and np.all(updraft(2.5).hdiv(pts) == 0.0)
 
 
 def test_observe_inject_roundtrip():
@@ -90,7 +97,7 @@ def test_weighted_ip_symmetric():
 def test_weighted_ip_arity_mismatch():
     q = midpoint_rule(UNIT, 4)
     with pytest.raises(ContractError):
-        weighted_ip(XY, zero3(), np.eye(2), q)
+        weighted_ip(XY, updraft(), np.eye(2), q)
     with pytest.raises(ContractError):
         weighted_ip(XY, XY, np.eye(3), q)
 
@@ -121,9 +128,9 @@ def test_objective_zero_at_trivial_minimum():
 def test_objective_value_and_scaling():
     case = example_field("ex51")
     q = midpoint_rule(BOX, 64)
-    j = objective(zero3(), case.data, np.eye(2), q)
+    j = objective(updraft(), case.data, np.eye(2), q)
     assert j == pytest.approx(128.0 / 3.0, rel=5e-4)
-    assert objective(zero3(), case.data, 3.0 * np.eye(2), q) == pytest.approx(3.0 * j, rel=1e-14)
+    assert objective(updraft(), case.data, 3.0 * np.eye(2), q) == pytest.approx(3.0 * j, rel=1e-14)
 
 
 def test_quadrature_weights_sum_to_volume():

@@ -34,10 +34,8 @@ from .adjust import (
     step_length,
 )
 from .collocation import (
-    DirichletLambda,
     GramSystem,
     MultiplierSolution,
-    NeumannLambda,
     assemble,
     condition_number,
     dump_gram,

@@ -36,7 +36,8 @@ kernel sums. Only when the residual has no analytic divergence (a non-scalar
 2x2 S) do they fall back to the central-difference oracle
 :func:`~masscons.fields.divergence_fd`.
 
-Face policies map each face to one of:
+Face policies map each face to one of the kinds below; :func:`boundary_data`
+turns them into a Neumann mask, values and conormals per boundary node:
 
   flow-through     mass crosses the face; the multiplier is pinned to zero,
   no-flow-through  sealed face (terrain): the direction's normal component
@@ -56,10 +57,8 @@ from typing import Callable
 import numpy as np
 
 from .collocation import (
-    DirichletLambda,
     GramSystem,
     MultiplierSolution,
-    NeumannLambda,
     assemble,
     condition_number,
     factorize_and_solve,
@@ -146,8 +145,9 @@ class FaceBcPolicy:
     def items(self):
         return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
-    def for_label(self, label: FaceLabel) -> str:
-        return getattr(self, label.name.lower())
+    def faces(self, *kinds: str) -> list[FaceLabel]:
+        """The labels of the faces whose policy is one of ``kinds``."""
+        return [FaceLabel[face.upper()] for face, kind in self.items() if kind in kinds]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +209,6 @@ class AdjustmentResult:
     p: Field3
     u_plus: Field3
     multiplier: MultiplierSolution
-    gram: GramSystem
     metrics: Metrics
     node_values: np.ndarray
     node_div: np.ndarray
@@ -258,42 +257,42 @@ def boundary_data(
     exact: Field3 | None = None,
     base: Field3 | None = None,
     aniso: np.ndarray | None = None,
-) -> dict[int, DirichletLambda | NeumannLambda]:
-    """Per-node boundary conditions realizing the face policies.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary rows realizing the face policies, aligned with ``nodes.boundary``.
 
-    flow-through pins lambda to zero. no-flow-through prescribes
-    (A grad lambda) . nu = r . nu, collocated as grad lambda . (A nu) with
-    A = ``aniso`` (the identity when None), so the direction's normal
-    component vanishes. oracle-neumann prescribes the flux
+    Returns the Neumann mask, the values and the conormals that
+    :func:`~masscons.collocation.assemble` takes. flow-through pins lambda to
+    zero. no-flow-through prescribes (A grad lambda) . nu = r . nu, collocated
+    as grad lambda . (A nu) with A = ``aniso`` (the identity when None), so the
+    direction's normal component vanishes. oracle-neumann prescribes the flux
     (exact - u_c + r) . nu, which turns the direction into the exact
-    correction; ``base`` is u_c (zero when None).
+    correction; ``base`` is u_c (zero when None). The conormal is nu, or A nu,
+    on every row.
     """
     idx = nodes.boundary
     pts = nodes.points[idx]
     normals = nodes.normals[idx]
-    r_vals = residual_field(pts)
+    neumann = np.isin(nodes.labels[idx], policy.faces(NO_FLOW_THROUGH, ORACLE_NEUMANN))
+    oracle = np.isin(nodes.labels[idx], policy.faces(ORACLE_NEUMANN))
 
-    kinds = [policy.for_label(FaceLabel(nodes.labels[i])) for i in idx]
-    if any(k == ORACLE_NEUMANN for k in kinds):
+    flux = residual_field(pts)
+    if oracle.any():
         if exact is None:
             raise ContractError("oracle-neumann boundary data requires the exact field")
-        oracle_vals = exact(pts) - (base if base is not None else updraft())(pts) + r_vals
+        oracle_vals = exact(pts) - (base if base is not None else updraft())(pts) + flux
+        flux = np.where(oracle[:, None], oracle_vals, flux)
 
-    out: dict[int, DirichletLambda | NeumannLambda] = {}
-    for row, (i, kind) in enumerate(zip(idx, kinds)):
-        if kind == FLOW_THROUGH:
-            out[int(i)] = DirichletLambda(0.0)
-            continue
-        conormal = normals[row] if aniso is None else aniso @ normals[row]
-        flux_vals = r_vals if kind == NO_FLOW_THROUGH else oracle_vals
-        out[int(i)] = NeumannLambda(float(flux_vals[row] @ normals[row]), conormal)
+    # Batched matmul gives each row the bits of its own 3-vector product.
+    values = np.zeros(len(idx))
+    values[neumann] = np.matmul(flux[neumann][:, None, :], normals[neumann][:, :, None])[:, 0, 0]
+    conormals = normals if aniso is None else np.matmul(aniso, normals[:, :, None])[:, :, 0]
 
-    if out and all(isinstance(bc, NeumannLambda) for bc in out.values()):
+    if len(idx) and neumann.all():
         log.warning(
             "all boundary conditions are Neumann: the system is rank deficient up to a "
             "constant; the truncated solve returns the minimal-norm multiplier"
         )
-    return out
+    return neumann, values, conormals
 
 
 def _physical_memory() -> int | None:
@@ -339,8 +338,8 @@ def build_system(
     _require_memory(len(nodes.points))
     residual_field = problem.residual(u_c)
     aniso = problem.aniso
-    bcs = boundary_data(policy, residual_field, nodes, exact=exact, base=u_c, aniso=aniso)
-    system = assemble(nodes, kernel, bcs, poisson_rhs(residual_field, box), aniso=aniso)
+    rows = boundary_data(policy, residual_field, nodes, exact=exact, base=u_c, aniso=aniso)
+    system = assemble(nodes, kernel, *rows, poisson_rhs(residual_field, box), aniso=aniso)
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
     return residual_field, system, factorize_and_solve(system, trunc_tol=trunc_tol)
@@ -511,10 +510,9 @@ def _line_search(
         residual=solution.residual,
         residual_norm=solution.residual_norm,
     )
-    oracle = any(kind == ORACLE_NEUMANN for _, kind in policy.items())
     return AdjustmentResult(
-        t_c=t, p=p, u_plus=u_c, multiplier=solution, gram=system, metrics=metrics,
-        node_values=vals_uc, node_div=div, oracle_bc=oracle,
+        t_c=t, p=p, u_plus=u_c, multiplier=solution, metrics=metrics,
+        node_values=vals_uc, node_div=div, oracle_bc=bool(policy.faces(ORACLE_NEUMANN)),
     )
 
 

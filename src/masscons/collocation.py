@@ -9,6 +9,9 @@ boundary operator at boundary nodes:
     row i = phi_j(x_i)                  Dirichlet node
     row i = grad phi_j(x_i) . nu_i      Neumann node (nu may be a conormal A nu)
 
+The boundary rows come as arrays aligned with ``nodes.boundary``: a Neumann
+mask, the prescribed values, and the normals or conormals the Neumann rows use.
+
 Each row kind is built in blocks of at most _BLOCK_ELEMENTS // N target rows,
 so every kernel array (at most the (rows, N, 3) gradient block, 1.5 MiB)
 has a fixed byte size whatever N is; only the N x N matrix grows with N.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -40,8 +43,6 @@ from .geometry import FaceLabel, NodeSet, as_points
 from .kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
 
 __all__ = [
-    "DirichletLambda",
-    "NeumannLambda",
     "GramSystem",
     "MultiplierSolution",
     "assemble",
@@ -60,26 +61,6 @@ ROW_INTERIOR = "interior-laplacian"
 ROW_ANISO = "anisotropic-laplacian"
 ROW_DIRICHLET = "dirichlet"
 ROW_NEUMANN = "neumann"
-
-
-@dataclass(frozen=True)
-class DirichletLambda:
-    """Pin the multiplier to ``value`` at a boundary node."""
-
-    value: float
-
-
-@dataclass(frozen=True, eq=False)
-class NeumannLambda:
-    """Prescribe grad(lambda) . direction = flux at a boundary node.
-
-    ``direction`` is the outward unit normal for the plain Laplacian; for the
-    anisotropic operator div(A grad lambda) it is the conormal A nu and need
-    not be unit length.
-    """
-
-    flux: float
-    direction: np.ndarray
 
 
 @dataclass
@@ -107,32 +88,35 @@ def _row_blocks(m: int, n: int):
 def assemble(
     nodes: NodeSet,
     kernel: KernelParams,
-    bcs: Mapping[int, DirichletLambda | NeumannLambda],
+    neumann: np.ndarray,
+    values: np.ndarray,
+    conormals: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
     aniso: np.ndarray | None = None,
 ) -> GramSystem:
     """Build the N x N collocation matrix and right-hand side.
 
-    ``bcs`` must cover exactly the boundary node indices. ``f`` is the
+    ``neumann`` (bool), ``values`` and ``conormals`` (m, 3) hold one row per
+    node of ``nodes.boundary``: a Dirichlet row pins lambda to its value and a
+    Neumann row prescribes grad lambda . conormal = value. ``f`` is the
     interior source evaluated at the interior nodes. ``aniso`` switches the
     interior operator to A : hess, in the closed form of :func:`lap_phi`.
     The kernels are called on row blocks of at most _BLOCK_ELEMENTS // N rows.
     """
     pts = nodes.points
     n = len(pts)
-    boundary = set(int(i) for i in nodes.boundary)
-    given = set(int(i) for i in bcs)
-    if given != boundary:
-        missing = sorted(boundary - given)[:5]
-        extra = sorted(given - boundary)[:5]
+    boundary = nodes.boundary
+    m = len(boundary)
+    if np.shape(neumann) != (m,) or np.shape(values) != (m,) or np.shape(conormals) != (m, 3):
         raise ContractError(
-            f"boundary conditions must cover exactly the boundary nodes "
-            f"(missing {missing}, extra {extra})"
+            f"boundary data must hold one row per boundary node ({m}): neumann "
+            f"{np.shape(neumann)}, values {np.shape(values)}, conormals {np.shape(conormals)}"
         )
+    neumann = np.asarray(neumann, dtype=bool)
 
     matrix = np.empty((n, n))
     rhs = np.empty(n)
-    kinds: list[str] = [""] * n
+    kinds = np.full(n, ROW_INTERIOR if aniso is None else ROW_ANISO, dtype=object)
     centers = pts[None, :, :]
 
     interior = nodes.interior
@@ -141,29 +125,22 @@ def assemble(
         x = pts[idx][:, None, :]
         matrix[idx] = lap_phi(x, centers, kernel, aniso)
     rhs[interior] = np.asarray(f(pts[interior]), dtype=float)
-    kind_interior = ROW_INTERIOR if aniso is None else ROW_ANISO
-    for i in interior:
-        kinds[i] = kind_interior
+    rhs[boundary] = values
 
-    dir_idx = np.array(sorted(i for i, bc in bcs.items() if isinstance(bc, DirichletLambda)), dtype=int)
-    neu_idx = np.array(sorted(i for i, bc in bcs.items() if isinstance(bc, NeumannLambda)), dtype=int)
-
+    dir_idx = boundary[~neumann]
     for block in _row_blocks(len(dir_idx), n):
         idx = dir_idx[block]
         d = pts[idx][:, None, :] - centers
         matrix[idx] = phi_sq(np.sum(d * d, axis=-1), kernel)
-    rhs[dir_idx] = [bcs[int(i)].value for i in dir_idx]
-    for i in dir_idx:
-        kinds[i] = ROW_DIRICHLET
+    kinds[dir_idx] = ROW_DIRICHLET
 
-    dirs = np.array([bcs[int(i)].direction for i in neu_idx], dtype=float).reshape(-1, 3)
+    neu_idx = boundary[neumann]
+    dirs = np.asarray(conormals, dtype=float)[neumann]
     for block in _row_blocks(len(neu_idx), n):
         idx = neu_idx[block]
         grads = grad_phi(pts[idx][:, None, :], centers, kernel)
         matrix[idx] = np.einsum("mnk,mk->mn", grads, dirs[block])
-    rhs[neu_idx] = [bcs[int(i)].flux for i in neu_idx]
-    for i in neu_idx:
-        kinds[i] = ROW_NEUMANN
+    kinds[neu_idx] = ROW_NEUMANN
 
     return GramSystem(
         matrix=matrix, rhs=rhs, row_kinds=tuple(kinds), nodes=nodes, kernel=kernel, aniso=aniso

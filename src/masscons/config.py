@@ -94,7 +94,7 @@ class ExperimentConfig:
     """
 
     example: str = _setting(kind=str)  # an id of fields.example_field
-    grid_sizes: tuple[int, ...] = _setting(kind=int, many=True, above=1)
+    grid_sizes: tuple[int, ...] = _setting(kind=int, many=True, above=2)
     shape: float = _setting(above=0.0)
     eps: float = _setting(0.1, above=0.0)
     domain: tuple[float, float, float, float, float, float] | None = _setting(None, many=True)

@@ -155,7 +155,7 @@ class NodeSet:
             )
         bnd = self.labels != FaceLabel.INTERIOR
         norms = np.linalg.norm(self.normals[bnd], axis=1)
-        if bnd.any() and np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise DomainError("boundary normals must be unit vectors")
         if (~bnd).any() and not np.all(np.isnan(self.normals[~bnd])):
             raise DomainError("interior nodes must not carry normals")
@@ -250,8 +250,8 @@ def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None
     inputs always produce identical node orderings. With a terrain bottom
     the vertical coordinate is stretched per column (see module docstring).
     """
-    if n_per_axis < 2:
-        raise ConfigurationError(f"n_per_axis must be at least 2, got {n_per_axis}")
+    if n_per_axis < 3:  # with 2 nodes per axis no node is interior, and div is never imposed
+        raise ConfigurationError(f"n_per_axis must be at least 3, got {n_per_axis}")
     n = int(n_per_axis)
     xs = np.linspace(box.xmin, box.xmax, n)
     ys = np.linspace(box.ymin, box.ymax, n)

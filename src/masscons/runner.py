@@ -21,10 +21,9 @@ a power of ten, formed as a double-double (Dekker's product against a
 double-double table of 10^k), rounded to an integer and spelled through a
 3-digit table. Zero, NaN, inf, magnitudes outside [1e-280, 1e280] and values
 whose rounding is too close to a tie to decide are formatted by Python's
-``%``, so the bytes are exactly those ``%`` writes. A finished row keeps only
-its table row and, in a run, its node values and divergence; its N x N
-collocation system is freed before the next row is assembled, so a run holds
-one system per row in flight.
+``%``, so the bytes are exactly those ``%`` writes. A result holds no N x N
+collocation system: each row's is freed once its line search ends, so a run
+holds one system per row in flight.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -172,13 +170,6 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
         **asdict(result.metrics),
     )
     return row, result
-
-
-def _node_fields(row: TableRow, result: AdjustmentResult | None):
-    """The row and what the field writer reads of its result, without the collocation system."""
-    if result is None:
-        return row, None
-    return row, SimpleNamespace(node_values=result.node_values, node_div=result.node_div)
 
 
 def _write_rows(path, rows: list[TableRow]) -> None:
@@ -346,12 +337,12 @@ def _format_chunk(values):
     return cells
 
 
-def _write_fields(paths, case: ExampleCase, results: list[SimpleNamespace], quad) -> None:
+def _write_fields(paths, case: ExampleCase, results: list[AdjustmentResult], quad) -> None:
     """u_plus, the exact field and div u_plus at the nodes, one file per result.
 
-    Each result has the ``node_values`` and ``node_div`` of an
-    :class:`AdjustmentResult`: the values the adjustment cached. The exact field is
-    evaluated once for all files, which are written together, block by block.
+    Each result's ``node_values`` and ``node_div`` are the values the adjustment
+    cached. The exact field is evaluated once for all files, which are written
+    together, block by block.
     """
     if not paths:
         return
@@ -414,7 +405,7 @@ def run_experiment(
     case = example_field(cfg.example, eps=cfg.eps)
     quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
 
-    jobs = [lambda n=n: _node_fields(*_run_one(cfg, case, n, quad)) for n in cfg.grid_sizes]
+    jobs = [lambda n=n: _run_one(cfg, case, n, quad) for n in cfg.grid_sizes]
     outcomes = _map_rows(jobs, threads, [n**3 for n in cfg.grid_sizes])
 
     rows = [row for row, _ in outcomes]

@@ -3,6 +3,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak
 from masscons.adjust import (
@@ -100,53 +103,82 @@ def test_poisson_rhs_fd_fallback():
 
 def test_boundary_data_policies(caplog):
     nodes = grid_centers(EX51.domain, 3)
+    boundary = nodes.boundary
+    labels = nodes.labels[boundary]
     m = misfit(updraft(), EX51.data, np.eye(2))
-    policy = FaceBcPolicy(bottom=NO_FLOW_THROUGH)
-    bcs = boundary_data(policy, m, nodes)
-    from masscons.collocation import DirichletLambda, NeumannLambda
-
-    for i in nodes.boundary:
-        label = FaceLabel(nodes.labels[i])
-        if label is FaceLabel.BOTTOM:
-            # flat ground annihilates the horizontal misfit: g = 0
-            assert isinstance(bcs[int(i)], NeumannLambda)
-            assert bcs[int(i)].flux == 0.0
-        else:
-            assert bcs[int(i)] == DirichletLambda(0.0)
+    neumann, values, conormals = boundary_data(FaceBcPolicy(bottom=NO_FLOW_THROUGH), m, nodes)
+    assert neumann.dtype == bool and values.shape == neumann.shape == (len(boundary),)
+    np.testing.assert_array_equal(neumann, labels == FaceLabel.BOTTOM)
+    # flat ground annihilates the horizontal misfit (g = 0); flow-through rows hold 0
+    assert np.all(values == 0.0)
+    np.testing.assert_array_equal(conormals, nodes.normals[boundary])
 
     # vertical normal annihilates horizontal misfit on the top face
     nodes52 = grid_centers(EX52.domain, 3)
     m52 = misfit(updraft(1.0), EX52.data, np.eye(2))
-    bcs52 = boundary_data(CRIT3_POLICY, m52, nodes52)
-    for i in nodes52.boundary:
-        if FaceLabel(nodes52.labels[i]) in (FaceLabel.TOP, FaceLabel.BOTTOM):
-            assert bcs52[int(i)].flux == 0.0
+    neumann52, values52, _ = boundary_data(CRIT3_POLICY, m52, nodes52)
+    sealed = np.isin(nodes52.labels[nodes52.boundary], (FaceLabel.TOP, FaceLabel.BOTTOM))
+    np.testing.assert_array_equal(neumann52, sealed)
+    assert np.all(values52 == 0.0)
 
     with caplog.at_level(logging.WARNING):
         boundary_data(FaceBcPolicy.uniform(NO_FLOW_THROUGH), m, nodes)
     assert any("Neumann" in record.message for record in caplog.records)
 
-    # full observation with 3x3 weights S: Neumann rows carry the conormal
+    # full observation with 3x3 weights S: every row carries the conormal
     # S^-1 nu, and oracle rows the flux (exact - initial) . nu about a zero base
     weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
     initial = inject(EX53.data)
     problem = Problem.full(initial, weights)
     nodes53 = grid_centers(EX53.domain, 3)
     r = problem.residual(updraft())
-    bcs53 = boundary_data(
+    neumann53, values53, conormals53 = boundary_data(
         FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN), r, nodes53,
         exact=EX53.exact, base=updraft(), aniso=problem.aniso,
     )
     pts = nodes53.points[nodes53.boundary]
+    normals = nodes53.normals[nodes53.boundary]
     r_vals, oracle_vals = r(pts), EX53.exact(pts) - initial(pts)
-    for row, i in enumerate(nodes53.boundary):
-        label, nu, bc = FaceLabel(nodes53.labels[i]), nodes53.normals[i], bcs53[int(i)]
+    np.testing.assert_allclose(conormals53, np.linalg.solve(weights, normals.T).T, rtol=1e-13)
+    for row, label in enumerate(nodes53.labels[nodes53.boundary]):
+        assert neumann53[row] == (label in (FaceLabel.BOTTOM, FaceLabel.TOP))
         if label in (FaceLabel.BOTTOM, FaceLabel.TOP):
-            np.testing.assert_allclose(bc.direction, np.linalg.solve(weights, nu), rtol=1e-13)
-            flux = r_vals[row] if label is FaceLabel.BOTTOM else oracle_vals[row]
-            assert bc.flux == float(flux @ nu)
+            flux = r_vals[row] if label == FaceLabel.BOTTOM else oracle_vals[row]
+            assert values53[row] == float(flux @ normals[row])
         else:
-            assert bc == DirichletLambda(0.0)
+            assert values53[row] == 0.0
+
+
+def test_boundary_data_matches_per_node_reference_bitwise():
+    # Hill terrain, anisotropic S and an oracle face: every Neumann value is
+    # the row's own r(x_i) @ nu_i and every conormal A @ nu_i, bit for bit.
+    box = EX53.domain
+    topo = _hill(box)
+    weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
+    problem = Problem.full(inject(EX53.data), weights)
+    nodes = grid_centers(box, 6, topo=topo)
+    base = updraft(0.3)
+    r = problem.residual(base)
+    policy = FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN, xmin=NO_FLOW_THROUGH)
+    neumann, values, conormals = boundary_data(
+        policy, r, nodes, exact=EX53.exact, base=base, aniso=problem.aniso
+    )
+    a = problem.aniso
+    pts = nodes.points[nodes.boundary]
+    r_vals = r(pts)
+    oracle_vals = EX53.exact(pts) - base(pts) + r_vals
+    for row, i in enumerate(nodes.boundary):
+        nu, kind = nodes.normals[i], getattr(policy, FaceLabel(nodes.labels[i]).name.lower())
+        assert conormals[row].tobytes() == (a @ nu).tobytes()
+        assert neumann[row] == (kind != FLOW_THROUGH)
+        if kind == FLOW_THROUGH:
+            assert values[row] == 0.0
+            continue
+        flux = r_vals if kind == NO_FLOW_THROUGH else oracle_vals
+        assert values[row].tobytes() == np.float64(float(flux[row] @ nu)).tobytes()
+    assert {FaceLabel(label) for label in nodes.labels[nodes.boundary][neumann]} == {
+        FaceLabel.BOTTOM, FaceLabel.TOP, FaceLabel.XMIN
+    }
 
 
 def test_boundary_data_oracle_requires_exact():
@@ -286,7 +318,7 @@ def test_direction_divergence_free_at_collocation_nodes():
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
         quad=quad, exact=EX53.exact,
     )
-    nodes = result.gram.nodes
+    nodes = result.multiplier.nodes
     interior = nodes.points[nodes.interior]
     # analytic route: div p = -rhs + lap lambda
     div_analytic = result.p.divergence(interior)
@@ -294,6 +326,43 @@ def test_direction_divergence_free_at_collocation_nodes():
     # independent oracle route
     div_fd = divergence_fd(result.p, interior, 1e-5 * EX53.domain.diameter())
     assert np.abs(div_fd).max() <= result.multiplier.residual_norm + 1e-6
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    example=st.sampled_from(["ex51", "ex53"]),
+    n=st.integers(3, 5),
+    c=st.floats(0.01, 1.0),
+    hill=st.booleans(),
+    scale=st.one_of(st.floats(0.1, 10.0), arrays(float, (3, 3), elements=st.floats(-1.0, 1.0))),
+    sealed=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed):
+    # The direction's divergence at the interior nodes, p . nu at the Neumann
+    # nodes and lambda at the Dirichlet nodes are the rows of G beta - b.
+    case = EX51 if example == "ex51" else EX53
+    box = case.domain
+    if np.ndim(scale) == 0:  # horizontal data under a scalar 2x2 S
+        problem = Problem.horizontal(case.data, scale * np.eye(2))
+    else:  # full observation under an SPD 3x3 S
+        problem = Problem.full(inject(case.data), scale @ scale.T + 0.5 * np.eye(3))
+    height, extent = box.zmax - box.zmin, min(box.xmax - box.xmin, box.ymax - box.ymin)
+    topo = _hill(box, 0.3 * height, 0.25 * extent) if hill else None
+    policy = FaceBcPolicy(*(NO_FLOW_THROUGH if s else FLOW_THROUGH for s in sealed))
+    nodes = grid_centers(box, n, topo=topo)
+    r, system, solution = build_system(problem, updraft(), nodes, KernelParams(c), box, policy)
+
+    pts = nodes.points
+    p = descent_direction(r, solution)
+    kinds = np.array(system.row_kinds)
+    dirichlet, neumann = kinds == "dirichlet", kinds == "neumann"
+    got = p.divergence(pts)
+    got[neumann] = np.sum(p(pts)[neumann] * nodes.normals[neumann], axis=1)
+    got[dirichlet] = solution.value(pts)[dirichlet]
+    rows = system.matrix @ solution.coeffs - system.rhs
+    bound = 1e-10 * (np.abs(system.matrix) @ np.abs(solution.coeffs) + np.abs(system.rhs))
+    assert np.all(np.abs(got - rows) <= bound)
+    assert np.array_equal(np.flatnonzero(~(dirichlet | neumann)), nodes.interior)
 
 
 def test_iterations_keep_descending():
@@ -325,8 +394,7 @@ def test_sasaki_identity_weights_match_full_adjust_bitwise():
         Problem.full(initial, np.eye(3)), updraft(), grid_centers(cube, 4), kp, cube,
         FaceBcPolicy.uniform(FLOW_THROUGH),
     )
-    assert a.t_c == 1.0 and a.gram.aniso is None
-    assert np.array_equal(a.gram.matrix, system.matrix)
+    assert a.t_c == 1.0 and a.multiplier.aniso is None
     assert np.array_equal(a.multiplier.coeffs, solution.coeffs)
     rng = np.random.default_rng(9)
     pts = rand_pts(rng, 50, cube)
@@ -355,7 +423,7 @@ def test_sasaki_projects_onto_divergence_free_field():
         quad=midpoint_rule(cube, 8), exact=EX51.exact,
     )
     assert result.t_c == 1.0
-    nodes = result.gram.nodes
+    nodes = result.multiplier.nodes
     interior = nodes.points[nodes.interior]
     div = divergence_fd(result.u_plus, interior, 1e-5 * cube.diameter())
     assert np.abs(div).mean() <= 1e-6
@@ -368,7 +436,8 @@ def test_adjust_full_anisotropic_weights():
         quad=midpoint_rule(EX51.domain, 8), formula=CLOSED_FORM, exact=EX51.exact,
     )
     assert result.t_c == 1.0
-    assert result.gram.row_kinds[result.gram.nodes.interior[0]] == "anisotropic-laplacian"
+    # the multiplier's operator is div(S^-1 grad .)
+    np.testing.assert_array_equal(result.multiplier.aniso, np.linalg.inv(weights))
     # minimizer formula also descends
     result_min = adjust_full(
         inject(EX51.data), weights, EX51.domain, KernelParams(0.5), 5,

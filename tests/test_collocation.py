@@ -7,9 +7,7 @@ from conftest import traced_peak
 from masscons.adjust import Problem
 from masscons.collocation import (
     _BLOCK_ELEMENTS,
-    DirichletLambda,
     MultiplierSolution,
-    NeumannLambda,
     assemble,
     condition_number,
     dump_gram,
@@ -28,29 +26,27 @@ ZERO_F = lambda pts: np.zeros(len(pts))
 
 
 def dirichlet_all(nodes, values=None):
-    if values is None:
-        return {int(i): DirichletLambda(0.0) for i in nodes.boundary}
-    return {int(i): DirichletLambda(float(values[i])) for i in nodes.boundary}
+    """Boundary rows pinning lambda to ``values`` (zero when None) on every boundary node."""
+    boundary = nodes.boundary
+    pinned = np.zeros(len(boundary)) if values is None else np.asarray(values, dtype=float)[boundary]
+    return np.zeros(len(boundary), dtype=bool), pinned, nodes.normals[boundary]
 
 
 def ex51_system(n, c):
     """Sealed-bottom system of the flat-shape study: Neumann on the ground, zero
     Dirichlet elsewhere, constant source -2."""
     nodes = grid_centers(SLAB, n)
-    bcs = {}
-    for i in nodes.boundary:
-        if nodes.labels[i] == FaceLabel.BOTTOM:
-            x, y, _ = nodes.points[i]
-            misfit = np.array([-x, -y, 0.0])
-            bcs[int(i)] = NeumannLambda(float(misfit @ nodes.normals[i]), nodes.normals[i])
-        else:
-            bcs[int(i)] = DirichletLambda(0.0)
-    return assemble(nodes, KernelParams(c), bcs, lambda pts: np.full(len(pts), -2.0))
+    boundary = nodes.boundary
+    normals = nodes.normals[boundary]
+    neumann = nodes.labels[boundary] == FaceLabel.BOTTOM
+    misfit = -nodes.points[boundary] * [1.0, 1.0, 0.0]
+    values = np.where(neumann, np.sum(misfit * normals, axis=1), 0.0)
+    return assemble(nodes, KernelParams(c), neumann, values, normals, lambda pts: np.full(len(pts), -2.0))
 
 
 def test_dirichlet_rows_have_unit_diagonal():
     nodes = grid_centers(SLAB, 3)
-    system = assemble(nodes, KernelParams(0.001), dirichlet_all(nodes), ZERO_F)
+    system = assemble(nodes, KernelParams(0.001), *dirichlet_all(nodes), ZERO_F)
     for i in nodes.boundary:
         assert system.matrix[i, i] == 1.0
         assert system.row_kinds[i] == "dirichlet"
@@ -58,7 +54,7 @@ def test_dirichlet_rows_have_unit_diagonal():
 
 def test_interior_diagonal_is_lap_at_zero():
     nodes = grid_centers(SLAB, 3)
-    system = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)
+    system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     (i,) = nodes.interior
     assert system.matrix[i, i] == -3.0
     assert system.row_kinds[i] == "interior-laplacian"
@@ -70,8 +66,8 @@ def test_identity_anisotropy_reproduces_isotropic_rows():
     # the Laplacian rows up to roundoff.
     assert Problem.full(updraft(), np.eye(3)).aniso is None
     nodes = grid_centers(CUBE, 4)
-    iso = assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F)
-    aniso = assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F, aniso=np.eye(3))
+    iso = assemble(nodes, KernelParams(0.7), *dirichlet_all(nodes), ZERO_F)
+    aniso = assemble(nodes, KernelParams(0.7), *dirichlet_all(nodes), ZERO_F, aniso=np.eye(3))
     interior = nodes.interior
     rows = aniso.matrix[interior]
     scale = np.abs(rows).max(axis=1, keepdims=True)
@@ -85,13 +81,9 @@ SPD = np.array([[1.0, 0.2, 0.1], [0.2, 0.5, -0.1], [0.1, -0.1, 0.25]])
 
 def mixed_bcs(nodes, a):
     """Neumann rows along the conormal A nu on bottom, top and xmin; Dirichlet elsewhere."""
-    neumann_faces = (FaceLabel.BOTTOM, FaceLabel.TOP, FaceLabel.XMIN)
-    return {
-        int(i): NeumannLambda(0.5, a @ nodes.normals[i])
-        if nodes.labels[i] in neumann_faces
-        else DirichletLambda(0.25)
-        for i in nodes.boundary
-    }
+    boundary = nodes.boundary
+    neumann = np.isin(nodes.labels[boundary], (FaceLabel.BOTTOM, FaceLabel.TOP, FaceLabel.XMIN))
+    return neumann, np.where(neumann, 0.5, 0.25), nodes.normals[boundary] @ a.T
 
 
 def test_anisotropic_rows_contract_hessian():
@@ -108,7 +100,7 @@ def test_anisotropic_rows_contract_hessian():
     assert not np.array_equal(inverse, inverse.T)
     skew = np.array([[0.0, 0.3, -0.2], [-0.3, 0.0, 0.1], [0.2, -0.1, 0.0]])
     for a in (np.diag([1.0, 0.5, 0.25]), SPD, inverse, SPD + skew):
-        system = assemble(nodes, kernel, dirichlet_all(nodes), ZERO_F, aniso=a)
+        system = assemble(nodes, kernel, *dirichlet_all(nodes), ZERO_F, aniso=a)
         rows = system.matrix[interior]
         assert {system.row_kinds[i] for i in interior} == {"anisotropic-laplacian"}
         # the block split does not change a bit of the closed-form operator
@@ -122,11 +114,11 @@ def test_anisotropic_rows_contract_hessian():
 def test_boundary_rows_match_unblocked_kernels():
     nodes = grid_centers(CUBE, 10)
     kernel = KernelParams(0.7)
-    bcs = mixed_bcs(nodes, SPD)
-    system = assemble(nodes, kernel, bcs, ZERO_F, aniso=SPD)
+    mask, values, conormals = mixed_bcs(nodes, SPD)
+    system = assemble(nodes, kernel, mask, values, conormals, ZERO_F, aniso=SPD)
     pts = nodes.points
-    dirichlet = [i for i in sorted(bcs) if isinstance(bcs[i], DirichletLambda)]
-    neumann = [i for i in sorted(bcs) if isinstance(bcs[i], NeumannLambda)]
+    dirichlet = nodes.boundary[~mask]
+    neumann = nodes.boundary[mask]
     rows = _BLOCK_ELEMENTS // len(pts)
     assert len(dirichlet) > rows and len(neumann) > rows
 
@@ -137,8 +129,7 @@ def test_boundary_rows_match_unblocked_kernels():
     assert {system.row_kinds[i] for i in dirichlet} == {"dirichlet"}
 
     grads = grad_phi(pts[neumann][:, None, :], pts[None, :, :], kernel)
-    dirs = np.array([bcs[i].direction for i in neumann])
-    expected = np.einsum("mnk,mk->mn", grads, dirs)
+    expected = np.einsum("mnk,mk->mn", grads, conormals[mask])
     np.testing.assert_allclose(system.matrix[neumann], expected, rtol=0, atol=0)
     assert np.all(system.rhs[neumann] == 0.5)
     assert {system.row_kinds[i] for i in neumann} == {"neumann"}
@@ -151,7 +142,7 @@ def test_assembly_memory_is_bounded_by_bytes():
     bcs = mixed_bcs(nodes, SPD)
     tracemalloc.start()
     try:
-        system = assemble(nodes, KernelParams(0.7), bcs, ZERO_F, aniso=SPD)
+        system = assemble(nodes, KernelParams(0.7), *bcs, ZERO_F, aniso=SPD)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -162,26 +153,28 @@ def test_anisotropic_assembly_holds_no_hessian_block():
     # N = 729: a (89, 729, 3, 3) Hessian block and its products held 16.8 MB
     # above the matrix; the closed-form operator holds a few (rows, N) arrays.
     nodes = grid_centers(CUBE, 9)
-    peak = traced_peak(lambda: assemble(nodes, KernelParams(0.7), dirichlet_all(nodes), ZERO_F, aniso=SPD))
+    peak = traced_peak(lambda: assemble(nodes, KernelParams(0.7), *dirichlet_all(nodes), ZERO_F, aniso=SPD))
     assert peak < len(nodes.points) ** 2 * 8 + 6 * 2**20
 
 
-def test_bc_coverage_errors():
+def test_boundary_shape_mismatch_errors():
+    # one row per boundary node, in each of the three arrays
     nodes = grid_centers(SLAB, 3)
-    bcs = dirichlet_all(nodes)
-    missing = dict(bcs)
-    missing.pop(int(nodes.boundary[0]))
-    with pytest.raises(ContractError):
-        assemble(nodes, KernelParams(1.0), missing, ZERO_F)
-    extra = dict(bcs)
-    extra[int(nodes.interior[0])] = DirichletLambda(0.0)
-    with pytest.raises(ContractError):
-        assemble(nodes, KernelParams(1.0), extra, ZERO_F)
+    neumann, values, conormals = dirichlet_all(nodes)
+    for bad in (
+        (neumann[1:], values, conormals),
+        (neumann, np.append(values, 0.0), conormals),
+        (neumann, values, conormals[:, :2]),
+        (neumann, values, conormals.ravel()),
+        (np.zeros(len(nodes.points), dtype=bool), values, conormals),
+    ):
+        with pytest.raises(ContractError, match="one row per boundary node"):
+            assemble(nodes, KernelParams(1.0), *bad, ZERO_F)
 
 
 def test_zero_data_gives_zero_coefficients():
     nodes = grid_centers(SLAB, 4)
-    system = assemble(nodes, KernelParams(0.3), dirichlet_all(nodes), ZERO_F)
+    system = assemble(nodes, KernelParams(0.3), *dirichlet_all(nodes), ZERO_F)
     solution = factorize_and_solve(system)
     assert np.all(solution.coeffs == 0.0)
     assert solution.residual == 0.0
@@ -196,7 +189,7 @@ def test_manufactured_linear_solution():
     probes = rng.uniform(-1.5, 1.5, (200, 3))
     for shape, tol in ((0.5, 5e-2), (0.01, 1e-6)):
         values = nodes.points[:, 0]
-        system = assemble(nodes, KernelParams(shape), dirichlet_all(nodes, values), ZERO_F)
+        system = assemble(nodes, KernelParams(shape), *dirichlet_all(nodes, values), ZERO_F)
         solution = factorize_and_solve(system)
         recovered = solution.value(probes)
         rel = np.linalg.norm(recovered - probes[:, 0]) / np.linalg.norm(probes[:, 0])
@@ -219,7 +212,7 @@ def test_flat_regime_solve_succeeds_with_truncation():
 
 def test_condition_number():
     nodes = grid_centers(SLAB, 3)
-    system = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)
+    system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     with pytest.raises(ContractError):
         condition_number(system)  # not factorized yet
     factorize_and_solve(system)
@@ -229,7 +222,7 @@ def test_condition_number():
     factorize_and_solve(system)
     assert condition_number(system) == pytest.approx(kappa, rel=1e-12)
 
-    identity = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)
+    identity = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     identity.matrix = np.eye(27)
     factorize_and_solve(identity)
     assert condition_number(identity) == pytest.approx(1.0, rel=1e-14)
@@ -247,7 +240,7 @@ def test_kappa_nondecreasing_in_n_at_flat_shape():
 
 def test_singular_system_error():
     nodes = grid_centers(SLAB, 3)
-    system = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)
+    system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     system.matrix = np.zeros_like(system.matrix)
     with pytest.raises(SingularSystemError):
         factorize_and_solve(system)
@@ -260,7 +253,7 @@ def _synthetic_system(sigma, seed):
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     nodes = grid_centers(CUBE, 4)
-    system = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)
+    system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     system.matrix = (u * sigma) @ v.T
     system.rhs = rng.standard_normal(n)
     return system, u, v
@@ -420,7 +413,7 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
 def test_eval_jet_gradient_matches_fd():
     nodes = grid_centers(CUBE, 4)
     values = nodes.points[:, 0] ** 2 - nodes.points[:, 1]
-    system = assemble(nodes, KernelParams(0.6), dirichlet_all(nodes, values), ZERO_F)
+    system = assemble(nodes, KernelParams(0.6), *dirichlet_all(nodes, values), ZERO_F)
     solution = factorize_and_solve(system)
     rng = np.random.default_rng(1)
     probes = rng.uniform(-1.5, 1.5, (50, 3))
@@ -440,7 +433,7 @@ def test_interior_residual_consistency():
     # linear-solve residual component row by row, and is bounded by its 2-norm.
     nodes = grid_centers(SLAB, 5)
     f = lambda pts: np.full(len(pts), -2.0)
-    system = assemble(nodes, KernelParams(0.05), dirichlet_all(nodes), f)
+    system = assemble(nodes, KernelParams(0.05), *dirichlet_all(nodes), f)
     solution = factorize_and_solve(system)
     interior = nodes.interior
     pde_residual = solution.laplacian(nodes.points[interior]) - f(nodes.points[interior])
@@ -455,11 +448,8 @@ def test_pure_neumann_gradient_stable_across_truncation():
     # solves keep the same modes and the gradients agree exactly.
     nodes = grid_centers(CUBE, 5)
     kp = KernelParams(0.5)
-    bcs = {
-        int(i): NeumannLambda(float(nodes.normals[i][0]), nodes.normals[i])
-        for i in nodes.boundary
-    }
-    system = assemble(nodes, kp, bcs, ZERO_F)
+    normals = nodes.normals[nodes.boundary]
+    system = assemble(nodes, kp, np.ones(len(normals), dtype=bool), normals[:, 0], normals, ZERO_F)
     tight = factorize_and_solve(system, trunc_tol=1e-12)
     loose = factorize_and_solve(system, trunc_tol=1e-10)
     rng = np.random.default_rng(2)
@@ -469,7 +459,7 @@ def test_pure_neumann_gradient_stable_across_truncation():
 
 def test_dump_gram(tmp_path):
     nodes = grid_centers(SLAB, 3)
-    system = assemble(nodes, KernelParams(1.0), dirichlet_all(nodes), ZERO_F)
+    system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     factorize_and_solve(system)
     path = tmp_path / "gram.txt"
     dump_gram(system, path)

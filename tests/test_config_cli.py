@@ -193,7 +193,7 @@ def spd_weights(draw, dim):
 def config_texts(draw):
     """Config files over every example, with and without a domain and the hill keys."""
     example = draw(st.sampled_from(["ex51", "ex52", "ex53"]))
-    sizes = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.integers(3, 9), min_size=1, max_size=3))
     positive = st.floats(1e-3, 10.0)
     lines = [f"example = {example}", f"n = {','.join(map(str, sizes))}", f"c = {draw(positive)!r}"]
     bounds = example_field(example, eps=0.1).domain.bounds
@@ -797,13 +797,19 @@ def test_sweep_validation(tmp_path):
         sweep(cfg, "w_b", [1.0])
 
 
-def test_cli_run_and_exit_codes(tmp_path):
+def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, fast_cfg_text(tmp_path / "cli"))
     assert main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "cli" / "table.csv").exists()
 
     bad = write_cfg(tmp_path, "example = ex51\nn = 3\nc = -2\n", name="bad.cfg")
     assert main(["run", str(bad)]) == 2
+
+    # a 2-point axis has no interior node: the row would never impose div u = 0
+    two = write_cfg(tmp_path, "example = ex51\nc = 0.1\nn = 3, 2\n", name="two.cfg")
+    capsys.readouterr()
+    assert main(["run", str(two), "--out", str(tmp_path / "two")]) == 2
+    assert "line 3: n: must be greater than 2" in capsys.readouterr().err
 
     failing = write_cfg(
         tmp_path, ASCENDING + f"n = 3\nformula = closed-form\nout = {tmp_path / 'clif'}\n", name="failing.cfg"
@@ -836,7 +842,7 @@ def test_cli_dump_gram(tmp_path):
     ],
     ids=["horizontal", "sasaki-aniso-oracle"],
 )
-def test_dump_gram_matches_the_solved_system(tmp_path, text):
+def test_dump_gram_matches_the_solved_system(tmp_path, monkeypatch, text):
     # dump-gram writes the system the row's line search solves, bit for bit
     path = write_cfg(tmp_path, text + "n = 3\nquad = 4\n")
     assert main(["dump-gram", str(path), "--out", str(tmp_path / "dump")]) == 0
@@ -844,11 +850,18 @@ def test_dump_gram_matches_the_solved_system(tmp_path, text):
     matrix = np.array([[float(v) for v in line.split(",")] for line in lines[1:28]])
     rhs = np.array([float(v) for v in lines[29].split(",")])
 
+    # the result holds no system: capture the one the row's line search solves
+    adjust_module = importlib.import_module("masscons.adjust")
+    solve, solved = adjust_module.factorize_and_solve, []
+    monkeypatch.setattr(
+        adjust_module, "factorize_and_solve", lambda system, **kw: solved.append(system) or solve(system, **kw)
+    )
     cfg = parse_config(path)
     quad = midpoint_rule(cfg.box(), cfg.quad)
     _, result = _run_one(cfg, example_field(cfg.example, eps=cfg.eps), 3, quad)
-    assert np.array_equal(matrix, result.gram.matrix)
-    assert np.array_equal(rhs, result.gram.rhs)
+    assert result is not None and len(solved) == 1
+    assert np.array_equal(matrix, solved[0].matrix)
+    assert np.array_equal(rhs, solved[0].rhs)
 
 
 def test_run_experiment_sasaki_mode(tmp_path):

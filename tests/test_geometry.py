@@ -36,6 +36,16 @@ def test_grid_counts(n, interior):
 def test_grid_rejects_small_n():
     with pytest.raises(ConfigurationError):
         grid_centers(BOX, 1)
+    # two nodes per axis leave no interior node, so div would never be imposed
+    with pytest.raises(ConfigurationError, match="at least 3"):
+        grid_centers(BOX, 2)
+
+
+def test_nan_boundary_normals_raise():
+    # a terrain slope of NaN gives NaN bottom normals, which are not unit vectors
+    flat = Topography(height=lambda x, y: np.zeros_like(x), grad=lambda x, y: np.full(np.shape(x) + (2,), np.nan))
+    with pytest.raises(DomainError, match="unit vectors"):
+        grid_centers(BOX, 3, topo=flat)
 
 
 def test_grid_ordering_z_major():

@@ -5,7 +5,9 @@ its two horizontal components by a single line-search step along an
 adjoint-derived descent direction. The Lagrange multiplier solves a Poisson
 problem whose boundary conditions follow from the face physics, discretized
 by asymmetric (Kansa) collocation with inverse multiquadric kernels and a
-truncated-SVD minimum-norm dense solve (LAPACK dgelsd).
+truncated-SVD minimum-norm dense solve that pays for the kept rank only: a
+certified randomized range sketch, LAPACK dgelsd on its projection, and
+dgelsd on the whole matrix when the rank is high.
 
 Library entry points: :func:`masscons.adjust.adjust` (horizontal data),
 :func:`masscons.adjust.sasaki` (full observations, classical one-shot: the

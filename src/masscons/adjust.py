@@ -116,9 +116,11 @@ FORMULAS = (MINIMIZER, CLOSED_FORM)
 _DEGENERATE_RTOL = 1e-14
 # Relative rise of the objective over the line search that counts as ascent.
 _DESCENT_RTOL = 1e-12
-# Bytes per N^2 of one row's dense solve: 3 N^2 float64, the matrix and numpy's
-# copy of it for dgelsd plus one N^2 of headroom for the O(N log N) workspace and
-# the assembly blocks. A run frees each row's system before assembling the next.
+# Bytes per N^2 of one row's dense solve: 3 N^2 float64. A sketched solve holds
+# the matrix and O(N k) more, but a high-rank row falls back to dgelsd on G, which
+# holds the matrix and numpy's copy of it; one N^2 more is headroom for dgelsd's
+# O(N log N) workspace and the assembly blocks; the condition estimate factors
+# the matrix in place. A run frees each pass's matrix before assembling the next.
 _SOLVE_BYTES_PER_PAIR = 3 * 8
 
 

@@ -19,10 +19,20 @@ Every entry is computed elementwise, so the block split does not change a bit
 of the matrix.
 
 The dense square system G beta = b gets its truncated-SVD minimum-norm
-solution from one LAPACK dgelsd call (``np.linalg.lstsq``), keeping the
-directions with sigma > trunc_tol * sigma_max. That keeps the solve meaningful
-in the ill-conditioned flat-kernel regime and on rank-deficient (pure-Neumann)
-systems; dgelsd returns the rank and the spectrum without forming U or V^T.
+solution, keeping the directions with sigma > trunc_tol * sigma_max. That keeps
+the solve meaningful in the ill-conditioned flat-kernel regime and on
+rank-deficient (pure-Neumann) systems. The flat kernel keeps a few percent of
+the directions, so the solve pays for those only: a randomized range finder
+(Halko, Martinsson & Tropp, SIAM Review 53, 2011, Alg. 4.4 with one power
+step) gives an orthonormal basis Q of k columns, LAPACK dgelsd
+(``np.linalg.lstsq``) solves the k x N projection Q^T G beta = Q^T b, and the
+a-posteriori bound of their section 4.3 certifies that G has nothing above
+the cut outside Q. Without the certificate k doubles from 32; once 4 k
+exceeds N, or once the k-th singular value of the projection is still above
+sqrt(trunc_tol) * sigma_max, dgelsd solves G itself. The sketch comes from a
+counter-based hash, so the solve is deterministic, and it leaves G as it
+was. The condition number is estimated on request from a Householder QR
+that overwrites G, so :func:`condition_number` consumes the matrix.
 
 The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
 returns lambda, grad lambda and the interior operator applied to lambda from
@@ -57,6 +67,16 @@ log = logging.getLogger(__name__)
 # MultiplierSolution.jet; a (rows, N, 3) gradient block is 3 times that.
 _BLOCK_ELEMENTS = 1 << 16
 
+# The sketched solve starts at _SKETCH_START directions. _CERT_PROBES more
+# probes check it, and the kept rank must stay that many below k.
+_SKETCH_START = 32
+_CERT_PROBES = 10
+# Probes of the condition number's power step, their hash counters (far past
+# any sketch's), and the row block of its QR panels and triangular solves.
+_KAPPA_PROBES = 8
+_KAPPA_STREAM = 1 << 48
+_TRI_BLOCK = 64
+
 ROW_INTERIOR = "interior-laplacian"
 ROW_ANISO = "anisotropic-laplacian"
 ROW_DIRICHLET = "dirichlet"
@@ -67,16 +87,19 @@ ROW_NEUMANN = "neumann"
 class GramSystem:
     """Dense collocation system with its build context.
 
-    ``singular_values`` is populated by :func:`factorize_and_solve`.
+    :func:`factorize_and_solve` stores sigma_max of the matrix; the first
+    :func:`condition_number` overwrites ``matrix`` (it becomes None) and keeps
+    the estimate in ``kappa``.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     rhs: np.ndarray
     row_kinds: tuple[str, ...]
     nodes: NodeSet
     kernel: KernelParams
     aniso: np.ndarray | None = None
-    singular_values: np.ndarray | None = None
+    sigma_max: float | None = None
+    kappa: float | None = None
 
 
 def _row_blocks(m: int, n: int):
@@ -268,19 +291,142 @@ class MultiplierSolution:
         return self.jet(pts)[2]
 
 
-def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> MultiplierSolution:
-    """Solve G beta = b for the truncated-SVD minimum-norm solution by LAPACK dgelsd.
+def _hash_uniform(n: int, cols: int, offset: int = 0) -> np.ndarray:
+    """(n, cols) numbers in [-1, 1): SplitMix64's finalizer over the counters after ``offset``.
 
-    It keeps sigma > trunc_tol * sigma_max (LAPACK's strict rule) and stores the
-    full descending spectrum on ``system``; values below about eps * sigma_max
-    are roundoff. The normalized residual |G beta - b| / max(|b|, 1) and the
-    raw 2-norm go on the returned solution.
+    Column j holds the j-th run of n counters, so the first columns do not
+    depend on ``cols``. Uses no random state: importing ``numpy.random``
+    would add megabytes of resident memory.
+    """
+    z = np.arange(offset + 1, offset + 1 + n * cols, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(cols, n).T
+
+
+def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np.ndarray, int, float]:
+    """(beta, rank, sigma_max) of the truncated-SVD minimum-norm solution of g beta = b.
+
+    Sketches the range of g with the first k hash columns and one power step,
+    and solves the k x N projection by dgelsd. It accepts when the kept rank
+    is _CERT_PROBES below k and 10 sqrt(2/pi) max_i |(I - QQ^T) g w_i| over
+    the next _CERT_PROBES columns w_i, scaled to unit variance, is below the
+    cut (Halko, Martinsson & Tropp 2011, section 4.3; the bound's probability
+    is proved for Gaussian w_i, so for these it is a heuristic). Otherwise k
+    doubles and only the new columns are multiplied by g. Once 4 k exceeds N,
+    or when the projection's last singular value is still above
+    sqrt(trunc_tol) sigma_max, so the spectrum has not fallen halfway to the
+    cut in k directions, dgelsd solves g itself.
+    """
+    n = len(b)
+    k = _SKETCH_START
+    y = np.empty((n, 0))
+    while 4 * k <= n:
+        done = y.shape[1]
+        y = np.hstack([y, g @ _hash_uniform(n, k + _CERT_PROBES - done, done * n)])
+        q = np.linalg.qr(y[:, :k])[0]
+        q = np.linalg.qr(g @ np.linalg.qr(g.T @ q)[0])[0]
+        beta, _, rank, sigma = np.linalg.lstsq(q.T @ g, q.T @ b, rcond=trunc_tol)
+        probes = y[:, k:]
+        miss = np.sqrt(3.0) * np.linalg.norm(probes - q @ (q.T @ probes), axis=0).max()
+        if rank + _CERT_PROBES <= k and 10 * np.sqrt(2 / np.pi) * miss <= trunc_tol * sigma[0]:
+            return beta, int(rank), float(sigma[0])
+        if sigma[-1] > np.sqrt(trunc_tol) * sigma[0]:
+            break
+        k *= 2
+    beta, _, rank, sigma = np.linalg.lstsq(g, b, rcond=trunc_tol)
+    return beta, int(rank), float(sigma[0])
+
+
+def _qr_in_place(g: np.ndarray) -> None:
+    """Householder QR G^T = QR that overwrites ``g``; R^T lands in g's lower triangle.
+
+    The rows of the C-ordered g are the columns of G^T, so this is LAPACK
+    dgeqrf's layout, blocked by hand: each panel of _TRI_BLOCK rows is
+    factored by ``np.linalg.qr`` in raw mode, and its reflectors, in the
+    compact WY form I - V^T T V of LAPACK dlarft, update the rows below it
+    in blocks of _BLOCK_ELEMENTS. Only a panel is copied, and every LAPACK
+    and BLAS call releases the GIL, so rows run in threads factor in parallel
+    (``numpy.linalg.lapack_lite.dgeqrf`` holds it).
+    """
+    n = len(g)
+    for s in range(0, n, _TRI_BLOCK):
+        e = min(s + _TRI_BLOCK, n)
+        h, tau = np.linalg.qr(g[s:e, s:].T, mode="raw")
+        g[s:e, s:] = h
+        v = np.triu(h, 1)  # one reflector per row, its unit diagonal implied
+        np.fill_diagonal(v, 1.0)
+        vvt = v @ v.T
+        t = np.zeros((e - s, e - s))
+        for i in range(e - s):
+            t[:i, i] = -tau[i] * (t[:i, :i] @ vvt[:i, i])
+            t[i, i] = tau[i]
+        for block in _row_blocks(n - e, n - s):
+            below = g[e:, s:][block]
+            below -= (below @ v.T) @ t @ v
+
+
+def _lower_solve(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L^-1 x for L the lower triangle of ``a``, in blocks of _TRI_BLOCK rows."""
+    z = np.empty_like(x)
+    for s in range(0, len(a), _TRI_BLOCK):
+        e = s + _TRI_BLOCK
+        # Reversed, the diagonal block is upper triangular, so its LU pivots
+        # nowhere and the solve is plain substitution.
+        block = np.tril(a[s:e, s:e])[::-1, ::-1]
+        z[s:e] = np.linalg.solve(block, (x[s:e] - a[s:e, :s] @ z[:s])[::-1])[::-1]
+    return z
+
+
+def _lower_transpose_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L^-T y for L the lower triangle of ``a``, in blocks of _TRI_BLOCK rows from the bottom."""
+    w = np.empty_like(y)
+    for s in reversed(range(0, len(a), _TRI_BLOCK)):
+        e = s + _TRI_BLOCK
+        w[s:e] = np.linalg.solve(np.tril(a[s:e, s:e]).T, y[s:e] - a[e:, s:e].T @ w[e:])
+    return w
+
+
+def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
+    """sigma_max |G^-1|_2, |G^-1|_2 from one power step on a QR that overwrites ``g``.
+
+    With G^T = QR (:func:`_qr_in_place`), |G^-1|_2 = |R^-1|_2. The estimate is
+    max_i |R^-1 y_i| over y_i = R^-T x_i / |R^-T x_i| for _KAPPA_PROBES hash
+    probes x_i. A zero on R's diagonal gives inf.
+    """
+    n = len(g)
+    _qr_in_place(g)
+    if not np.diagonal(g).all():
+        return float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _lower_solve(g, _hash_uniform(n, _KAPPA_PROBES, _KAPPA_STREAM))
+        w = _lower_transpose_solve(g, z / np.linalg.norm(z, axis=0))
+        kappa = sigma_max * float(np.linalg.norm(w, axis=0).max())
+    # overflow past the float range gives inf or, as inf / inf, NaN
+    return kappa if np.isfinite(kappa) else float("inf")
+
+
+def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> MultiplierSolution:
+    """Solve G beta = b for the truncated-SVD minimum-norm solution; G is left as it was.
+
+    It keeps sigma > trunc_tol * sigma_max (LAPACK's strict rule); see
+    :func:`_truncated_solve`. sigma_max goes on ``system`` for
+    :func:`condition_number`. The normalized residual |G beta - b| / max(|b|, 1)
+    and the raw 2-norm go on the returned solution.
     """
     if not 0 < trunc_tol < 1:  # dgelsd would replace an rcond >= 1 by machine epsilon
         raise ContractError(f"trunc_tol must lie in (0, 1), got {trunc_tol}")
-    coeffs, _, rank, sigma = np.linalg.lstsq(system.matrix, system.rhs, rcond=trunc_tol)
-    system.singular_values = sigma
-    if sigma[0] == 0.0:
+    if system.matrix is None:
+        raise ContractError("the system's matrix was consumed by condition_number")
+    if system.matrix.shape != (len(system.rhs),) * 2:
+        raise ContractError(f"the matrix must be {len(system.rhs)} x {len(system.rhs)}, got {system.matrix.shape}")
+    coeffs, rank, sigma_max = _truncated_solve(system.matrix, system.rhs, trunc_tol)
+    system.sigma_max, system.kappa = sigma_max, None
+    if sigma_max == 0.0:
         raise SingularSystemError("all singular values are zero")
 
     resid = system.matrix @ coeffs - system.rhs
@@ -295,19 +441,24 @@ def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> Multipl
         aniso=system.aniso,
         residual=residual,
         residual_norm=residual_norm,
-        rank=int(rank),
+        rank=rank,
         trunc_tol=float(trunc_tol),
     )
 
 
 def condition_number(system: GramSystem) -> float:
-    """2-norm condition number from the full singular spectrum; inf if sigma_min is 0."""
-    if system.singular_values is None:
+    """Estimate of the 2-norm condition number of a solved system; inf if G is singular.
+
+    The first call factors G in place (:func:`_condition_estimate`), so it
+    consumes ``system.matrix``; the estimate is kept for later calls.
+    """
+    if system.sigma_max is None:
         raise ContractError("condition_number requires a factorized system")
-    sigma = system.singular_values
-    if sigma[-1] == 0.0:
-        return float("inf")
-    return float(sigma[0] / sigma[-1])
+    if system.kappa is None:
+        g = np.asarray(system.matrix, dtype=float)
+        system.matrix = None
+        system.kappa = _condition_estimate(g, system.sigma_max)
+    return system.kappa
 
 
 def _sci(v: float) -> str:
@@ -315,7 +466,12 @@ def _sci(v: float) -> str:
 
 
 def dump_gram(system: GramSystem, path) -> None:
-    """Write G, b, singular values, and the node set as delimited text."""
+    """Write G, b, the singular values of G, and the node set as delimited text.
+
+    Needs the assembled matrix, so it runs before :func:`condition_number`.
+    """
+    if system.matrix is None:
+        raise ContractError("dump_gram requires the matrix, which condition_number consumes")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# gram matrix {system.matrix.shape[0]}x{system.matrix.shape[1]}\n")
         for row in system.matrix:
@@ -323,10 +479,7 @@ def dump_gram(system: GramSystem, path) -> None:
         fh.write("# rhs\n")
         fh.write(",".join(_sci(v) for v in system.rhs) + "\n")
         fh.write("# singular values\n")
-        if system.singular_values is None:
-            fh.write("\n")
-        else:
-            fh.write(",".join(_sci(v) for v in system.singular_values) + "\n")
+        fh.write(",".join(_sci(v) for v in np.linalg.svd(system.matrix, compute_uv=False)) + "\n")
         fh.write("# row kinds\n")
         fh.write(",".join(system.row_kinds) + "\n")
         fh.write("# nodes x,y,z,label\n")

@@ -111,7 +111,8 @@ class ExperimentConfig:
     bc_ymin: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
     bc_ymax: str = _setting(FLOW_THROUGH, kind=str, choices=FACE_POLICIES)
     formula: str = _setting(MINIMIZER, kind=str, choices=FORMULAS)
-    # LAPACK's dgelsd treats trunc_tol >= 1 as machine epsilon and keeps every direction.
+    # The solve's dgelsd, on the sketch's projection or on G, treats trunc_tol >= 1 as
+    # machine epsilon and keeps every direction.
     trunc_tol: float = _setting(1e-12, above=0.0, below=1.0)
     quad: int = _setting(32, kind=int, above=0)
     iterations: int = _setting(1, kind=int, above=0)

@@ -458,7 +458,7 @@ def sweep(
 def dump_gram_for_config(
     cfg: ExperimentConfig, out_override: str | None = None
 ) -> list[str]:
-    """Assemble and factorize the multiplier system per grid size; dump G, b, sigma.
+    """Assemble and solve the multiplier system per grid size; dump G, b and G's singular values.
 
     The system is the first pass of the row's line search, about the
     configured updraft (zero in full-observation mode).

@@ -10,7 +10,6 @@ same defect propagates into the criterion-4 half of criterion 5.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

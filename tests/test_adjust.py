@@ -26,7 +26,7 @@ from masscons.adjust import (
     sasaki,
     step_length,
 )
-from masscons.collocation import MultiplierSolution, assemble, condition_number, factorize_and_solve
+from masscons.collocation import MultiplierSolution, condition_number
 from masscons.errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
 from masscons.fields import (
     Field2,

@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import traced_peak
+from masscons import collocation
 from masscons.adjust import Problem
 from masscons.collocation import (
     _BLOCK_ELEMENTS,
@@ -15,7 +17,7 @@ from masscons.collocation import (
 )
 from masscons.config import ExperimentConfig
 from masscons.errors import ConfigurationError, ContractError, SingularSystemError
-from masscons.fields import example_field, updraft
+from masscons.fields import updraft
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
 
@@ -215,17 +217,58 @@ def test_condition_number():
     system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     with pytest.raises(ContractError):
         condition_number(system)  # not factorized yet
+    with pytest.raises(ContractError, match="must be 27 x 27"):
+        factorize_and_solve(replace(system, matrix=system.matrix[:, :20]))
+    matrix = system.matrix.copy()
     factorize_and_solve(system)
+    assert np.array_equal(system.matrix, matrix)  # the solve leaves G as it was
     kappa = condition_number(system)
+    assert system.matrix is None  # the estimate factors G in place
+    assert condition_number(system) == kappa
+    with pytest.raises(ContractError, match="consumed"):
+        factorize_and_solve(system)
 
-    system.matrix = 5.0 * system.matrix
-    factorize_and_solve(system)
-    assert condition_number(system) == pytest.approx(kappa, rel=1e-12)
+    scaled = replace(system, matrix=5.0 * matrix, kappa=None)
+    factorize_and_solve(scaled)
+    assert condition_number(scaled) == pytest.approx(kappa, rel=1e-12)
 
-    identity = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
-    identity.matrix = np.eye(27)
+    identity = replace(system, matrix=np.eye(27), kappa=None)
     factorize_and_solve(identity)
     assert condition_number(identity) == pytest.approx(1.0, rel=1e-14)
+
+    # Two equal rows of the identity: the QR meets an exact zero pivot. (A
+    # singular matrix whose factorization rounds instead reads a large,
+    # finite estimate.)
+    equal_rows = np.eye(27)
+    equal_rows[1] = equal_rows[0]
+    singular = replace(system, matrix=equal_rows, kappa=None)
+    factorize_and_solve(singular)
+    assert condition_number(singular) == float("inf")
+
+
+# mpmath svd_r at 60 digits of the ex51_system matrices, kappa = sigma_max / sigma_min
+# of the float64 matrix. At N = 64 and c = 0.01 it is 1.48e25, where the estimate
+# reads 4.9e20 and a float64 SVD or LU inverse about 2e21; that case is left out.
+@pytest.mark.parametrize("n, c", [(3, 1e-3), (3, 0.01), (3, 0.1), (3, 1.0), (4, 1e-3), (4, 0.1)])
+def test_kappa_estimate_within_10x_of_exact(n, c):
+    import mpmath
+
+    system = ex51_system(n, c)
+    with mpmath.workdps(60):
+        sigma = mpmath.svd_r(mpmath.matrix(system.matrix.tolist()), compute_uv=False)
+        exact = float(max(sigma) / min(sigma))
+    factorize_and_solve(system)
+    assert exact / 10 <= condition_number(system) <= 10 * exact
+
+
+def test_qr_in_place_matches_lapack():
+    # Row panels of 64 of the C-ordered matrix are columns of G^T: the blocked
+    # QR leaves R^T of G^T = QR in the lower triangle, as LAPACK dgeqrf would.
+    a = np.arange(150.0 * 150).reshape(150, 150) % 17 + np.eye(150)
+    g = a.copy()
+    collocation._qr_in_place(g)
+    r = np.linalg.qr(a.T, mode="r")
+    np.testing.assert_allclose(np.tril(g).T, r, rtol=0, atol=1e-12 * np.abs(r).max())
 
 
 def test_kappa_nondecreasing_in_n_at_flat_shape():
@@ -247,52 +290,86 @@ def test_singular_system_error():
 
 
 def _synthetic_system(sigma, seed):
-    """A 64-node system whose matrix is U diag(sigma) V^T for random orthogonal U, V."""
+    """A 343-node system whose matrix is U diag(sigma) V^T for random orthogonal U, V.
+
+    At N = 343 the solve sketches with k = 32 and 64 directions; 4 k = 512
+    exceeds N, so a third attempt is dgelsd on the whole matrix.
+    """
     rng = np.random.default_rng(seed)
     n = len(sigma)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    nodes = grid_centers(CUBE, 4)
+    nodes = grid_centers(CUBE, 7)
     system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
     system.matrix = (u * sigma) @ v.T
     system.rhs = rng.standard_normal(n)
     return system, u, v
 
 
-def _gapped_spectrum(tol):
-    """24 singular values from 1 down to 3 tol, then 40 from tol / 3 down to 1e-16."""
-    return np.concatenate([np.logspace(0, np.log10(3 * tol), 24), np.logspace(np.log10(tol / 3), -16, 40)])
+def _gapped_spectrum(kept, tol, n=343):
+    """``kept`` singular values from 1 down to 3 tol, then from tol / 3 halving down to 1e-16."""
+    tail = np.maximum(tol / 3 * 0.5 ** np.arange(n - kept), 1e-16)
+    return np.concatenate([np.logspace(0, np.log10(3 * tol), kept), tail])
 
 
-def test_truncated_solve_matches_explicit_svd():
-    # A threshold 10 times higher or lower than tol changes the rank of either
-    # spectrum. The coefficients are compared with the explicit pseudo-inverse
-    # at tol = 1e-4 only: at the default 1e-12 the kept subspace itself has a
-    # condition number of 3e11, so two float64 solves differ far above 1e-10.
-    for seed, tol in ((3, 1e-4), (5, 1e-12)):
-        sigma = _gapped_spectrum(tol)
-        system, u, v = _synthetic_system(sigma, seed)
+def _solve_recording(system, tol, monkeypatch):
+    """Solve ``system``; return the solution, the kappa of a copy, the shapes
+    dgelsd was given and the (columns, offset) of each hash block the sketch drew."""
+    shapes, lstsq = [], np.linalg.lstsq
+    draws, draw = [], collocation._hash_uniform
+    matrix = system.matrix.copy()
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "lstsq", lambda a, *args, **kw: shapes.append(a.shape) or lstsq(a, *args, **kw))
+        m.setattr(collocation, "_hash_uniform", lambda n, cols, offset=0: draws.append((cols, offset)) or draw(n, cols, offset))
         solution = factorize_and_solve(system, trunc_tol=tol)
+    assert np.array_equal(system.matrix, matrix)
+    kappa = condition_number(replace(system, matrix=matrix))
+    return solution, kappa, shapes, draws
+
+
+def test_truncated_solve_matches_explicit_svd(monkeypatch):
+    # A threshold 10 times higher or lower than tol changes the rank of each
+    # spectrum. The kept rank must stay 10 below the sketch's k, so 20 kept
+    # directions take one k = 32 sketch and 24 or 40 take a second at k = 64,
+    # which multiplies G by the 32 new hash columns only.
+    # The coefficients are compared with the explicit pseudo-inverse at
+    # tol = 1e-4 only: at the default 1e-12 the kept subspace itself has a
+    # condition number of 3e11, so two float64 solves differ far above 1e-10.
+    for kept, seed, tol, ks in ((20, 2, 1e-4, [32]), (24, 3, 1e-4, [32, 64]), (24, 5, 1e-12, [32, 64]),
+                                (40, 6, 1e-4, [32, 64])):
+        sigma = _gapped_spectrum(kept, tol)
+        system, u, v = _synthetic_system(sigma, seed)
+        solution, kappa, shapes, draws = _solve_recording(system, tol, monkeypatch)
+        assert shapes == [(k, 343) for k in ks]
+        assert draws[: len(ks)] == [(42, 0), (32, 42 * 343)][: len(ks)]
         keep = sigma > tol * sigma[0]
-        assert solution.rank == keep.sum() == 24
-        sv = system.singular_values
-        assert sv.shape == (64,)
-        assert np.all(np.diff(sv) <= 0)
-        direct = np.linalg.svd(system.matrix, compute_uv=False)
-        top = direct >= 1e-8 * direct[0]
-        np.testing.assert_allclose(sv[top], direct[top], rtol=1e-12, atol=0)
+        assert solution.rank == keep.sum() == kept
+        assert kappa > 1e12
         if tol == 1e-4:
             explicit = v[:, keep] @ ((u[:, keep].T @ system.rhs) / sigma[keep])
             assert np.linalg.norm(solution.coeffs - explicit) <= 1e-10 * np.linalg.norm(explicit)
+        # deterministic: a second solve gives the same bits
+        again, kappa_again, _, _ = _solve_recording(system, tol, monkeypatch)
+        assert np.array_equal(again.coeffs, solution.coeffs) and kappa_again == kappa
 
-    # Rank deficient: the last 40 singular values are exactly zero, so the
+    # Full rank: the k = 32 projection's last singular value, 0.8, is above
+    # sqrt(tol), so dgelsd solves the whole matrix without a k = 64 sketch.
+    system, _, _ = _synthetic_system(np.logspace(0, -1, 343), seed=8)
+    expected = np.linalg.lstsq(system.matrix, system.rhs, rcond=1e-12)[0]
+    solution, kappa, shapes, _ = _solve_recording(system, 1e-12, monkeypatch)
+    assert shapes == [(32, 343), (343, 343)]
+    assert solution.rank == 343 and np.array_equal(solution.coeffs, expected)
+    assert 5.0 <= kappa <= 10.0 * (1 + 1e-12)  # one power step bounds kappa = 10 from below
+
+    # Rank deficient: the last singular values are exactly zero, so the
     # solution must be the minimum-norm one, orthogonal to the null space.
-    sigma = _gapped_spectrum(1e-4)
-    sigma[24:] = 0.0
+    sigma = _gapped_spectrum(20, 1e-4)
+    sigma[20:] = 0.0
     system, u, v = _synthetic_system(sigma, seed=4)
-    solution = factorize_and_solve(system, trunc_tol=1e-4)
-    assert solution.rank == 24
-    assert np.linalg.norm(v[:, 24:].T @ solution.coeffs) <= 1e-12 * np.linalg.norm(solution.coeffs)
+    solution, kappa, shapes, _ = _solve_recording(system, 1e-4, monkeypatch)
+    assert shapes == [(32, 343)] and solution.rank == 20
+    assert np.linalg.norm(v[:, 20:].T @ solution.coeffs) <= 1e-12 * np.linalg.norm(solution.coeffs)
+    assert kappa > 1e12 and not np.isnan(kappa)
 
     system.matrix = np.zeros_like(system.matrix)
     with pytest.raises(SingularSystemError):
@@ -458,15 +535,19 @@ def test_pure_neumann_gradient_stable_across_truncation():
 
 
 def test_dump_gram(tmp_path):
+    # dump_gram writes the matrix and its own spectrum
     nodes = grid_centers(SLAB, 3)
     system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
-    factorize_and_solve(system)
     path = tmp_path / "gram.txt"
     dump_gram(system, path)
-    text = path.read_text()
-    lines = text.splitlines()
+    lines = path.read_text().splitlines()
     assert lines[0].startswith("# gram matrix 27x27")
-    matrix_lines = lines[1:28]
-    parsed = np.array([[float(v) for v in line.split(",")] for line in matrix_lines])
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:28]])
     np.testing.assert_array_equal(parsed, system.matrix)
-    assert "# singular values" in text
+    assert lines[30] == "# singular values"
+    sigma = np.array([float(v) for v in lines[31].split(",")])
+    np.testing.assert_array_equal(sigma, np.linalg.svd(system.matrix, compute_uv=False))
+    factorize_and_solve(system)
+    condition_number(system)
+    with pytest.raises(ContractError, match="condition_number consumes"):
+        dump_gram(system, path)

@@ -689,6 +689,24 @@ def test_import_builds_no_formatter_table():
     assert result.stdout.strip() == "0"
 
 
+def test_run_does_not_load_numpy_random(tmp_path):
+    # numpy.random adds 3.5-6.7 MB of resident memory when first loaded; the
+    # solve's sketch and probes come from a hash instead. N = 216 is sketched.
+    path = write_cfg(tmp_path, f"example = ex51\nn = 6\nc = 0.001\nquad = 4\nout = {tmp_path / 'r'}\n")
+    code = (
+        "import sys, masscons\n"
+        f"rows = masscons.run_experiment(masscons.parse_config({str(path)!r}))\n"
+        "print(rows[0].error == '', 'numpy.random' in sys.modules)"
+    )
+    env_src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "False"]
+
+
 @pytest.mark.parametrize("threads", [0, -2])
 def test_thread_count_below_one_is_a_configuration_error(tmp_path, threads):
     out = tmp_path / "results"
@@ -850,11 +868,13 @@ def test_dump_gram_matches_the_solved_system(tmp_path, monkeypatch, text):
     matrix = np.array([[float(v) for v in line.split(",")] for line in lines[1:28]])
     rhs = np.array([float(v) for v in lines[29].split(",")])
 
-    # the result holds no system: capture the one the row's line search solves
+    # the result holds no system, and the row's condition estimate consumes its
+    # matrix: capture a copy of the one the row's line search solves
     adjust_module = importlib.import_module("masscons.adjust")
     solve, solved = adjust_module.factorize_and_solve, []
     monkeypatch.setattr(
-        adjust_module, "factorize_and_solve", lambda system, **kw: solved.append(system) or solve(system, **kw)
+        adjust_module, "factorize_and_solve",
+        lambda system, **kw: solved.append(replace(system, matrix=system.matrix.copy())) or solve(system, **kw),
     )
     cfg = parse_config(path)
     quad = midpoint_rule(cfg.box(), cfg.quad)

@@ -39,7 +39,6 @@ from .collocation import (
     GramSystem,
     MultiplierSolution,
     assemble,
-    condition_number,
     dump_gram,
     factorize_and_solve,
 )

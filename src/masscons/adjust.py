@@ -9,8 +9,8 @@ metric G:
 
 Both searches start from a constant updraft u_c = (0, 0, w_b): the
 horizontal one from the w_b it is given (zero by default), a modelling input
-the data cannot see, and the full-observation one from zero. Each pass of the
-line search about a base field u_c forms
+the data cannot see, and the full-observation one from zero. The line search
+about u_c is one straight pass with one multiplier system and one solve:
 
   1. residual    r = r(u_c),
   2. multiplier  div(G^-1 grad lambda) = div r in the volume, with per-face
@@ -21,11 +21,11 @@ line search about a base field u_c forms
                  along p, or the closed-form ratio <G p, p> / <S Mp, Mp>,
   5. adjusted    u_plus = u_c + t p.
 
-A pass's u_plus is the next pass's u_c; the passes end early once the misfit
-at the quadrature nodes is identically zero. With full observation the
-closed-form ratio is exactly one, so the one pass from zero is the classical
-one-shot (Sasaki) adjustment u_plus = initial + S^-1 grad lambda:
-:func:`sasaki` is :func:`adjust_full` at its defaults.
+The solve also estimates the condition number of the system, whose matrix
+it consumes. With full observation the closed-form ratio is exactly one, so
+the search from zero is the classical one-shot (Sasaki) adjustment
+u_plus = initial + S^-1 grad lambda: :func:`sasaki` is :func:`adjust_full`
+at its defaults.
 
 The line search and the diagnostics need p at the quadrature nodes; one
 multiplier jet there gives both its values and its analytic divergence
@@ -50,7 +50,6 @@ turns them into a Neumann mask, values and conormals per boundary node:
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -60,7 +59,6 @@ from .collocation import (
     GramSystem,
     MultiplierSolution,
     assemble,
-    condition_number,
     factorize_and_solve,
 )
 from .errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
@@ -68,6 +66,7 @@ from .fields import (
     Field2,
     Field3,
     Quadrature,
+    _physical_memory,
     add_scaled,
     divergence_fd,
     midpoint_rule,
@@ -119,8 +118,8 @@ _DESCENT_RTOL = 1e-12
 # Bytes per N^2 of one row's dense solve: 3 N^2 float64. A sketched solve holds
 # the matrix and O(N k) more, but a high-rank row falls back to dgelsd on G, which
 # holds the matrix and numpy's copy of it; one N^2 more is headroom for dgelsd's
-# O(N log N) workspace and the assembly blocks; the condition estimate factors
-# the matrix in place. A run frees each pass's matrix before assembling the next.
+# O(N log N) workspace and the assembly blocks. The solve's condition estimate
+# then factors the matrix in place and frees it.
 _SOLVE_BYTES_PER_PAIR = 3 * 8
 
 
@@ -297,14 +296,6 @@ def boundary_data(
     return neumann, values, conormals
 
 
-def _physical_memory() -> int | None:
-    """Physical memory in bytes, or None where the platform does not report it."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _require_memory(*sizes: int) -> None:
     """Raise DomainError unless the dense solves of grids of ``sizes`` nodes fit in memory at once."""
     need = _SOLVE_BYTES_PER_PAIR * sum(n * n for n in sizes)
@@ -327,24 +318,21 @@ def build_system(
     box: BoxDomain,
     policy: FaceBcPolicy,
     exact: Field3 | None = None,
-    trunc_tol: float = 1e-12,
-) -> tuple[Field3, GramSystem, MultiplierSolution]:
-    """Assemble and solve the multiplier system of ``problem`` about the base field u_c.
+) -> tuple[Field3, GramSystem]:
+    """Assemble the multiplier system of ``problem`` about the base field u_c.
 
-    Returns the residual field r(u_c), the factorized collocation system and
-    its multiplier. ``exact`` is required by oracle-neumann faces. A grid
-    whose dense solve would not fit in physical memory raises DomainError
-    before anything is assembled, and a right-hand side that is not finite
-    raises DomainError before the solve.
+    Returns the residual field r(u_c) and the collocation system, unsolved.
+    ``exact`` is required by oracle-neumann faces. A right-hand side that is
+    not finite raises DomainError. The callers check memory: the line search
+    and dump-gram budget a grid's dense solve before they build its nodes.
     """
-    _require_memory(len(nodes.points))
     residual_field = problem.residual(u_c)
     aniso = problem.aniso
     rows = boundary_data(policy, residual_field, nodes, exact=exact, base=u_c, aniso=aniso)
     system = assemble(nodes, kernel, *rows, poisson_rhs(residual_field, box), aniso=aniso)
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
-    return residual_field, system, factorize_and_solve(system, trunc_tol=trunc_tol)
+    return residual_field, system
 
 
 def _direction_jet(residual_field: Field3, solution: MultiplierSolution, pts: np.ndarray):
@@ -425,16 +413,6 @@ def step_length(
     return _step(p(quad.nodes), misfit_obs, problem.weights, problem.metric, quad.weights, formula)
 
 
-def _node_divergence(
-    div_uplus: np.ndarray | None, u_plus: Field3, quad: Quadrature, box: BoxDomain, check_box: bool
-) -> np.ndarray:
-    """The composed analytic divergence of u_plus at the nodes, else the FD oracle's."""
-    if div_uplus is not None:
-        return div_uplus
-    h = 1e-5 * box.diameter()
-    return divergence_fd(u_plus, quad.nodes, h, box=box if check_box else None)
-
-
 def _relative_error(vals_uplus: np.ndarray, exact: Field3 | None, quad: Quadrature) -> float:
     if exact is None:
         return float("nan")
@@ -454,19 +432,14 @@ def _line_search(
     formula: str,
     quad: Quadrature | None,
     trunc_tol: float,
-    iterations: int,
     exact: Field3 | None,
 ) -> AdjustmentResult:
-    """``iterations`` line-search passes of ``problem`` from the base field u_c.
+    """The line search of ``problem`` from the base field u_c.
 
-    Each pass rebuilds the multiplier system about the current field, which
-    then becomes the next pass's base field. The passes end early once the
-    misfit at the quadrature nodes is identically zero. Passes that end with
-    a larger objective than they started from raise NonDescentError.
+    A step that ends with a larger objective than it started from raises
+    NonDescentError.
     """
     _require_formula(formula)
-    if iterations < 1:
-        raise ContractError("iterations must be at least 1")
     policy = policy if policy is not None else FaceBcPolicy.uniform(FLOW_THROUGH)
     quad = quad if quad is not None else midpoint_rule(domain, 32, topo=topo)
     w, k, qw = problem.weights, len(problem.weights), quad.weights
@@ -479,21 +452,17 @@ def _line_search(
     d = vals_uc[:, :k] - vals_obs
     j_before = 0.5 * _weighted_sum(d, w, d, qw)
 
+    _require_memory(n_per_axis**3)
     nodes = grid_centers(domain, n_per_axis, topo=topo)
-    for i in range(iterations):
-        if i and not d.any():
-            break  # the data are matched exactly: a further pass has no direction
-        system = None  # the previous pass's matrix is freed before the next is assembled
-        r, system, solution = build_system(
-            problem, u_c, nodes, kernel, domain, policy, exact=exact, trunc_tol=trunc_tol
-        )
-        p = descent_direction(r, solution)
-        vals_p, div_p = _direction_jet(r, solution, quad.nodes)
-        t = _step(vals_p, d, w, problem.metric, qw, formula)
-        u_c = add_scaled(u_c, t, p)
-        vals_uc = vals_uc + t * vals_p
-        div_uc = None if div_uc is None or div_p is None else div_uc + t * div_p
-        d = vals_uc[:, :k] - vals_obs
+    r, system = build_system(problem, u_c, nodes, kernel, domain, policy, exact=exact)
+    solution = factorize_and_solve(system, trunc_tol=trunc_tol)
+    p = descent_direction(r, solution)
+    vals_p, div_p = _direction_jet(r, solution, quad.nodes)
+    t = _step(vals_p, d, w, problem.metric, qw, formula)
+    u_c = add_scaled(u_c, t, p)
+    vals_uc = vals_uc + t * vals_p
+    div_uc = None if div_uc is None or div_p is None else div_uc + t * div_p
+    d = vals_uc[:, :k] - vals_obs
 
     j_after = 0.5 * _weighted_sum(d, w, d, qw)
     if j_after > j_before * (1.0 + _DESCENT_RTOL):
@@ -501,16 +470,13 @@ def _line_search(
             f"the line search raised the objective from j_before = {j_before:.6e} "
             f"to j_after = {j_after:.6e} (formula {formula})"
         )
-    div = _node_divergence(div_uc, u_c, quad, domain, check_box=topo is None)
+    div = div_uc
+    if div is None:  # no analytic divergence: the central-difference oracle's
+        div = divergence_fd(u_c, quad.nodes, 1e-5 * domain.diameter(), box=domain if topo is None else None)
     metrics = Metrics(
-        rel_error=_relative_error(vals_uc, exact, quad),
-        div_mean=float(np.mean(div)),
-        div_max=float(np.max(np.abs(div))),
-        kappa=condition_number(system),
-        j_before=j_before,
-        j_after=j_after,
-        residual=solution.residual,
-        residual_norm=solution.residual_norm,
+        rel_error=_relative_error(vals_uc, exact, quad), div_mean=float(np.mean(div)),
+        div_max=float(np.max(np.abs(div))), kappa=solution.kappa, j_before=j_before, j_after=j_after,
+        residual=solution.residual, residual_norm=solution.residual_norm,
     )
     return AdjustmentResult(
         t_c=t, p=p, u_plus=u_c, multiplier=solution, metrics=metrics,
@@ -531,20 +497,16 @@ def adjust(
     formula: str = MINIMIZER,
     quad: Quadrature | None = None,
     trunc_tol: float = 1e-12,
-    iterations: int = 1,
     exact: Field3 | None = None,
 ) -> AdjustmentResult:
-    """Run the horizontal-data line search from the updraft (0, 0, w_b); one pass by default.
+    """Run the horizontal-data line search from the updraft (0, 0, w_b).
 
-    The data cannot see w_b: it is a modelling input. With ``iterations > 1``
-    the adjusted field becomes the next base field and the boundary data is
-    rebuilt each pass. ``exact`` enables the relative error metric and is
-    required by oracle-neumann faces.
+    The data cannot see w_b: it is a modelling input. ``exact`` enables the
+    relative error metric and is required by oracle-neumann faces.
     """
     return _line_search(
         Problem.horizontal(data, weights), updraft(w_b), domain, kernel, n_per_axis,
-        topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol,
-        iterations=iterations, exact=exact,
+        topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 
 
@@ -571,8 +533,7 @@ def adjust_full(
     """
     return _line_search(
         Problem.full(initial, weights), updraft(), domain, kernel, n_per_axis,
-        topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol,
-        iterations=1, exact=exact,
+        topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 
 

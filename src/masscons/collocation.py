@@ -30,9 +30,9 @@ a-posteriori bound of their section 4.3 certifies that G has nothing above
 the cut outside Q. Without the certificate k doubles from 32; once 4 k
 exceeds N, or once the k-th singular value of the projection is still above
 sqrt(trunc_tol) * sigma_max, dgelsd solves G itself. The sketch comes from a
-counter-based hash, so the solve is deterministic, and it leaves G as it
-was. The condition number is estimated on request from a Householder QR
-that overwrites G, so :func:`condition_number` consumes the matrix.
+counter-based hash, so the solve is deterministic. After the residual, the
+solve estimates the condition number from a Householder QR that overwrites
+G, so :func:`factorize_and_solve` consumes the matrix.
 
 The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
 returns lambda, grad lambda and the interior operator applied to lambda from
@@ -57,7 +57,6 @@ __all__ = [
     "MultiplierSolution",
     "assemble",
     "factorize_and_solve",
-    "condition_number",
     "dump_gram",
 ]
 
@@ -87,9 +86,7 @@ ROW_NEUMANN = "neumann"
 class GramSystem:
     """Dense collocation system with its build context.
 
-    :func:`factorize_and_solve` stores sigma_max of the matrix; the first
-    :func:`condition_number` overwrites ``matrix`` (it becomes None) and keeps
-    the estimate in ``kappa``.
+    :func:`factorize_and_solve` overwrites ``matrix``; it becomes None.
     """
 
     matrix: np.ndarray | None
@@ -98,8 +95,6 @@ class GramSystem:
     nodes: NodeSet
     kernel: KernelParams
     aniso: np.ndarray | None = None
-    sigma_max: float | None = None
-    kappa: float | None = None
 
 
 def _row_blocks(m: int, n: int):
@@ -174,6 +169,8 @@ def assemble(
 class MultiplierSolution:
     """RBF coefficients over the centers, with its kernel and interior operator.
 
+    ``kappa`` is the condition number estimate of the matrix it was solved from.
+
     Every evaluator is a selection from one chunked kernel pass (:meth:`jet`).
     With d = x - c_j and s_j = 1 + c^2 |d|^2 formed by GEMM expansion, each
     derivative is a few mat-vecs against the (rows, N) blocks W_q = s^(-q/2):
@@ -198,6 +195,7 @@ class MultiplierSolution:
     residual_norm: float
     rank: int
     trunc_tol: float
+    kappa: float
 
     def jet(self, pts):
         """(lambda, grad lambda, L lambda) at one point or a batch, from one kernel pass.
@@ -411,54 +409,36 @@ def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
 
 
 def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> MultiplierSolution:
-    """Solve G beta = b for the truncated-SVD minimum-norm solution; G is left as it was.
+    """Solve G beta = b for the truncated-SVD minimum-norm solution, and estimate kappa of G.
 
     It keeps sigma > trunc_tol * sigma_max (LAPACK's strict rule); see
-    :func:`_truncated_solve`. sigma_max goes on ``system`` for
-    :func:`condition_number`. The normalized residual |G beta - b| / max(|b|, 1)
-    and the raw 2-norm go on the returned solution.
+    :func:`_truncated_solve`. The normalized residual |G beta - b| / max(|b|, 1),
+    the raw 2-norm and the condition number estimate (:func:`_condition_estimate`)
+    go on the returned solution. The estimate factors G in place, so the solve
+    consumes ``system.matrix``: it becomes None.
     """
     if not 0 < trunc_tol < 1:  # dgelsd would replace an rcond >= 1 by machine epsilon
         raise ContractError(f"trunc_tol must lie in (0, 1), got {trunc_tol}")
-    if system.matrix is None:
-        raise ContractError("the system's matrix was consumed by condition_number")
-    if system.matrix.shape != (len(system.rhs),) * 2:
-        raise ContractError(f"the matrix must be {len(system.rhs)} x {len(system.rhs)}, got {system.matrix.shape}")
-    coeffs, rank, sigma_max = _truncated_solve(system.matrix, system.rhs, trunc_tol)
-    system.sigma_max, system.kappa = sigma_max, None
+    g = system.matrix
+    if g is None:
+        raise ContractError("the system's matrix was consumed by its solve")
+    if g.shape != (len(system.rhs),) * 2:
+        raise ContractError(f"the matrix must be {len(system.rhs)} x {len(system.rhs)}, got {g.shape}")
+    coeffs, rank, sigma_max = _truncated_solve(g, system.rhs, trunc_tol)
     if sigma_max == 0.0:
         raise SingularSystemError("all singular values are zero")
 
-    resid = system.matrix @ coeffs - system.rhs
+    resid = g @ coeffs - system.rhs
     residual_norm = float(np.linalg.norm(resid))
     residual = residual_norm / max(float(np.linalg.norm(system.rhs)), 1.0)
     if residual > 1e-6:
         log.warning("collocation solve residual %.3e (rank %d of %d)", residual, rank, len(coeffs))
+    system.matrix = None
     return MultiplierSolution(
-        coeffs=coeffs,
-        nodes=system.nodes,
-        kernel=system.kernel,
-        aniso=system.aniso,
-        residual=residual,
-        residual_norm=residual_norm,
-        rank=rank,
-        trunc_tol=float(trunc_tol),
+        coeffs=coeffs, nodes=system.nodes, kernel=system.kernel, aniso=system.aniso, residual=residual,
+        residual_norm=residual_norm, rank=rank, trunc_tol=float(trunc_tol),
+        kappa=_condition_estimate(g, sigma_max),
     )
-
-
-def condition_number(system: GramSystem) -> float:
-    """Estimate of the 2-norm condition number of a solved system; inf if G is singular.
-
-    The first call factors G in place (:func:`_condition_estimate`), so it
-    consumes ``system.matrix``; the estimate is kept for later calls.
-    """
-    if system.sigma_max is None:
-        raise ContractError("condition_number requires a factorized system")
-    if system.kappa is None:
-        g = np.asarray(system.matrix, dtype=float)
-        system.matrix = None
-        system.kappa = _condition_estimate(g, system.sigma_max)
-    return system.kappa
 
 
 def _sci(v: float) -> str:
@@ -468,10 +448,10 @@ def _sci(v: float) -> str:
 def dump_gram(system: GramSystem, path) -> None:
     """Write G, b, the singular values of G, and the node set as delimited text.
 
-    Needs the assembled matrix, so it runs before :func:`condition_number`.
+    Needs the assembled matrix, so it runs before :func:`factorize_and_solve`.
     """
     if system.matrix is None:
-        raise ContractError("dump_gram requires the matrix, which condition_number consumes")
+        raise ContractError("dump_gram requires the matrix, which factorize_and_solve consumes")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# gram matrix {system.matrix.shape[0]}x{system.matrix.shape[1]}\n")
         for row in system.matrix:

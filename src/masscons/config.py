@@ -23,9 +23,10 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .adjust import FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER, FaceBcPolicy
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, DomainError
 from .fields import example_field, validate_weights
 from .geometry import BoxDomain
+from .kernel import KernelParams
 
 __all__ = ["ExperimentConfig", "KEY_FIELDS", "parse_config", "parse_values", "echo_config", "write_echo"]
 
@@ -34,8 +35,8 @@ _FACE_KEYS = tuple(f"bc_{f.name}" for f in fields(FaceBcPolicy))
 # field is its own key, and the echo follows the field order.
 _KEYS = {"grid_sizes": "n", "shape": "c", "s_entries": "s"}
 # Settings of the horizontal line search; full-observation mode (9-entry s)
-# starts from zero and takes one pass with a unit closed-form step, so it rejects them.
-_HORIZONTAL_KEYS = ("base", "w_b", "formula", "iterations")
+# starts from zero and takes a unit closed-form step, so it rejects them.
+_HORIZONTAL_KEYS = ("base", "w_b", "formula")
 
 
 def _setting(default=MISSING, kind=float, many=False, above=None, below=None, choices=None):
@@ -115,7 +116,6 @@ class ExperimentConfig:
     # machine epsilon and keeps every direction.
     trunc_tol: float = _setting(1e-12, above=0.0, below=1.0)
     quad: int = _setting(32, kind=int, above=0)
-    iterations: int = _setting(1, kind=int, above=0)
     out: str = _setting("results", kind=str)
 
     def __post_init__(self):
@@ -126,6 +126,10 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 resolve(f.name, _checked(_KEYS.get(f.name, f.name), value, **f.metadata))
+        try:
+            KernelParams(self.shape)
+        except DomainError as exc:
+            raise _fail("c", exc) from None
         try:
             case = example_field(self.example, eps=self.eps)
         except ConfigurationError as exc:

@@ -13,6 +13,7 @@ realized by tensor-product midpoint quadrature.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 ScalarField = Callable[[np.ndarray], np.ndarray]
+
+# Bytes per node of a midpoint rule: three grid axes, three node coordinates
+# and one weight, float64 each.
+_QUAD_BYTES_PER_NODE = 7 * 8
 
 
 def _wrap_eval(fn, width: int):
@@ -144,6 +149,14 @@ def validate_weights(weights, dim: int | None = None) -> np.ndarray:
     return w
 
 
+def _physical_memory() -> int | None:
+    """Physical memory in bytes, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Evaluation nodes and positive weights for volume integrals."""
@@ -163,11 +176,19 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = 32, topo: Topography | None 
 
     With a terrain bottom, nodes are stretched per column exactly like the
     center grid, and the weights are scaled by the local column height so the
-    weights still sum to the terrain-following volume.
+    weights still sum to the terrain-following volume. A rule whose m^3 node
+    arrays would not fit in physical memory raises DomainError before any is
+    allocated.
     """
     if m_per_axis < 1:
         raise ConfigurationError("quadrature resolution must be at least 1")
     m = int(m_per_axis)
+    need, have = _QUAD_BYTES_PER_NODE * m**3, _physical_memory()
+    if have is not None and need > have:
+        raise DomainError(
+            f"a quadrature of {m}^3 nodes needs about {need} bytes for its nodes, "
+            f"more than the {have} bytes of physical memory"
+        )
     lo, hi = box.lo, box.hi
     h = (hi - lo) / m
     axes = [lo[k] + h[k] * (np.arange(m) + 0.5) for k in range(3)]

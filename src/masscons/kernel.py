@@ -39,13 +39,16 @@ __all__ = ["KernelParams", "phi_sq", "grad_phi", "hess_phi", "lap_phi"]
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Inverse multiquadric parameters; ``shape`` is the c in 1/sqrt(1+(rc)^2)."""
+    """Inverse multiquadric parameters; ``shape`` is the c in 1/sqrt(1+(rc)^2), c^2 a positive float."""
 
     shape: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and np.isfinite(self.shape)):
-            raise DomainError(f"shape parameter must be finite and positive, got {self.shape}")
+        # c * c, not c**2: a Python float's ** raises OverflowError where * gives inf
+        if not (self.shape > 0 and 0 < self.shape * self.shape < np.inf):
+            raise DomainError(
+                f"shape parameter must be positive with a finite, nonzero square, got {self.shape}"
+            )
 
 
 def _sq_radius(x: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ double-double table of 10^k), rounded to an integer and spelled through a
 3-digit table. Zero, NaN, inf, magnitudes outside [1e-280, 1e280] and values
 whose rounding is too close to a tie to decide are formatted by Python's
 ``%``, so the bytes are exactly those ``%`` writes. A result holds no N x N
-collocation system: each row's is freed once its line search ends, so a run
-holds one system per row in flight.
+collocation system: each row's solve consumes its matrix, so a run holds one
+system per row in flight.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class TableRow:
     """One experiment row; ``error`` is nonempty when the row failed.
 
     The fields before ``wall_time`` are the ``table.csv`` columns, in order.
-    ``rank`` is the number of singular directions the last pass's truncated
-    solve kept; None (written ``nan``) on a failed row.
+    ``rank`` is the number of singular directions the truncated solve kept;
+    None (written ``nan``) on a failed row.
     """
 
     n_nodes: int
@@ -149,7 +149,7 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
         else:
             result = adjust(
                 case.data, box, kernel, n, w_b=cfg.base_updraft,
-                weights=cfg.weight_matrix(), formula=cfg.formula, iterations=cfg.iterations, **shared,
+                weights=cfg.weight_matrix(), formula=cfg.formula, **shared,
             )
     except (MassconsError, np.linalg.LinAlgError) as exc:
         wall = time.perf_counter() - started
@@ -458,10 +458,11 @@ def sweep(
 def dump_gram_for_config(
     cfg: ExperimentConfig, out_override: str | None = None
 ) -> list[str]:
-    """Assemble and solve the multiplier system per grid size; dump G, b and G's singular values.
+    """Assemble the multiplier system per grid size; dump G, b and G's singular values.
 
-    The system is the first pass of the row's line search, about the
-    configured updraft (zero in full-observation mode).
+    The system is the one the row's line search solves, about the configured
+    updraft (zero in full-observation mode). A grid whose dense solve would
+    not fit in physical memory raises DomainError before its nodes are built.
     """
     out = _prepare_out(cfg, out_override)
     case = example_field(cfg.example, eps=cfg.eps)
@@ -472,10 +473,10 @@ def dump_gram_for_config(
     u_c = updraft(cfg.base_updraft)
     paths = []
     for n in cfg.grid_sizes:
+        _require_memory(n**3)
         nodes = grid_centers(box, n, topo=topo)
-        _, system, _ = build_system(
-            problem, u_c, nodes, KernelParams(cfg.shape), box, _face_policy(cfg),
-            exact=case.exact, trunc_tol=cfg.trunc_tol,
+        _, system = build_system(
+            problem, u_c, nodes, KernelParams(cfg.shape), box, _face_policy(cfg), exact=case.exact
         )
         path = os.path.join(out, f"gram_N{n**3}.txt")
         dump_gram(system, path)

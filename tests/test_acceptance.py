@@ -27,6 +27,7 @@ from masscons.adjust import (
     adjust_full,
     build_system,
 )
+from masscons.collocation import factorize_and_solve
 from masscons.config import parse_config
 from masscons.fields import divergence_fd, example_field, face_rule, inject, midpoint_rule, updraft
 from masscons.geometry import grid_centers
@@ -166,10 +167,8 @@ def _interior_pde_residual(cfg, n):
     )
     u_c = updraft(cfg.base_updraft)
     problem = Problem.horizontal(case.data, cfg.weight_matrix())
-    _, system, solution = build_system(
-        problem, u_c, nodes, KernelParams(cfg.shape), cfg.box(), policy,
-        exact=case.exact, trunc_tol=cfg.trunc_tol,
-    )
+    _, system = build_system(problem, u_c, nodes, KernelParams(cfg.shape), cfg.box(), policy, exact=case.exact)
+    solution = factorize_and_solve(system, trunc_tol=cfg.trunc_tol)
     interior = nodes.interior
     dev = solution.laplacian(nodes.points[interior]) - system.rhs[interior]
     return float(np.abs(dev).max()), solution.residual_norm

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import traced_peak
 from masscons.adjust import (
     FLOW_THROUGH,
     MINIMIZER,
@@ -26,7 +25,7 @@ from masscons.adjust import (
     sasaki,
     step_length,
 )
-from masscons.collocation import MultiplierSolution, condition_number
+from masscons.collocation import MultiplierSolution, factorize_and_solve
 from masscons.errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
 from masscons.fields import (
     Field2,
@@ -193,7 +192,7 @@ def test_descent_direction_zero_case():
     m = misfit(inject(EX51.data), EX51.data, np.eye(2))
     solution = MultiplierSolution(
         coeffs=np.zeros(len(nodes)), nodes=nodes, kernel=KernelParams(1.0),
-        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12,
+        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
     )
     p = descent_direction(m, solution)
     rng = np.random.default_rng(5)
@@ -235,7 +234,7 @@ def test_step_length_formulas_agree_when_multiplier_vanishes():
     m = misfit(u_c, EX52.data, np.eye(2))
     solution = MultiplierSolution(
         coeffs=np.zeros(27), nodes=grid_centers(EX52.domain, 3), kernel=KernelParams(0.01),
-        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12,
+        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
     )
     p = descent_direction(m, solution)
     problem = Problem.horizontal(EX52.data)
@@ -350,7 +349,9 @@ def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed
     topo = _hill(box, 0.3 * height, 0.25 * extent) if hill else None
     policy = FaceBcPolicy(*(NO_FLOW_THROUGH if s else FLOW_THROUGH for s in sealed))
     nodes = grid_centers(box, n, topo=topo)
-    r, system, solution = build_system(problem, updraft(), nodes, KernelParams(c), box, policy)
+    r, system = build_system(problem, updraft(), nodes, KernelParams(c), box, policy)
+    matrix = system.matrix.copy()  # the solve consumes the system's
+    solution = factorize_and_solve(system)
 
     pts = nodes.points
     p = descent_direction(r, solution)
@@ -359,47 +360,33 @@ def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed
     got = p.divergence(pts)
     got[neumann] = np.sum(p(pts)[neumann] * nodes.normals[neumann], axis=1)
     got[dirichlet] = solution.value(pts)[dirichlet]
-    rows = system.matrix @ solution.coeffs - system.rhs
-    bound = 1e-10 * (np.abs(system.matrix) @ np.abs(solution.coeffs) + np.abs(system.rhs))
+    rows = matrix @ solution.coeffs - system.rhs
+    bound = 1e-10 * (np.abs(matrix) @ np.abs(solution.coeffs) + np.abs(system.rhs))
     assert np.all(np.abs(got - rows) <= bound)
     assert np.array_equal(np.flatnonzero(~(dirichlet | neumann)), nodes.interior)
 
 
-def test_iterations_keep_descending():
-    quad = midpoint_rule(EX53.domain, 8)
-    one = adjust(
-        EX53.data, EX53.domain, KernelParams(0.05), 4,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
-        quad=quad, iterations=1,
-    )
-    two = adjust(
-        EX53.data, EX53.domain, KernelParams(0.05), 4,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
-        quad=quad, iterations=2,
-    )
-    assert two.metrics.j_after <= one.metrics.j_after + 1e-12
-
-
 def test_sasaki_identity_weights_match_full_adjust_bitwise():
-    # sasaki is adjust_full at its defaults: one pass from the zero field with
-    # the unit closed-form step. With identity weights that pass is the
-    # isotropic system build_system solves about the zero field, bit for bit.
+    # sasaki is adjust_full at its defaults: one line search from the zero
+    # field with the unit closed-form step. With identity weights it solves
+    # the isotropic system build_system assembles about the zero field, bit for bit.
     assert sasaki is adjust_full
     cube = BoxDomain(-2, 2, -2, 2, -2, 2)
     quad = midpoint_rule(cube, 8)
     initial = inject(EX51.data)
     kp = KernelParams(0.5)
     a = sasaki(initial, np.eye(3), cube, kp, 4, quad=quad, exact=EX51.exact)
-    r, system, solution = build_system(
+    r, system = build_system(
         Problem.full(initial, np.eye(3)), updraft(), grid_centers(cube, 4), kp, cube,
         FaceBcPolicy.uniform(FLOW_THROUGH),
     )
+    solution = factorize_and_solve(system)
     assert a.t_c == 1.0 and a.multiplier.aniso is None
     assert np.array_equal(a.multiplier.coeffs, solution.coeffs)
     rng = np.random.default_rng(9)
     pts = rand_pts(rng, 50, cube)
     assert np.array_equal(a.u_plus(pts), descent_direction(r, solution)(pts))
-    assert a.metrics.kappa == condition_number(system)
+    assert a.metrics.kappa == solution.kappa
 
 
 def test_sasaki_divergence_free_initial_field_is_kept():
@@ -455,10 +442,9 @@ def test_face_policy_validation():
     "run",
     [
         lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, formula="bogus"),
-        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, iterations=0),
         lambda: adjust_full(inject(EX51.data), np.eye(3), EX51.domain, KernelParams(0.1), 3, formula="bogus"),
     ],
-    ids=["adjust-formula", "adjust-iterations", "full-formula"],
+    ids=["adjust-formula", "full-formula"],
 )
 def test_bad_options_fail_before_assembly(run, monkeypatch):
     def no_assembly(*args, **kwargs):
@@ -506,17 +492,6 @@ def test_grid_too_large_for_memory_fails_before_assembly(run, monkeypatch):
     # 27 nodes need 3 * 27^2 float64 = 17496 bytes
     with pytest.raises(DomainError, match=r"27 nodes needs about 17496 bytes.* 1000 bytes"):
         run()
-
-
-def test_line_search_passes_hold_one_collocation_system_at_a_time():
-    quad = midpoint_rule(EX51.domain, 6)
-
-    def peak(iterations):
-        kernel = KernelParams(0.1)
-        return traced_peak(lambda: adjust(EX51.data, EX51.domain, kernel, 9, quad=quad, iterations=iterations))
-
-    # Half of one 729 x 729 float64 matrix: the second pass must not add the first pass's.
-    assert peak(2) - peak(1) < 729**2 * 8 // 2
 
 
 def _hill(box, amplitude=2.0, width=3.0):

@@ -11,7 +11,6 @@ from masscons.collocation import (
     _BLOCK_ELEMENTS,
     MultiplierSolution,
     assemble,
-    condition_number,
     dump_gram,
     factorize_and_solve,
 )
@@ -209,41 +208,29 @@ def test_flat_regime_solve_succeeds_with_truncation():
     assert solution.rank < len(system.rhs)
     assert np.all(np.isfinite(solution.coeffs))
     assert np.isfinite(solution.residual)
-    assert condition_number(system) >= 1e12
+    assert solution.kappa >= 1e12
 
 
 def test_condition_number():
     nodes = grid_centers(SLAB, 3)
     system = assemble(nodes, KernelParams(1.0), *dirichlet_all(nodes), ZERO_F)
-    with pytest.raises(ContractError):
-        condition_number(system)  # not factorized yet
     with pytest.raises(ContractError, match="must be 27 x 27"):
         factorize_and_solve(replace(system, matrix=system.matrix[:, :20]))
     matrix = system.matrix.copy()
-    factorize_and_solve(system)
-    assert np.array_equal(system.matrix, matrix)  # the solve leaves G as it was
-    kappa = condition_number(system)
+    kappa = factorize_and_solve(system).kappa
     assert system.matrix is None  # the estimate factors G in place
-    assert condition_number(system) == kappa
     with pytest.raises(ContractError, match="consumed"):
         factorize_and_solve(system)
 
-    scaled = replace(system, matrix=5.0 * matrix, kappa=None)
-    factorize_and_solve(scaled)
-    assert condition_number(scaled) == pytest.approx(kappa, rel=1e-12)
-
-    identity = replace(system, matrix=np.eye(27), kappa=None)
-    factorize_and_solve(identity)
-    assert condition_number(identity) == pytest.approx(1.0, rel=1e-14)
+    assert factorize_and_solve(replace(system, matrix=5.0 * matrix)).kappa == pytest.approx(kappa, rel=1e-12)
+    assert factorize_and_solve(replace(system, matrix=np.eye(27))).kappa == pytest.approx(1.0, rel=1e-14)
 
     # Two equal rows of the identity: the QR meets an exact zero pivot. (A
     # singular matrix whose factorization rounds instead reads a large,
     # finite estimate.)
     equal_rows = np.eye(27)
     equal_rows[1] = equal_rows[0]
-    singular = replace(system, matrix=equal_rows, kappa=None)
-    factorize_and_solve(singular)
-    assert condition_number(singular) == float("inf")
+    assert factorize_and_solve(replace(system, matrix=equal_rows)).kappa == float("inf")
 
 
 # mpmath svd_r at 60 digits of the ex51_system matrices, kappa = sigma_max / sigma_min
@@ -257,8 +244,7 @@ def test_kappa_estimate_within_10x_of_exact(n, c):
     with mpmath.workdps(60):
         sigma = mpmath.svd_r(mpmath.matrix(system.matrix.tolist()), compute_uv=False)
         exact = float(max(sigma) / min(sigma))
-    factorize_and_solve(system)
-    assert exact / 10 <= condition_number(system) <= 10 * exact
+    assert exact / 10 <= factorize_and_solve(system).kappa <= 10 * exact
 
 
 def test_qr_in_place_matches_lapack():
@@ -274,9 +260,7 @@ def test_qr_in_place_matches_lapack():
 def test_kappa_nondecreasing_in_n_at_flat_shape():
     kappas = []
     for n in (3, 5, 8):
-        system = ex51_system(n, 0.001)
-        factorize_and_solve(system)
-        kappas.append(condition_number(system))
+        kappas.append(factorize_and_solve(ex51_system(n, 0.001)).kappa)
     assert kappas[0] >= 1e12
     assert kappas[0] <= kappas[1] <= kappas[2]
 
@@ -313,18 +297,17 @@ def _gapped_spectrum(kept, tol, n=343):
 
 
 def _solve_recording(system, tol, monkeypatch):
-    """Solve ``system``; return the solution, the kappa of a copy, the shapes
-    dgelsd was given and the (columns, offset) of each hash block the sketch drew."""
+    """Solve a copy of ``system``, which the solve consumes; return the solution,
+    the shapes dgelsd was given and the (columns, offset) of each hash block drawn."""
     shapes, lstsq = [], np.linalg.lstsq
     draws, draw = [], collocation._hash_uniform
-    matrix = system.matrix.copy()
+    copy = replace(system, matrix=system.matrix.copy())
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", lambda a, *args, **kw: shapes.append(a.shape) or lstsq(a, *args, **kw))
         m.setattr(collocation, "_hash_uniform", lambda n, cols, offset=0: draws.append((cols, offset)) or draw(n, cols, offset))
-        solution = factorize_and_solve(system, trunc_tol=tol)
-    assert np.array_equal(system.matrix, matrix)
-    kappa = condition_number(replace(system, matrix=matrix))
-    return solution, kappa, shapes, draws
+        solution = factorize_and_solve(copy, trunc_tol=tol)
+    assert copy.matrix is None
+    return solution, shapes, draws
 
 
 def test_truncated_solve_matches_explicit_svd(monkeypatch):
@@ -339,37 +322,38 @@ def test_truncated_solve_matches_explicit_svd(monkeypatch):
                                 (40, 6, 1e-4, [32, 64])):
         sigma = _gapped_spectrum(kept, tol)
         system, u, v = _synthetic_system(sigma, seed)
-        solution, kappa, shapes, draws = _solve_recording(system, tol, monkeypatch)
+        solution, shapes, draws = _solve_recording(system, tol, monkeypatch)
         assert shapes == [(k, 343) for k in ks]
-        assert draws[: len(ks)] == [(42, 0), (32, 42 * 343)][: len(ks)]
+        # the sketch's blocks, then the condition estimate's probes
+        assert draws == [(42, 0), (32, 42 * 343)][: len(ks)] + [(8, 1 << 48)]
         keep = sigma > tol * sigma[0]
         assert solution.rank == keep.sum() == kept
-        assert kappa > 1e12
+        assert solution.kappa > 1e12
         if tol == 1e-4:
             explicit = v[:, keep] @ ((u[:, keep].T @ system.rhs) / sigma[keep])
             assert np.linalg.norm(solution.coeffs - explicit) <= 1e-10 * np.linalg.norm(explicit)
         # deterministic: a second solve gives the same bits
-        again, kappa_again, _, _ = _solve_recording(system, tol, monkeypatch)
-        assert np.array_equal(again.coeffs, solution.coeffs) and kappa_again == kappa
+        again, _, _ = _solve_recording(system, tol, monkeypatch)
+        assert np.array_equal(again.coeffs, solution.coeffs) and again.kappa == solution.kappa
 
     # Full rank: the k = 32 projection's last singular value, 0.8, is above
     # sqrt(tol), so dgelsd solves the whole matrix without a k = 64 sketch.
     system, _, _ = _synthetic_system(np.logspace(0, -1, 343), seed=8)
     expected = np.linalg.lstsq(system.matrix, system.rhs, rcond=1e-12)[0]
-    solution, kappa, shapes, _ = _solve_recording(system, 1e-12, monkeypatch)
+    solution, shapes, _ = _solve_recording(system, 1e-12, monkeypatch)
     assert shapes == [(32, 343), (343, 343)]
     assert solution.rank == 343 and np.array_equal(solution.coeffs, expected)
-    assert 5.0 <= kappa <= 10.0 * (1 + 1e-12)  # one power step bounds kappa = 10 from below
+    assert 5.0 <= solution.kappa <= 10.0 * (1 + 1e-12)  # one power step bounds kappa = 10 from below
 
     # Rank deficient: the last singular values are exactly zero, so the
     # solution must be the minimum-norm one, orthogonal to the null space.
     sigma = _gapped_spectrum(20, 1e-4)
     sigma[20:] = 0.0
     system, u, v = _synthetic_system(sigma, seed=4)
-    solution, kappa, shapes, _ = _solve_recording(system, 1e-4, monkeypatch)
+    solution, shapes, _ = _solve_recording(system, 1e-4, monkeypatch)
     assert shapes == [(32, 343)] and solution.rank == 20
     assert np.linalg.norm(v[:, 20:].T @ solution.coeffs) <= 1e-12 * np.linalg.norm(solution.coeffs)
-    assert kappa > 1e12 and not np.isnan(kappa)
+    assert solution.kappa > 1e12 and not np.isnan(solution.kappa)
 
     system.matrix = np.zeros_like(system.matrix)
     with pytest.raises(SingularSystemError):
@@ -395,7 +379,7 @@ def test_eval_jet():
 
     zeroed = MultiplierSolution(
         coeffs=np.zeros(len(nodes)), nodes=nodes, kernel=kp,
-        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12,
+        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
     )
     val, grad, lap = zeroed.jet(np.array([0.1, 0.2, 0.3]))
     assert val == 0.0 and lap == 0.0
@@ -408,7 +392,7 @@ def test_eval_jet():
     )
     single = MultiplierSolution(
         coeffs=np.array([1.0]), nodes=lone_center, kernel=kp,
-        aniso=None, residual=0.0, residual_norm=0.0, rank=1, trunc_tol=1e-12,
+        aniso=None, residual=0.0, residual_norm=0.0, rank=1, trunc_tol=1e-12, kappa=float("nan"),
     )
     val, grad, lap = single.jet(np.array([0.0, 0.0, 1.0]))
     assert val == 1.0
@@ -440,7 +424,7 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
     kp = KernelParams(shape)
     solution = MultiplierSolution(
         coeffs=beta, nodes=nodes, kernel=kp, aniso=aniso,
-        residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12,
+        residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
     )
     rows = _BLOCK_ELEMENTS // len(nodes)
     pts = np.vstack([rng.uniform(-3.0, 3.0, (rows + 37, 3)), centers[:5]])
@@ -511,10 +495,11 @@ def test_interior_residual_consistency():
     nodes = grid_centers(SLAB, 5)
     f = lambda pts: np.full(len(pts), -2.0)
     system = assemble(nodes, KernelParams(0.05), *dirichlet_all(nodes), f)
+    matrix = system.matrix.copy()  # the solve consumes the system's
     solution = factorize_and_solve(system)
     interior = nodes.interior
     pde_residual = solution.laplacian(nodes.points[interior]) - f(nodes.points[interior])
-    row_residual = system.matrix[interior] @ solution.coeffs - system.rhs[interior]
+    row_residual = matrix[interior] @ solution.coeffs - system.rhs[interior]
     np.testing.assert_allclose(pde_residual, row_residual, rtol=0, atol=1e-10)
     assert np.abs(pde_residual).max() <= solution.residual_norm + 1e-10
 
@@ -527,7 +512,7 @@ def test_pure_neumann_gradient_stable_across_truncation():
     kp = KernelParams(0.5)
     normals = nodes.normals[nodes.boundary]
     system = assemble(nodes, kp, np.ones(len(normals), dtype=bool), normals[:, 0], normals, ZERO_F)
-    tight = factorize_and_solve(system, trunc_tol=1e-12)
+    tight = factorize_and_solve(replace(system, matrix=system.matrix.copy()), trunc_tol=1e-12)
     loose = factorize_and_solve(system, trunc_tol=1e-10)
     rng = np.random.default_rng(2)
     probes = rng.uniform(-1.5, 1.5, (100, 3))
@@ -548,6 +533,5 @@ def test_dump_gram(tmp_path):
     sigma = np.array([float(v) for v in lines[31].split(",")])
     np.testing.assert_array_equal(sigma, np.linalg.svd(system.matrix, compute_uv=False))
     factorize_and_solve(system)
-    condition_number(system)
-    with pytest.raises(ContractError, match="condition_number consumes"):
+    with pytest.raises(ContractError, match="factorize_and_solve consumes"):
         dump_gram(system, path)

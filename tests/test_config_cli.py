@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from masscons.adjust import _DESCENT_RTOL
 from masscons.cli import main
-from masscons.collocation import condition_number
 from masscons.config import ExperimentConfig, echo_config, parse_config
 from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import example_field, midpoint_rule
@@ -25,7 +24,6 @@ from masscons.runner import (
 )
 
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -103,9 +101,11 @@ def test_direct_construction_equals_parsed_minimal_file(tmp_path, example):
 INF, NAN = float("inf"), float("nan")
 OUT_OF_RANGE = [
     (key, text, value)
-    for key in ("c", "eps", "trunc_tol", "n", "quad", "iterations")
+    for key in ("c", "eps", "trunc_tol", "n", "quad")
     for text, value in (("0", 0), ("-1", -1), ("inf", INF), ("nan", NAN))
 ] + [("trunc_tol", "1", 1), ("trunc_tol", "2", 2.0)] + [
+    ("c", text, float(text)) for text in ("1e155", "1e-200")  # c^2 overflows to inf, underflows to 0
+] + [
     (key, "bogus", "bogus")
     for key in ("example", "topography", "base", "formula", "bc_bottom", "bc_top", "bc_xmin",
                 "bc_xmax", "bc_ymin", "bc_ymax")
@@ -164,7 +164,7 @@ def test_echo_literal_text(tmp_path):
         "hill_amplitude = 0.4\nhill_width = 1.0\ns = 2.0,0.1,0.1,1.0\nbase = vertical\nw_b = 0.75\n"
         "bc_bottom = no-flow-through\nbc_top = flow-through\nbc_xmin = no-flow-through\n"
         "bc_xmax = no-flow-through\nbc_ymin = no-flow-through\nbc_ymax = no-flow-through\n"
-        "formula = minimizer\ntrunc_tol = 1e-10\nquad = 32\niterations = 1\nout = results\n"
+        "formula = minimizer\ntrunc_tol = 1e-10\nquad = 32\nout = results\n"
     )
     full = (
         "example = ex53\nn = 4\nc = 0.01\nquad = 8\ntopography = hill\n"
@@ -212,7 +212,7 @@ def config_texts(draw):
     dim = draw(st.sampled_from([2, 3]))
     lines.append(draw(spd_weights(dim)))
     if dim == 2 and draw(st.booleans()):
-        lines += ["base = vertical", f"w_b = {draw(positive)!r}", "formula = closed-form", "iterations = 2"]
+        lines += ["base = vertical", f"w_b = {draw(positive)!r}", "formula = closed-form"]
     if draw(st.booleans()):
         lines += ["bc = no-flow-through", "bc_top = oracle-neumann"]
     if draw(st.booleans()):
@@ -253,11 +253,11 @@ def test_table_literal_columns_and_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("formula", "minimizer"), ("base", "vertical"), ("w_b", "4.0"), ("iterations", "3")]
+    "key, value", [("formula", "minimizer"), ("base", "vertical"), ("w_b", "4.0")]
 )
 def test_full_mode_rejects_horizontal_keys(tmp_path, key, value):
-    # full observation has no base policy, one pass and a unit step; a key
-    # for those would be echoed as applied while changing nothing
+    # full observation has no base policy and a unit step; a key for those
+    # would be echoed as applied while changing nothing
     path = write_cfg(tmp_path, MINIMAL + "s = 1,0,0,0,1,0,0,0,1\n" + f"{key} = {value}\n")
     with pytest.raises(ConfigurationError, match=f"line 5: {key}: not used in full-observation mode"):
         parse_config(path)
@@ -308,8 +308,8 @@ def small_configs(draw):
     """One-row configs: ex51 or ex53, n = 3, quad 4, open or sealed faces, flat or hill terrain.
 
     ``s`` is an SPD 2x2 (horizontal data) or 3x3 (full observation). A
-    horizontal config draws its base (zero, or vertical with a drawn w_b)
-    and one or two passes. ``oracle-neumann`` faces are left out: with a zero
+    horizontal config draws its base (zero, or vertical with a drawn w_b).
+    ``oracle-neumann`` faces are left out: with a zero
     base field the starting objective is not that of a feasible field, so
     such a row may fail the descent check by design.
     """
@@ -321,10 +321,8 @@ def small_configs(draw):
     lines += [f"bc_{face} = {draw(st.sampled_from(['flow-through', 'no-flow-through']))}" for face in FACES]
     if draw(st.booleans()):
         lines.append("topography = hill")
-    if dim == 2:
-        if draw(st.booleans()):
-            lines += ["base = vertical", f"w_b = {draw(st.floats(-3.0, 3.0))!r}"]
-        lines.append(f"iterations = {draw(st.sampled_from([1, 2]))}")
+    if dim == 2 and draw(st.booleans()):
+        lines += ["base = vertical", f"w_b = {draw(st.floats(-3.0, 3.0))!r}"]
     return "\n".join(lines) + "\n"
 
 
@@ -393,19 +391,6 @@ def test_ascending_row_fails_with_exit_code_3(tmp_path):
     assert main(["run", str(minimizer)]) == 0
 
 
-def test_passes_end_at_zero_misfit(tmp_path):
-    # ex52's first pass recovers the field exactly (J = 0), so a second pass
-    # would have no direction; further passes end early and change no byte
-    cfg = parse_config(CONFIG_DIR / "ex52.cfg")
-    names = ["table.csv"] + [f"field_N{n}.csv" for n in cfg.grid_sizes]
-    for k in (1, 2, 3):
-        rows = run_experiment(replace(cfg, iterations=k), out_override=str(tmp_path / f"it{k}"))
-        assert all(row.error == "" and row.j_after == 0.0 for row in rows)
-    for k in (2, 3):
-        for name in names:
-            assert (tmp_path / f"it{k}" / name).read_bytes() == (tmp_path / "it1" / name).read_bytes()
-
-
 def test_grid_too_large_for_memory_fails_the_row(tmp_path, monkeypatch):
     monkeypatch.setattr(importlib.import_module("masscons.adjust"), "_physical_memory", lambda: 1000)
     path = write_cfg(tmp_path, fast_cfg_text(tmp_path / "big"))
@@ -427,6 +412,40 @@ def test_memory_guard_budgets_the_rows_in_flight(tmp_path, monkeypatch):
     with pytest.raises(DomainError, match="grids of 27, 64 nodes solved at once need about 115800 bytes"):
         sweep(cfg, "n", [3, 4], threads=2)
     assert all(row.error == "" for row in sweep(cfg, "n", [3, 4], threads=1))
+
+
+def test_grid_too_large_for_memory_fails_before_its_nodes(tmp_path):
+    # Unpatched: n = 2000 is 8e9 centers, whose coordinates alone (about 60 GiB)
+    # would not fit, so the guard must run before the grid is built.
+    path = write_cfg(tmp_path, f"example = ex51\nn = 2000\nc = 0.1\nquad = 4\nout = {tmp_path / 'huge'}\n")
+    cfg = parse_config(path)
+    rows = []
+    assert traced_peak(lambda: rows.extend(run_experiment(cfg))) < 2**20
+    assert rows[0].error.startswith("DomainError: a grid of 8000000000 nodes needs about")
+    with pytest.raises(DomainError, match="a grid of 8000000000 nodes needs about"):
+        dump_gram_for_config(cfg)
+    assert main(["run", str(path)]) == 3
+    assert main(["dump-gram", str(path)]) == 3
+    assert not list((tmp_path / "huge").glob("gram_*"))
+
+
+def test_quadrature_too_large_for_memory_exits_3(tmp_path, capsys):
+    # quad = 100000 is 1e15 nodes: refused by bytes before any node array exists
+    path = write_cfg(tmp_path, f"example = ex51\nn = 3\nc = 0.1\nquad = 100000\nout = {tmp_path / 'q'}\n")
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 3
+    assert "DomainError: a quadrature of 100000^3 nodes needs about" in capsys.readouterr().err
+    assert main(["sweep", str(path), "--param", "c", "--values", "0.1,0.2"]) == 3
+    assert not (tmp_path / "q" / "table.csv").exists()
+
+
+def test_iterations_key_is_unknown(tmp_path):
+    # the line search is one pass; an echo written before that change no longer parses
+    for text in (MINIMAL, MINIMAL + "s = 1,0,0,0,1,0,0,0,1\n"):
+        path = write_cfg(tmp_path, text + "iterations = 1\n")
+        with pytest.raises(ConfigurationError, match="unknown key 'iterations'"):
+            parse_config(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -734,6 +753,7 @@ def test_sweep_shape_kappa_monotone(tmp_path):
 
     # independent conditioning oracle per swept value
     from masscons.adjust import FaceBcPolicy, NO_FLOW_THROUGH, Problem, build_system
+    from masscons.collocation import factorize_and_solve
     from masscons.fields import updraft
     from masscons.geometry import grid_centers
     from masscons.kernel import KernelParams
@@ -742,10 +762,10 @@ def test_sweep_shape_kappa_monotone(tmp_path):
     nodes = grid_centers(case.domain, 5)
     problem = Problem.horizontal(case.data)
     for value, row in zip(values, rows):
-        _, system, _ = build_system(
+        _, system = build_system(
             problem, updraft(), nodes, KernelParams(value), case.domain, FaceBcPolicy(bottom=NO_FLOW_THROUGH)
         )
-        assert condition_number(system) == pytest.approx(row.kappa, rel=1e-10)
+        assert factorize_and_solve(system).kappa == pytest.approx(row.kappa, rel=1e-10)
 
 
 def test_sweep_n_kappa_monotone(tmp_path):
@@ -801,7 +821,7 @@ def test_dump_gram_holds_one_collocation_system_at_a_time(tmp_path):
     text = f"example = ex51\nc = 0.1\nbc_bottom = no-flow-through\nquad = 4\nout = {tmp_path / 'dg'}\n"
     alone = parse_config(write_cfg(tmp_path, text + "n = 6\n", name="a.cfg"))
     both = parse_config(write_cfg(tmp_path, text + "n = 5,6\n", name="b.cfg"))
-    # Kept while N = 216 is assembled and solved, the N = 125 system adds its
+    # Kept while N = 216 is assembled and written, the N = 125 system adds its
     # 125^2 float64 matrix (125 kB) to the peak.
     extra = traced_peak(lambda: dump_gram_for_config(both)) - traced_peak(lambda: dump_gram_for_config(alone))
     assert extra < 125**2 * 8 // 2
@@ -868,8 +888,8 @@ def test_dump_gram_matches_the_solved_system(tmp_path, monkeypatch, text):
     matrix = np.array([[float(v) for v in line.split(",")] for line in lines[1:28]])
     rhs = np.array([float(v) for v in lines[29].split(",")])
 
-    # the result holds no system, and the row's condition estimate consumes its
-    # matrix: capture a copy of the one the row's line search solves
+    # the result holds no system, and the row's solve consumes its matrix:
+    # capture a copy of the one the row's line search solves
     adjust_module = importlib.import_module("masscons.adjust")
     solve, solved = adjust_module.factorize_and_solve, []
     monkeypatch.setattr(
@@ -907,7 +927,9 @@ def test_cli_sweep_subcommand(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("param, value", [("c", "inf"), ("trunc_tol", "2"), ("n", "1"), ("c", "abc")])
+@pytest.mark.parametrize(
+    "param, value", [("c", "inf"), ("c", "1e155"), ("c", "1e-200"), ("trunc_tol", "2"), ("n", "1"), ("c", "abc")]
+)
 def test_cli_sweep_rejects_out_of_range_values(tmp_path, param, value):
     # a swept value is checked as the config key it replaces
     path = write_cfg(tmp_path, f"example = ex51\nn = 3\nc = 0.5\nquad = 4\nout = {tmp_path / 'bad'}\n")

@@ -5,8 +5,9 @@
     masscons dump-gram <config> [--out DIR]
 
 Exit codes: 0 all rows succeeded, 2 configuration error, 3 at least one row
-failed (failed rows are recorded in the table with their error message) or
-dump-gram could not build a system.
+failed (failed rows are recorded in the table with their error message),
+dump-gram could not build a system, or the quadrature or the rows in flight
+do not fit in memory.
 """
 
 from __future__ import annotations

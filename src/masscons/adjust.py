@@ -1,18 +1,19 @@
 """Divergence-free adjustment of a 3D field by a line search.
 
-One pipeline serves two problems. A :class:`Problem` is a residual field
-r(u), the observed width k (the order of the weight matrix S) and a 3x3
-metric G:
+One pipeline serves two problems. A :class:`Problem` is the residual field
+r = r(u_c) at the base u_c, the observed width k (the order of the weight
+matrix S) and a 3x3 metric G:
 
-  horizontal data   r(u) = M* ( S (M u - data) ),  k = 2, G = I,
-  full observation  r(u) = u - initial,             k = 3, G = S.
+  horizontal data   r = M* ( S (M u_c - data) ),  k = 2, G = I,
+  full observation  r = u_c - initial,             k = 3, G = S.
 
 Both searches start from a constant updraft u_c = (0, 0, w_b): the
 horizontal one from the w_b it is given (zero by default), a modelling input
-the data cannot see, and the full-observation one from zero. The line search
-about u_c is one straight pass with one multiplier system and one solve:
+the data cannot see, and the full-observation one from zero. Neither
+observes anything of u_c, so r is built once, with the problem. The line
+search about u_c is one straight pass with one multiplier system and one solve:
 
-  1. residual    r = r(u_c),
+  1. residual    r, the problem's,
   2. multiplier  div(G^-1 grad lambda) = div r in the volume, with per-face
                  boundary conditions (lambda = 0, or
                  (G^-1 grad lambda) . nu = r . nu),
@@ -28,13 +29,12 @@ u_plus = initial + S^-1 grad lambda: :func:`sasaki` is :func:`adjust_full`
 at its defaults.
 
 The line search and the diagnostics need p at the quadrature nodes; one
-multiplier jet there gives both its values and its analytic divergence
-div p = -div r + L lambda (L the multiplier's interior operator). The
-divergence of u_plus is composed through the step like its values, so
-``div_mean``/``div_max`` and the node arrays on the result cost no further
-kernel sums. Only when the residual has no analytic divergence (a non-scalar
-2x2 S) do they fall back to the central-difference oracle
-:func:`~masscons.fields.divergence_fd`.
+multiplier jet there gives both its values and its divergence
+div p = -div r + L lambda (L the multiplier's interior operator, analytic).
+div r is the function the system's right-hand side uses, :func:`poisson_rhs`:
+analytic, or central differences of r where r has none (a non-scalar 2x2 S).
+The divergence of u_plus is t div p, so ``div_mean``/``div_max`` and the node
+arrays on the result cost no further kernel sums.
 
 Face policies map each face to one of the kinds below; :func:`boundary_data`
 turns them into a Neumann mask, values and conormals per boundary node:
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -70,7 +69,6 @@ from .fields import (
     add_scaled,
     divergence_fd,
     midpoint_rule,
-    subtract,
     updraft,
     validate_weights,
 )
@@ -155,14 +153,14 @@ class FaceBcPolicy:
 class Problem:
     """What the line search observes, and in which geometry.
 
-    ``residual`` maps a base field u to r(u). The first k = len(weights)
-    components of u are compared with ``observed`` under the k x k weights
-    S; ``metric`` is the 3x3 G of the multiplier operator div(G^-1 grad .)
-    and of the closed-form step numerator <G p, p>. ``name`` labels the
-    observed values in error messages.
+    ``residual`` is r(u_c) at the line search's base u_c, whose first k =
+    len(weights) components, compared with ``observed`` under the k x k
+    weights S, are zero. ``metric`` is the 3x3 G of the multiplier operator
+    div(G^-1 grad .) and of the closed-form step numerator <G p, p>.
+    ``name`` labels the observed values in error messages.
     """
 
-    residual: Callable[[Field3], Field3]
+    residual: Field3
     observed: Field2 | Field3
     weights: np.ndarray
     metric: np.ndarray
@@ -170,15 +168,15 @@ class Problem:
 
     @classmethod
     def horizontal(cls, data: Field2, weights=None) -> "Problem":
-        """Horizontal data: r(u) = M* ( S (M u - data) ), k = 2, G = I."""
+        """Horizontal data: r = M* ( S (M u_c - data) ), k = 2, G = I."""
         w = validate_weights(weights if weights is not None else np.eye(2), 2)
-        return cls(lambda u: misfit(u, data, w), data, w, np.eye(3), "data")
+        return cls(misfit(data, w), data, w, np.eye(3), "data")
 
     @classmethod
     def full(cls, initial: Field3, weights) -> "Problem":
-        """Full observation: r(u) = u - initial, k = 3, G = S."""
+        """Full observation from zero: r = 0 - initial, k = 3, G = S."""
         w = validate_weights(weights, 3)
-        return cls(lambda u: subtract(u, initial), initial, w, w, "initial")
+        return cls(add_scaled(updraft(), -1.0, initial), initial, w, w, "initial")
 
     @property
     def aniso(self) -> np.ndarray | None:
@@ -216,27 +214,26 @@ class AdjustmentResult:
     oracle_bc: bool = False
 
 
-def misfit(u_c: Field3, data: Field2, weights) -> Field3:
-    """The horizontal misfit field M* ( S (M u_c - data) ); vertical component zero.
+def misfit(data: Field2, weights) -> Field3:
+    """The horizontal misfit field M* ( S (M u_c - data) ) of an updraft u_c; vertical component zero.
 
-    When S is a multiple of the identity and both horizontal divergences are
-    analytic, the misfit carries an analytic divergence as well.
+    An updraft has no horizontal part, so M u_c - data is 0.0 - data. When S
+    is a multiple of the identity and the data carry their divergence, the
+    misfit carries an analytic divergence as well.
     """
     w = validate_weights(weights, 2)
 
     def fn(pts):
-        v = u_c.fn(pts)[:, :2] - data.fn(pts)
+        v = 0.0 - data.fn(pts)
         out = np.zeros((len(pts), 3))
         out[:, :2] = v @ w.T
         return out
 
     div = None
-    scalar_weight = w[0, 1] == 0.0 and w[1, 0] == 0.0 and w[0, 0] == w[1, 1]
-    if scalar_weight and u_c.hdiv is not None and data.hdiv is not None:
+    if w[0, 1] == 0.0 and w[1, 0] == 0.0 and w[0, 0] == w[1, 1] and data.hdiv is not None:
         alpha = w[0, 0]
-        div = lambda pts: alpha * (u_c.hdiv(pts) - data.hdiv(pts))
-
-    return Field3(fn=fn, div=div, hdiv=div)
+        div = lambda pts: alpha * (0.0 - data.hdiv(pts))
+    return Field3(fn=fn, div=div)
 
 
 def poisson_rhs(residual_field: Field3, box: BoxDomain):
@@ -256,7 +253,7 @@ def boundary_data(
     residual_field: Field3,
     nodes: NodeSet,
     exact: Field3 | None = None,
-    base: Field3 | None = None,
+    w_b: float = 0.0,
     aniso: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary rows realizing the face policies, aligned with ``nodes.boundary``.
@@ -267,8 +264,8 @@ def boundary_data(
     as grad lambda . (A nu) with A = ``aniso`` (the identity when None), so the
     direction's normal component vanishes. oracle-neumann prescribes the flux
     (exact - u_c + r) . nu, which turns the direction into the exact
-    correction; ``base`` is u_c (zero when None). The conormal is nu, or A nu,
-    on every row.
+    correction; u_c is the updraft (0, 0, ``w_b``). The conormal is nu, or
+    A nu, on every row.
     """
     idx = nodes.boundary
     pts = nodes.points[idx]
@@ -280,7 +277,7 @@ def boundary_data(
     if oracle.any():
         if exact is None:
             raise ContractError("oracle-neumann boundary data requires the exact field")
-        oracle_vals = exact(pts) - (base if base is not None else updraft())(pts) + flux
+        oracle_vals = exact(pts) - updraft(w_b)(pts) + flux
         flux = np.where(oracle[:, None], oracle_vals, flux)
 
     # Batched matmul gives each row the bits of its own 3-vector product.
@@ -312,49 +309,49 @@ def _require_memory(*sizes: int) -> None:
 
 def build_system(
     problem: Problem,
-    u_c: Field3,
     nodes: NodeSet,
     kernel: KernelParams,
     box: BoxDomain,
     policy: FaceBcPolicy,
     exact: Field3 | None = None,
-) -> tuple[Field3, GramSystem]:
-    """Assemble the multiplier system of ``problem`` about the base field u_c.
+    w_b: float = 0.0,
+) -> GramSystem:
+    """Assemble the multiplier system of ``problem``, unsolved.
 
-    Returns the residual field r(u_c) and the collocation system, unsolved.
-    ``exact`` is required by oracle-neumann faces. A right-hand side that is
-    not finite raises DomainError. The callers check memory: the line search
-    and dump-gram budget a grid's dense solve before they build its nodes.
+    ``exact`` is required by oracle-neumann faces, whose flux also reads the
+    base updraft ``w_b``. A right-hand side that is not finite raises
+    DomainError. The callers check memory: the line search and dump-gram
+    budget a grid's dense solve before they build its nodes.
     """
-    residual_field = problem.residual(u_c)
     aniso = problem.aniso
-    rows = boundary_data(policy, residual_field, nodes, exact=exact, base=u_c, aniso=aniso)
-    system = assemble(nodes, kernel, *rows, poisson_rhs(residual_field, box), aniso=aniso)
+    rows = boundary_data(policy, problem.residual, nodes, exact=exact, w_b=w_b, aniso=aniso)
+    system = assemble(nodes, kernel, *rows, poisson_rhs(problem.residual, box), aniso=aniso)
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
-    return residual_field, system
+    return system
 
 
 def _direction_jet(residual_field: Field3, solution: MultiplierSolution, pts: np.ndarray):
-    """Values of p at (m, 3) points and its analytic divergence (None without div r)."""
+    """Values of p at (m, 3) points and its divergence -div r + L lambda."""
     _, grad, op = solution.jet(pts)
     if solution.aniso is not None:
         grad = grad @ solution.aniso
-    vals = -residual_field.fn(pts) + grad
-    div = None if residual_field.div is None else -residual_field.div(pts) + op
-    return vals, div
+    return -residual_field.fn(pts) + grad, -residual_field.div(pts) + op
 
 
 def descent_direction(residual_field: Field3, solution: MultiplierSolution) -> Field3:
     """Steepest-descent direction p = -r + A grad lambda (A the identity when isotropic).
 
-    Its analytic divergence, -div r + L lambda, vanishes at the collocation
-    nodes up to the linear-solve residual.
+    r must carry its divergence; the line search gives it the one
+    :func:`poisson_rhs` returns. The divergence of p, -div r + L lambda,
+    vanishes at the collocation nodes up to the linear-solve residual.
     """
-    div = None
-    if residual_field.div is not None:
-        div = lambda pts: _direction_jet(residual_field, solution, pts)[1]
-    return Field3(fn=lambda pts: _direction_jet(residual_field, solution, pts)[0], div=div)
+    if residual_field.div is None:
+        raise ContractError("the descent direction needs the residual's divergence")
+    return Field3(
+        fn=lambda pts: _direction_jet(residual_field, solution, pts)[0],
+        div=lambda pts: _direction_jet(residual_field, solution, pts)[1],
+    )
 
 
 def _weighted_sum(a: np.ndarray, w: np.ndarray, b: np.ndarray, qw: np.ndarray) -> float:
@@ -399,17 +396,16 @@ def _step(
 def step_length(
     problem: Problem,
     p: Field3,
-    u_c: Field3,
     quad: Quadrature,
     formula: str = MINIMIZER,
 ) -> float:
-    """Step along p from the base field u_c for ``problem``, as the line search takes it.
+    """Step along p for ``problem``, as the line search takes it from its base u_c (M u_c = 0).
 
     ``minimizer`` is the exact 1D minimizer of the objective; ``closed-form``
     is the ratio <G p, p> / <S Mp, Mp>, which presumes the boundary term of
     the integration by parts vanishes."""
     _require_formula(formula)
-    misfit_obs = u_c(quad.nodes)[:, : len(problem.weights)] - problem.observed(quad.nodes)
+    misfit_obs = 0.0 - problem.observed(quad.nodes)
     return _step(p(quad.nodes), misfit_obs, problem.weights, problem.metric, quad.weights, formula)
 
 
@@ -422,7 +418,7 @@ def _relative_error(vals_uplus: np.ndarray, exact: Field3 | None, quad: Quadratu
 
 def _line_search(
     problem: Problem,
-    u_c: Field3,
+    w_b: float,
     domain: BoxDomain,
     kernel: KernelParams,
     n_per_axis: int,
@@ -434,10 +430,11 @@ def _line_search(
     trunc_tol: float,
     exact: Field3 | None,
 ) -> AdjustmentResult:
-    """The line search of ``problem`` from the base field u_c.
+    """The line search of ``problem`` from the updraft u_c = (0, 0, w_b).
 
     A step that ends with a larger objective than it started from raises
-    NonDescentError.
+    NonDescentError; a metric that is not finite (``rel_error`` only when
+    ``exact`` is given) raises DomainError naming it.
     """
     _require_formula(formula)
     policy = policy if policy is not None else FaceBcPolicy.uniform(FLOW_THROUGH)
@@ -445,23 +442,22 @@ def _line_search(
     w, k, qw = problem.weights, len(problem.weights), quad.weights
 
     vals_obs = problem.observed(quad.nodes)
-    vals_uc = u_c(quad.nodes)
+    vals_uc = updraft(w_b)(quad.nodes)
     _require_finite(f"{problem.name} values", vals_obs)
     _require_finite("base field values", vals_uc)
-    div_uc = u_c.divergence(quad.nodes)
     d = vals_uc[:, :k] - vals_obs
     j_before = 0.5 * _weighted_sum(d, w, d, qw)
 
     _require_memory(n_per_axis**3)
     nodes = grid_centers(domain, n_per_axis, topo=topo)
-    r, system = build_system(problem, u_c, nodes, kernel, domain, policy, exact=exact)
+    system = build_system(problem, nodes, kernel, domain, policy, exact=exact, w_b=w_b)
     solution = factorize_and_solve(system, trunc_tol=trunc_tol)
+    r = Field3(fn=problem.residual.fn, div=poisson_rhs(problem.residual, domain))
     p = descent_direction(r, solution)
     vals_p, div_p = _direction_jet(r, solution, quad.nodes)
     t = _step(vals_p, d, w, problem.metric, qw, formula)
-    u_c = add_scaled(u_c, t, p)
     vals_uc = vals_uc + t * vals_p
-    div_uc = None if div_uc is None or div_p is None else div_uc + t * div_p
+    div = 0.0 + t * div_p
     d = vals_uc[:, :k] - vals_obs
 
     j_after = 0.5 * _weighted_sum(d, w, d, qw)
@@ -470,16 +466,18 @@ def _line_search(
             f"the line search raised the objective from j_before = {j_before:.6e} "
             f"to j_after = {j_after:.6e} (formula {formula})"
         )
-    div = div_uc
-    if div is None:  # no analytic divergence: the central-difference oracle's
-        div = divergence_fd(u_c, quad.nodes, 1e-5 * domain.diameter(), box=domain if topo is None else None)
-    metrics = Metrics(
+    values = dict(
         rel_error=_relative_error(vals_uc, exact, quad), div_mean=float(np.mean(div)),
-        div_max=float(np.max(np.abs(div))), kappa=solution.kappa, j_before=j_before, j_after=j_after,
-        residual=solution.residual, residual_norm=solution.residual_norm,
+        div_max=float(np.max(np.abs(div))), j_before=j_before, j_after=j_after,
+    )
+    for name, value in values.items():
+        if not np.isfinite(value) and (exact is not None or name != "rel_error"):
+            raise DomainError(f"{name} is not finite ({value})")
+    metrics = Metrics(
+        **values, kappa=solution.kappa, residual=solution.residual, residual_norm=solution.residual_norm,
     )
     return AdjustmentResult(
-        t_c=t, p=p, u_plus=u_c, multiplier=solution, metrics=metrics,
+        t_c=t, p=p, u_plus=add_scaled(updraft(w_b), t, p), multiplier=solution, metrics=metrics,
         node_values=vals_uc, node_div=div, oracle_bc=bool(policy.faces(ORACLE_NEUMANN)),
     )
 
@@ -505,7 +503,7 @@ def adjust(
     relative error metric and is required by oracle-neumann faces.
     """
     return _line_search(
-        Problem.horizontal(data, weights), updraft(w_b), domain, kernel, n_per_axis,
+        Problem.horizontal(data, weights), w_b, domain, kernel, n_per_axis,
         topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 
@@ -532,7 +530,7 @@ def adjust_full(
     length is exactly one, so u_plus = initial + S^-1 grad lambda.
     """
     return _line_search(
-        Problem.full(initial, weights), updraft(), domain, kernel, n_per_axis,
+        Problem.full(initial, weights), 0.0, domain, kernel, n_per_axis,
         topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 

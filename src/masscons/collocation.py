@@ -119,7 +119,8 @@ def assemble(
     Neumann row prescribes grad lambda . conormal = value. ``f`` is the
     interior source evaluated at the interior nodes. ``aniso`` switches the
     interior operator to A : hess, in the closed form of :func:`lap_phi`.
-    The kernels are called on row blocks of at most _BLOCK_ELEMENTS // N rows.
+    The kernels are called on row blocks of at most _BLOCK_ELEMENTS // N rows;
+    a shape that overflows them over the nodes' extent raises DomainError.
     """
     pts = nodes.points
     n = len(pts)
@@ -131,6 +132,7 @@ def assemble(
             f"{np.shape(neumann)}, values {np.shape(values)}, conormals {np.shape(conormals)}"
         )
     neumann = np.asarray(neumann, dtype=bool)
+    kernel.require_finite_over(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
 
     matrix = np.empty((n, n))
     rhs = np.empty(n)

@@ -87,9 +87,11 @@ class ExperimentConfig:
 
     Each field declares its default and what its values must meet; a value
     that does not raises ConfigurationError naming the config key. Floats
-    must be finite. ``domain``, ``hill_amplitude`` and ``hill_width`` default
-    to None, resolved to the example's box, 20 % of the box height and 25 %
-    of its smaller horizontal extent, so a constructed config equals what
+    must be finite, and so must the box diameter D, the kernels' s^(5/2) at
+    s = 1 + c^2 D^2 and, on hill terrain, D / hill_width^2. ``domain``,
+    ``hill_amplitude`` and ``hill_width`` default to None, resolved to the
+    example's box, 20 % of the box height and 25 % of its smaller
+    horizontal extent, so a constructed config equals what
     ``parse_config`` returns for a file stating the same keys. The resolved
     values are stored: ``replace`` with another example or domain keeps them.
     """
@@ -127,10 +129,6 @@ class ExperimentConfig:
             if value is not None or f.default is not None:
                 resolve(f.name, _checked(_KEYS.get(f.name, f.name), value, **f.metadata))
         try:
-            KernelParams(self.shape)
-        except DomainError as exc:
-            raise _fail("c", exc) from None
-        try:
             case = example_field(self.example, eps=self.eps)
         except ConfigurationError as exc:
             raise _fail("example", exc) from None
@@ -144,6 +142,14 @@ class ExperimentConfig:
                 self.box()
             except ConfigurationError:
                 raise _fail("domain", "bounds must satisfy lower < upper per axis") from None
+        with np.errstate(over="ignore"):
+            diameter = self.box().diameter()
+        if not math.isfinite(diameter):
+            raise _fail("domain", f"the box diameter overflows: {diameter!r}")
+        try:
+            KernelParams(self.shape).require_finite_over(diameter)
+        except DomainError as exc:
+            raise _fail("c", exc) from None
         xmin, xmax, ymin, ymax, zmin, zmax = self.domain
         if self.hill_amplitude is None:
             resolve("hill_amplitude", 0.2 * (zmax - zmin))
@@ -151,6 +157,12 @@ class ExperimentConfig:
             resolve("hill_width", 0.25 * min(xmax - xmin, ymax - ymin))
         if not 0 <= self.hill_amplitude < zmax - zmin:
             raise _fail("hill_amplitude", f"must lie in [0, domain height), got {self.hill_amplitude!r}")
+        width2 = self.hill_width * self.hill_width
+        if self.topography == "hill" and not (0 < width2 < math.inf and math.isfinite(diameter / width2)):
+            raise _fail(
+                "hill_width",
+                f"hill_width^2 and the box diameter over it must be positive and finite, got {self.hill_width!r}",
+            )
 
         if len(self.s_entries) not in (4, 9):
             raise _fail("s", "needs 4 entries (2x2) or 9 entries (3x3)")

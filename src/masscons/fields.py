@@ -2,9 +2,9 @@
 
 Fields are thin wrappers around vectorized evaluators: a Field3 maps (m, 3)
 points to (m, 3) values, a Field2 to (m, 2) horizontal values. Both accept a
-single (3,) point as well. A field may carry an analytic divergence (``div``)
-and the divergence of its horizontal part (``hdiv``); when absent, callers
-fall back to the central-difference oracle :func:`divergence_fd`.
+single (3,) point as well. A Field3 may carry an analytic divergence (``div``),
+a Field2 the divergence of its two components (``hdiv``); where a field has
+none, its divergence is the central-difference oracle :func:`divergence_fd`.
 
 The observation operator drops the vertical component, M u = (u1, u2); its
 adjoint pads a zero, M* U = (U1, U2, 0). Weighted L2 inner products are
@@ -30,7 +30,6 @@ __all__ = [
     "inject",
     "updraft",
     "add_scaled",
-    "subtract",
     "validate_weights",
     "midpoint_rule",
     "face_rule",
@@ -62,11 +61,10 @@ def _wrap_eval(fn, width: int):
 
 @dataclass(frozen=True)
 class Field3:
-    """3D vector field; optional analytic divergence and horizontal divergence."""
+    """3D vector field with an optional analytic divergence."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     div: ScalarField | None = None
-    hdiv: ScalarField | None = None
 
     def __call__(self, pts):
         return _wrap_eval(self.fn, 3)(pts)
@@ -92,7 +90,7 @@ class Field2:
 
 def observe(u: Field3) -> Field2:
     """Observation operator M: keep the horizontal components."""
-    return Field2(fn=lambda pts: u.fn(pts)[:, :2], hdiv=u.hdiv)
+    return Field2(fn=lambda pts: u.fn(pts)[:, :2])
 
 
 def inject(data: Field2) -> Field3:
@@ -104,7 +102,7 @@ def inject(data: Field2) -> Field3:
         out[:, :2] = vals
         return out
 
-    return Field3(fn=fn, div=data.hdiv, hdiv=data.hdiv)
+    return Field3(fn=fn, div=data.hdiv)
 
 
 def updraft(w_b: float = 0.0) -> Field3:
@@ -115,8 +113,7 @@ def updraft(w_b: float = 0.0) -> Field3:
         out[:, 2] = w_b
         return out
 
-    zero = lambda pts: np.zeros(len(pts))
-    return Field3(fn=fn, div=zero, hdiv=zero)
+    return Field3(fn=fn, div=lambda pts: np.zeros(len(pts)))
 
 
 def add_scaled(u: Field3, t: float, p: Field3) -> Field3:
@@ -124,14 +121,7 @@ def add_scaled(u: Field3, t: float, p: Field3) -> Field3:
     div = None
     if u.div is not None and p.div is not None:
         div = lambda pts: u.div(pts) + t * p.div(pts)
-    hdiv = None
-    if u.hdiv is not None and p.hdiv is not None:
-        hdiv = lambda pts: u.hdiv(pts) + t * p.hdiv(pts)
-    return Field3(fn=lambda pts: u.fn(pts) + t * p.fn(pts), div=div, hdiv=hdiv)
-
-
-def subtract(u: Field3, v: Field3) -> Field3:
-    return add_scaled(u, -1.0, v)
+    return Field3(fn=lambda pts: u.fn(pts) + t * p.fn(pts), div=div)
 
 
 def validate_weights(weights, dim: int | None = None) -> np.ndarray:
@@ -319,7 +309,6 @@ def example_field(case_id: str, eps: float | None = None) -> ExampleCase:
         exact = Field3(
             fn=lambda pts: np.column_stack([pts[:, 0], pts[:, 1], -2.0 * pts[:, 2]]),
             div=_const(0.0),
-            hdiv=_const(2.0),
         )
         data = Field2(fn=lambda pts: pts[:, :2].copy(), hdiv=_const(2.0))
         domains = (BoxDomain(-2, 2, -2, 2, 0, 2), BoxDomain(-2, 2, -2, 2, -2, 2))
@@ -330,7 +319,7 @@ def example_field(case_id: str, eps: float | None = None) -> ExampleCase:
             g = _gauss49(pts)
             return np.column_stack([2.0 * pts[:, 1] * g, -2.0 * pts[:, 0] * g, np.ones(len(pts))])
 
-        exact = Field3(fn=fn, div=_const(0.0), hdiv=_const(0.0))
+        exact = Field3(fn=fn, div=_const(0.0))
         data = Field2(fn=lambda pts: fn(pts)[:, :2], hdiv=_const(0.0))
         return ExampleCase(exact, data, (BoxDomain(-7, 7, -7, 7, -7, 7),))
 
@@ -349,9 +338,8 @@ def example_field(case_id: str, eps: float | None = None) -> ExampleCase:
                 ]
             )
 
-        hdiv = lambda pts: -eps * pts[:, 2]
-        exact = Field3(fn=fn, div=_const(0.0), hdiv=hdiv)
-        data = Field2(fn=lambda pts: fn(pts)[:, :2], hdiv=hdiv)
+        exact = Field3(fn=fn, div=_const(0.0))
+        data = Field2(fn=lambda pts: fn(pts)[:, :2], hdiv=lambda pts: -eps * pts[:, 2])
         return ExampleCase(exact, data, (BoxDomain(-7, 7, -7, 7, 0, 7),))
 
     raise ConfigurationError(f"unknown example id {case_id!r} (expected ex51, ex52 or ex53)")

@@ -28,6 +28,7 @@ on large pairwise blocks and bit-for-bit deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,19 @@ class KernelParams:
         if not (self.shape > 0 and 0 < self.shape * self.shape < np.inf):
             raise DomainError(
                 f"shape parameter must be positive with a finite, nonzero square, got {self.shape}"
+            )
+
+    def require_finite_over(self, extent: float) -> None:
+        """Raise DomainError unless the kernels stay finite at distances up to ``extent``.
+
+        The largest s = 1 + c^2 D^2 (D = ``extent``) must leave s * s * sqrt(s),
+        the s^(5/2) the kernels form, finite.
+        """
+        s = 1.0 + self.shape * self.shape * (extent * extent)
+        if not math.isfinite(s * s * math.sqrt(s)):
+            raise DomainError(
+                f"shape parameter {self.shape} over a distance of {extent}: "
+                f"s = 1 + c^2 D^2 = {s:.3e} makes the kernels' s^(5/2) overflow"
             )
 
 

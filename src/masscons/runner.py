@@ -50,7 +50,7 @@ from .adjust import (
 from .collocation import _sci, dump_gram
 from .config import KEY_FIELDS, ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
-from .fields import ExampleCase, example_field, inject, midpoint_rule, updraft
+from .fields import ExampleCase, example_field, inject, midpoint_rule
 from .fields import divergence_fd  # noqa: F401  # unused; the benchmark's tracer patches this name
 from .geometry import Topography, grid_centers
 from .kernel import KernelParams
@@ -470,13 +470,13 @@ def dump_gram_for_config(
     topo = _hill_topography(cfg)
     w = cfg.weight_matrix()
     problem = Problem.full(inject(case.data), w) if cfg.sasaki_mode else Problem.horizontal(case.data, w)
-    u_c = updraft(cfg.base_updraft)
     paths = []
     for n in cfg.grid_sizes:
         _require_memory(n**3)
         nodes = grid_centers(box, n, topo=topo)
-        _, system = build_system(
-            problem, u_c, nodes, KernelParams(cfg.shape), box, _face_policy(cfg), exact=case.exact
+        system = build_system(
+            problem, nodes, KernelParams(cfg.shape), box, _face_policy(cfg), exact=case.exact,
+            w_b=cfg.base_updraft,
         )
         path = os.path.join(out, f"gram_N{n**3}.txt")
         dump_gram(system, path)

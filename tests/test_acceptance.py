@@ -29,7 +29,7 @@ from masscons.adjust import (
 )
 from masscons.collocation import factorize_and_solve
 from masscons.config import parse_config
-from masscons.fields import divergence_fd, example_field, face_rule, inject, midpoint_rule, updraft
+from masscons.fields import divergence_fd, example_field, face_rule, inject, midpoint_rule
 from masscons.geometry import grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi
 from masscons.runner import run_experiment, write_reference_comparison
@@ -165,9 +165,10 @@ def _interior_pde_residual(cfg, n):
         bottom=cfg.bc_bottom, top=cfg.bc_top, xmin=cfg.bc_xmin,
         xmax=cfg.bc_xmax, ymin=cfg.bc_ymin, ymax=cfg.bc_ymax,
     )
-    u_c = updraft(cfg.base_updraft)
     problem = Problem.horizontal(case.data, cfg.weight_matrix())
-    _, system = build_system(problem, u_c, nodes, KernelParams(cfg.shape), cfg.box(), policy, exact=case.exact)
+    system = build_system(
+        problem, nodes, KernelParams(cfg.shape), cfg.box(), policy, exact=case.exact, w_b=cfg.base_updraft
+    )
     solution = factorize_and_solve(system, trunc_tol=cfg.trunc_tol)
     interior = nodes.interior
     dev = solution.laplacian(nodes.points[interior]) - system.rhs[interior]

@@ -15,7 +15,7 @@ from masscons.collocation import (
     factorize_and_solve,
 )
 from masscons.config import ExperimentConfig
-from masscons.errors import ConfigurationError, ContractError, SingularSystemError
+from masscons.errors import ConfigurationError, ContractError, DomainError, SingularSystemError
 from masscons.fields import updraft
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
@@ -43,6 +43,13 @@ def ex51_system(n, c):
     misfit = -nodes.points[boundary] * [1.0, 1.0, 0.0]
     values = np.where(neumann, np.sum(misfit * normals, axis=1), 0.0)
     return assemble(nodes, KernelParams(c), neumann, values, normals, lambda pts: np.full(len(pts), -2.0))
+
+
+def test_shape_that_overflows_the_kernels_over_the_nodes_raises_domain_error():
+    # SLAB's 3^3 nodes span a diameter of 6: s = 1 + c^2 36 = 3.6e201 at c = 1e100, and s^(5/2) overflows
+    nodes = grid_centers(SLAB, 3)
+    with pytest.raises(DomainError, match="overflow"):
+        assemble(nodes, KernelParams(1e100), *dirichlet_all(nodes), ZERO_F)
 
 
 def test_dirichlet_rows_have_unit_diagonal():

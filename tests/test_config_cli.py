@@ -1,4 +1,5 @@
 import importlib
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -439,6 +440,44 @@ def test_quadrature_too_large_for_memory_exits_3(tmp_path, capsys):
     assert not (tmp_path / "q" / "table.csv").exists()
 
 
+# ex51's box has diameter 6: c is in range while s = 1 + 36 c^2 keeps s^(5/2) finite.
+EX51_C_BOUND = math.sqrt((sys.float_info.max ** 0.4 - 1.0) / 36.0)
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ("c = 1e100\n", "c"),
+        ("c = 1e61\n", "c"),
+        (f"c = {1.01 * EX51_C_BOUND!r}\n", "c"),
+        ("c = 0.1\ntopography = hill\nhill_width = 1e-200\n", "hill_width"),  # width^2 underflows
+        ("c = 0.1\ntopography = hill\nhill_width = 1e200\n", "hill_width"),  # width^2 overflows
+        ("c = 0.1\ndomain = -1e308,1e308,-2,2,0,2\n", "domain"),  # hi - lo overflows
+    ],
+)
+def test_values_that_overflow_the_computation_are_configuration_errors(tmp_path, capsys, extra, key):
+    path = write_cfg(tmp_path, "example = ex51\nn = 3\nquad = 4\n" + extra)
+    with pytest.raises(ConfigurationError, match=f"line [0-9]: {key}: "):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}: " in capsys.readouterr().err
+
+
+def test_c_just_inside_the_kernel_bound_runs(tmp_path):
+    path = write_cfg(tmp_path, f"example = ex51\nn = 3\nquad = 4\nc = {0.99 * EX51_C_BOUND!r}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_metric_fails_the_row(tmp_path):
+    # the updraft is finite, but the norm of u_plus - exact in rel_error overflows
+    text = f"example = ex51\nn = 3\nc = 0.1\nquad = 4\nbase = vertical\nw_b = 1e308\nout = {tmp_path / 'o'}\n"
+    path = write_cfg(tmp_path, text)
+    (row,) = run_experiment(parse_config(path))
+    assert row.error == "DomainError: rel_error is not finite (inf)"
+    assert main(["run", str(path)]) == 3
+
+
 def test_iterations_key_is_unknown(tmp_path):
     # the line search is one pass; an echo written before that change no longer parses
     for text in (MINIMAL, MINIMAL + "s = 1,0,0,0,1,0,0,0,1\n"):
@@ -754,7 +793,6 @@ def test_sweep_shape_kappa_monotone(tmp_path):
     # independent conditioning oracle per swept value
     from masscons.adjust import FaceBcPolicy, NO_FLOW_THROUGH, Problem, build_system
     from masscons.collocation import factorize_and_solve
-    from masscons.fields import updraft
     from masscons.geometry import grid_centers
     from masscons.kernel import KernelParams
 
@@ -762,8 +800,8 @@ def test_sweep_shape_kappa_monotone(tmp_path):
     nodes = grid_centers(case.domain, 5)
     problem = Problem.horizontal(case.data)
     for value, row in zip(values, rows):
-        _, system = build_system(
-            problem, updraft(), nodes, KernelParams(value), case.domain, FaceBcPolicy(bottom=NO_FLOW_THROUGH)
+        system = build_system(
+            problem, nodes, KernelParams(value), case.domain, FaceBcPolicy(bottom=NO_FLOW_THROUGH)
         )
         assert factorize_and_solve(system).kappa == pytest.approx(row.kappa, rel=1e-10)
 

@@ -293,16 +293,13 @@ def boundary_data(
     return neumann, values, conormals
 
 
-def _require_memory(*sizes: int) -> None:
-    """Raise DomainError unless the dense solves of grids of ``sizes`` nodes fit in memory at once."""
-    need = _SOLVE_BYTES_PER_PAIR * sum(n * n for n in sizes)
+def _require_memory(n: int) -> None:
+    """Raise DomainError unless the dense solve of a grid of ``n`` nodes fits in memory."""
+    need = _SOLVE_BYTES_PER_PAIR * n * n
     have = _physical_memory()
     if have is not None and need > have:
-        grids = f"a grid of {sizes[0]} nodes needs" if len(sizes) == 1 else (
-            f"grids of {', '.join(map(str, sizes))} nodes solved at once need"
-        )
         raise DomainError(
-            f"{grids} about {need} bytes for the dense solve, "
+            f"a grid of {n} nodes needs about {need} bytes for the dense solve, "
             f"more than the {have} bytes of physical memory"
         )
 
@@ -466,10 +463,12 @@ def _line_search(
             f"the line search raised the objective from j_before = {j_before:.6e} "
             f"to j_after = {j_after:.6e} (formula {formula})"
         )
-    values = dict(
-        rel_error=_relative_error(vals_uc, exact, quad), div_mean=float(np.mean(div)),
-        div_max=float(np.max(np.abs(div))), j_before=j_before, j_after=j_after,
-    )
+    # A metric that overflows fails the row below, by name; NumPy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = dict(
+            rel_error=_relative_error(vals_uc, exact, quad), div_mean=float(np.mean(div)),
+            div_max=float(np.max(np.abs(div))), j_before=j_before, j_after=j_after,
+        )
     for name, value in values.items():
         if not np.isfinite(value) and (exact is not None or name != "rel_error"):
             raise DomainError(f"{name} is not finite ({value})")

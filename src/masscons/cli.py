@@ -1,13 +1,13 @@
 """Command line entry point.
 
-    masscons run <config> [--out DIR] [--threads K]
-    masscons sweep <config> --param {c,n,trunc_tol} --values v1,v2,... [--out DIR] [--threads K]
+    masscons run <config> [--out DIR]
+    masscons sweep <config> --param {c,n,trunc_tol} --values v1,v2,... [--out DIR]
     masscons dump-gram <config> [--out DIR]
 
 Exit codes: 0 all rows succeeded, 2 configuration error, 3 at least one row
 failed (failed rows are recorded in the table with their error message),
-dump-gram could not build a system, or the quadrature or the rows in flight
-do not fit in memory.
+dump-gram could not build a system, or the quadrature does not fit in
+memory.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the experiment table for a configuration")
     run_p.add_argument("config", help="path to a key = value configuration file")
     run_p.add_argument("--out", default=None, help="override the output directory")
-    run_p.add_argument("--threads", type=int, default=1, help="rows to run concurrently")
 
     sweep_p = sub.add_parser("sweep", help="sweep one parameter, all else fixed")
     sweep_p.add_argument("config")
     sweep_p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--out", default=None)
-    sweep_p.add_argument("--threads", type=int, default=1)
 
     dump_p = sub.add_parser("dump-gram", help="dump the collocation matrix, rhs and spectrum")
     dump_p.add_argument("config")
@@ -51,10 +49,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.command == "run":
-            rows = run_experiment(cfg, threads=args.threads, out_override=args.out)
+            rows = run_experiment(cfg, out_override=args.out)
         elif args.command == "sweep":
             values = parse_values(args.param, args.values)
-            rows = sweep(cfg, args.param, values, threads=args.threads, out_override=args.out)
+            rows = sweep(cfg, args.param, values, out_override=args.out)
         else:
             for path in dump_gram_for_config(cfg, out_override=args.out):
                 print(path)

@@ -31,8 +31,8 @@ the cut outside Q. Without the certificate k doubles from 32; once 4 k
 exceeds N, or once the k-th singular value of the projection is still above
 sqrt(trunc_tol) * sigma_max, dgelsd solves G itself. The sketch comes from a
 counter-based hash, so the solve is deterministic. After the residual, the
-solve estimates the condition number from a Householder QR that overwrites
-G, so :func:`factorize_and_solve` consumes the matrix.
+solve estimates the condition number from LAPACK dgeqrf's Householder QR
+of G, done in place, so :func:`factorize_and_solve` consumes the matrix.
 
 The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
 returns lambda, grad lambda and the interior operator applied to lambda from
@@ -47,6 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ContractError, SingularSystemError
 from .geometry import FaceLabel, NodeSet, as_points
@@ -71,7 +72,7 @@ _BLOCK_ELEMENTS = 1 << 16
 _SKETCH_START = 32
 _CERT_PROBES = 10
 # Probes of the condition number's power step, their hash counters (far past
-# any sketch's), and the row block of its QR panels and triangular solves.
+# any sketch's), and the row block of its in-place transpose and triangular solves.
 _KAPPA_PROBES = 8
 _KAPPA_STREAM = 1 << 48
 _TRI_BLOCK = 64
@@ -343,31 +344,22 @@ def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np
 
 
 def _qr_in_place(g: np.ndarray) -> None:
-    """Householder QR G^T = QR that overwrites ``g``; R^T lands in g's lower triangle.
+    """Householder QR G = QR that overwrites ``g``; R^T lands in g's lower triangle.
 
-    The rows of the C-ordered g are the columns of G^T, so this is LAPACK
-    dgeqrf's layout, blocked by hand: each panel of _TRI_BLOCK rows is
-    factored by ``np.linalg.qr`` in raw mode, and its reflectors, in the
-    compact WY form I - V^T T V of LAPACK dlarft, update the rows below it
-    in blocks of _BLOCK_ELEMENTS. Only a panel is copied, and every LAPACK
-    and BLAS call releases the GIL, so rows run in threads factor in parallel
-    (``numpy.linalg.lapack_lite.dgeqrf`` holds it).
+    LAPACK reads the C-ordered g as G^T, so g is first transposed in place,
+    one strip of _TRI_BLOCK rows and columns at a time (no N x N copy), and
+    then factored by LAPACK dgeqrf after a workspace query.
     """
     n = len(g)
     for s in range(0, n, _TRI_BLOCK):
-        e = min(s + _TRI_BLOCK, n)
-        h, tau = np.linalg.qr(g[s:e, s:].T, mode="raw")
-        g[s:e, s:] = h
-        v = np.triu(h, 1)  # one reflector per row, its unit diagonal implied
-        np.fill_diagonal(v, 1.0)
-        vvt = v @ v.T
-        t = np.zeros((e - s, e - s))
-        for i in range(e - s):
-            t[:i, i] = -tau[i] * (t[:i, :i] @ vvt[:i, i])
-            t[i, i] = tau[i]
-        for block in _row_blocks(n - e, n - s):
-            below = g[e:, s:][block]
-            below -= (below @ v.T) @ t @ v
+        e = s + _TRI_BLOCK
+        row = g[s:e, s:].copy()
+        g[s:e, s:] = g[s:, s:e].T
+        g[s:, s:e] = row.T
+    tau, work = np.empty(n), np.empty(1)
+    lapack_lite.dgeqrf(n, n, g, n, tau, work, -1, 0)
+    work = np.empty(int(work[0]))
+    lapack_lite.dgeqrf(n, n, g, n, tau, work, len(work), 0)
 
 
 def _lower_solve(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -394,7 +386,7 @@ def _lower_transpose_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
     """sigma_max |G^-1|_2, |G^-1|_2 from one power step on a QR that overwrites ``g``.
 
-    With G^T = QR (:func:`_qr_in_place`), |G^-1|_2 = |R^-1|_2. The estimate is
+    With G = QR (:func:`_qr_in_place`), |G^-1|_2 = |R^-1|_2. The estimate is
     max_i |R^-1 y_i| over y_i = R^-T x_i / |R^-T x_i| for _KAPPA_PROBES hash
     probes x_i. A zero on R's diagonal gives inf.
     """

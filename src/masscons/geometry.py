@@ -138,8 +138,8 @@ class Topography:
 class NodeSet:
     """Collocation centers with face labels and outward unit normals.
 
-    ``normals`` has NaN rows at interior nodes. Arrays are frozen so a
-    NodeSet can be shared across threads.
+    ``normals`` has NaN rows at interior nodes. Arrays are frozen, so the
+    solution that keeps a NodeSet sees the nodes its system was built on.
     """
 
     points: np.ndarray

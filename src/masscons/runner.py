@@ -11,11 +11,10 @@ the adjustment already computed, as ``%.17e`` (18 significant digits, one more
 than round trip needs; ``nan`` and ``inf`` spelled as Python spells them); a
 failed row writes none. ``config.echo`` re-parses to an equal configuration.
 
-Rows may execute concurrently (``threads > 1``; fewer than one is a
-configuration error); files are written after all rows complete, in
-configuration order, so output bytes do not depend on scheduling. The field
-files of a run are written together, block by block over the nodes; a block
-formats each distinct value (bit pattern) once and gathers its lines as bytes.
+Rows run one at a time, in configuration order, and files are written after
+all rows complete. The field files of a run are written together, block by
+block over the nodes; a block formats each distinct value (bit pattern) once
+and gathers its lines as bytes.
 The ``%.17e`` text is made with NumPy, not printf: the 18 digits are |x| times
 a power of ten, formed as a double-double (Dekker's product against a
 double-double table of 10^k), rounded to an integer and spelled through a
@@ -23,7 +22,7 @@ double-double table of 10^k), rounded to an integer and spelled through a
 whose rounding is too close to a tie to decide are formatted by Python's
 ``%``, so the bytes are exactly those ``%`` writes. A result holds no N x N
 collocation system: each row's solve consumes its matrix, so a run holds one
-system per row in flight.
+system at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import csv
 import functools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -380,33 +378,21 @@ def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
     return out
 
 
-def _require_threads(threads: int) -> None:
-    if threads < 1:
-        raise ConfigurationError(f"threads must be at least 1, got {threads}")
-
-
-def _map_rows(jobs, threads: int, sizes: list[int]):
-    """Run the row jobs, ``threads`` at a time; ``sizes`` are their node counts."""
-    if threads <= 1:
-        return [job() for job in jobs]
-    _require_memory(*sorted(sizes)[-threads:])  # rows in flight hold their systems at once
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def run_experiment(
     cfg: ExperimentConfig, threads: int = 1, out_override: str | None = None
 ) -> list[TableRow]:
-    """Run one row per grid size and write all artifacts to the output directory."""
-    _require_threads(threads)
+    """Run one row per grid size and write all artifacts to the output directory.
+
+    ``threads`` must be 1: rows run one at a time.
+    """
+    if threads != 1:
+        raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
     out = _prepare_out(cfg, out_override)
     cfg = replace(cfg, out=out)
     case = example_field(cfg.example, eps=cfg.eps)
     quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
 
-    jobs = [lambda n=n: _run_one(cfg, case, n, quad) for n in cfg.grid_sizes]
-    outcomes = _map_rows(jobs, threads, [n**3 for n in cfg.grid_sizes])
+    outcomes = [_run_one(cfg, case, n, quad) for n in cfg.grid_sizes]
 
     rows = [row for row, _ in outcomes]
     _write_rows(os.path.join(out, "table.csv"), rows)
@@ -432,8 +418,10 @@ def sweep(
 
     Each variant is ``cfg`` with the parameter's field replaced, so it is
     checked as any config is; a value of ``n`` is the variant's one grid size.
+    ``threads`` must be 1: rows run one at a time.
     """
-    _require_threads(threads)
+    if threads != 1:
+        raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
     if parameter not in SWEEP_PARAMS:
         raise ConfigurationError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
     if len(values) == 0:
@@ -448,8 +436,7 @@ def sweep(
     case = example_field(cfg.example, eps=cfg.eps)
     quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
 
-    jobs = [lambda v=v: _run_one(v, case, v.grid_sizes[0], quad)[0] for v in variants]
-    rows = _map_rows(jobs, threads, [v.grid_sizes[0] ** 3 for v in variants])
+    rows = [_run_one(v, case, v.grid_sizes[0], quad)[0] for v in variants]
     _write_rows(os.path.join(out, "sweep.csv"), rows)
     write_echo(cfg, os.path.join(out, "config.echo"))
     return rows

@@ -3,10 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines. Criterion 4 is implemented exactly as stated and is expected
 to fail at the stated shape value: at c = 0.5 the collocation system is
-well conditioned and full rank, and the inter-node approximation error of
-the ansatz is ~2.5e-1, far above the 1e-2 bound (see the companion test at
-a flat shape in test_adjust.py, which recovers the field to ~2e-4). The
-same defect propagates into the criterion-4 half of criterion 5.
+well conditioned and full rank, yet the relative error is ~2.5e-1, far above
+the 1e-2 bound. The ansatz is not what limits it: the best L2 fit of the
+exact correction by span{grad phi_j} has error 1.7e-2 at N = 512. The
+pipeline's error is 15 times that, mostly from square collocation, which
+tests the operator at exactly as many points as it has centres. The
+companion test at a flat shape in test_adjust.py recovers the field to
+~2e-4. The same defect propagates into the criterion-4 half of criterion 5.
 """
 
 import time
@@ -240,7 +243,8 @@ def test_criterion_9_integration_by_parts_identity():
     from masscons.geometry import BoxDomain
 
     started = time.perf_counter()
-    box = BoxDomain(-2, 2, -2, 2, -2, 2)
+    # Off centre: on a box symmetric about the origin both terms vanish by symmetry.
+    box = BoxDomain(0, 2, -1, 2, 0.5, 2)
     quad = midpoint_rule(box, 64)
     pts = quad.nodes
     grad_lam = np.column_stack([pts[:, 1] * pts[:, 2], pts[:, 0] * pts[:, 2], pts[:, 0] * pts[:, 1]])

@@ -255,12 +255,12 @@ def test_kappa_estimate_within_10x_of_exact(n, c):
 
 
 def test_qr_in_place_matches_lapack():
-    # Row panels of 64 of the C-ordered matrix are columns of G^T: the blocked
-    # QR leaves R^T of G^T = QR in the lower triangle, as LAPACK dgeqrf would.
+    # 150 rows are two strips of 64 and a short one of the in-place transpose;
+    # LAPACK dgeqrf then leaves R^T of G = QR in the lower triangle.
     a = np.arange(150.0 * 150).reshape(150, 150) % 17 + np.eye(150)
     g = a.copy()
     collocation._qr_in_place(g)
-    r = np.linalg.qr(a.T, mode="r")
+    r = np.linalg.qr(a, mode="r")
     np.testing.assert_allclose(np.tril(g).T, r, rtol=0, atol=1e-12 * np.abs(r).max())
 
 

@@ -66,6 +66,7 @@ from .fields import (
     Field3,
     Quadrature,
     _physical_memory,
+    _weighted_sum,
     add_scaled,
     divergence_fd,
     midpoint_rule,
@@ -321,8 +322,11 @@ def build_system(
     budget a grid's dense solve before they build its nodes.
     """
     aniso = problem.aniso
-    rows = boundary_data(policy, problem.residual, nodes, exact=exact, w_b=w_b, aniso=aniso)
-    system = assemble(nodes, kernel, *rows, poisson_rhs(problem.residual, box), aniso=aniso)
+    # Data that overflow give a right-hand side of inf or NaN, which fails below by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = boundary_data(policy, problem.residual, nodes, exact=exact, w_b=w_b, aniso=aniso)
+    source = np.errstate(over="ignore", invalid="ignore")(poisson_rhs(problem.residual, box))
+    system = assemble(nodes, kernel, *rows, source, aniso=aniso)
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
     return system
@@ -349,10 +353,6 @@ def descent_direction(residual_field: Field3, solution: MultiplierSolution) -> F
         fn=lambda pts: _direction_jet(residual_field, solution, pts)[0],
         div=lambda pts: _direction_jet(residual_field, solution, pts)[1],
     )
-
-
-def _weighted_sum(a: np.ndarray, w: np.ndarray, b: np.ndarray, qw: np.ndarray) -> float:
-    return float(np.sum(qw * np.einsum("ij,jk,ik->i", a, w, b)))
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
@@ -438,8 +438,10 @@ def _line_search(
     quad = quad if quad is not None else midpoint_rule(domain, 32, topo=topo)
     w, k, qw = problem.weights, len(problem.weights), quad.weights
 
-    vals_obs = problem.observed(quad.nodes)
-    vals_uc = updraft(w_b)(quad.nodes)
+    # Values that overflow fail here by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals_obs = problem.observed(quad.nodes)
+        vals_uc = updraft(w_b)(quad.nodes)
     _require_finite(f"{problem.name} values", vals_obs)
     _require_finite("base field values", vals_uc)
     d = vals_uc[:, :k] - vals_obs

@@ -37,12 +37,16 @@ of G, done in place, so :func:`factorize_and_solve` consumes the matrix.
 The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
 returns lambda, grad lambda and the interior operator applied to lambda from
 one pass over byte-bounded blocks of target points; the per-quantity
-evaluators select from it.
+evaluators select from it. The pass takes one of two paths: direct sums over
+(rows, N) kernel blocks, O(m N) for m points, or in the flat regime a
+truncated binomial series of the kernel factors, O((m + N) P) over its P
+monomials, taken only where it forms fewer numbers (:func:`_series_order`).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -51,7 +55,7 @@ from numpy.linalg import lapack_lite
 
 from .errors import ContractError, SingularSystemError
 from .geometry import FaceLabel, NodeSet, as_points
-from .kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
+from .kernel import KernelParams, _sq_radius, grad_phi, hess_phi, lap_phi, phi_sq
 
 __all__ = [
     "GramSystem",
@@ -66,6 +70,10 @@ log = logging.getLogger(__name__)
 # Float64 elements per (rows, N) block (512 KiB), in assembly and in
 # MultiplierSolution.jet; a (rows, N, 3) gradient block is 3 times that.
 _BLOCK_ELEMENTS = 1 << 16
+
+# The flat-regime series of MultiplierSolution.jet stops at K terms once the
+# first omitted q = 5 term, |binom(-5/2, K)| u_max^K, is at most _SERIES_TOL.
+_SERIES_TOL = 2.0**-55
 
 # The sketched solve starts at _SKETCH_START directions. _CERT_PROBES more
 # probes check it, and the kept rank must stay that many below k.
@@ -102,6 +110,59 @@ def _row_blocks(m: int, n: int):
     """Slices of at most ``_BLOCK_ELEMENTS // n`` (at least one) of m rows against n centers."""
     rows = max(1, _BLOCK_ELEMENTS // n)
     return (slice(start, start + rows) for start in range(0, m, rows))
+
+
+def _binomial(q: int, k: int) -> float:
+    """binom(-q/2, k), the k-th coefficient of the series of (1 + u)^(-q/2)."""
+    return math.prod((-q / 2 - i) / (i + 1) for i in range(k))
+
+
+def _series_order(u_max: float, m: int, n: int) -> int:
+    """K of the flat-regime series for m points against n centers, or 0 for the direct sums.
+
+    K is the least count whose first omitted q = 5 term, |binom(-5/2, K)|
+    u_max^K, is at most _SERIES_TOL; for u_max < 0.4 the terms of every
+    q <= 5 alternate in sign and decrease, so that term bounds the remainder
+    over 0 <= u <= u_max. The series forms P = C(K + 4, 5) monomials per point
+    and per center, the direct sums one kernel entry per pair, so it is taken
+    only when (m + n) P < m n.
+    """
+    k = 1
+    while u_max < 0.4 and (m + n) * math.comb(k + 4, 5) < m * n:
+        if abs(_binomial(5, k)) * u_max**k <= _SERIES_TOL:
+            return k
+        k += 1
+    return 0
+
+
+def _series_plan(order: int):
+    """The multi-indices (sorted tuples of the 5 features) of size below ``order``, and their products.
+
+    Within a size the tuples run by their largest feature a; those are the
+    previous size's tuples with largest feature at most a, a prefix, extended
+    by a. So a product (dst, src, count, a) forms rows dst:dst + count as rows
+    src:src + count times feature a.
+    """
+    terms, steps, level, start = [()], [], [()], 0
+    for _ in range(1, order):
+        extended = []
+        for a in range(5):
+            count = sum(1 for t in level if not t or t[-1] <= a)
+            steps.append((len(terms) + len(extended), start, count, a))
+            extended += [t + (a,) for t in level[:count]]
+        start = len(terms)
+        terms += extended
+        level = extended
+    return terms, steps
+
+
+def _monomials(feats: np.ndarray, size: int, steps) -> np.ndarray:
+    """(size, m) monomials of the (5, m) feature rows, formed by the products of :func:`_series_plan`."""
+    out = np.empty((size, feats.shape[1]))
+    out[0] = 1.0
+    for dst, src, count, a in steps:
+        np.multiply(out[src:src + count], feats[a], out=out[dst:dst + count])
+    return out
 
 
 def assemble(
@@ -151,8 +212,7 @@ def assemble(
     dir_idx = boundary[~neumann]
     for block in _row_blocks(len(dir_idx), n):
         idx = dir_idx[block]
-        d = pts[idx][:, None, :] - centers
-        matrix[idx] = phi_sq(np.sum(d * d, axis=-1), kernel)
+        matrix[idx] = phi_sq(_sq_radius(pts[idx][:, None, :], centers), kernel)
     kinds[dir_idx] = ROW_DIRICHLET
 
     neu_idx = boundary[neumann]
@@ -166,6 +226,57 @@ def assemble(
     return GramSystem(
         matrix=matrix, rhs=rhs, row_kinds=tuple(kinds), nodes=nodes, kernel=kernel, aniso=aniso
     )
+
+
+def _direct_sums(x_all, centers, cc, c2, beta, rhs3, rhs5):
+    """(W_1 beta, W_3 rhs3, -3 c^2 W_5 rhs5) from (rows, N) kernel blocks of W_q = s^(-q/2)."""
+    m = len(x_all)
+    value = np.empty(m)
+    sum3 = np.empty((m, 4))
+    lap5 = np.empty((m, rhs5.shape[1]))
+    for block in _row_blocks(m, len(centers)):
+        x = x_all[block]
+        s = x @ centers.T
+        s *= -2.0
+        s += np.einsum("ij,ij->i", x, x)[:, None]
+        s += cc
+        s *= c2
+        s += 1.0
+        root = np.sqrt(s)
+        value[block] = (1.0 / root) @ beta
+        sum3[block] = (1.0 / (s * root)) @ rhs3
+        # -3 c^2 s^(-5/2) exactly as lap_phi forms it
+        w = s * s
+        w *= root
+        np.divide(1.0, w, out=w)
+        w *= -3.0 * c2
+        lap5[block] = w @ rhs5
+    return value, sum3, lap5
+
+
+def _series_sums(x_all, xx, centers, cc, c2, order, rhs):
+    """[W_1, W_3, W_3, W_3, W_3, -3 c^2 W_5, ...] applied column by column to ``rhs``, by the series.
+
+    u_ij = c^2 |x_i - c_j|^2 = f(x_i) . g(c_j) with f = (1, x, |x|^2) and
+    g = c^2 (|c|^2, -2c, 1), so sum_{k < order} binom(-q/2, k) u^k is
+    F diag(coef_q) G^T over the monomials of f and g, with coef_q of a
+    multi-index alpha of size k binom(-q/2, k) k! / alpha!.
+    """
+    terms, steps = _series_plan(order)
+    powers = [1, 3, 3, 3, 3] + [5] * (rhs.shape[1] - 5)
+    coef = np.array([
+        [_binomial(q, len(t)) * math.factorial(len(t)) / math.prod(math.factorial(t.count(i)) for i in set(t))
+         for q in powers]
+        for t in terms
+    ])
+    coef[:, 5:] *= -3.0 * c2
+    g = _monomials(np.vstack([cc, -2.0 * centers.T, np.ones(len(centers))]) * c2, len(terms), steps)
+    moments = coef * (g @ rhs)
+    sums = np.empty((len(x_all), rhs.shape[1]))
+    for block in _row_blocks(len(x_all), len(terms)):
+        x = x_all[block]
+        sums[block] = _monomials(np.vstack([np.ones(len(x)), x.T, xx[block]]), len(terms), steps).T @ moments
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,8 +297,13 @@ class MultiplierSolution:
 
     with C the centers as rows, so the operator takes W_5 [beta, beta o C,
     beta o (c_j^T A c_j)], the closed form :func:`lap_phi` assembles. No
-    (m, N, 3) or (m, N, 3, 3) block is ever formed, and each (rows, N) block
-    holds about ``_BLOCK_ELEMENTS`` float64 values.
+    (m, N, 3) or (m, N, 3, 3) block is ever formed.
+
+    The direct path sums (rows, N) blocks of about ``_BLOCK_ELEMENTS`` values
+    with lap_phi's -3 c^2 s^(-5/2), so at the nodes the Laplacian is the
+    assembled interior rows applied to beta, bit for bit on the shipped grids.
+    The flat-regime series (:func:`_series_sums`) meets them only to about
+    eps sum_j |beta_j| 3 c^2; both meet the pairwise sums to that roundoff.
     """
 
     coeffs: np.ndarray
@@ -231,27 +347,13 @@ class MultiplierSolution:
         if a is not None:
             rhs5 = np.column_stack([beta, bc, beta * np.einsum("ij,jk,ik->i", centers, a, centers)])
 
-        value = np.empty(m)
-        sum3 = np.empty((m, 4))
-        lap5 = np.empty((m, rhs5.shape[1]))
-        for block in _row_blocks(m, n):
-            x = x_all[block]
-            s = x @ centers.T
-            s *= -2.0
-            s += np.einsum("ij,ij->i", x, x)[:, None]
-            s += cc
-            s *= c2
-            s += 1.0
-            root = np.sqrt(s)
-            value[block] = (1.0 / root) @ beta
-            sum3[block] = (1.0 / (s * root)) @ rhs3
-            # -3 c^2 s^(-5/2) exactly as lap_phi forms it, so the Laplacian is
-            # the assembled interior rows applied to beta.
-            w = s * s
-            w *= root
-            np.divide(1.0, w, out=w)
-            w *= -3.0 * c2
-            lap5[block] = w @ rhs5
+        xx = np.einsum("ij,ij->i", x_all, x_all)
+        order = _series_order(c2 * (np.sqrt(np.max(xx, initial=0.0)) + np.sqrt(cc.max())) ** 2, m, n)
+        if order:
+            sums = _series_sums(x_all, xx, centers, cc, c2, order, np.column_stack([beta, rhs3, rhs5]))
+            value, sum3, lap5 = sums[:, 0], sums[:, 1:5], sums[:, 5:]
+        else:
+            value, sum3, lap5 = _direct_sums(x_all, centers, cc, c2, beta, rhs3, rhs5)
 
         grad = -c2 * (x_all * sum3[:, :1] - sum3[:, 1:])
         op = lap5[:, 0]

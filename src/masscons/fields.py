@@ -221,6 +221,22 @@ def face_rule(box: BoxDomain, m_per_axis: int = 64) -> tuple[np.ndarray, np.ndar
     return np.vstack(nodes), np.concatenate(weights), np.vstack(normals)
 
 
+def _weighted_sum(a: np.ndarray, w: np.ndarray, b: np.ndarray, qw: np.ndarray) -> float:
+    """sum_i qw_i a_i^T W b_i over the rows of a and b.
+
+    Each row's form accumulates (a[:, j] W_jk) b[:, k] over the entries of W
+    in row-major order. That is the order of np.einsum("ij,jk,ik->i"), bit
+    for bit, for three rows or more and a C-ordered W; other shapes keep einsum.
+    """
+    if len(a) < 3 or not w.flags.c_contiguous:
+        rows = np.einsum("ij,jk,ik->i", a, w, b)
+    else:
+        rows = np.zeros(len(a))
+        for (j, k), w_jk in np.ndenumerate(w):
+            rows += (a[:, j] * w_jk) * b[:, k]
+    return float(np.sum(qw * rows))
+
+
 def weighted_ip(a, b, weights: np.ndarray, quad: Quadrature) -> float:
     """Weighted inner product sum_i w_i (S a(x_i)) . b(x_i)."""
     va = a(quad.nodes)
@@ -230,7 +246,7 @@ def weighted_ip(a, b, weights: np.ndarray, quad: Quadrature) -> float:
     w = np.asarray(weights, dtype=float)
     if w.shape != (va.shape[1], va.shape[1]):
         raise ContractError(f"weight matrix {w.shape} does not match field arity {va.shape[1]}")
-    return float(np.sum(quad.weights * np.einsum("ij,jk,ik->i", va, w, vb)))
+    return _weighted_sum(va, w, vb, quad.weights)
 
 
 def l2_ip(a, b, quad: Quadrature) -> float:
@@ -250,7 +266,7 @@ def objective(u: Field3, data: Field2, weights: np.ndarray, quad: Quadrature) ->
     """
     d = u(quad.nodes)[:, :2] - data(quad.nodes)
     w = validate_weights(weights, 2)
-    return 0.5 * float(np.sum(quad.weights * np.einsum("ij,jk,ik->i", d, w, d)))
+    return 0.5 * _weighted_sum(d, w, d, quad.weights)
 
 
 def divergence_fd(u: Field3, pts, h: float, box: BoxDomain | None = None):

@@ -24,6 +24,10 @@ rows per call: a block holds at most 2**16 pairs (512 KiB per scalar, 1.5 MiB
 for the gradient) whatever n is. The fractional powers are
 evaluated as sqrt-and-divide, which is considerably faster than ``**-1.5``
 on large pairwise blocks and bit-for-bit deterministic.
+
+The multiplier's jet (``collocation``) sums the factors s**(-q/2) from such
+pairwise blocks or, where c**2 r**2 << 1, from their truncated binomial
+series, the polynomial flat limit of the basis (Driscoll & Fornberg 2002).
 """
 
 from __future__ import annotations

@@ -1,22 +1,29 @@
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from masscons import collocation
 from masscons.adjust import Problem
 from masscons.collocation import (
     _BLOCK_ELEMENTS,
+    _SERIES_TOL,
     MultiplierSolution,
+    _binomial,
+    _series_order,
     assemble,
     dump_gram,
     factorize_and_solve,
 )
 from masscons.config import ExperimentConfig
 from masscons.errors import ConfigurationError, ContractError, DomainError, SingularSystemError
-from masscons.fields import updraft
+from masscons.fields import midpoint_rule, updraft
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
 
@@ -413,17 +420,73 @@ SPD = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
 SKEW = np.array([[0.0, 0.3, -0.2], [-0.3, 0.0, 0.1], [0.2, -0.1, 0.0]])
 
 
+@contextmanager
+def series_orders():
+    """The K of each jet called inside the block, 0 where it took the direct sums."""
+    orders = []
+    choose = collocation._series_order
+
+    def spy(*args):
+        orders.append(choose(*args))
+        return orders[-1]
+
+    with mock.patch.object(collocation, "_series_order", spy):
+        yield orders
+
+
+def jet_references(solution, pts):
+    """(value, grad, operator, hessian) summed pair by pair from the kernel's closed forms."""
+    x, c = pts[:, None, :], solution.nodes.points[None, :, :]
+    kp, beta = solution.kernel, solution.coeffs
+    hess = np.einsum("mnkl,n->mkl", hess_phi(x, c, kp), beta)
+    # A : hess sums all nine entries; inv(SPD) is not bitwise symmetric, and A : hess ignores a skew part
+    op = lap_phi(x, c, kp) @ beta if solution.aniso is None else np.einsum("kl,mkl->m", solution.aniso, hess)
+    return phi_sq(np.sum((x - c) ** 2, axis=-1), kp) @ beta, np.einsum("mnk,n->mk", grad_phi(x, c, kp), beta), op, hess
+
+
+def assert_jet_matches(solution, value, grad, op, refs):
+    """Roundoff of sum_j |beta_j| times each quantity's kernel scale: |phi| <= 1,
+    |grad phi| <= c, |lap phi| <= 3 c^2 and |hess phi|_kl <= 4 c^2. 1e-12 of that
+    leaves room for the cancellation of float64 sums with signed coefficients."""
+    shape, aniso = solution.kernel.shape, solution.aniso
+    op_scale = 3.0 * shape**2 if aniso is None else 4.0 * shape**2 * np.abs(aniso).sum()
+    tol = 1e-12 * np.abs(solution.coeffs).sum()
+    np.testing.assert_allclose(value, refs[0], rtol=0, atol=tol)
+    np.testing.assert_allclose(grad, refs[1], rtol=0, atol=tol * shape)
+    np.testing.assert_allclose(op, refs[2], rtol=0, atol=tol * op_scale)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_series_order_bounds_the_remainder(order):
+    # At the largest u the rule still answers K = order for (found by
+    # bisection; the rule is monotone in u), the K-term series of (1 + u)^(-q/2)
+    # with the package's coefficients is within 2^-53 of the function for
+    # every q the jet sums, in 50-digit arithmetic.
+    import mpmath
+
+    big = 10**9  # so many points and centers that the monomial count never decides
+    lo, hi = 0.0, 0.4
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _series_order(mid, big, big) <= order else (lo, mid)
+    assert _series_order(lo, big, big) == order
+    assert abs(_binomial(5, order)) * lo**order <= _SERIES_TOL
+    with mpmath.workdps(50):
+        u = mpmath.mpf(lo)
+        for q in (1, 3, 5):
+            series = mpmath.fsum(mpmath.mpf(_binomial(q, k)) * u**k for k in range(order))
+            assert abs(series - (1 + u) ** (-mpmath.mpf(q) / 2)) <= mpmath.mpf(2) ** -53
+
+
 @pytest.mark.parametrize(
     "aniso", [None, SPD, np.linalg.inv(SPD), SPD + SKEW], ids=["isotropic", "spd", "inv-spd", "spd-skew"]
 )
-@pytest.mark.parametrize("shape", [1e-3, 0.05, 0.7])
+@pytest.mark.parametrize("shape", [5e-4, 1e-3, 0.05, 0.7])
 def test_jet_matches_direct_kernel_sums(shape, aniso):
     # Reference: the kernel's closed-form derivatives contracted with beta
     # pair by pair. The jet reorders the sums (GEMM-expanded radii, mat-vecs
-    # per block), so the two agree to roundoff on sum_j |beta_j| times each
-    # quantity's kernel scale: |phi| <= 1, |grad phi| <= c, |lap phi| <= 3 c^2
-    # and |hess phi|_kl <= 4 c^2. 1e-12 of that leaves room for the
-    # cancellation of float64 sums with signed coefficients.
+    # per block, or at c = 5e-4 the flat-regime series), so the two agree to
+    # roundoff (assert_jet_matches).
     nodes = grid_centers(CUBE, 4)
     centers = nodes.points
     rng = np.random.default_rng(11)
@@ -436,27 +499,20 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
     rows = _BLOCK_ELEMENTS // len(nodes)
     pts = np.vstack([rng.uniform(-3.0, 3.0, (rows + 37, 3)), centers[:5]])
     assert len(pts) % rows != 0
-
-    x, c = pts[:, None, :], centers[None, :, :]
-    value_ref = phi_sq(np.sum((x - c) ** 2, axis=-1), kp) @ beta
-    grad_ref = np.einsum("mnk,n->mk", grad_phi(x, c, kp), beta)
-    hess_ref = np.einsum("mnkl,n->mkl", hess_phi(x, c, kp), beta)
-    lap_ref = lap_phi(x, c, kp) @ beta
-    lap_scale = 3.0 * shape**2
-    if aniso is None:
-        op_ref, op_scale = lap_ref, lap_scale
-    else:
-        # inv(SPD) is not bitwise symmetric and SPD + SKEW not at all; the
-        # operator sums all nine entries, and A : hess ignores a skew part
-        op_ref = np.einsum("kl,mkl->m", aniso, hess_ref)
-        op_scale = 4.0 * shape**2 * np.abs(aniso).sum()
+    refs = jet_references(solution, pts)
+    hess_ref = refs[3]
+    lap_ref = lap_phi(pts[:, None, :], centers[None, :, :], kp) @ beta
     tol = 1e-12 * np.abs(beta).sum()
+    lap_scale = 3.0 * shape**2
 
-    value, grad, op = solution.jet(pts)
+    with series_orders() as orders:
+        value, grad, op = solution.jet(pts)
+    # The points reach |x - c_j| = sqrt(75): u_max = 1.9e-5 at c = 5e-4 needs
+    # K = 4, 56 monomials, and (m + 64) 56 < 64 m; at c = 1e-3, u_max = 7.5e-5
+    # needs K = 5, 126 monomials, more than the 64 kernel entries per point.
+    assert orders == [4 if shape == 5e-4 else 0]
     assert value.shape == (len(pts),) and grad.shape == (len(pts), 3) and op.shape == (len(pts),)
-    np.testing.assert_allclose(value, value_ref, rtol=0, atol=tol)
-    np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=tol * shape)
-    np.testing.assert_allclose(op, op_ref, rtol=0, atol=tol * op_scale)
+    assert_jet_matches(solution, value, grad, op, refs)
 
     # hessian sums hess_phi over row blocks; its trace is the Laplacian and
     # its contraction with A the jet's operator
@@ -467,15 +523,76 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
     np.testing.assert_allclose(np.trace(hess, axis1=1, axis2=2), lap, rtol=0, atol=tol * lap_scale)
     np.testing.assert_allclose(lap, lap_ref, rtol=0, atol=tol * lap_scale)
     if aniso is not None:
+        op_scale = 4.0 * shape**2 * np.abs(aniso).sum()
         np.testing.assert_allclose(np.einsum("kl,mkl->m", aniso, hess), op, rtol=0, atol=tol * op_scale)
     assert solution.hessian(pts[0]).shape == (3, 3)
 
     for i in (0, len(pts) - 1):
         v1, g1, op1 = solution.jet(pts[i])
         assert isinstance(v1, float) and isinstance(op1, float) and g1.shape == (3,)
-        assert abs(v1 - value_ref[i]) <= tol
-        np.testing.assert_allclose(g1, grad_ref[i], rtol=0, atol=tol * shape)
-        assert abs(op1 - op_ref[i]) <= tol * op_scale
+        assert_jet_matches(solution, v1, g1, op1, [r[i] for r in refs[:3]])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    shape=st.floats(1e-5, 1e-3),
+    per_axis=st.integers(4, 6),
+    half=st.floats(0.5, 2.0),
+    offset=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+    anisotropic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_series_jet_matches_direct_kernel_sums(shape, per_axis, half, offset, anisotropic, seed):
+    # Flat shapes on centre grids of any size and place: where the series
+    # runs, it meets the pairwise sums to the same roundoff bound as the
+    # direct blocks, for beta of order 1e6 with either interior operator.
+    lo = np.asarray(offset) - half
+    box = BoxDomain(lo[0], lo[0] + 2 * half, lo[1], lo[1] + 2 * half, lo[2], lo[2] + half)
+    nodes = grid_centers(box, per_axis)
+    rng = np.random.default_rng(seed)
+    solution = MultiplierSolution(
+        coeffs=rng.normal(size=len(nodes)) * 1e6, nodes=nodes, kernel=KernelParams(shape),
+        aniso=SPD if anisotropic else None, residual=0.0, residual_norm=0.0, rank=len(nodes),
+        trunc_tol=1e-12, kappa=float("nan"),
+    )
+    pts = rng.uniform(box.lo - 0.25 * half, box.hi + 0.25 * half, (700, 3))
+    with series_orders() as orders:
+        value, grad, op = solution.jet(pts)
+    assume(orders[0] > 0)
+    assert_jet_matches(solution, value, grad, op, jet_references(solution, pts))
+
+
+def test_jet_with_no_fewer_monomials_than_pairs_is_the_direct_sums():
+    # 27 centers at c = 1e-3 need K = 4, P = 56 monomials, more than the 27
+    # kernel entries per point: the jet keeps the (rows, N) kernel blocks and
+    # their bits, s formed by GEMM expansion about the centroid.
+    nodes = grid_centers(SLAB, 3)
+    beta = np.random.default_rng(5).normal(size=len(nodes)) * 1e6
+    kp = KernelParams(1e-3)
+    solution = MultiplierSolution(
+        coeffs=beta, nodes=nodes, kernel=kp, aniso=None,
+        residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+    )
+    pts = midpoint_rule(SLAB, 8).nodes
+    with series_orders() as orders:
+        value, grad, lap = solution.jet(pts)
+    assert orders == [0]
+    origin = nodes.points.mean(axis=0)
+    x, c = pts - origin, nodes.points - origin
+    c2 = kp.shape**2
+    s = x @ c.T
+    s *= -2.0
+    s += np.einsum("ij,ij->i", x, x)[:, None]
+    s += np.einsum("ij,ij->i", c, c)
+    s *= c2
+    s += 1.0
+    root = np.sqrt(s)
+    sum3 = (1.0 / (s * root)) @ np.column_stack([beta, beta[:, None] * c])
+    w5 = s * s
+    w5 *= root
+    assert np.array_equal(value, (1.0 / root) @ beta)
+    assert np.array_equal(grad, -c2 * (x * sum3[:, :1] - sum3[:, 1:]))
+    assert np.array_equal(lap, ((1.0 / w5) * (-3.0 * c2)) @ beta)
 
 
 def test_eval_jet_gradient_matches_fd():

@@ -461,9 +461,11 @@ def test_iterations_key_is_unknown(tmp_path):
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_data_fails_the_row(tmp_path):
-    # eps = 1e308 parses, but the sheared data overflows to inf at the nodes
+    # eps = 1e308 parses, but the sheared data overflows to inf at the nodes; the
+    # typed error is the whole report, and NumPy's overflow warning (an error here)
+    # is not raised
     text = f"example = ex53\neps = 1e308\nn = 3\nc = 0.1\nquad = 4\nout = {tmp_path / 'inf'}\n"
     path = write_cfg(tmp_path, text)
     rows = run_experiment(parse_config(path))

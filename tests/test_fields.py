@@ -4,6 +4,7 @@ import pytest
 from masscons.errors import ConfigurationError, ContractError, DomainError
 from masscons.fields import (
     Field2,
+    _weighted_sum,
     Field3,
     divergence_fd,
     example_field,
@@ -117,6 +118,28 @@ def test_adjointness_identity():
 
     rhs = l2_ip(u, Field3(fn=m_star_sv), q)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 1000])
+def test_weighted_sum_has_the_bits_of_einsum(m):
+    # The shared quadratic form equals np.sum(qw * einsum("ij,jk,ik->i")) bit
+    # for bit: on contiguous arrays, on column-slice views such as vals_p[:, :2],
+    # on reversed rows and with a Fortran-ordered W, over ten decades of values.
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        vals = rng.standard_normal((m, 3)) * 10.0 ** rng.integers(-5, 5, (m, 3))
+        other = rng.standard_normal((m, 3))
+        qw = rng.uniform(0.5, 2.0, m)
+        for k in (2, 3):
+            s = rng.standard_normal((k, k))
+            s = s @ s.T + np.eye(k)
+            for a, w, b in (
+                (vals[:, :k].copy(), s, other[:, :k].copy()),
+                (vals[:, :k], s, vals[:, :k]),
+                (vals[::-1, :k], s, other[:, :k]),
+                (vals[:, :k], np.asfortranarray(s), other[:, :k]),
+            ):
+                assert _weighted_sum(a, w, b, qw) == float(np.sum(qw * np.einsum("ij,jk,ik->i", a, w, b)))
 
 
 def test_objective_zero_at_trivial_minimum():

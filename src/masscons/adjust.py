@@ -322,11 +322,14 @@ def build_system(
     budget a grid's dense solve before they build its nodes.
     """
     aniso = problem.aniso
-    # Data that overflow give a right-hand side of inf or NaN, which fails below by name.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Data that overflow give a right-hand side of inf or NaN, which fails below
+    # by name, so the data are evaluated quietly: the boundary rows here, the
+    # source where assemble calls it. The matrix's kernel arithmetic keeps its
+    # warnings, because no finiteness check follows it.
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet:
         rows = boundary_data(policy, problem.residual, nodes, exact=exact, w_b=w_b, aniso=aniso)
-    source = np.errstate(over="ignore", invalid="ignore")(poisson_rhs(problem.residual, box))
-    system = assemble(nodes, kernel, *rows, source, aniso=aniso)
+    system = assemble(nodes, kernel, *rows, quiet(poisson_rhs(problem.residual, box)), aniso=aniso)
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
     return system

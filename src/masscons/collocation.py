@@ -45,8 +45,10 @@ monomials, taken only where it forms fewer numbers (:func:`_series_order`).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -120,49 +122,19 @@ def _binomial(q: int, k: int) -> float:
 def _series_order(u_max: float, m: int, n: int) -> int:
     """K of the flat-regime series for m points against n centers, or 0 for the direct sums.
 
-    K is the least count whose first omitted q = 5 term, |binom(-5/2, K)|
+    K is the least count from 2 whose first omitted q = 5 term, |binom(-5/2, K)|
     u_max^K, is at most _SERIES_TOL; for u_max < 0.4 the terms of every
     q <= 5 alternate in sign and decrease, so that term bounds the remainder
     over 0 <= u <= u_max. The series forms P = C(K + 4, 5) monomials per point
     and per center, the direct sums one kernel entry per pair, so it is taken
     only when (m + n) P < m n.
     """
-    k = 1
+    k = 2
     while u_max < 0.4 and (m + n) * math.comb(k + 4, 5) < m * n:
         if abs(_binomial(5, k)) * u_max**k <= _SERIES_TOL:
             return k
         k += 1
     return 0
-
-
-def _series_plan(order: int):
-    """The multi-indices (sorted tuples of the 5 features) of size below ``order``, and their products.
-
-    Within a size the tuples run by their largest feature a; those are the
-    previous size's tuples with largest feature at most a, a prefix, extended
-    by a. So a product (dst, src, count, a) forms rows dst:dst + count as rows
-    src:src + count times feature a.
-    """
-    terms, steps, level, start = [()], [], [()], 0
-    for _ in range(1, order):
-        extended = []
-        for a in range(5):
-            count = sum(1 for t in level if not t or t[-1] <= a)
-            steps.append((len(terms) + len(extended), start, count, a))
-            extended += [t + (a,) for t in level[:count]]
-        start = len(terms)
-        terms += extended
-        level = extended
-    return terms, steps
-
-
-def _monomials(feats: np.ndarray, size: int, steps) -> np.ndarray:
-    """(size, m) monomials of the (5, m) feature rows, formed by the products of :func:`_series_plan`."""
-    out = np.empty((size, feats.shape[1]))
-    out[0] = 1.0
-    for dst, src, count, a in steps:
-        np.multiply(out[src:src + count], feats[a], out=out[dst:dst + count])
-    return out
 
 
 def assemble(
@@ -254,28 +226,42 @@ def _direct_sums(x_all, centers, cc, c2, beta, rhs3, rhs5):
     return value, sum3, lap5
 
 
-def _series_sums(x_all, xx, centers, cc, c2, order, rhs):
+def _monomials(feats: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """(P, m) products of the (6, m) feature rows that each row of ``terms`` indexes."""
+    out = feats[terms[:, 0]]
+    for col in terms.T[1:]:
+        out *= feats[col]
+    return out
+
+
+def _series_sums(x_all, xx, centers, cc, c, order, rhs):
     """[W_1, W_3, W_3, W_3, W_3, -3 c^2 W_5, ...] applied column by column to ``rhs``, by the series.
 
-    u_ij = c^2 |x_i - c_j|^2 = f(x_i) . g(c_j) with f = (1, x, |x|^2) and
-    g = c^2 (|c|^2, -2c, 1), so sum_{k < order} binom(-q/2, k) u^k is
+    u_ij = c^2 |x_i - c_j|^2 = f(x_i) . g(c_j) with f = (1, c x, c^2 |x|^2) and
+    g = (c^2 |c_j|^2, -2 c c_j, 1), so sum_{k < order} binom(-q/2, k) u^k is
     F diag(coef_q) G^T over the monomials of f and g, with coef_q of a
-    multi-index alpha of size k binom(-q/2, k) k! / alpha!.
+    multi-index alpha of size k binom(-q/2, k) k! / alpha!. The two sides
+    share the scale c: no feature exceeds 2 sqrt(u_max) in size, so no
+    monomial overflows, and none underflows unless its term does. A sixth
+    feature 1 on both sides pads every multi-index to size order - 1.
     """
-    terms, steps = _series_plan(order)
+    terms = list(itertools.combinations_with_replacement(range(6), order - 1))
     powers = [1, 3, 3, 3, 3] + [5] * (rhs.shape[1] - 5)
-    coef = np.array([
-        [_binomial(q, len(t)) * math.factorial(len(t)) / math.prod(math.factorial(t.count(i)) for i in set(t))
-         for q in powers]
-        for t in terms
-    ])
-    coef[:, 5:] *= -3.0 * c2
-    g = _monomials(np.vstack([cc, -2.0 * centers.T, np.ones(len(centers))]) * c2, len(terms), steps)
-    moments = coef * (g @ rhs)
+    coef = np.empty((len(terms), len(powers)))
+    for i, t in enumerate(terms):
+        alpha = Counter(a for a in t if a < 5)
+        size = sum(alpha.values())
+        weight = math.factorial(size) / math.prod(map(math.factorial, alpha.values()))
+        coef[i] = [_binomial(q, size) * weight for q in powers]
+    coef[:, 5:] *= -3.0 * c**2
+    terms = np.array(terms)
+    ones = np.ones(len(centers))
+    moments = coef * (_monomials(np.vstack([c**2 * cc, -2.0 * c * centers.T, ones, ones]), terms) @ rhs)
     sums = np.empty((len(x_all), rhs.shape[1]))
     for block in _row_blocks(len(x_all), len(terms)):
-        x = x_all[block]
-        sums[block] = _monomials(np.vstack([np.ones(len(x)), x.T, xx[block]]), len(terms), steps).T @ moments
+        ones = np.ones(len(xx[block]))
+        f = np.vstack([ones, c * x_all[block].T, c**2 * xx[block], ones])
+        sums[block] = _monomials(f, terms).T @ moments
     return sums
 
 
@@ -350,7 +336,8 @@ class MultiplierSolution:
         xx = np.einsum("ij,ij->i", x_all, x_all)
         order = _series_order(c2 * (np.sqrt(np.max(xx, initial=0.0)) + np.sqrt(cc.max())) ** 2, m, n)
         if order:
-            sums = _series_sums(x_all, xx, centers, cc, c2, order, np.column_stack([beta, rhs3, rhs5]))
+            rhs = np.column_stack([beta, rhs3, rhs5])
+            sums = _series_sums(x_all, xx, centers, cc, self.kernel.shape, order, rhs)
             value, sum3, lap5 = sums[:, 0], sums[:, 1:5], sums[:, 5:]
         else:
             value, sum3, lap5 = _direct_sums(x_all, centers, cc, c2, beta, rhs3, rhs5)

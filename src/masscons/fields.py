@@ -225,15 +225,13 @@ def _weighted_sum(a: np.ndarray, w: np.ndarray, b: np.ndarray, qw: np.ndarray) -
     """sum_i qw_i a_i^T W b_i over the rows of a and b.
 
     Each row's form accumulates (a[:, j] W_jk) b[:, k] over the entries of W
-    in row-major order. That is the order of np.einsum("ij,jk,ik->i"), bit
-    for bit, for three rows or more and a C-ordered W; other shapes keep einsum.
+    in row-major order. For three rows or more and a C-ordered W that is the
+    order of np.einsum("ij,jk,ik->i"), bit for bit; with one or two rows, or
+    a Fortran-ordered W, einsum may round differently in the last bit.
     """
-    if len(a) < 3 or not w.flags.c_contiguous:
-        rows = np.einsum("ij,jk,ik->i", a, w, b)
-    else:
-        rows = np.zeros(len(a))
-        for (j, k), w_jk in np.ndenumerate(w):
-            rows += (a[:, j] * w_jk) * b[:, k]
+    rows = np.zeros(len(a))
+    for (j, k), w_jk in np.ndenumerate(w):
+        rows += (a[:, j] * w_jk) * b[:, k]
     return float(np.sum(qw * rows))
 
 

@@ -562,6 +562,41 @@ def test_flat_series_jet_matches_direct_kernel_sums(shape, per_axis, half, offse
     assert_jet_matches(solution, value, grad, op, jet_references(solution, pts))
 
 
+@pytest.mark.parametrize("aniso", [None, SPD], ids=["isotropic", "spd"])
+def test_flat_series_on_a_far_out_box_at_tiny_shape(aniso):
+    # A box 1e60 across at c = 1e-63 keeps u_max near 1e-5, so the series
+    # runs. Its features share the scale c, so no monomial overflows to inf or
+    # underflows to 0 (|x|^6 = 1e360 and c^6 = 1e-378 alone would): the sums
+    # stay finite and meet the pairwise ones to roundoff.
+    box = BoxDomain(-1e60, 1e60, -1e60, 1e60, -1e60, 1e60)
+    nodes = grid_centers(box, 4)
+    solution = MultiplierSolution(
+        coeffs=np.random.default_rng(3).normal(size=len(nodes)), nodes=nodes, kernel=KernelParams(1e-63),
+        aniso=aniso, residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+    )
+    pts = midpoint_rule(box, 8).nodes
+    with series_orders() as orders:
+        value, grad, op = solution.jet(pts)
+    assert orders == [4]
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad)) and np.all(np.isfinite(op))
+    assert_jet_matches(solution, value, grad, op, jet_references(solution, pts))
+
+
+def test_flat_series_at_its_lowest_order():
+    # At c = 1e-12, u_max = 7.5e-23: one omitted q = 5 term already meets the
+    # tolerance, but the series keeps K = 2, the constant and linear terms.
+    nodes = grid_centers(CUBE, 4)
+    solution = MultiplierSolution(
+        coeffs=np.random.default_rng(4).normal(size=len(nodes)), nodes=nodes, kernel=KernelParams(1e-12),
+        aniso=SPD, residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+    )
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, (200, 3))
+    with series_orders() as orders:
+        value, grad, op = solution.jet(pts)
+    assert orders == [2]
+    assert_jet_matches(solution, value, grad, op, jet_references(solution, pts))
+
+
 def test_jet_with_no_fewer_monomials_than_pairs_is_the_direct_sums():
     # 27 centers at c = 1e-3 need K = 4, P = 56 monomials, more than the 27
     # kernel entries per point: the jet keeps the (rows, N) kernel blocks and

@@ -15,7 +15,10 @@ mask, the prescribed values, and the normals or conormals the Neumann rows use.
 Each row kind is built in blocks of at most _BLOCK_ELEMENTS // N target rows,
 so every kernel array (at most the (rows, N, 3) gradient block, 1.5 MiB)
 has a fixed byte size whatever N is; only the N x N matrix grows with N.
-Every entry is computed elementwise, so the block split does not change a bit
+The isotropic, Dirichlet and Neumann rows are computed elementwise by the
+kernels. The anisotropic rows expand s and d^T A d about the centroid into
+GEMMs over the three coordinates, as :meth:`MultiplierSolution.jet` does
+(:func:`_aniso_rows`). In both cases the block split does not change a bit
 of the matrix.
 
 The dense square system G beta = b gets its truncated-SVD minimum-norm
@@ -27,7 +30,13 @@ the directions, so the solve pays for those only: a randomized range finder
 step) gives an orthonormal basis Q of k columns, LAPACK dgelsd
 (``np.linalg.lstsq``) solves the k x N projection Q^T G beta = Q^T b, and the
 a-posteriori bound of their section 4.3 certifies that G has nothing above
-the cut outside Q. Without the certificate k doubles from 32; once 4 k
+the cut outside Q. Without the certificate k doubles from 32, one block at a
+time (their section 4.4): the new directions are deflated against Q,
+power-stepped and appended, and only their rows join the projection. So no
+direction meets G twice: a level that adds j directions multiplies G by its
+j new hash columns and applies G^T, G and the projection to its directions
+once each, about 4 j columns through G or G^T, and the three levels to
+k = 128 take 522 columns where redoing each level took 810. Once 4 k
 exceeds N, or once the k-th singular value of the projection is still above
 sqrt(trunc_tol) * sigma_max, dgelsd solves G itself. The sketch comes from a
 counter-based hash, so the solve is deterministic. After the residual, the
@@ -137,6 +146,36 @@ def _series_order(u_max: float, m: int, n: int) -> int:
     return 0
 
 
+def _s_block(x, centers, cc, c2):
+    """(rows, N) s = 1 + c^2 (|x|^2 - 2 x . c_j + |c_j|^2), by GEMM expansion; cc holds |c_j|^2."""
+    s = x @ centers.T
+    s *= -2.0
+    s += np.einsum("ij,ij->i", x, x)[:, None]
+    s += cc
+    s *= c2
+    s += 1.0
+    return s
+
+
+def _aniso_rows(x, centers, cc, c2, a, cac):
+    """(rows, N) A : hess phi = c^2 (3 c^2 d^T A d - tr(A) s) s^(-5/2), expanded like :func:`_s_block`.
+
+    d^T A d = x^T A x - x^T (A + A^T) c_j + c_j^T A c_j, with cac holding c_j^T A c_j.
+    """
+    s = _s_block(x, centers, cc, c2)
+    row = (x @ (a + a.T)) @ centers.T
+    np.subtract(np.einsum("ij,jk,ik->i", x, a, x)[:, None], row, out=row)
+    row += cac
+    row *= 3.0 * c2
+    row -= np.trace(a) * s
+    root = np.sqrt(s)
+    s *= s
+    s *= root
+    row /= s
+    row *= c2
+    return row
+
+
 def assemble(
     nodes: NodeSet,
     kernel: KernelParams,
@@ -152,9 +191,10 @@ def assemble(
     node of ``nodes.boundary``: a Dirichlet row pins lambda to its value and a
     Neumann row prescribes grad lambda . conormal = value. ``f`` is the
     interior source evaluated at the interior nodes. ``aniso`` switches the
-    interior operator to A : hess, in the closed form of :func:`lap_phi`.
-    The kernels are called on row blocks of at most _BLOCK_ELEMENTS // N rows;
-    a shape that overflows them over the nodes' extent raises DomainError.
+    interior operator to A : hess, the closed form of :func:`lap_phi`
+    expanded about the centroid (:func:`_aniso_rows`). The kernels are
+    called on row blocks of at most _BLOCK_ELEMENTS // N rows; a shape that
+    overflows them over the nodes' extent raises DomainError.
     """
     pts = nodes.points
     n = len(pts)
@@ -174,10 +214,18 @@ def assemble(
     centers = pts[None, :, :]
 
     interior = nodes.interior
-    for block in _row_blocks(len(interior), n):
-        idx = interior[block]
-        x = pts[idx][:, None, :]
-        matrix[idx] = lap_phi(x, centers, kernel, aniso)
+    if aniso is None:
+        for block in _row_blocks(len(interior), n):
+            idx = interior[block]
+            matrix[idx] = lap_phi(pts[idx][:, None, :], centers, kernel)
+    else:
+        # about the centroid, as MultiplierSolution.jet expands the same form
+        shifted = pts - pts.mean(axis=0)
+        cc = np.einsum("ij,ij->i", shifted, shifted)
+        cac = np.einsum("ij,jk,ik->i", shifted, aniso, shifted)
+        for block in _row_blocks(len(interior), n):
+            idx = interior[block]
+            matrix[idx] = _aniso_rows(shifted[idx], shifted, cc, kernel.shape**2, aniso, cac)
     rhs[interior] = np.asarray(f(pts[interior]), dtype=float)
     rhs[boundary] = values
 
@@ -207,13 +255,7 @@ def _direct_sums(x_all, centers, cc, c2, beta, rhs3, rhs5):
     sum3 = np.empty((m, 4))
     lap5 = np.empty((m, rhs5.shape[1]))
     for block in _row_blocks(m, len(centers)):
-        x = x_all[block]
-        s = x @ centers.T
-        s *= -2.0
-        s += np.einsum("ij,ij->i", x, x)[:, None]
-        s += cc
-        s *= c2
-        s += 1.0
+        s = _s_block(x_all[block], centers, cc, c2)
         root = np.sqrt(s)
         value[block] = (1.0 / root) @ beta
         sum3[block] = (1.0 / (s * root)) @ rhs3
@@ -282,12 +324,15 @@ class MultiplierSolution:
         d^T A d         = x^T A x - x^T (A + A^T) c_j + c_j^T A c_j
 
     with C the centers as rows, so the operator takes W_5 [beta, beta o C,
-    beta o (c_j^T A c_j)], the closed form :func:`lap_phi` assembles. No
-    (m, N, 3) or (m, N, 3, 3) block is ever formed.
+    beta o (c_j^T A c_j)]. No (m, N, 3) or (m, N, 3, 3) block is ever formed.
+    The assembly's anisotropic rows (:func:`_aniso_rows`) are this expansion
+    pair by pair, about the same centroid and with the same s (:func:`_s_block`).
 
     The direct path sums (rows, N) blocks of about ``_BLOCK_ELEMENTS`` values
     with lap_phi's -3 c^2 s^(-5/2), so at the nodes the Laplacian is the
     assembled interior rows applied to beta, bit for bit on the shipped grids.
+    The operator A : hess lambda sums the same terms in another order than
+    the assembled rows, so it meets them to roundoff.
     The flat-regime series (:func:`_series_sums`) meets them only to about
     eps sum_j |beta_j| 3 c^2; both meet the pairwise sums to that roundoff.
     """
@@ -398,6 +443,17 @@ def _hash_uniform(n: int, cols: int, offset: int = 0) -> np.ndarray:
     return ((z >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(cols, n).T
 
 
+def _deflate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x orthogonalized twice against the orthonormal columns of q, orthonormalized in between.
+
+    One pass leaves rounding of order eps |q^T x| along q, which the next
+    normalization and the power step's G would blow up; the second pass
+    takes it to eps of the normalized columns.
+    """
+    x = np.linalg.qr(x - q @ (q.T @ x))[0]
+    return x - q @ (q.T @ x)
+
+
 def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np.ndarray, int, float]:
     """(beta, rank, sigma_max) of the truncated-SVD minimum-norm solution of g beta = b.
 
@@ -407,20 +463,32 @@ def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np
     the next _CERT_PROBES columns w_i, scaled to unit variance, is below the
     cut (Halko, Martinsson & Tropp 2011, section 4.3; the bound's probability
     is proved for Gaussian w_i, so for these it is a heuristic). Otherwise k
-    doubles and only the new columns are multiplied by g. Once 4 k exceeds N,
-    or when the projection's last singular value is still above
-    sqrt(trunc_tol) sigma_max, so the spectrum has not fallen halfway to the
-    cut in k directions, dgelsd solves g itself.
+    doubles by one block (section 4.4): g multiplies only the new hash
+    columns, whose k / 2 sketch columns are deflated against Q, power-stepped
+    (g^T, then g) and deflated again (:func:`_deflate`); they join Q, and only
+    their rows join the projection. The first level, which has no Q, is the
+    plain one-power-step range finder. Once 4 k exceeds N, or when the
+    projection's last singular value is still above sqrt(trunc_tol)
+    sigma_max, so the spectrum has not fallen halfway to the cut in k
+    directions, dgelsd solves g itself.
     """
     n = len(b)
     k = _SKETCH_START
     y = np.empty((n, 0))
+    q, proj, qb = np.empty((n, 0)), np.empty((0, n)), np.empty(0)
     while 4 * k <= n:
         done = y.shape[1]
         y = np.hstack([y, g @ _hash_uniform(n, k + _CERT_PROBES - done, done * n)])
-        q = np.linalg.qr(y[:, :k])[0]
-        q = np.linalg.qr(g @ np.linalg.qr(g.T @ q)[0])[0]
-        beta, _, rank, sigma = np.linalg.lstsq(q.T @ g, q.T @ b, rcond=trunc_tol)
+        kept = q.shape[1]
+        block = y[:, kept:k]
+        if kept:
+            block = _deflate(q, block)
+        new = g @ np.linalg.qr(g.T @ np.linalg.qr(block)[0])[0]
+        if kept:
+            new = _deflate(q, new)
+        new = np.linalg.qr(new)[0]
+        q, proj, qb = np.hstack([q, new]), np.vstack([proj, new.T @ g]), np.concatenate([qb, new.T @ b])
+        beta, _, rank, sigma = np.linalg.lstsq(proj, qb, rcond=trunc_tol)
         probes = y[:, k:]
         miss = np.sqrt(3.0) * np.linalg.norm(probes - q @ (q.T @ probes), axis=0).max()
         if rank + _CERT_PROBES <= k and 10 * np.sqrt(2 / np.pi) * miss <= trunc_tol * sigma[0]:

@@ -86,9 +86,10 @@ class ExperimentConfig:
     """Experiment settings, checked and resolved on construction.
 
     Each field declares its default and what its values must meet; a value
-    that does not raises ConfigurationError naming the config key. Floats
-    must be finite, and so must the box diameter D, the kernels' s^(5/2) at
-    s = 1 + c^2 D^2 and, on hill terrain, D / hill_width^2. ``domain``,
+    that does not raises ConfigurationError naming the config key. Grid
+    sizes must be distinct. Floats must be finite, and so must the box
+    diameter D, the kernels' s^(5/2) at s = 1 + c^2 D^2 and, on hill
+    terrain, D / hill_width^2. ``domain``,
     ``hill_amplitude`` and ``hill_width`` default to None, resolved to the
     example's box, 20 % of the box height and 25 % of its smaller
     horizontal extent, so a constructed config equals what
@@ -128,6 +129,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 resolve(f.name, _checked(_KEYS.get(f.name, f.name), value, **f.metadata))
+        if len(set(self.grid_sizes)) != len(self.grid_sizes):
+            # a row's output files (field_N*.csv, gram_N*.txt) are named by its grid size
+            raise _fail("n", f"grid sizes must be distinct, got {self.grid_sizes!r}")
         try:
             case = example_field(self.example, eps=self.eps)
         except ConfigurationError as exc:

@@ -7,14 +7,16 @@ last column instead of aborting the run. Wall times go to ``timings.csv``
 so ``table.csv`` stays byte-identical across reruns of the same
 configuration. ``field_N{n}.csv`` samples the adjusted and exact fields and
 the adjusted field's divergence on the quadrature grid, from the node values
-the adjustment already computed, as ``%.17e`` (18 significant digits, one more
-than round trip needs; ``nan`` and ``inf`` spelled as Python spells them); a
-failed row writes none. ``config.echo`` re-parses to an equal configuration.
+the adjustment already computed, as fixed-width ``%-25.17e`` cells (18
+significant digits, one more than round trip needs, space-padded to 25 bytes;
+``nan`` and ``inf`` spelled as Python spells them), so every data record is
+260 bytes; a failed row writes none. ``config.echo`` re-parses to an equal
+configuration.
 
 Rows run one at a time, in configuration order, and files are written after
 all rows complete. The field files of a run are written together, block by
 block over the nodes; a block formats each distinct value (bit pattern) once
-and gathers its lines as bytes.
+and writes its gathered lines as they are.
 The ``%.17e`` text is made with NumPy, not printf: the 18 digits are |x| times
 a power of ten, formed as a double-double (Dekker's product against a
 double-double table of 10^k), rounded to an integer and spelled through a
@@ -191,8 +193,9 @@ def _write_timings(path, rows: list[TableRow]) -> None:
 # bit pattern once, so 0.0 and -0.0 stay apart, as a _FIELD_CELL: "%.17e"
 # space-padded to 25 bytes, the longest such text (-1.79769313486231571e+308),
 # and a comma. _format_cells makes the cells with NumPy; only the values it
-# cannot decide are formatted by "%". The lines are gathered as bytes and the
-# padding dropped: np.savetxt's "%.17e" rows exactly.
+# cannot decide are formatted by "%". The gathered lines are written as they
+# are, padding kept: np.savetxt's "%-25.17e" rows exactly, each 260 bytes, so
+# record i of a file starts at byte len(_FIELD_HEADER) + 260 i.
 _FIELD_HEADER = b"x,y,z,u1,u2,u3,u1_exact,u2_exact,u3_exact,div\n"
 _FIELD_CELL = "%-25.17e,"
 # Rows per block: the text of a block, not of a whole file, is held in memory.
@@ -362,7 +365,7 @@ def _write_fields(paths, case: ExampleCase, results: list[AdjustmentResult], qua
             for fh, cols in zip(files, order):
                 buf = cells[index[:, cols]]
                 buf[:, -1, -1] = ord("\n")
-                fh.write(buf.tobytes().replace(b" ", b""))
+                fh.write(buf)
 
 
 def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:

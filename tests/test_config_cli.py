@@ -1,3 +1,4 @@
+import csv
 import importlib
 import math
 import subprocess
@@ -76,6 +77,17 @@ def test_parse_rejects_bad_values(tmp_path):
 
     with pytest.raises(ConfigurationError):
         parse_config(write_cfg(tmp_path, "example = ex51\nn = 3\nc = 1\ns = 1,0,0,-1\n"))
+
+
+def test_repeated_grid_size_is_a_configuration_error(tmp_path):
+    # field_N3.csv would be written twice, through two handles open at once
+    path = write_cfg(tmp_path, "example = ex51\nn = 3,4,3\nc = 0.1\nquad = 4\n")
+    with pytest.raises(ConfigurationError, match=r"line 2: n: grid sizes must be distinct, got \(3, 4, 3\)"):
+        parse_config(path)
+    with pytest.raises(ConfigurationError, match="^n: grid sizes must be distinct"):
+        ExperimentConfig("ex51", (3, 4, 3), 0.1)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -194,7 +206,7 @@ def spd_weights(draw, dim):
 def config_texts(draw):
     """Config files over every example, with and without a domain and the hill keys."""
     example = draw(st.sampled_from(["ex51", "ex52", "ex53"]))
-    sizes = draw(st.lists(st.integers(3, 9), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.integers(3, 9), min_size=1, max_size=3, unique=True))
     positive = st.floats(1e-3, 10.0)
     lines = [f"example = {example}", f"n = {','.join(map(str, sizes))}", f"c = {draw(positive)!r}"]
     bounds = example_field(example, eps=0.1).domain.bounds
@@ -494,7 +506,7 @@ def savetxt_field(path, nodes, values, exact, div):
     """The field file as np.savetxt writes it: the reference for the block writer."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(FIELD_HEADER)
-        np.savetxt(fh, np.column_stack([nodes, values, exact, div]), fmt="%.17e", delimiter=",", newline="\n")
+        np.savetxt(fh, np.column_stack([nodes, values, exact, div]), fmt="%-25.17e", delimiter=",", newline="\n")
     return path.read_bytes()
 
 
@@ -601,6 +613,54 @@ def test_failed_middle_row_leaves_its_field_file_out(tmp_path, monkeypatch):
             tmp_path / "ref.csv", quad.nodes, result.node_values, case.exact(quad.nodes), result.node_div
         )
         assert (out / f"field_N{n}.csv").read_bytes() == expected
+
+
+def assert_same_bits(parsed, expected):
+    """Equal bit for bit, except that every NaN reads back as NaN, whatever its payload or sign."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(parsed), nan)
+    assert np.array_equal(parsed[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def assert_fixed_width_records(path, columns):
+    """The file's records are 260 bytes each, record i at len(header) + 260 i, and hold ``columns``."""
+    data = path.read_bytes()
+    assert data.startswith(FIELD_HEADER.encode("ascii"))
+    body = data[len(FIELD_HEADER):]
+    assert len(body) == 260 * len(columns)
+    lines = body.split(b"\n")
+    assert lines.pop() == b"" and all(len(line) == 259 for line in lines)
+    for i in (0, len(columns) // 2, len(columns) - 1):
+        start = len(FIELD_HEADER) + 260 * i
+        assert data[start : start + 260] == lines[i] + b"\n"
+        assert_same_bits(np.array([float(cell) for cell in lines[i].split(b",")]), columns[i])
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        assert_same_bits(np.array([[float(cell) for cell in rec] for rec in reader]), columns)
+    assert_same_bits(np.loadtxt(path, delimiter=",", skiprows=1), columns)
+    assert_same_bits(np.genfromtxt(path, delimiter=",", skip_header=1), columns)
+
+
+def test_field_records_have_fixed_width(tmp_path):
+    out = tmp_path / "results"
+    cfg = parse_config(write_cfg(tmp_path, fast_cfg_text(out)))
+    run_experiment(cfg)
+    case = example_field(cfg.example, eps=cfg.eps)
+    quad = midpoint_rule(cfg.box(), cfg.quad)
+    exact = case.exact(quad.nodes)
+    for n in (3, 4):
+        _, result = _run_one(cfg, case, n, quad)
+        columns = np.column_stack([quad.nodes, result.node_values, exact, result.node_div])
+        assert_fixed_width_records(out / f"field_N{n}.csv", columns)
+
+    # the widest values and the special ones keep the width
+    cells = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308, -np.nan, 0.0, 1.0, -1.0]
+    columns = np.stack([np.roll(cells, k) for k in range(len(cells))])
+    result = SimpleNamespace(node_values=columns[:, 3:6], node_div=columns[:, 9])
+    case = SimpleNamespace(exact=lambda pts: columns[:, 6:9])
+    _write_fields([tmp_path / "special.csv"], case, [result], SimpleNamespace(nodes=columns[:, :3]))
+    assert_fixed_width_records(tmp_path / "special.csv", columns)
 
 
 def test_field_writer_memory_is_bounded_by_blocks(tmp_path):

@@ -115,10 +115,11 @@ _DEGENERATE_RTOL = 1e-14
 # Relative rise of the objective over the line search that counts as ascent.
 _DESCENT_RTOL = 1e-12
 # Bytes per N^2 of one row's dense solve: 3 N^2 float64. A sketched solve holds
-# the matrix and O(N k) more, but a high-rank row falls back to dgelsd on G, which
-# holds the matrix and numpy's copy of it; one N^2 more is headroom for dgelsd's
-# O(N log N) workspace and the assembly blocks. The solve's condition estimate
-# then factors the matrix in place and frees it.
+# the matrix and about 3 k N values more (Q, the k x N projection and dgelsd's
+# copy of it), but a high-rank row falls back to dgelsd on G, which holds the
+# matrix and numpy's copy of it; one N^2 more is headroom for dgelsd's
+# O(N log N) workspace and the 512 KiB assembly blocks. The solve's condition
+# estimate then factors the matrix in place and frees it.
 _SOLVE_BYTES_PER_PAIR = 3 * 8
 
 

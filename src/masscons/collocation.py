@@ -13,8 +13,9 @@ The boundary rows come as arrays aligned with ``nodes.boundary``: a Neumann
 mask, the prescribed values, and the normals or conormals the Neumann rows use.
 
 Each row kind is built in blocks of at most _BLOCK_ELEMENTS // N target rows,
-so every kernel array (at most the (rows, N, 3) gradient block, 1.5 MiB)
-has a fixed byte size whatever N is; only the N x N matrix grows with N.
+and the Neumann rows, whose gradient block holds 3 values per pair, of a
+third as many. So every kernel array is at most _BLOCK_ELEMENTS float64
+(512 KiB) whatever N is; only the N x N matrix grows with N.
 The isotropic, Dirichlet and Neumann rows are computed elementwise by the
 kernels. The anisotropic rows expand s and d^T A d about the centroid into
 GEMMs over the three coordinates, as :meth:`MultiplierSolution.jet` does
@@ -36,7 +37,10 @@ power-stepped and appended, and only their rows join the projection. So no
 direction meets G twice: a level that adds j directions multiplies G by its
 j new hash columns and applies G^T, G and the projection to its directions
 once each, about 4 j columns through G or G^T, and the three levels to
-k = 128 take 522 columns where redoing each level took 810. Once 4 k
+k = 128 take 522 columns where redoing each level took 810. Between levels
+the solve keeps only the _CERT_PROBES probe columns, which head the next
+level's block, so besides G it holds about 3 k N values: Q, the projection
+and dgelsd's copy of it. Once 4 k
 exceeds N, or once the k-th singular value of the projection is still above
 sqrt(trunc_tol) * sigma_max, dgelsd solves G itself. The sketch comes from a
 counter-based hash, so the solve is deterministic. After the residual, the
@@ -78,8 +82,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Float64 elements per (rows, N) block (512 KiB), in assembly and in
-# MultiplierSolution.jet; a (rows, N, 3) gradient block is 3 times that.
+# Float64 elements per kernel block (512 KiB), in assembly and in
+# MultiplierSolution.jet: (rows, N) values, or a third as many rows of (rows, N, 3) gradients.
 _BLOCK_ELEMENTS = 1 << 16
 
 # The flat-regime series of MultiplierSolution.jet stops at K terms once the
@@ -117,9 +121,12 @@ class GramSystem:
     aniso: np.ndarray | None = None
 
 
-def _row_blocks(m: int, n: int):
-    """Slices of at most ``_BLOCK_ELEMENTS // n`` (at least one) of m rows against n centers."""
-    rows = max(1, _BLOCK_ELEMENTS // n)
+def _row_blocks(m: int, n: int, width: int = 1):
+    """Slices of at most ``_BLOCK_ELEMENTS // (n width)`` (at least one) of m rows against n centers.
+
+    ``width`` is the number of values a row holds per center: 3 for a gradient block.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // (n * width))
     return (slice(start, start + rows) for start in range(0, m, rows))
 
 
@@ -237,7 +244,7 @@ def assemble(
 
     neu_idx = boundary[neumann]
     dirs = np.asarray(conormals, dtype=float)[neumann]
-    for block in _row_blocks(len(neu_idx), n):
+    for block in _row_blocks(len(neu_idx), n, 3):
         idx = neu_idx[block]
         grads = grad_phi(pts[idx][:, None, :], centers, kernel)
         matrix[idx] = np.einsum("mnk,mk->mn", grads, dirs[block])
@@ -416,7 +423,7 @@ class MultiplierSolution:
         p, single = as_points(pts)
         centers = self.nodes.points[None, :, :]
         hess = np.empty((len(p), 3, 3))
-        for block in _row_blocks(len(p), len(self.coeffs)):
+        for block in _row_blocks(len(p), len(self.coeffs), 9):
             h = hess_phi(p[block][:, None, :], centers, self.kernel)
             hess[block] = np.einsum("mnkl,n->mkl", h, self.coeffs)
         return hess[0] if single else hess
@@ -450,8 +457,10 @@ def _deflate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     normalization and the power step's G would blow up; the second pass
     takes it to eps of the normalized columns.
     """
-    x = np.linalg.qr(x - q @ (q.T @ x))[0]
-    return x - q @ (q.T @ x)
+    along = q @ (q.T @ x)
+    x = np.linalg.qr(np.subtract(x, along, out=along))[0]
+    x -= q @ (q.T @ x)
+    return x
 
 
 def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np.ndarray, int, float]:
@@ -466,36 +475,41 @@ def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np
     doubles by one block (section 4.4): g multiplies only the new hash
     columns, whose k / 2 sketch columns are deflated against Q, power-stepped
     (g^T, then g) and deflated again (:func:`_deflate`); they join Q, and only
-    their rows join the projection. The first level, which has no Q, is the
-    plain one-power-step range finder. Once 4 k exceeds N, or when the
-    projection's last singular value is still above sqrt(trunc_tol)
-    sigma_max, so the spectrum has not fallen halfway to the cut in k
-    directions, dgelsd solves g itself.
+    their rows join the projection. Of the sketch columns g w only the
+    probes outlive a level: they head the next level's block. The first
+    level, which has no Q, is the plain one-power-step range finder. Once
+    4 k exceeds N, or when the projection's last singular value is still
+    above sqrt(trunc_tol) sigma_max, so the spectrum has not fallen halfway
+    to the cut in k directions, dgelsd solves g itself.
     """
     n = len(b)
     k = _SKETCH_START
+    # The sketch columns past the basis: the last level's probes, which head the next block.
     y = np.empty((n, 0))
     q, proj, qb = np.empty((n, 0)), np.empty((0, n)), np.empty(0)
     while 4 * k <= n:
-        done = y.shape[1]
-        y = np.hstack([y, g @ _hash_uniform(n, k + _CERT_PROBES - done, done * n)])
         kept = q.shape[1]
-        block = y[:, kept:k]
+        done = kept + y.shape[1]
+        y = np.hstack([y, g @ _hash_uniform(n, k + _CERT_PROBES - done, done * n)])
+        block, y = y[:, : k - kept], y[:, k - kept :].copy()
         if kept:
             block = _deflate(q, block)
         new = g @ np.linalg.qr(g.T @ np.linalg.qr(block)[0])[0]
+        del block  # and with it the level's sketch columns, freed before the projection grows
         if kept:
             new = _deflate(q, new)
         new = np.linalg.qr(new)[0]
-        q, proj, qb = np.hstack([q, new]), np.vstack([proj, new.T @ g]), np.concatenate([qb, new.T @ b])
+        proj, qb = np.vstack([proj, new.T @ g]), np.concatenate([qb, new.T @ b])
+        q = np.hstack([q, new])
+        del new
         beta, _, rank, sigma = np.linalg.lstsq(proj, qb, rcond=trunc_tol)
-        probes = y[:, k:]
-        miss = np.sqrt(3.0) * np.linalg.norm(probes - q @ (q.T @ probes), axis=0).max()
+        miss = np.sqrt(3.0) * np.linalg.norm(y - q @ (q.T @ y), axis=0).max()
         if rank + _CERT_PROBES <= k and 10 * np.sqrt(2 / np.pi) * miss <= trunc_tol * sigma[0]:
             return beta, int(rank), float(sigma[0])
         if sigma[-1] > np.sqrt(trunc_tol) * sigma[0]:
             break
         k *= 2
+    del q, proj, y  # freed before dgelsd copies g
     beta, _, rank, sigma = np.linalg.lstsq(g, b, rcond=trunc_tol)
     return beta, int(rank), float(sigma[0])
 

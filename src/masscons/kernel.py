@@ -20,8 +20,8 @@ exactly at the center. Finite differencing exists only in the test suite.
 All functions broadcast over leading axes: points may be single (3,)
 vectors, stacked (m, 3) arrays, or pairwise (m, 1, 3) vs (1, n, 3) blocks,
 which is how the collocation assembly calls them, with at most 2**16 // n
-rows per call: a block holds at most 2**16 pairs (512 KiB per scalar, 1.5 MiB
-for the gradient) whatever n is. The fractional powers are
+rows per call and a third as many for the gradient: every block holds at
+most 2**16 float64 (512 KiB) whatever n is. The fractional powers are
 evaluated as sqrt-and-divide, which is considerably faster than ``**-1.5``
 on large pairwise blocks and bit-for-bit deterministic.
 

@@ -429,6 +429,9 @@ def sweep(
         raise ConfigurationError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
     if len(values) == 0:
         raise ConfigurationError("sweep needs at least one value")
+    for i, v in enumerate(values):
+        if v in values[:i]:  # its rows would be the same row twice
+            raise ConfigurationError(f"sweep values of {parameter} must be distinct, {v!r} is repeated")
     f = KEY_FIELDS[parameter]
     variants = [replace(cfg, **{f.name: (v,) if f.metadata["many"] else v}) for v in values]
     if any(len(v.grid_sizes) != 1 for v in variants):

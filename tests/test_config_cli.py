@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from masscons.adjust import _DESCENT_RTOL
 from masscons.cli import main
-from masscons.config import ExperimentConfig, echo_config, parse_config
+from masscons.config import ExperimentConfig, echo_config, parse_config, parse_values
 from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import example_field, midpoint_rule
 from masscons.runner import (
@@ -1013,6 +1013,19 @@ def test_cli_sweep_rejects_out_of_range_values(tmp_path, param, value):
     good = "3" if param == "n" else "0.5"
     assert main(["sweep", str(path), "--param", param, "--values", f"{good},{value}"]) == 2
     assert not (tmp_path / "bad" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "param, values, repeated", [("n", "3,3", "3"), ("c", "0.5,0.25,0.50", "0.5"), ("trunc_tol", "1e-6,1e-06", "1e-06")]
+)
+def test_sweep_rejects_repeated_values(tmp_path, capsys, param, values, repeated):
+    # a repeated value would run the same row twice; nothing is written
+    path = write_cfg(tmp_path, f"example = ex51\nn = 3\nc = 0.5\nquad = 4\nout = {tmp_path / 'rep'}\n")
+    assert main(["sweep", str(path), "--param", param, "--values", values]) == 2
+    assert f"sweep values of {param} must be distinct, {repeated} is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+    with pytest.raises(ConfigurationError, match=f"values of {param} must be distinct"):
+        sweep(parse_config(path), param, parse_values(param, values))
 
 
 def test_cli_out_override(tmp_path):

@@ -1,6 +1,7 @@
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 from masscons import collocation
-from masscons.adjust import Problem
+from masscons.adjust import Problem, build_system
 from masscons.collocation import (
     _BLOCK_ELEMENTS,
     _SERIES_TOL,
@@ -21,11 +22,12 @@ from masscons.collocation import (
     dump_gram,
     factorize_and_solve,
 )
-from masscons.config import ExperimentConfig
+from masscons.config import ExperimentConfig, parse_config
 from masscons.errors import ConfigurationError, ContractError, DomainError, SingularSystemError
-from masscons.fields import midpoint_rule, updraft
+from masscons.fields import example_field, midpoint_rule, updraft
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
+from masscons.runner import _face_policy
 
 CUBE = BoxDomain(-2, 2, -2, 2, -2, 2)
 SLAB = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -286,6 +288,30 @@ def test_kappa_estimate_within_10x_of_exact(n, c):
     import mpmath
 
     system = ex51_system(n, c)
+    with mpmath.workdps(60):
+        sigma = mpmath.svd_r(mpmath.matrix(system.matrix.tolist()), compute_uv=False)
+        exact = float(max(sigma) / min(sigma))
+    assert exact / 10 <= factorize_and_solve(system).kappa <= 10 * exact
+
+
+def ex53_system(n, c):
+    """The multiplier system of configs/ex53.cfg (sealed bottom, open elsewhere) at n^3 nodes and shape c."""
+    cfg = parse_config(str(Path(__file__).resolve().parents[1] / "configs" / "ex53.cfg"))
+    case = example_field(cfg.example, eps=cfg.eps)
+    problem = Problem.horizontal(case.data, cfg.weight_matrix())
+    return build_system(
+        problem, grid_centers(cfg.box(), n), KernelParams(c), cfg.box(), _face_policy(cfg), exact=case.exact,
+        w_b=cfg.base_updraft,
+    )
+
+
+# The same check on ex53, whose sheared vortex gives a multiplier that is not
+# a quadratic. Each N = 64 case is about 1.2 s of mpmath.
+@pytest.mark.parametrize("n, c", [(3, 0.01), (3, 0.5), (4, 0.01), (4, 0.1)])
+def test_kappa_estimate_within_10x_of_exact_on_ex53(n, c):
+    import mpmath
+
+    system = ex53_system(n, c)
     with mpmath.workdps(60):
         sigma = mpmath.svd_r(mpmath.matrix(system.matrix.tolist()), compute_uv=False)
         exact = float(max(sigma) / min(sigma))

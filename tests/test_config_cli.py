@@ -559,6 +559,40 @@ def test_field_writer_keys_values_by_bit_pattern(tmp_path):
     assert_writer_matches_savetxt(tmp_path, nodes, exact, results)
 
 
+def test_field_writer_formats_each_distinct_column_once(tmp_path, monkeypatch):
+    # Own columns bit-equal to a shared column or to another file's column
+    # reuse its cells; columns equal as floats but not as bits (0.0 and -0.0,
+    # NaNs of different payloads) do not, and a column is constant only when
+    # its bits are. The rows cross two block ends.
+    runner = importlib.import_module("masscons.runner")
+    format_cells, formatted = runner._format_cells, []
+
+    def counted(values):
+        formatted.append(len(values))
+        return format_cells(values)
+
+    monkeypatch.setattr(runner, "_format_cells", counted)
+    rows = 2 * _FIELD_BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    nodes, exact, own = rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3)), rng.standard_normal(rows)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000], np.int64).view(np.float64)
+    zero, neg_zero = np.zeros(rows), np.full(rows, -0.0)
+    signed_zeros = np.where(np.arange(rows) % 2, 0.0, -0.0)
+    results = [
+        SimpleNamespace(node_values=exact.copy(), node_div=own),
+        SimpleNamespace(node_values=np.column_stack([nodes[:, 2], own, zero]), node_div=neg_zero),
+        SimpleNamespace(node_values=np.tile(nans, (rows, 1)), node_div=np.full(rows, 2.5)),
+        SimpleNamespace(node_values=np.column_stack([signed_zeros, zero, neg_zero]), node_div=signed_zeros),
+    ]
+    assert_writer_matches_savetxt(tmp_path, nodes, exact, results)
+    # Each row formats its six distinct shared values and its values of the
+    # two own columns that are not constant (``own``, and 0.0 and -0.0
+    # alternating); each block formats the six constant own columns (0.0,
+    # -0.0, three NaN payloads, 2.5) as one value each.
+    blocks = -(-rows // _FIELD_BLOCK_ROWS)
+    assert sum(formatted) == (6 + 1 + 1) * rows + 6 * blocks
+
+
 @st.composite
 def field_blocks(draw):
     """Nodes, exact field and 1-3 results whose rows cross the writer's block size.
@@ -677,7 +711,7 @@ def test_field_writer_memory_is_bounded_by_blocks(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 4 * 2**20  # 3.15 MiB measured
 
 
 def printf_cells(values):

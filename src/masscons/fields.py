@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError
-from .geometry import BoxDomain, Topography, as_points
+from .geometry import BoxDomain, Topography, _bottom_height, as_points
 
 __all__ = [
     "Field3",
@@ -166,9 +166,10 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = 32, topo: Topography | None 
 
     With a terrain bottom, nodes are stretched per column exactly like the
     center grid, and the weights are scaled by the local column height so the
-    weights still sum to the terrain-following volume. A rule whose m^3 node
-    arrays would not fit in physical memory raises DomainError before any is
-    allocated.
+    weights still sum to the terrain-following volume. A terrain that reaches
+    the top of the box raises DomainError, as in the center grid. A rule whose
+    m^3 node arrays would not fit in physical memory raises DomainError before
+    any is allocated.
     """
     if m_per_axis < 1:
         raise ConfigurationError("quadrature resolution must be at least 1")
@@ -186,7 +187,7 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = 32, topo: Topography | None 
     nodes = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
     weights = np.full(len(nodes), float(np.prod(h)))
     if topo is not None:
-        zb = np.asarray(topo.height(nodes[:, 0], nodes[:, 1]), dtype=float)
+        zb = _bottom_height(box, topo, nodes[:, 0], nodes[:, 1])
         factor = (box.zmax - zb) / (box.zmax - box.zmin)
         nodes[:, 2] = zb + (nodes[:, 2] - box.zmin) * factor
         weights = weights * factor

@@ -15,8 +15,9 @@ configuration.
 
 Rows run one at a time, in configuration order, and files are written after
 all rows complete. The field files of a run are written together, block by
-block over the nodes; a block formats each distinct value of the columns the
-files share once, and each distinct own column (by its bytes) once.
+block over the nodes. Every column's cells are keyed by its bytes and carried
+from block to block, so a column repeated in a block or by the block before is
+formatted once.
 The ``%.17e`` text is made with NumPy, not printf: the 18 digits are |x| times
 a power of ten, formed as a double-double (Dekker's product against a
 double-double table of 10^k), rounded to an integer and spelled through a
@@ -189,13 +190,14 @@ def _write_timings(path, rows: list[TableRow]) -> None:
 
 
 # A value's cell is "%.17e" space-padded to 25 bytes, the longest such text
-# (-1.79769313486231571e+308), and a comma. A block formats each distinct bit
-# pattern of the six columns the files share (x, y, z, the exact field, which
-# repeat values along the grid) once, and each file's own four (u_plus, div)
-# per column: an own column bit-identical to one already formatted, so never
-# 0.0 against -0.0, reuses its cells. Only the values _format_cells cannot
-# decide are formatted by "%". The lines are written padding kept: np.savetxt's
-# "%-25.17e" rows exactly, 260 bytes each, record i at len(_FIELD_HEADER) + 260 i.
+# (-1.79769313486231571e+308), and a comma. The writer keys each column of a
+# block by its bytes: a column bit-identical to one in the same block or the
+# block before, so never 0.0 against -0.0, reuses its cells, and a constant
+# column is formatted as one value. On a grid whose blocks are whole z-layers,
+# x, y and exact fields such as x repeat in every block. Only the values
+# _format_cells cannot decide are formatted by "%". The lines are written
+# padding kept: np.savetxt's "%-25.17e" rows exactly, 260 bytes each, record i
+# at len(_FIELD_HEADER) + 260 i.
 _FIELD_HEADER = b"x,y,z,u1,u2,u3,u1_exact,u2_exact,u3_exact,div\n"
 _FIELD_CELL = "%-25.17e,"
 # Rows per block: the text of a block, not of a whole file, is held in memory.
@@ -349,32 +351,29 @@ def _write_fields(paths, case: ExampleCase, results: list[AdjustmentResult], qua
         return
     nodes = quad.nodes
     exact = case.exact(nodes)
+    cells = {}  # a column's cells by its bytes, kept for the next block
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]
         for fh in files:
             fh.write(_FIELD_HEADER)
         for start in range(0, len(nodes), _FIELD_BLOCK_ROWS):
             block = slice(start, start + _FIELD_BLOCK_ROWS)
-            shared = np.column_stack([nodes[block], exact[block]])
-            bits, index = np.unique(shared.view(np.int64), return_inverse=True)
-            # a column's cells keyed by its bytes: an own column not yet formatted goes with the
-            # shared values, a constant one as one value (the assignment below broadcasts it)
-            keys = [col.tobytes() for col in shared.T]
-            own = [np.vstack([r.node_values[block].T, r.node_div[block]]).view(np.int64) for r in results]
-            fresh = {key: col for cols in own for col in cols if (key := col.tobytes()) not in keys}
-            values = [bits] + [col[:1] if col[0] == col[-1] and (col == col[0]).all() else col
-                               for col in fresh.values()]
-            formatted = _format_cells(np.concatenate(values).view(np.float64)).view("V26")[:, 0]
-            segments = np.split(formatted, np.cumsum([len(v) for v in values[:-1]]))
-            shared_cells = segments[0][index.reshape(-1, 6)]
-            cells = dict(zip(keys, shared_cells.T))
-            cells.update(zip(fresh, segments[1:]))
-            lines = np.empty((len(shared), 10), "V26")  # x, y, z, u_plus, the exact field, div
-            lines[:, [0, 1, 2, 6, 7, 8]] = shared_cells
+            shared = [col.tobytes() for col in np.vstack([nodes[block].T, exact[block].T])]
+            own = [[c.tobytes() for c in np.vstack([r.node_values[block].T, r.node_div[block]])] for r in results]
+            keys = [shared[:3] + k[:3] + shared[3:] + k[3:] for k in own]  # x, y, z, u_plus, the exact field, div
+            used = dict.fromkeys(key for file_keys in keys for key in file_keys)
+            cells = {key: cells[key] for key in used if key in cells}
+            # a new column is formatted, a constant one as one value (the assignment below broadcasts it)
+            fresh = {key: np.frombuffer(key, np.int64) for key in used if key not in cells}
+            values = [col[:1] if col[0] == col[-1] and (col == col[0]).all() else col for col in fresh.values()]
+            if values:
+                formatted = _format_cells(np.concatenate(values).view(np.float64)).view("V26")[:, 0]
+                cells.update(zip(fresh, np.split(formatted, np.cumsum([len(v) for v in values[:-1]]))))
+            lines = np.empty((len(nodes[block]), 10), "V26")
             text = lines.view(np.uint8).reshape(-1, 260)
-            for fh, cols in zip(files, own):
-                for slot, col in zip((3, 4, 5, 9), cols):
-                    lines[:, slot] = cells[col.tobytes()]
+            for fh, file_keys in zip(files, keys):
+                for slot, key in enumerate(file_keys):
+                    lines[:, slot] = cells[key]
                 text[:, -1] = ord("\n")
                 fh.write(text)
 

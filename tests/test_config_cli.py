@@ -559,11 +559,8 @@ def test_field_writer_keys_values_by_bit_pattern(tmp_path):
     assert_writer_matches_savetxt(tmp_path, nodes, exact, results)
 
 
-def test_field_writer_formats_each_distinct_column_once(tmp_path, monkeypatch):
-    # Own columns bit-equal to a shared column or to another file's column
-    # reuse its cells; columns equal as floats but not as bits (0.0 and -0.0,
-    # NaNs of different payloads) do not, and a column is constant only when
-    # its bits are. The rows cross two block ends.
+def count_formatted(monkeypatch):
+    """The length of each values array _format_cells is called with, in call order."""
     runner = importlib.import_module("masscons.runner")
     format_cells, formatted = runner._format_cells, []
 
@@ -572,6 +569,15 @@ def test_field_writer_formats_each_distinct_column_once(tmp_path, monkeypatch):
         return format_cells(values)
 
     monkeypatch.setattr(runner, "_format_cells", counted)
+    return formatted
+
+
+def test_field_writer_formats_each_distinct_column_once(tmp_path, monkeypatch):
+    # A column bit-equal to another file's column, to another slot's, or to a
+    # column of the block before reuses its cells; columns equal as floats but
+    # not as bits (0.0 and -0.0, NaNs of different payloads) do not, and a
+    # column is constant only when its bits are. The rows cross two block ends.
+    formatted = count_formatted(monkeypatch)
     rows = 2 * _FIELD_BLOCK_ROWS + 3
     rng = np.random.default_rng(5)
     nodes, exact, own = rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3)), rng.standard_normal(rows)
@@ -585,12 +591,28 @@ def test_field_writer_formats_each_distinct_column_once(tmp_path, monkeypatch):
         SimpleNamespace(node_values=np.column_stack([signed_zeros, zero, neg_zero]), node_div=signed_zeros),
     ]
     assert_writer_matches_savetxt(tmp_path, nodes, exact, results)
-    # Each row formats its six distinct shared values and its values of the
-    # two own columns that are not constant (``own``, and 0.0 and -0.0
-    # alternating); each block formats the six constant own columns (0.0,
-    # -0.0, three NaN payloads, 2.5) as one value each.
+    # Each row formats its six random values (nodes, exact) and its values of
+    # the two other columns that are not constant (``own``, and 0.0 and -0.0
+    # alternating); each block formats the six constant columns (0.0, -0.0,
+    # three NaN payloads, 2.5) as one value each. The second block, which
+    # starts on an even row, takes the alternating and the constant columns
+    # from the first.
     blocks = -(-rows // _FIELD_BLOCK_ROWS)
-    assert sum(formatted) == (6 + 1 + 1) * rows + 6 * blocks
+    assert sum(formatted) == (6 + 1 + 1) * rows + 6 * blocks - (_FIELD_BLOCK_ROWS + 6)
+
+
+def test_field_writer_formats_nothing_for_a_repeated_block(tmp_path, monkeypatch):
+    # The second block repeats the first bit for bit, so every one of its
+    # columns is carried from the first and _format_cells is not called for it.
+    formatted = count_formatted(monkeypatch)
+    rng = np.random.default_rng(6)
+
+    def period(shape):
+        return np.tile(rng.standard_normal((_FIELD_BLOCK_ROWS, *shape)), (2,) + (1,) * len(shape))
+
+    results = [SimpleNamespace(node_values=period((3,)), node_div=period(())) for _ in range(2)]
+    assert_writer_matches_savetxt(tmp_path, period((3,)), period((3,)), results)
+    assert formatted == [14 * _FIELD_BLOCK_ROWS]
 
 
 @st.composite

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from masscons.errors import ConfigurationError, DomainError
+from masscons.fields import midpoint_rule
 from masscons.geometry import BoxDomain, FaceLabel, Topography, classify, grid_centers
 
 BOX = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -128,5 +129,6 @@ def test_terrain_following_grid():
 
 def test_terrain_must_stay_below_top():
     tall = Topography(height=lambda x, y: np.full(np.shape(x), 2.5))
-    with pytest.raises(DomainError):
-        grid_centers(BOX, 4, topo=tall)
+    for make in (grid_centers, midpoint_rule):
+        with pytest.raises(DomainError, match="terrain height reaches or exceeds the top of the box"):
+            make(BOX, 4, topo=tall)

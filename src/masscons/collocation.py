@@ -355,19 +355,18 @@ class MultiplierSolution:
     kappa: float
 
     def jet(self, pts):
-        """(lambda, grad lambda, L lambda) at one point or a batch, from one kernel pass.
+        """(lambda, grad lambda, L lambda), (m,), (m, 3) and (m,), at (m, 3) points from one kernel pass.
 
         L is this solution's interior operator: the Laplacian, or A : hess
-        lambda when ``aniso`` is A. Single-point input gives (float, (3,),
-        float); batches give ((m,), (m, 3), (m,)).
+        lambda when ``aniso`` is A.
         """
-        p, single = as_points(pts)
+        p = as_points(pts)
         m = len(p)
         beta = self.coeffs
         # An identically zero coefficient vector (e.g. zero data with zero
         # boundary values) short-circuits the kernel sums.
         if not beta.any():
-            return (0.0, np.zeros(3), 0.0) if single else (np.zeros(m), np.zeros((m, 3)), np.zeros(m))
+            return np.zeros(m), np.zeros((m, 3)), np.zeros(m)
 
         # Shifting to the centers' centroid keeps the expanded |x - c_j|^2 and
         # the gradient's x (W_3 beta) - W_3 (beta o C) accurate when the
@@ -404,8 +403,6 @@ class MultiplierSolution:
                 + lap5[:, 4]
             )
             op = -c2 * (np.trace(a) * sum3[:, 0] + quad)
-        if single:
-            return float(value[0]), grad[0], float(op[0])
         return value, grad, op
 
     def value(self, pts):
@@ -419,14 +416,14 @@ class MultiplierSolution:
 
     # No caller in the package; the benchmark's tracer wraps this name.
     def hessian(self, pts):
-        """Hessian of lambda, (3, 3) per point, summed from hess_phi over row blocks."""
-        p, single = as_points(pts)
+        """Hessian of lambda, (m, 3, 3) at (m, 3) points, summed from hess_phi over row blocks."""
+        p = as_points(pts)
         centers = self.nodes.points[None, :, :]
         hess = np.empty((len(p), 3, 3))
         for block in _row_blocks(len(p), len(self.coeffs), 9):
             h = hess_phi(p[block][:, None, :], centers, self.kernel)
             hess[block] = np.einsum("mnkl,n->mkl", h, self.coeffs)
-        return hess[0] if single else hess
+        return hess
 
     def operator_laplacian(self, pts):
         """Apply this solution's interior operator: lap, or A : hess."""

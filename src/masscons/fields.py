@@ -1,10 +1,11 @@
 """Vector fields, the horizontal observation operator, and weighted integrals.
 
 Fields are thin wrappers around vectorized evaluators: a Field3 maps (m, 3)
-points to (m, 3) values, a Field2 to (m, 2) horizontal values. Both accept a
-single (3,) point as well. A Field3 may carry an analytic divergence (``div``),
-a Field2 the divergence of its two components (``hdiv``); where a field has
-none, its divergence is the central-difference oracle :func:`divergence_fd`.
+points to (m, 3) values, a Field2 to (m, 2) horizontal values; any other
+shape of points raises DomainError. A Field3 may carry an analytic
+divergence (``div``), a Field2 the divergence of its two components
+(``hdiv``); where a field has none, its divergence is the central-difference
+oracle :func:`divergence_fd`.
 
 The observation operator drops the vertical component, M u = (u1, u2); its
 adjoint pads a zero, M* U = (U1, U2, 0). Weighted L2 inner products are
@@ -48,15 +49,13 @@ ScalarField = Callable[[np.ndarray], np.ndarray]
 _QUAD_BYTES_PER_NODE = 7 * 8
 
 
-def _wrap_eval(fn, width: int):
-    def call(pts):
-        p, single = as_points(pts)
-        vals = np.asarray(fn(p), dtype=float)
-        if vals.shape != (len(p), width):
-            raise ContractError(f"evaluator returned shape {vals.shape}, expected ({len(p)}, {width})")
-        return vals[0] if single else vals
-
-    return call
+def _evaluate(fn, pts, width: int) -> np.ndarray:
+    """fn at the (m, 3) points, checked to return (m, width) values."""
+    p = as_points(pts)
+    vals = np.asarray(fn(p), dtype=float)
+    if vals.shape != (len(p), width):
+        raise ContractError(f"evaluator returned shape {vals.shape}, expected ({len(p)}, {width})")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,12 @@ class Field3:
     div: ScalarField | None = None
 
     def __call__(self, pts):
-        return _wrap_eval(self.fn, 3)(pts)
+        return _evaluate(self.fn, pts, 3)
 
     def divergence(self, pts):
         if self.div is None:
             raise ContractError("field has no analytic divergence")
-        p, single = as_points(pts)
-        vals = np.asarray(self.div(p), dtype=float)
-        return float(vals[0]) if single else vals
+        return np.asarray(self.div(as_points(pts)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class Field2:
     hdiv: ScalarField | None = None
 
     def __call__(self, pts):
-        return _wrap_eval(self.fn, 2)(pts)
+        return _evaluate(self.fn, pts, 2)
 
 
 def observe(u: Field3) -> Field2:
@@ -168,8 +165,8 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = 32, topo: Topography | None 
     center grid, and the weights are scaled by the local column height so the
     weights still sum to the terrain-following volume. A terrain that reaches
     the top of the box raises DomainError, as in the center grid. A rule whose
-    m^3 node arrays would not fit in physical memory raises DomainError before
-    any is allocated.
+    m^3 node arrays would not fit in physical memory, or whose cell volume
+    underflows to zero, raises DomainError before any is allocated.
     """
     if m_per_axis < 1:
         raise ConfigurationError("quadrature resolution must be at least 1")
@@ -182,10 +179,13 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = 32, topo: Topography | None 
         )
     lo, hi = box.lo, box.hi
     h = (hi - lo) / m
+    cell = float(np.prod(h))
+    if cell == 0.0:
+        raise DomainError(f"the quadrature cell volume {h[0]:.3e} x {h[1]:.3e} x {h[2]:.3e} underflows to 0")
     axes = [lo[k] + h[k] * (np.arange(m) + 0.5) for k in range(3)]
     zg, yg, xg = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     nodes = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
-    weights = np.full(len(nodes), float(np.prod(h)))
+    weights = np.full(len(nodes), cell)
     if topo is not None:
         zb = _bottom_height(box, topo, nodes[:, 0], nodes[:, 1])
         factor = (box.zmax - zb) / (box.zmax - box.zmin)
@@ -273,22 +273,18 @@ def divergence_fd(u: Field3, pts, h: float, box: BoxDomain | None = None):
 
     When ``box`` is given, every stencil point must lie in the closed box.
     """
-    p, single = as_points(pts)
+    p = as_points(pts)
     if h <= 0:
         raise DomainError("finite-difference step must be positive")
-    if box is not None:
-        tol = 1e-12 * max(1.0, box.diameter())
-        for k in range(3):
-            step = np.zeros(3)
-            step[k] = h
-            if not (np.all(box.contains(p + step, tol)) and np.all(box.contains(p - step, tol))):
-                raise DomainError("finite-difference stencil leaves the domain")
+    # p +- h e_k lies in the box for every k exactly when p +- (h, h, h) does
+    if box is not None and not (box.contains(p + h).all() and box.contains(p - h).all()):
+        raise DomainError("finite-difference stencil leaves the domain")
     acc = np.zeros(len(p))
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
         acc += (u.fn(p + step)[:, k] - u.fn(p - step)[:, k]) / (2.0 * h)
-    return float(acc[0]) if single else acc
+    return acc
 
 
 @dataclass(frozen=True)

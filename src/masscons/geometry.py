@@ -31,14 +31,12 @@ __all__ = [
 ]
 
 
-def as_points(pts) -> tuple[np.ndarray, bool]:
-    """Normalize a (3,) or (m, 3) input to (m, 3); second value flags single-point input."""
+def as_points(pts) -> np.ndarray:
+    """The (m, 3) float array of a batch of points; any other shape raises DomainError."""
     p = np.asarray(pts, dtype=float)
-    if p.ndim == 1:
-        return p.reshape(1, 3), True
     if p.ndim != 2 or p.shape[1] != 3:
-        raise DomainError(f"expected points of shape (3,) or (m, 3), got {p.shape}")
-    return p, False
+        raise DomainError(f"expected points of shape (m, 3), got {p.shape}")
+    return p
 
 
 class FaceLabel(IntEnum):
@@ -101,35 +99,31 @@ class BoxDomain:
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 
-    def contains(self, pts, tol: float = 0.0) -> np.ndarray:
-        """Elementwise membership in the closed box (flat bottom only)."""
-        p, single = as_points(pts)
-        inside = np.all((p >= self.lo - tol) & (p <= self.hi + tol), axis=1)
-        return bool(inside[0]) if single else inside
+    @property
+    def face_tol(self) -> float:
+        """How far from a face a point may lie and still count as on it: 1e-12 of the diameter."""
+        return 1e-12 * self.diameter()
+
+    def contains(self, pts) -> np.ndarray:
+        """Membership of each of the (m, 3) points in the closed box, within face_tol (flat bottom only)."""
+        p = as_points(pts)
+        return np.all((p >= self.lo - self.face_tol) & (p <= self.hi + self.face_tol), axis=1)
 
 
 @dataclass(frozen=True)
 class Topography:
     """Terrain bottom z = height(x, y) over the horizontal footprint.
 
-    ``grad`` returns (dz/dx, dz/dy) stacked on the last axis; when omitted it
-    is approximated by central differences, which only matters for the exact
-    surface normal.
+    ``grad`` returns the analytic (dz/dx, dz/dy) stacked on the last axis;
+    it gives the exact surface normal.
     """
 
     height: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def slope(self, x: np.ndarray, y: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        if self.grad is not None:
-            return np.asarray(self.grad(x, y), dtype=float)
-        gx = (self.height(x + h, y) - self.height(x - h, y)) / (2 * h)
-        gy = (self.height(x, y + h) - self.height(x, y - h)) / (2 * h)
-        return np.stack([gx, gy], axis=-1)
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def normal(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Outward (downward-pointing) unit normal of the surface z = height(x, y)."""
-        g = np.atleast_2d(self.slope(np.asarray(x, float), np.asarray(y, float)))
+        """Outward (downward-pointing) unit normals of the surface z = height(x, y) at (m,) x and y."""
+        g = np.asarray(self.grad(x, y), dtype=float)
         n = np.column_stack([g[:, 0], g[:, 1], -np.ones(len(g))])
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
@@ -183,13 +177,16 @@ def _bottom_height(box: BoxDomain, topo: Topography | None, x: np.ndarray, y: np
     return zb
 
 
-def _classify_arrays(
-    pts: np.ndarray, box: BoxDomain, topo: Topography | None, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized face classification; returns (labels, normals-with-NaN)."""
+def classify(pts, box: BoxDomain, topo: Topography | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Face labels (m,) and outward unit normals (m, 3), NaN at interior points, of (m, 3) points.
+
+    A point counts as on a face within ``box.face_tol``. Points outside the
+    closed domain raise :class:`DomainError`.
+    """
+    pts = as_points(pts)
+    tol = box.face_tol
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     zb = _bottom_height(box, topo, x, y)
-
     outside = (
         (x < box.xmin - tol)
         | (x > box.xmax + tol)
@@ -229,20 +226,6 @@ def _classify_arrays(
     return labels, normals
 
 
-def classify(node, box: BoxDomain, topo: Topography | None = None):
-    """Classify one point of the closed domain.
-
-    Returns ``(FaceLabel, outward unit normal)`` for boundary points and
-    ``(FaceLabel.INTERIOR, None)`` for interior points. Points outside the
-    closed domain raise :class:`DomainError`.
-    """
-    p, _ = as_points(node)
-    tol = 1e-12 * max(1.0, box.diameter())
-    labels, normals = _classify_arrays(p, box, topo, tol)
-    label = FaceLabel(labels[0])
-    return label, (None if label is FaceLabel.INTERIOR else normals[0])
-
-
 def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None) -> NodeSet:
     """Boundary-inclusive equidistant tensor grid of n^3 centers.
 
@@ -263,6 +246,5 @@ def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None
         zb = _bottom_height(box, topo, pts[:, 0], pts[:, 1])
         pts[:, 2] = zb + (pts[:, 2] - box.zmin) * (box.zmax - zb) / (box.zmax - box.zmin)
 
-    tol = 1e-12 * max(1.0, box.diameter())
-    labels, normals = _classify_arrays(pts, box, topo, tol)
+    labels, normals = classify(pts, box, topo)
     return NodeSet(points=pts, labels=labels, normals=normals)

@@ -17,9 +17,8 @@ The apparent phi'(r)/r singularity of the radial chain rule cancels
 analytically, so r = 0 needs no special casing and the gradient vanishes
 exactly at the center. Finite differencing exists only in the test suite.
 
-All functions broadcast over leading axes: points may be single (3,)
-vectors, stacked (m, 3) arrays, or pairwise (m, 1, 3) vs (1, n, 3) blocks,
-which is how the collocation assembly calls them, with at most 2**16 // n
+All functions broadcast over leading axes. The collocation assembly calls
+them on pairwise (m, 1, 3) vs (1, n, 3) blocks, with at most 2**16 // n
 rows per call and a third as many for the gradient: every block holds at
 most 2**16 float64 (512 KiB) whatever n is. The fractional powers are
 evaluated as sqrt-and-divide, which is considerably faster than ``**-1.5``
@@ -146,4 +145,4 @@ def lap_phi(x, center, params: KernelParams, aniso=None):
         del d0, d1, d2  # freed before the s^(-5/2) temporaries
         # -c^2 tr(A) s^(-3/2) + 3 c^4 quad s^(-5/2) over the common s^(-5/2)
         out = (3.0 * c2 * quad - np.trace(a) * s) * (c2 * _inv52(s))
-    return float(out) if np.ndim(out) == 0 else out
+    return out

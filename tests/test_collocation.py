@@ -510,23 +510,23 @@ def test_eval_jet():
         coeffs=np.zeros(len(nodes)), nodes=nodes, kernel=kp,
         aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
     )
-    val, grad, lap = zeroed.jet(np.array([0.1, 0.2, 0.3]))
-    assert val == 0.0 and lap == 0.0
-    assert np.all(grad == 0.0)
+    val, grad, lap = zeroed.jet(np.array([[0.1, 0.2, 0.3]]))
+    assert val.tolist() == [0.0] and lap.tolist() == [0.0]
+    assert grad.shape == (1, 3) and np.all(grad == 0.0)
 
     lone_center = NodeSet(
         points=np.array([[0.0, 0.0, 1.0]]),
         labels=np.array([0]),
         normals=np.full((1, 3), np.nan),
     )
-    single = MultiplierSolution(
+    lone = MultiplierSolution(
         coeffs=np.array([1.0]), nodes=lone_center, kernel=kp,
         aniso=None, residual=0.0, residual_norm=0.0, rank=1, trunc_tol=1e-12, kappa=float("nan"),
     )
-    val, grad, lap = single.jet(np.array([0.0, 0.0, 1.0]))
-    assert val == 1.0
-    assert np.all(grad == 0.0)
-    assert lap == pytest.approx(-3.0 * 0.8**2, rel=1e-14)
+    val, grad, lap = lone.jet(np.array([[0.0, 0.0, 1.0]]))
+    assert val.tolist() == [1.0]
+    assert grad.shape == (1, 3) and np.all(grad == 0.0)
+    assert lap[0] == pytest.approx(-3.0 * 0.8**2, rel=1e-14)
 
 
 SPD = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
@@ -640,12 +640,14 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
     if aniso is not None:
         op_scale = 4.0 * shape**2 * np.abs(aniso).sum()
         np.testing.assert_allclose(np.einsum("kl,mkl->m", aniso, hess), op, rtol=0, atol=tol * op_scale)
-    assert solution.hessian(pts[0]).shape == (3, 3)
 
+    # one-point batches, at the first and the last point
     for i in (0, len(pts) - 1):
-        v1, g1, op1 = solution.jet(pts[i])
-        assert isinstance(v1, float) and isinstance(op1, float) and g1.shape == (3,)
-        assert_jet_matches(solution, v1, g1, op1, [r[i] for r in refs[:3]])
+        one = slice(i, i + 1)
+        v1, g1, op1 = solution.jet(pts[one])
+        assert v1.shape == (1,) and g1.shape == (1, 3) and op1.shape == (1,)
+        assert_jet_matches(solution, v1, g1, op1, [r[one] for r in refs[:3]])
+        np.testing.assert_allclose(solution.hessian(pts[one]), hess_ref[one], rtol=0, atol=tol * 4.0 * shape**2)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -425,6 +425,14 @@ def test_quadrature_too_large_for_memory_exits_3(tmp_path, capsys):
     assert not (tmp_path / "q" / "table.csv").exists()
 
 
+def test_quadrature_cell_volume_underflow_exits_3(tmp_path, capsys):
+    # the box is valid, but its quadrature cells have no representable volume
+    path = write_cfg(tmp_path, "example = ex51\nn = 3\nc = 0.1\nquad = 4\ndomain = 0,1e-300,0,1e-300,0,1e-300\n")
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "DomainError: the quadrature cell volume 2.500e-301" in capsys.readouterr().err
+
+
 # ex51's box has diameter 6: c is in range while s = 1 + 36 c^2 keeps s^(5/2) finite.
 EX51_C_BOUND = math.sqrt((sys.float_info.max ** 0.4 - 1.0) / 36.0)
 

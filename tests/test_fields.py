@@ -18,7 +18,9 @@ from masscons.fields import (
     validate_weights,
     weighted_ip,
 )
-from masscons.geometry import BoxDomain
+from masscons.collocation import MultiplierSolution
+from masscons.geometry import BoxDomain, classify, grid_centers
+from masscons.kernel import KernelParams
 
 BOX = BoxDomain(-2, 2, -2, 2, 0, 2)
 UNIT = BoxDomain(0, 1, 0, 1, 0, 1)
@@ -161,11 +163,18 @@ def test_quadrature_weights_sum_to_volume():
 
     from masscons.geometry import Topography
 
-    topo = Topography(height=lambda x, y: 0.25 * np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2)))
+    height = lambda x, y: 0.25 * np.exp(-(x**2 + y**2))
+    topo = Topography(height=height, grad=lambda x, y: -2.0 * np.stack([x, y], axis=-1) * height(x, y)[..., None])
     qt = midpoint_rule(BOX, 24, topo=topo)
     # terrain-following volume = box volume minus the volume under the hill
     hill_volume = 0.25 * np.pi * (1 - np.exp(-4.0)) ** 2  # integral of the Gaussian over the footprint
     assert qt.weights.sum() == pytest.approx(BOX.volume() - hill_volume, rel=1e-3)
+
+
+def test_quadrature_cell_volume_must_not_underflow():
+    # each side of a cell is a normal float, 2.5e-301, but their product is 0
+    with pytest.raises(DomainError, match=r"cell volume 2\.500e-301 x 2\.500e-301 x 2\.500e-301 underflows to 0"):
+        midpoint_rule(BoxDomain(0, 1e-300, 0, 1e-300, 0, 1e-300), 4)
 
 
 def test_face_rule_measures_area():
@@ -206,10 +215,12 @@ def test_divergence_fd_examples():
 
 def test_divergence_fd_stencil_must_stay_inside():
     u = example_field("ex51").exact
-    with pytest.raises(DomainError):
-        divergence_fd(u, np.array([0.0, 0.0, 1e-7]), 1e-3, box=BOX)
-    with pytest.raises(DomainError):
-        divergence_fd(u, np.array([0.0, 0.0, 1.0]), -1e-3)
+    with pytest.raises(DomainError, match="stencil leaves the domain"):
+        divergence_fd(u, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e-7]]), 1e-3, box=BOX)
+    with pytest.raises(DomainError, match="step must be positive"):
+        divergence_fd(u, np.array([[0.0, 0.0, 1.0]]), -1e-3)
+    # a stencil that touches a face stays inside
+    assert divergence_fd(u, np.array([[0.0, 0.0, 1e-3], [2.0 - 1e-3, 0.0, 1.0]]), 1e-3, box=BOX).shape == (2,)
 
 
 def test_example_fields_are_divergence_free():
@@ -258,3 +269,45 @@ def test_validate_weights():
         validate_weights(np.array([[1.0, 0.0], [0.0, -2.0]]), 2)
     with pytest.raises(ContractError):
         validate_weights(np.eye(3), 2)
+
+
+def batch_evaluators():
+    """name -> (evaluator, trailing shape of each output) for every point evaluator in the package."""
+    case = example_field("ex53", eps=0.1)
+    nodes = grid_centers(UNIT, 3)
+    aniso = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
+
+    def solution(coeffs):
+        return MultiplierSolution(
+            coeffs=coeffs, nodes=nodes, kernel=KernelParams(0.7), aniso=aniso,
+            residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+        )
+
+    lam, zero = solution(np.linspace(-1.0, 1.0, len(nodes))), solution(np.zeros(len(nodes)))
+    return {
+        "Field3": (case.exact, [(3,)]),
+        "Field2": (case.data, [(2,)]),
+        "Field3.divergence": (inject(case.data).divergence, [()]),
+        "jet": (lam.jet, [(), (3,), ()]),
+        "jet-zero-coefficients": (zero.jet, [(), (3,), ()]),
+        "value": (lam.value, [()]),
+        "gradient": (lam.gradient, [(3,)]),
+        "laplacian": (lam.laplacian, [()]),
+        "operator_laplacian": (lam.operator_laplacian, [()]),
+        "hessian": (lam.hessian, [(3, 3)]),
+        "divergence_fd": (lambda p: divergence_fd(case.exact, p, 1e-3, box=UNIT), [()]),
+        "classify": (lambda p: classify(p, UNIT), [(), (3,)]),
+        "BoxDomain.contains": (UNIT.contains, [()]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(batch_evaluators()))
+def test_every_evaluator_takes_only_point_batches(name):
+    evaluate, trailing = batch_evaluators()[name]
+    pts = np.random.default_rng(8).uniform(0.1, 0.9, (5, 3))
+    for m in (0, 1, 5):
+        out = evaluate(pts[:m])
+        outs = out if isinstance(out, tuple) else (out,)
+        assert [np.shape(o) for o in outs] == [(m, *t) for t in trailing]
+    with pytest.raises(DomainError, match=r"shape \(m, 3\), got \(3,\)"):
+        evaluate(pts[0])

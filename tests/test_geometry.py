@@ -66,42 +66,38 @@ def test_grid_deterministic():
 
 
 def test_classify_examples():
-    label, normal = classify(np.array([0.0, 0.0, 0.0]), BOX)
-    assert label is FaceLabel.BOTTOM
-    np.testing.assert_array_equal(normal, [0, 0, -1])
-
-    label, normal = classify(np.array([2.0, 0.0, 1.0]), BOX)
-    assert label is FaceLabel.XMAX
-    np.testing.assert_array_equal(normal, [1, 0, 0])
-
-    # corner resolves to the top face under the fixed priority
-    label, normal = classify(np.array([2.0, 2.0, 2.0]), BOX)
-    assert label is FaceLabel.TOP
-    np.testing.assert_array_equal(normal, [0, 0, 1])
-
-    label, normal = classify(np.array([0.3, -0.7, 1.1]), BOX)
-    assert label is FaceLabel.INTERIOR
-    assert normal is None
+    # the corner (2, 2, 2) resolves to the top face under the fixed priority
+    pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [2.0, 2.0, 2.0], [0.3, -0.7, 1.1]])
+    labels, normals = classify(pts, BOX)
+    assert labels.tolist() == [FaceLabel.BOTTOM, FaceLabel.XMAX, FaceLabel.TOP, FaceLabel.INTERIOR]
+    np.testing.assert_array_equal(normals[:3], [[0, 0, -1], [1, 0, 0], [0, 0, 1]])
+    assert np.all(np.isnan(normals[3]))
 
 
 def test_classify_outside_raises():
-    with pytest.raises(DomainError):
-        classify(np.array([0.0, 0.0, -0.1]), BOX)
-    with pytest.raises(DomainError):
-        classify(np.array([2.5, 0.0, 1.0]), BOX)
-    # below the terrain but inside the box
-    with pytest.raises(DomainError):
-        classify(np.array([0.0, 0.0, 0.1]), BOX, topo=hill())
+    # below the box, beside it, and below the terrain but inside the box
+    for point, topo in (([0.0, 0.0, -0.1], None), ([2.5, 0.0, 1.0], None), ([0.0, 0.0, 0.1], hill())):
+        with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
+            classify(np.array([[0.3, -0.7, 1.1], point]), BOX, topo=topo)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tiny_box_keeps_its_interior(n):
+    # the face tolerance scales with the box, so a box 1e-13 across is labelled like the unit box
+    unit = grid_centers(BoxDomain(0, 1, 0, 1, 0, 1), n)
+    tiny = grid_centers(BoxDomain(0, 1e-13, 0, 1e-13, 0, 1e-13), n)
+    np.testing.assert_array_equal(tiny.labels, unit.labels)
+    np.testing.assert_array_equal(tiny.normals, unit.normals)
+    assert len(tiny.interior) == (n - 2) ** 3
 
 
 def test_normals_point_outward():
     for topo in (None, hill()):
         nodes = grid_centers(BOX, 6, topo=topo)
         step = 1e-6 * BOX.diameter()
-        for i in nodes.boundary:
-            outside = nodes.points[i] + step * nodes.normals[i]
-            with pytest.raises(DomainError):
-                classify(outside, BOX, topo=topo)
+        outside = nodes.points[nodes.boundary] + step * nodes.normals[nodes.boundary]
+        with pytest.raises(DomainError, match=rf"^{len(nodes.boundary)} point\(s\) outside"):
+            classify(outside, BOX, topo=topo)
         norms = np.linalg.norm(nodes.normals[nodes.boundary], axis=1)
         assert np.abs(norms - 1).max() <= 1e-12
         assert np.all(np.isnan(nodes.normals[nodes.interior]))
@@ -128,7 +124,7 @@ def test_terrain_following_grid():
 
 
 def test_terrain_must_stay_below_top():
-    tall = Topography(height=lambda x, y: np.full(np.shape(x), 2.5))
+    tall = Topography(height=lambda x, y: np.full(np.shape(x), 2.5), grad=lambda x, y: np.zeros(np.shape(x) + (2,)))
     for make in (grid_centers, midpoint_rule):
         with pytest.raises(DomainError, match="terrain height reaches or exceeds the top of the box"):
             make(BOX, 4, topo=tall)

@@ -33,7 +33,6 @@ from .adjust import (
     misfit,
     poisson_rhs,
     sasaki,
-    step_length,
 )
 from .collocation import (
     GramSystem,
@@ -61,11 +60,7 @@ from .fields import (
     example_field,
     face_rule,
     inject,
-    l2_ip,
     midpoint_rule,
-    objective,
-    observe,
-    weighted_ip,
 )
 from .geometry import BoxDomain, FaceLabel, NodeSet, Topography, classify, grid_centers
 from .kernel import KernelParams, grad_phi, hess_phi, lap_phi

@@ -55,6 +55,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .collocation import (
+    DEFAULT_TRUNC_TOL,
     GramSystem,
     MultiplierSolution,
     assemble,
@@ -93,7 +94,6 @@ __all__ = [
     "boundary_data",
     "build_system",
     "descent_direction",
-    "step_length",
     "adjust",
     "adjust_full",
     "sasaki",
@@ -364,11 +364,6 @@ def _require_finite(what: str, values: np.ndarray) -> None:
         raise DomainError(f"{what} at the quadrature nodes are not finite")
 
 
-def _require_formula(formula: str) -> None:
-    if formula not in FORMULAS:
-        raise ContractError(f"unknown step formula {formula!r}")
-
-
 def _step(
     vals_p: np.ndarray,
     misfit_obs: np.ndarray,
@@ -392,22 +387,6 @@ def _step(
     if not np.isfinite(t):
         raise DomainError(f"step length is not finite ({t})")
     return t
-
-
-def step_length(
-    problem: Problem,
-    p: Field3,
-    quad: Quadrature,
-    formula: str = MINIMIZER,
-) -> float:
-    """Step along p for ``problem``, as the line search takes it from its base u_c (M u_c = 0).
-
-    ``minimizer`` is the exact 1D minimizer of the objective; ``closed-form``
-    is the ratio <G p, p> / <S Mp, Mp>, which presumes the boundary term of
-    the integration by parts vanishes."""
-    _require_formula(formula)
-    misfit_obs = 0.0 - problem.observed(quad.nodes)
-    return _step(p(quad.nodes), misfit_obs, problem.weights, problem.metric, quad.weights, formula)
 
 
 def _relative_error(vals_uplus: np.ndarray, exact: Field3 | None, quad: Quadrature) -> float:
@@ -437,9 +416,10 @@ def _line_search(
     NonDescentError; a metric that is not finite (``rel_error`` only when
     ``exact`` is given) raises DomainError naming it.
     """
-    _require_formula(formula)
+    if formula not in FORMULAS:
+        raise ContractError(f"unknown step formula {formula!r}")
     policy = policy if policy is not None else FaceBcPolicy.uniform(FLOW_THROUGH)
-    quad = quad if quad is not None else midpoint_rule(domain, 32, topo=topo)
+    quad = quad if quad is not None else midpoint_rule(domain, topo=topo)
     w, k, qw = problem.weights, len(problem.weights), quad.weights
 
     # Values that overflow fail here by name.
@@ -448,8 +428,9 @@ def _line_search(
         vals_uc = updraft(w_b)(quad.nodes)
     _require_finite(f"{problem.name} values", vals_obs)
     _require_finite("base field values", vals_uc)
+    objective = lambda d: 0.5 * _weighted_sum(d, w, d, qw)  # J of the observed misfit d = M u - observed
     d = vals_uc[:, :k] - vals_obs
-    j_before = 0.5 * _weighted_sum(d, w, d, qw)
+    j_before = objective(d)
 
     _require_memory(n_per_axis**3)
     nodes = grid_centers(domain, n_per_axis, topo=topo)
@@ -461,9 +442,7 @@ def _line_search(
     t = _step(vals_p, d, w, problem.metric, qw, formula)
     vals_uc = vals_uc + t * vals_p
     div = 0.0 + t * div_p
-    d = vals_uc[:, :k] - vals_obs
-
-    j_after = 0.5 * _weighted_sum(d, w, d, qw)
+    j_after = objective(vals_uc[:, :k] - vals_obs)
     if j_after > j_before * (1.0 + _DESCENT_RTOL):
         raise NonDescentError(
             f"the line search raised the objective from j_before = {j_before:.6e} "
@@ -499,7 +478,7 @@ def adjust(
     policy: FaceBcPolicy | None = None,
     formula: str = MINIMIZER,
     quad: Quadrature | None = None,
-    trunc_tol: float = 1e-12,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
     exact: Field3 | None = None,
 ) -> AdjustmentResult:
     """Run the horizontal-data line search from the updraft (0, 0, w_b).
@@ -524,7 +503,7 @@ def adjust_full(
     policy: FaceBcPolicy | None = None,
     formula: str = CLOSED_FORM,
     quad: Quadrature | None = None,
-    trunc_tol: float = 1e-12,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
     exact: Field3 | None = None,
 ) -> AdjustmentResult:
     """Full-observation line search from zero: every component of ``initial`` is data.

@@ -82,6 +82,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# The solve keeps the directions with sigma > DEFAULT_TRUNC_TOL * sigma_max when given no tolerance.
+DEFAULT_TRUNC_TOL = 1e-12
 # Float64 elements per kernel block (512 KiB), in assembly and in
 # MultiplierSolution.jet: (rows, N) values, or a third as many rows of (rows, N, 3) gradients.
 _BLOCK_ELEMENTS = 1 << 16
@@ -570,7 +572,7 @@ def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
     return kappa if np.isfinite(kappa) else float("inf")
 
 
-def factorize_and_solve(system: GramSystem, trunc_tol: float = 1e-12) -> MultiplierSolution:
+def factorize_and_solve(system: GramSystem, trunc_tol: float = DEFAULT_TRUNC_TOL) -> MultiplierSolution:
     """Solve G beta = b for the truncated-SVD minimum-norm solution, and estimate kappa of G.
 
     It keeps sigma > trunc_tol * sigma_max (LAPACK's strict rule); see

@@ -23,8 +23,9 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .adjust import FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER, FaceBcPolicy
+from .collocation import DEFAULT_TRUNC_TOL
 from .errors import ConfigurationError, ContractError, DomainError
-from .fields import example_field, validate_weights
+from .fields import DEFAULT_QUAD, example_field, validate_weights
 from .geometry import BoxDomain
 from .kernel import KernelParams
 
@@ -117,8 +118,8 @@ class ExperimentConfig:
     formula: str = _setting(MINIMIZER, kind=str, choices=FORMULAS)
     # The solve's dgelsd, on the sketch's projection or on G, treats trunc_tol >= 1 as
     # machine epsilon and keeps every direction.
-    trunc_tol: float = _setting(1e-12, above=0.0, below=1.0)
-    quad: int = _setting(32, kind=int, above=0)
+    trunc_tol: float = _setting(DEFAULT_TRUNC_TOL, above=0.0, below=1.0)
+    quad: int = _setting(DEFAULT_QUAD, kind=int, above=0)
     out: str = _setting("results", kind=str)
 
     def __post_init__(self):

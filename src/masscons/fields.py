@@ -1,4 +1,4 @@
-"""Vector fields, the horizontal observation operator, and weighted integrals.
+"""Vector fields, the adjoint of the horizontal observation, and quadrature.
 
 Fields are thin wrappers around vectorized evaluators: a Field3 maps (m, 3)
 points to (m, 3) values, a Field2 to (m, 2) horizontal values; any other
@@ -8,12 +8,13 @@ divergence (``div``), a Field2 the divergence of its two components
 oracle :func:`divergence_fd`.
 
 The observation operator drops the vertical component, M u = (u1, u2); its
-adjoint pads a zero, M* U = (U1, U2, 0). Weighted L2 inner products are
-realized by tensor-product midpoint quadrature.
+adjoint pads a zero, M* U = (U1, U2, 0). The line search's integrals are
+sums over a tensor-product midpoint rule (:func:`midpoint_rule`).
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -27,16 +28,12 @@ __all__ = [
     "Field3",
     "Field2",
     "Quadrature",
-    "observe",
     "inject",
     "updraft",
     "add_scaled",
     "validate_weights",
     "midpoint_rule",
     "face_rule",
-    "weighted_ip",
-    "l2_ip",
-    "objective",
     "divergence_fd",
     "ExampleCase",
     "example_field",
@@ -44,6 +41,8 @@ __all__ = [
 
 ScalarField = Callable[[np.ndarray], np.ndarray]
 
+# Cells per axis of the midpoint rule a line search integrates over when given none.
+DEFAULT_QUAD = 32
 # Bytes per node of a midpoint rule: three grid axes, three node coordinates
 # and one weight, float64 each.
 _QUAD_BYTES_PER_NODE = 7 * 8
@@ -68,11 +67,6 @@ class Field3:
     def __call__(self, pts):
         return _evaluate(self.fn, pts, 3)
 
-    def divergence(self, pts):
-        if self.div is None:
-            raise ContractError("field has no analytic divergence")
-        return np.asarray(self.div(as_points(pts)), dtype=float)
-
 
 @dataclass(frozen=True)
 class Field2:
@@ -83,11 +77,6 @@ class Field2:
 
     def __call__(self, pts):
         return _evaluate(self.fn, pts, 2)
-
-
-def observe(u: Field3) -> Field2:
-    """Observation operator M: keep the horizontal components."""
-    return Field2(fn=lambda pts: u.fn(pts)[:, :2])
 
 
 def inject(data: Field2) -> Field3:
@@ -122,12 +111,14 @@ def add_scaled(u: Field3, t: float, p: Field3) -> Field3:
 
 
 def validate_weights(weights, dim: int | None = None) -> np.ndarray:
-    """Check a weight matrix is square, symmetric to 1e-14, and positive definite."""
+    """Check a weight matrix is square, finite, symmetric to 1e-14, and positive definite."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ContractError(f"weight matrix must be square, got shape {w.shape}")
     if dim is not None and w.shape != (dim, dim):
         raise ContractError(f"weight matrix must be {dim}x{dim}, got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ContractError("weight matrix must be finite")
     scale = max(1.0, float(np.abs(w).max()))
     if np.abs(w - w.T).max() > 1e-14 * scale:
         raise ContractError("weight matrix must be symmetric")
@@ -158,7 +149,7 @@ class Quadrature:
             raise ContractError("quadrature weights must be positive")
 
 
-def midpoint_rule(box: BoxDomain, m_per_axis: int = 32, topo: Topography | None = None) -> Quadrature:
+def midpoint_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD, topo: Topography | None = None) -> Quadrature:
     """Tensor-product midpoint rule with m^3 cells; weights sum to the domain volume.
 
     With a terrain bottom, nodes are stretched per column exactly like the
@@ -168,8 +159,8 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = 32, topo: Topography | None 
     m^3 node arrays would not fit in physical memory, or whose cell volume
     underflows to zero, raises DomainError before any is allocated.
     """
-    if m_per_axis < 1:
-        raise ConfigurationError("quadrature resolution must be at least 1")
+    if not isinstance(m_per_axis, numbers.Integral) or m_per_axis < 1:
+        raise ConfigurationError(f"quadrature resolution must be an integer of at least 1, got {m_per_axis}")
     m = int(m_per_axis)
     need, have = _QUAD_BYTES_PER_NODE * m**3, _physical_memory()
     if have is not None and need > have:
@@ -236,38 +227,6 @@ def _weighted_sum(a: np.ndarray, w: np.ndarray, b: np.ndarray, qw: np.ndarray) -
     return float(np.sum(qw * rows))
 
 
-def weighted_ip(a, b, weights: np.ndarray, quad: Quadrature) -> float:
-    """Weighted inner product sum_i w_i (S a(x_i)) . b(x_i)."""
-    va = a(quad.nodes)
-    vb = b(quad.nodes)
-    if va.shape != vb.shape:
-        raise ContractError(f"field arity mismatch: {va.shape} vs {vb.shape}")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (va.shape[1], va.shape[1]):
-        raise ContractError(f"weight matrix {w.shape} does not match field arity {va.shape[1]}")
-    return _weighted_sum(va, w, vb, quad.weights)
-
-
-def l2_ip(a, b, quad: Quadrature) -> float:
-    """Unweighted inner product sum_i w_i a(x_i) . b(x_i)."""
-    va = a(quad.nodes)
-    vb = b(quad.nodes)
-    if va.shape != vb.shape:
-        raise ContractError(f"field arity mismatch: {va.shape} vs {vb.shape}")
-    return float(np.sum(quad.weights * np.sum(va * vb, axis=1)))
-
-
-def objective(u: Field3, data: Field2, weights: np.ndarray, quad: Quadrature) -> float:
-    """Half the weighted squared misfit of the horizontal components.
-
-    The difference M u - data is formed pointwise before summation, so a
-    field whose horizontal part equals the data gives exactly zero.
-    """
-    d = u(quad.nodes)[:, :2] - data(quad.nodes)
-    w = validate_weights(weights, 2)
-    return 0.5 * _weighted_sum(d, w, d, quad.weights)
-
-
 def divergence_fd(u: Field3, pts, h: float, box: BoxDomain | None = None):
     """Central-difference divergence with step h; the independent oracle.
 
@@ -289,15 +248,11 @@ def divergence_fd(u: Field3, pts, h: float, box: BoxDomain | None = None):
 
 @dataclass(frozen=True)
 class ExampleCase:
-    """A built-in analytic case: exact field, horizontal data, and its domain(s)."""
+    """A built-in analytic case: exact field, horizontal data, and its domain."""
 
     exact: Field3
     data: Field2
-    domains: tuple[BoxDomain, ...]
-
-    @property
-    def domain(self) -> BoxDomain:
-        return self.domains[0]
+    domain: BoxDomain
 
 
 def _const(value: float) -> ScalarField:
@@ -322,8 +277,7 @@ def example_field(case_id: str, eps: float | None = None) -> ExampleCase:
             div=_const(0.0),
         )
         data = Field2(fn=lambda pts: pts[:, :2].copy(), hdiv=_const(2.0))
-        domains = (BoxDomain(-2, 2, -2, 2, 0, 2), BoxDomain(-2, 2, -2, 2, -2, 2))
-        return ExampleCase(exact, data, domains)
+        return ExampleCase(exact, data, BoxDomain(-2, 2, -2, 2, 0, 2))
 
     if case_id == "ex52":
         def fn(pts):
@@ -332,7 +286,7 @@ def example_field(case_id: str, eps: float | None = None) -> ExampleCase:
 
         exact = Field3(fn=fn, div=_const(0.0))
         data = Field2(fn=lambda pts: fn(pts)[:, :2], hdiv=_const(0.0))
-        return ExampleCase(exact, data, (BoxDomain(-7, 7, -7, 7, -7, 7),))
+        return ExampleCase(exact, data, BoxDomain(-7, 7, -7, 7, -7, 7))
 
     if case_id == "ex53":
         if eps is None or not eps > 0:
@@ -351,6 +305,6 @@ def example_field(case_id: str, eps: float | None = None) -> ExampleCase:
 
         exact = Field3(fn=fn, div=_const(0.0))
         data = Field2(fn=lambda pts: fn(pts)[:, :2], hdiv=lambda pts: -eps * pts[:, 2])
-        return ExampleCase(exact, data, (BoxDomain(-7, 7, -7, 7, 0, 7),))
+        return ExampleCase(exact, data, BoxDomain(-7, 7, -7, 7, 0, 7))
 
     raise ConfigurationError(f"unknown example id {case_id!r} (expected ex51, ex52 or ex53)")

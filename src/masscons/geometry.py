@@ -12,6 +12,7 @@ resolved by the fixed priority bottom > top > xmin > xmax > ymin > ymax.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
@@ -95,9 +96,6 @@ class BoxDomain:
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
-
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
 
     @property
     def face_tol(self) -> float:
@@ -233,8 +231,9 @@ def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None
     inputs always produce identical node orderings. With a terrain bottom
     the vertical coordinate is stretched per column (see module docstring).
     """
-    if n_per_axis < 3:  # with 2 nodes per axis no node is interior, and div is never imposed
-        raise ConfigurationError(f"n_per_axis must be at least 3, got {n_per_axis}")
+    # with 2 nodes per axis no node is interior, and div is never imposed
+    if not isinstance(n_per_axis, numbers.Integral) or n_per_axis < 3:
+        raise ConfigurationError(f"n_per_axis must be an integer of at least 3, got {n_per_axis}")
     n = int(n_per_axis)
     xs = np.linspace(box.xmin, box.xmax, n)
     ys = np.linspace(box.ymin, box.ymax, n)

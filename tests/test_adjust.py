@@ -23,13 +23,12 @@ from masscons.adjust import (
     misfit,
     poisson_rhs,
     sasaki,
-    step_length,
+    _step,
 )
 from masscons.collocation import MultiplierSolution, factorize_and_solve
 from masscons.errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
 from masscons.fields import (
     Field2,
-    Field3,
     divergence_fd,
     example_field,
     inject,
@@ -220,30 +219,46 @@ def test_step_length_formulas_agree_when_multiplier_vanishes():
         coeffs=np.zeros(27), nodes=grid_centers(EX52.domain, 3), kernel=KernelParams(0.01),
         aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
     )
-    p = descent_direction(m, solution)
-    problem = Problem.horizontal(EX52.data)
-    t_min = step_length(problem, p, quad, MINIMIZER)
-    t_desc = step_length(problem, p, quad, CLOSED_FORM)
+    vals_p = descent_direction(m, solution)(quad.nodes)
+    misfit_obs = 0.0 - EX52.data(quad.nodes)
+    t_min = _step(vals_p, misfit_obs, np.eye(2), np.eye(3), quad.weights, MINIMIZER)
+    t_desc = _step(vals_p, misfit_obs, np.eye(2), np.eye(3), quad.weights, CLOSED_FORM)
     assert t_min == pytest.approx(1.0, abs=1e-12)
     assert t_desc == pytest.approx(t_min, rel=1e-12)
 
 
 def test_step_length_degenerate_direction():
     quad = midpoint_rule(EX51.domain, 8)
-    vertical = Field3(fn=lambda p: np.column_stack([np.zeros((len(p), 2)), p[:, 2:3] + 1.0]))
-    with pytest.raises(DegenerateDirectionError):
-        step_length(Problem.horizontal(EX51.data), vertical, quad, MINIMIZER)
+    vertical = np.column_stack([np.zeros((len(quad.nodes), 2)), quad.nodes[:, 2:3] + 1.0])
+    misfit_obs = 0.0 - EX51.data(quad.nodes)
+    with pytest.raises(DegenerateDirectionError, match="no observed content"):
+        _step(vertical, misfit_obs, np.eye(2), np.eye(3), quad.weights, MINIMIZER)
 
 
 @pytest.mark.parametrize("formula", [MINIMIZER, CLOSED_FORM])
 def test_step_length_matches_full_observation_line_search(formula):
+    # result.p is the direction the search stepped along: its step, recomputed
+    # from its values at the quadrature nodes, is the search's t_c.
     weights = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
     quad = midpoint_rule(EX51.domain, 8)
     result = adjust_full(
         inject(EX51.data), weights, EX51.domain, KernelParams(0.5), 4, quad=quad, formula=formula,
     )
-    t = step_length(Problem.full(inject(EX51.data), weights), result.p, quad, formula)
+    initial = inject(EX51.data)(quad.nodes)
+    t = _step(result.p(quad.nodes), 0.0 - initial, weights, weights, quad.weights, formula)
     assert t == pytest.approx(result.t_c, rel=1e-12)
+
+
+def test_j_before_value_and_scaling():
+    # From the zero field J = 1/2 int_box x^2 + y^2 = 128/3 on ex51's box, to
+    # the midpoint rule's O(h^2); S = 3 I triples it.
+    quad = midpoint_rule(EX51.domain, 64)
+    j = [
+        adjust(EX51.data, EX51.domain, KernelParams(0.5), 3, weights=s * np.eye(2), quad=quad).metrics.j_before
+        for s in (1.0, 3.0)
+    ]
+    assert j[0] == pytest.approx(128.0 / 3.0, rel=5e-4)
+    assert j[1] == pytest.approx(3.0 * j[0], rel=1e-14)
 
 
 def test_adjust_exact_recovery_ex52():
@@ -304,7 +319,7 @@ def test_direction_divergence_free_at_collocation_nodes():
     nodes = result.multiplier.nodes
     interior = nodes.points[nodes.interior]
     # analytic route: div p = -rhs + lap lambda
-    div_analytic = result.p.divergence(interior)
+    div_analytic = result.p.div(interior)
     assert np.abs(div_analytic).max() <= result.multiplier.residual_norm + 1e-10
     # independent oracle route
     div_fd = divergence_fd(result.p, interior, 1e-5 * EX53.domain.diameter())
@@ -341,7 +356,7 @@ def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed
     p = descent_direction(problem.residual, solution)
     kinds = np.array(system.row_kinds)
     dirichlet, neumann = kinds == "dirichlet", kinds == "neumann"
-    got = p.divergence(pts)
+    got = p.div(pts)
     got[neumann] = np.sum(p(pts)[neumann] * nodes.normals[neumann], axis=1)
     got[dirichlet] = solution.value(pts)[dirichlet]
     rows = matrix @ solution.coeffs - system.rhs

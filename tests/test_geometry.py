@@ -42,6 +42,13 @@ def test_grid_rejects_small_n():
         grid_centers(BOX, 2)
 
 
+def test_grid_rejects_non_integral_n():
+    # int(3.9) would build 27 nodes; a NumPy integer is a count
+    with pytest.raises(ConfigurationError, match="must be an integer of at least 3, got 3.9"):
+        grid_centers(BOX, 3.9)
+    assert len(grid_centers(BOX, np.int64(3))) == 27
+
+
 def test_nan_boundary_normals_raise():
     # a terrain slope of NaN gives NaN bottom normals, which are not unit vectors
     flat = Topography(height=lambda x, y: np.zeros_like(x), grad=lambda x, y: np.full(np.shape(x) + (2,), np.nan))

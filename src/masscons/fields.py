@@ -4,8 +4,8 @@ Fields are thin wrappers around vectorized evaluators: a Field3 maps (m, 3)
 points to (m, 3) values, a Field2 to (m, 2) horizontal values; any other
 shape of points raises DomainError. A Field3 may carry an analytic
 divergence (``div``), a Field2 the divergence of its two components
-(``hdiv``); where a field has none, its divergence is the central-difference
-oracle :func:`divergence_fd`.
+(``hdiv``), each checked to map (m, 3) points to (m,) values; where a field
+has none, its divergence is the central-difference oracle :func:`divergence_fd`.
 
 The observation operator drops the vertical component, M u = (u1, u2); its
 adjoint pads a zero, M* U = (U1, U2, 0). The line search's integrals are
@@ -14,7 +14,7 @@ sums over a tensor-product midpoint rule (:func:`midpoint_rule`).
 
 from __future__ import annotations
 
-import numbers
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError
-from .geometry import BoxDomain, Topography, _bottom_height, as_points
+from .geometry import BoxDomain, Topography, _bottom_height, _count, as_points
 
 __all__ = [
     "Field3",
@@ -48,12 +48,12 @@ DEFAULT_QUAD = 32
 _QUAD_BYTES_PER_NODE = 7 * 8
 
 
-def _evaluate(fn, pts, width: int) -> np.ndarray:
-    """fn at the (m, 3) points, checked to return (m, width) values."""
+def _evaluate(fn, pts, *width: int) -> np.ndarray:
+    """fn at the (m, 3) points, checked to return (m, *width) values: (m,) when no width is given."""
     p = as_points(pts)
     vals = np.asarray(fn(p), dtype=float)
-    if vals.shape != (len(p), width):
-        raise ContractError(f"evaluator returned shape {vals.shape}, expected ({len(p)}, {width})")
+    if vals.shape != (len(p), *width):
+        raise ContractError(f"evaluator returned shape {vals.shape}, expected {(len(p), *width)}")
     return vals
 
 
@@ -63,6 +63,10 @@ class Field3:
 
     fn: Callable[[np.ndarray], np.ndarray]
     div: ScalarField | None = None
+
+    def __post_init__(self):
+        if self.div is not None:  # checked like __call__, to (m,) values
+            object.__setattr__(self, "div", functools.partial(_evaluate, self.div))
 
     def __call__(self, pts):
         return _evaluate(self.fn, pts, 3)
@@ -74,6 +78,10 @@ class Field2:
 
     fn: Callable[[np.ndarray], np.ndarray]
     hdiv: ScalarField | None = None
+
+    def __post_init__(self):
+        if self.hdiv is not None:  # checked like __call__, to (m,) values
+            object.__setattr__(self, "hdiv", functools.partial(_evaluate, self.hdiv))
 
     def __call__(self, pts):
         return _evaluate(self.fn, pts, 2)
@@ -159,9 +167,7 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD, topo: Topograp
     m^3 node arrays would not fit in physical memory, or whose cell volume
     underflows to zero, raises DomainError before any is allocated.
     """
-    if not isinstance(m_per_axis, numbers.Integral) or m_per_axis < 1:
-        raise ConfigurationError(f"quadrature resolution must be an integer of at least 1, got {m_per_axis}")
-    m = int(m_per_axis)
+    m = _count(m_per_axis, 1, "quadrature resolution")
     need, have = _QUAD_BYTES_PER_NODE * m**3, _physical_memory()
     if have is not None and need > have:
         raise DomainError(
@@ -186,8 +192,8 @@ def midpoint_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD, topo: Topograp
 
 
 def face_rule(box: BoxDomain, m_per_axis: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoint rule on the six flat faces; returns (nodes, weights, outward normals)."""
-    m = int(m_per_axis)
+    """Midpoint rule of m^2 cells on each of the six flat faces; returns (nodes, weights, outward normals)."""
+    m = _count(m_per_axis, 1, "quadrature resolution")
     lo, hi = box.lo, box.hi
     h = (hi - lo) / m
     mids = [lo[k] + h[k] * (np.arange(m) + 0.5) for k in range(3)]

@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _count(value, least: int, name: str) -> int:
+    """``value`` as an int; anything but an integer of at least ``least`` raises ConfigurationError."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer of at least {least}, got {value}")
+    return int(value)
+
+
 def as_points(pts) -> np.ndarray:
     """The (m, 3) float array of a batch of points; any other shape raises DomainError."""
     p = np.asarray(pts, dtype=float)
@@ -232,9 +239,7 @@ def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None
     the vertical coordinate is stretched per column (see module docstring).
     """
     # with 2 nodes per axis no node is interior, and div is never imposed
-    if not isinstance(n_per_axis, numbers.Integral) or n_per_axis < 3:
-        raise ConfigurationError(f"n_per_axis must be an integer of at least 3, got {n_per_axis}")
-    n = int(n_per_axis)
+    n = _count(n_per_axis, 3, "n_per_axis")
     xs = np.linspace(box.xmin, box.xmax, n)
     ys = np.linspace(box.ymin, box.ymax, n)
     zs = np.linspace(box.zmin, box.zmax, n)

@@ -17,16 +17,11 @@ The apparent phi'(r)/r singularity of the radial chain rule cancels
 analytically, so r = 0 needs no special casing and the gradient vanishes
 exactly at the center. Finite differencing exists only in the test suite.
 
-All functions broadcast over leading axes. The collocation assembly calls
-them on pairwise (m, 1, 3) vs (1, n, 3) blocks, with at most 2**16 // n
-rows per call and a third as many for the gradient: every block holds at
-most 2**16 float64 (512 KiB) whatever n is. The fractional powers are
-evaluated as sqrt-and-divide, which is considerably faster than ``**-1.5``
-on large pairwise blocks and bit-for-bit deterministic.
-
-The multiplier's jet (``collocation``) sums the factors s**(-q/2) from such
-pairwise blocks or, where c**2 r**2 << 1, from their truncated binomial
-series, the polynomial flat limit of the basis (Driscoll & Fornberg 2002).
+All functions broadcast over leading axes and evaluate the fractional powers
+as sqrt-and-divide, faster than ``**-1.5`` and bit-for-bit deterministic.
+They are the oracle for ``collocation``, whose rows and jets form the same
+closed forms from GEMM-expanded blocks of s or, where c**2 r**2 << 1, from the
+series of s**(-q/2), the flat limit of the basis (Driscoll & Fornberg 2002).
 """
 
 from __future__ import annotations

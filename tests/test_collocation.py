@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
@@ -17,6 +17,7 @@ from masscons.collocation import (
     _SERIES_TOL,
     MultiplierSolution,
     _binomial,
+    _direct_sums,
     _series_order,
     assemble,
     dump_gram,
@@ -108,7 +109,6 @@ def test_anisotropic_rows_contract_hessian():
     nodes = grid_centers(CUBE, 10)
     kernel = KernelParams(0.7)
     interior = nodes.interior
-    assert len(interior) > _BLOCK_ELEMENTS // len(nodes.points)
     x = nodes.points[interior][:, None, :]
     centers = nodes.points[None, :, :]
     # Diagonal, SPD, the inverse of an SPD matrix (not bitwise symmetric, as
@@ -116,16 +116,22 @@ def test_anisotropic_rows_contract_hessian():
     inverse = np.linalg.inv(SPD)
     assert not np.array_equal(inverse, inverse.T)
     skew = np.array([[0.0, 0.3, -0.2], [-0.3, 0.0, 0.1], [0.2, -0.1, 0.0]])
-    for a in (np.diag([1.0, 0.5, 0.25]), SPD, inverse, SPD + skew):
-        system = assemble(nodes, kernel, *dirichlet_all(nodes), ZERO_F, aniso=a)
-        rows = system.matrix[interior]
-        assert {system.row_kinds[i] for i in interior} == {"anisotropic-laplacian"}
-        # the block split does not change a bit of the expanded operator:
-        # 2^12 elements is 4 rows a block, 2^20 all 512 rows in one
+    for a in (None, np.diag([1.0, 0.5, 0.25]), SPD, inverse, SPD + skew):
+        bcs = mixed_bcs(nodes, SPD if a is None else a)
+        system = assemble(nodes, kernel, *bcs, ZERO_F, aniso=a)
+        kinds = np.array(system.row_kinds)
+        # every row kind spans several blocks of 65 rows
+        for kind in ("interior-laplacian" if a is None else "anisotropic-laplacian", "dirichlet", "neumann"):
+            assert np.count_nonzero(kinds == kind) > _BLOCK_ELEMENTS // len(nodes.points)
+        # the block split does not change a bit of any row kind:
+        # 2^12 elements is 4 rows a block, 2^20 every row of a kind in one
         for elements in (1 << 12, 1 << 16, 1 << 20):
             with mock.patch.object(collocation, "_BLOCK_ELEMENTS", elements):
-                again = assemble(nodes, kernel, *dirichlet_all(nodes), ZERO_F, aniso=a)
+                again = assemble(nodes, kernel, *bcs, ZERO_F, aniso=a)
             assert np.array_equal(again.matrix, system.matrix)
+        if a is None:
+            continue
+        rows = system.matrix[interior]
         # it meets the pointwise closed form to roundoff of the row's scale
         scale = np.abs(rows).max(axis=1, keepdims=True)
         assert np.all(np.abs(rows - lap_phi(x, centers, kernel, a)) <= 1e-14 * scale)
@@ -134,28 +140,52 @@ def test_anisotropic_rows_contract_hessian():
         assert np.all(np.abs(rows - contracted) <= 1e-13 * scale)
 
 
-def test_boundary_rows_match_unblocked_kernels():
-    nodes = grid_centers(CUBE, 10)
-    kernel = KernelParams(0.7)
-    mask, values, conormals = mixed_bcs(nodes, SPD)
-    system = assemble(nodes, kernel, mask, values, conormals, ZERO_F, aniso=SPD)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    shape=st.floats(1e-3, 0.5),
+    per_axis=st.integers(4, 7),
+    half=st.floats(0.5, 7.0),
+    offset=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+    anisotropic=st.booleans(),
+)
+@example(shape=0.5, per_axis=6, half=7.0, offset=(1e4, -1e4, 1e4), anisotropic=False)
+@example(shape=0.5, per_axis=6, half=7.0, offset=(1e4, -1e4, 1e4), anisotropic=True)
+def test_every_row_kind_meets_the_kernel_oracle(shape, per_axis, half, offset, anisotropic):
+    # The s-block rows against the pointwise kernels on unshifted points,
+    # Neumann rows along the conormal A nu: each row's worst entry is within
+    # 1e-13 of its largest, on boxes up to 14 across and 1e4 from the origin.
+    lo = np.asarray(offset) - half
+    box = BoxDomain(lo[0], lo[0] + 2 * half, lo[1], lo[1] + 2 * half, lo[2], lo[2] + half)
+    nodes = grid_centers(box, per_axis)
+    kernel = KernelParams(shape)
+    a = SPD if anisotropic else None
+    neumann, values, conormals = mixed_bcs(nodes, SPD)
+    matrix = assemble(nodes, kernel, neumann, values, conormals, ZERO_F, aniso=a).matrix
     pts = nodes.points
-    dirichlet = nodes.boundary[~mask]
-    neumann = nodes.boundary[mask]
-    rows = _BLOCK_ELEMENTS // len(pts)
-    assert len(dirichlet) > rows and len(neumann) > rows
+    x, centers = pts[:, None, :], pts[None, :, :]
+    oracle = lap_phi(x, centers, kernel, a)
+    boundary = nodes.boundary
+    oracle[boundary] = phi_sq(np.sum((x[boundary] - centers) ** 2, axis=-1), kernel)
+    grads = grad_phi(x[boundary[neumann]], centers, kernel)
+    oracle[boundary[neumann]] = np.einsum("mnk,mk->mn", grads, conormals[neumann])
+    worst = np.abs(matrix - oracle).max(axis=1)
+    assert np.all(worst <= 1e-13 * np.abs(oracle).max(axis=1))
 
-    d = pts[dirichlet][:, None, :] - pts[None, :, :]
-    expected = phi_sq(np.sum(d * d, axis=-1), kernel)
-    np.testing.assert_allclose(system.matrix[dirichlet], expected, rtol=0, atol=0)
-    assert np.all(system.rhs[dirichlet] == 0.25)
-    assert {system.row_kinds[i] for i in dirichlet} == {"dirichlet"}
 
-    grads = grad_phi(pts[neumann][:, None, :], pts[None, :, :], kernel)
-    expected = np.einsum("mnk,mk->mn", grads, conormals[mask])
-    np.testing.assert_allclose(system.matrix[neumann], expected, rtol=0, atol=0)
-    assert np.all(system.rhs[neumann] == 0.5)
-    assert {system.row_kinds[i] for i in neumann} == {"neumann"}
+def test_isotropic_rows_are_the_jets_laplacian_factor():
+    # The jet's direct sums against the identity give the -3 c^2 W_5 factor
+    # at the interior nodes exactly: it is the assembled Laplacian rows, bit
+    # for bit, because both form it by _lap_factor from the same s block.
+    nodes = grid_centers(SLAB, 6)
+    kernel = KernelParams(0.3)
+    system = assemble(nodes, kernel, *dirichlet_all(nodes), ZERO_F)
+    n = len(nodes.points)
+    centers = nodes.points - nodes.points.mean(axis=0)
+    x = centers[nodes.interior]
+    _, _, factor = _direct_sums(
+        x, centers, np.einsum("ij,ij->i", centers, centers), kernel.shape**2, np.zeros(n), np.zeros((n, 4)), np.eye(n)
+    )
+    assert np.array_equal(factor, system.matrix[nodes.interior])
 
 
 def test_assembly_memory_is_bounded_by_bytes():
@@ -173,28 +203,30 @@ def test_assembly_memory_is_bounded_by_bytes():
     assert peak - system.matrix.nbytes <= 4 * 2**20
 
 
-def test_every_kernel_array_of_assembly_fits_one_block(monkeypatch):
-    # At N = 1000 a block is 65 rows of (rows, N) values, or 21 rows of the
-    # Neumann rows' (rows, N, 3) gradients: at most _BLOCK_ELEMENTS float64
-    # (512 KiB) for every row kind. Gradient blocks of 65 rows took 1.5 MiB.
-    # The anisotropic interior rows call no kernel; _aniso_rows forms them.
+def test_every_s_block_of_assembly_fits_one_block(monkeypatch):
+    # At N = 1000 a block is 65 rows of (rows, N) values, at most
+    # _BLOCK_ELEMENTS float64 (512 KiB) for every row kind; the Neumann
+    # rows' (rows, N, 3) gradient blocks of 65 rows took 1.5 MiB. Every row
+    # is formed from _s_block, and no kernel is called.
     nodes = grid_centers(CUBE, 10)
-    sizes = {}
+    nbytes = []
+    s_block = collocation._s_block
 
-    def recording(name, kernel):
-        def call(*args, **kwargs):
-            out = kernel(*args, **kwargs)
-            sizes.setdefault(name, []).append(out.nbytes)
-            return out
-        return call
+    def recording(*args):
+        out = s_block(*args)
+        nbytes.append(out.nbytes)
+        return out
 
-    for name in ("phi_sq", "grad_phi", "lap_phi", "_aniso_rows"):
-        monkeypatch.setattr(collocation, name, recording(name, getattr(collocation, name)))
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembly called a kernel")
+
+    monkeypatch.setattr(collocation, "_s_block", recording)
+    for name in ("phi_sq", "grad_phi", "lap_phi", "hess_phi"):
+        monkeypatch.setattr(collocation, name, forbidden)
     for a in (None, SPD):
         assemble(nodes, KernelParams(0.7), *mixed_bcs(nodes, SPD), ZERO_F, aniso=a)
-    assert set(sizes) == {"phi_sq", "grad_phi", "lap_phi", "_aniso_rows"}
-    for name, nbytes in sizes.items():
-        assert len(nbytes) > 1 and max(nbytes) <= _BLOCK_ELEMENTS * 8, (name, max(nbytes))
+    # 1000 rows of each of the two systems, in blocks of at most 65
+    assert len(nbytes) >= 2 * 1000 // 65 and max(nbytes) <= _BLOCK_ELEMENTS * 8
 
 
 def test_anisotropic_assembly_holds_no_hessian_block():

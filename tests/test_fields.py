@@ -116,6 +116,16 @@ def test_quadrature_rejects_non_integral_resolution():
     assert len(midpoint_rule(BOX, np.int64(2)).nodes) == 8
 
 
+@pytest.mark.parametrize("count", [2.5, 0, -1])
+def test_face_rule_rejects_a_count_that_is_not_a_positive_integer(count):
+    # int(2.5) built 2 x 2 nodes a face, whose weights summed to 6.0, and 0
+    # built none with a divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=f"must be an integer of at least 1, got {count}"):
+            face_rule(UNIT, count)
+
+
 def test_quadrature_cell_volume_must_not_underflow():
     # each side of a cell is a normal float, 2.5e-301, but their product is 0
     with pytest.raises(DomainError, match=r"cell volume 2\.500e-301 x 2\.500e-301 x 2\.500e-301 underflows to 0"):
@@ -247,6 +257,8 @@ def batch_evaluators():
     return {
         "Field3": (case.exact, [(3,)]),
         "Field2": (case.data, [(2,)]),
+        "Field3.div": (case.exact.div, [()]),
+        "Field2.hdiv": (case.data.hdiv, [()]),
         "jet": (lam.jet, [(), (3,), ()]),
         "jet-zero-coefficients": (zero.jet, [(), (3,), ()]),
         "value": (lam.value, [()]),
@@ -270,3 +282,11 @@ def test_every_evaluator_takes_only_point_batches(name):
         assert [np.shape(o) for o in outs] == [(m, *t) for t in trailing]
     with pytest.raises(DomainError, match=r"shape \(m, 3\), got \(3,\)"):
         evaluate(pts[0])
+
+
+def test_a_divergence_of_the_wrong_shape_is_a_contract_error():
+    pts = np.random.default_rng(9).uniform(0.1, 0.9, (5, 3))
+    column = lambda p: np.zeros((len(p), 1))
+    for div in (Field3(fn=lambda p: p.copy(), div=column).div, Field2(fn=lambda p: p[:, :2], hdiv=column).hdiv):
+        with pytest.raises(ContractError, match=r"returned shape \(5, 1\), expected \(5,\)"):
+            div(pts)

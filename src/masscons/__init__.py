@@ -59,6 +59,7 @@ from .fields import (
     divergence_fd,
     example_field,
     face_rule,
+    gauss2_rule,
     inject,
     midpoint_rule,
 )

@@ -88,9 +88,9 @@ class ExperimentConfig:
 
     Each field declares its default and what its values must meet; a value
     that does not raises ConfigurationError naming the config key. Grid
-    sizes must be distinct. Floats must be finite, and so must the box
-    diameter D, the kernels' s^(5/2) at s = 1 + c^2 D^2 and, on hill
-    terrain, D / hill_width^2. ``domain``,
+    sizes must be distinct and ``quad`` even. Floats must be finite, and so
+    must the box diameter D, the kernels' s^(5/2) at s = 1 + c^2 D^2 and, on
+    hill terrain, D / hill_width^2. ``domain``,
     ``hill_amplitude`` and ``hill_width`` default to None, resolved to the
     example's box, 20 % of the box height and 25 % of its smaller
     horizontal extent, so a constructed config equals what
@@ -119,7 +119,7 @@ class ExperimentConfig:
     # The solve's dgelsd, on the sketch's projection or on G, treats trunc_tol >= 1 as
     # machine epsilon and keeps every direction.
     trunc_tol: float = _setting(DEFAULT_TRUNC_TOL, above=0.0, below=1.0)
-    quad: int = _setting(DEFAULT_QUAD, kind=int, above=0)
+    quad: int = _setting(DEFAULT_QUAD, kind=int, above=0)  # Gauss points per axis, even
     out: str = _setting("results", kind=str)
 
     def __post_init__(self):
@@ -130,6 +130,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 resolve(f.name, _checked(_KEYS.get(f.name, f.name), value, **f.metadata))
+        if self.quad % 2:
+            raise _fail("quad", f"must be even (two Gauss points per cell), got {self.quad!r}")
         if len(set(self.grid_sizes)) != len(self.grid_sizes):
             # a row's output files (field_N*.csv, gram_N*.txt) are named by its grid size
             raise _fail("n", f"grid sizes must be distinct, got {self.grid_sizes!r}")

@@ -6,7 +6,8 @@ appends the extra diagnostics; failed rows keep their error message in the
 last column instead of aborting the run. Wall times go to ``timings.csv``
 so ``table.csv`` stays byte-identical across reruns of the same
 configuration. ``field_N{n}.csv`` samples the adjusted and exact fields and
-the adjusted field's divergence on the quadrature grid, from the node values
+the adjusted field's divergence at the run's quadrature nodes
+(``quad``^3 two-point Gauss nodes, 4,096 by default), from the node values
 the adjustment already computed, as fixed-width ``%-25.17e`` cells (18
 significant digits, one more than round trip needs, space-padded to 25 bytes;
 ``nan`` and ``inf`` spelled as Python spells them), so every data record is
@@ -51,8 +52,9 @@ from .adjust import (
 from .collocation import _sci, dump_gram
 from .config import KEY_FIELDS, ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
-from .fields import ExampleCase, example_field, inject, midpoint_rule
-from .fields import divergence_fd  # noqa: F401  # unused; the benchmark's tracer patches this name
+from .fields import ExampleCase, Quadrature, example_field, gauss2_rule, inject
+# unused; the benchmark's tracer patches these names
+from .fields import divergence_fd, midpoint_rule  # noqa: F401
 from .geometry import Topography, grid_centers
 from .kernel import KernelParams
 
@@ -130,6 +132,11 @@ def _hill_topography(cfg: ExperimentConfig) -> Topography | None:
         return np.stack([-2.0 * (x - x0) / width**2 * bump, -2.0 * (y - y0) / width**2 * bump], axis=-1)
 
     return Topography(height=height, grad=grad)
+
+
+def _quadrature(cfg: ExperimentConfig) -> Quadrature:
+    """The rule every row of a run or sweep integrates over: ``quad`` Gauss points per axis."""
+    return gauss2_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
 
 
 def _face_policy(cfg: ExperimentConfig) -> FaceBcPolicy:
@@ -403,7 +410,7 @@ def run_experiment(
     out = _prepare_out(cfg, out_override)
     cfg = replace(cfg, out=out)
     case = example_field(cfg.example, eps=cfg.eps)
-    quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
+    quad = _quadrature(cfg)
 
     outcomes = [_run_one(cfg, case, n, quad) for n in cfg.grid_sizes]
 
@@ -450,7 +457,7 @@ def sweep(
     out = _prepare_out(cfg, out_override)
     cfg = replace(cfg, out=out)
     case = example_field(cfg.example, eps=cfg.eps)
-    quad = midpoint_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
+    quad = _quadrature(cfg)
 
     rows = [_run_one(v, case, v.grid_sizes[0], quad)[0] for v in variants]
     _write_rows(os.path.join(out, "sweep.csv"), rows)

@@ -19,12 +19,13 @@ from masscons.adjust import _DESCENT_RTOL
 from masscons.cli import main
 from masscons.config import ExperimentConfig, echo_config, parse_config, parse_values
 from masscons.errors import ConfigurationError, DomainError, MassconsError
-from masscons.fields import example_field, midpoint_rule
+from masscons.fields import Quadrature, example_field, midpoint_rule
 from masscons.runner import (
-    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _run_one, _write_fields, _write_rows,
+    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _quadrature, _run_one, _write_fields, _write_rows,
     dump_gram_for_config, run_experiment, sweep,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
 
 
@@ -79,6 +80,15 @@ def test_parse_rejects_bad_values(tmp_path):
         parse_config(write_cfg(tmp_path, "example = ex51\nn = 3\nc = 1\ns = 1,0,0,-1\n"))
 
 
+def test_odd_quad_is_a_configuration_error(tmp_path):
+    # the run's rule takes two Gauss points per cell, so an odd count per axis has none
+    path = write_cfg(tmp_path, "example = ex51\nn = 3\nc = 0.1\nquad = 5\n")
+    with pytest.raises(ConfigurationError, match=r"line 4: quad: must be even \(two Gauss points per cell\), got 5"):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_grid_size_is_a_configuration_error(tmp_path):
     # field_N3.csv would be written twice, through two handles open at once
     path = write_cfg(tmp_path, "example = ex51\nn = 3,4,3\nc = 0.1\nquad = 4\n")
@@ -116,7 +126,7 @@ OUT_OF_RANGE = [
     (key, text, value)
     for key in ("c", "eps", "trunc_tol", "n", "quad")
     for text, value in (("0", 0), ("-1", -1), ("inf", INF), ("nan", NAN))
-] + [("trunc_tol", "1", 1), ("trunc_tol", "2", 2.0)] + [
+] + [("trunc_tol", "1", 1), ("trunc_tol", "2", 2.0), ("quad", "5", 5)] + [
     ("c", text, float(text)) for text in ("1e155", "1e-200")  # c^2 overflows to inf, underflows to 0
 ] + [
     (key, "bogus", "bogus")
@@ -177,7 +187,7 @@ def test_echo_literal_text(tmp_path):
         "hill_amplitude = 0.4\nhill_width = 1.0\ns = 2.0,0.1,0.1,1.0\nbase = vertical\nw_b = 0.75\n"
         "bc_bottom = no-flow-through\nbc_top = flow-through\nbc_xmin = no-flow-through\n"
         "bc_xmax = no-flow-through\nbc_ymin = no-flow-through\nbc_ymax = no-flow-through\n"
-        "formula = minimizer\ntrunc_tol = 1e-10\nquad = 32\nout = results\n"
+        "formula = minimizer\ntrunc_tol = 1e-10\nquad = 16\nout = results\n"
     )
     full = (
         "example = ex53\nn = 4\nc = 0.01\nquad = 8\ntopography = hill\n"
@@ -670,13 +680,62 @@ def test_failed_middle_row_leaves_its_field_file_out(tmp_path, monkeypatch):
     assert [row.error for row in rows] == ["", "DomainError: injected failure", ""]
     assert not (out / "field_N4.csv").exists()
     case = example_field(cfg.example, eps=cfg.eps)
-    quad = midpoint_rule(cfg.box(), cfg.quad)
+    quad = _quadrature(cfg)
     for n in (3, 5):
         _, result = _run_one(cfg, case, n, quad)
         expected = savetxt_field(
             tmp_path / "ref.csv", quad.nodes, result.node_values, case.exact(quad.nodes), result.node_div
         )
         assert (out / f"field_N{n}.csv").read_bytes() == expected
+
+
+def gauss_legendre_rule(box, m):
+    """The m^3 tensor Gauss-Legendre rule on a box: the reference the run's rule is measured against."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    half = (box.hi - box.lo) / 2.0
+    axes = [box.lo[k] + half[k] * (x + 1.0) for k in range(3)]
+    weights = [half[k] * w for k in range(3)]
+    nodes = np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1).reshape(-1, 3)
+    return Quadrature(nodes, np.einsum("i,j,k->ijk", *weights[::-1]).ravel())
+
+
+def test_default_rule_integrates_ex51_objective_exactly():
+    # ex51's J integrand |(x, y)|^2 / 2 is quadratic, so two Gauss points per axis
+    # are exact; the 32^3 midpoint rule read 42.625 for 128/3
+    cfg = parse_config(CONFIGS / "ex51.cfg")
+    assert cfg.quad == 16
+    quad = _quadrature(cfg)
+    assert len(quad.nodes) == 4096
+    row, _ = _run_one(cfg, example_field(cfg.example), 3, quad)
+    assert abs(row.j_before - 128.0 / 3.0) <= 1e-13 * 128.0 / 3.0
+
+
+def test_default_rule_is_close_to_gauss_legendre_on_ex53():
+    # against GL 48^3 the two-point 16^3 rule reads 2.9e-5 on j_before and 3.9e-7 on
+    # t_c; the 32^3 midpoint rule read 4.3e-4 and 3.6e-6
+    cfg = parse_config(CONFIGS / "ex53.cfg")
+    case = example_field(cfg.example, eps=cfg.eps)
+    row, _ = _run_one(cfg, case, 3, _quadrature(cfg))
+    ref, _ = _run_one(cfg, case, 3, gauss_legendre_rule(cfg.box(), 48))
+    assert abs(row.j_before - ref.j_before) <= 1e-4 * ref.j_before
+    assert abs(row.t_c - ref.t_c) <= 2e-6 * abs(ref.t_c)
+
+
+def test_node_metrics_are_quadrature_weighted_on_terrain(tmp_path):
+    text = "example = ex53\nn = 3\nc = 0.01\nquad = 8\ntopography = hill\nbc_bottom = no-flow-through\n"
+    cfg = parse_config(write_cfg(tmp_path, text))
+    case = example_field(cfg.example, eps=cfg.eps)
+    quad = _quadrature(cfg)
+    row, result = _run_one(cfg, case, 3, quad)
+    w, exact = quad.weights, case.exact(quad.nodes)
+    assert w.max() > 1.1 * w.min()  # the hill stretches its columns unequally
+    err = result.node_values - exact
+    weighted = math.sqrt(np.sum(w * np.sum(err**2, axis=1)) / np.sum(w * np.sum(exact**2, axis=1)))
+    assert row.rel_error == pytest.approx(weighted, rel=1e-12)
+    assert row.div_mean == pytest.approx(np.sum(w * result.node_div) / np.sum(w), rel=1e-12)
+    # the unweighted ratio and mean are other numbers
+    assert row.rel_error != pytest.approx(np.linalg.norm(err) / np.linalg.norm(exact), rel=1e-4)
+    assert row.div_mean != pytest.approx(np.mean(result.node_div), rel=1e-4)
 
 
 def assert_same_bits(parsed, expected):
@@ -711,7 +770,7 @@ def test_field_records_have_fixed_width(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, fast_cfg_text(out)))
     run_experiment(cfg)
     case = example_field(cfg.example, eps=cfg.eps)
-    quad = midpoint_rule(cfg.box(), cfg.quad)
+    quad = _quadrature(cfg)
     exact = case.exact(quad.nodes)
     for n in (3, 4):
         _, result = _run_one(cfg, case, n, quad)
@@ -1038,7 +1097,7 @@ def test_dump_gram_matches_the_solved_system(tmp_path, monkeypatch, text):
         lambda system, **kw: solved.append(replace(system, matrix=system.matrix.copy())) or solve(system, **kw),
     )
     cfg = parse_config(path)
-    quad = midpoint_rule(cfg.box(), cfg.quad)
+    quad = _quadrature(cfg)
     _, result = _run_one(cfg, example_field(cfg.example, eps=cfg.eps), 3, quad)
     assert result is not None and len(solved) == 1
     assert np.array_equal(matrix, solved[0].matrix)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from masscons.fields import (
     divergence_fd,
     example_field,
     face_rule,
+    gauss2_rule,
     inject,
     midpoint_rule,
     updraft,
@@ -103,10 +105,41 @@ def test_quadrature_weights_sum_to_volume():
 
     height = lambda x, y: 0.25 * np.exp(-(x**2 + y**2))
     topo = Topography(height=height, grad=lambda x, y: -2.0 * np.stack([x, y], axis=-1) * height(x, y)[..., None])
-    qt = midpoint_rule(BOX, 24, topo=topo)
-    # terrain-following volume = box volume minus the volume under the hill
-    hill_volume = 0.25 * np.pi * (1 - np.exp(-4.0)) ** 2  # integral of the Gaussian over the footprint
-    assert qt.weights.sum() == pytest.approx(32.0 - hill_volume, rel=1e-3)
+    # terrain-following volume = box volume minus the volume under the hill,
+    # the Gaussian's integral over the [-2, 2]^2 footprint
+    hill_volume = 0.25 * np.pi * math.erf(2.0) ** 2
+    for rule in (midpoint_rule, gauss2_rule):  # 4.8e-6 and 1.2e-7 off
+        assert rule(BOX, 24, topo=topo).weights.sum() == pytest.approx(32.0 - hill_volume, rel=1e-5)
+
+
+def test_gauss2_weights_are_equal_and_sum_to_the_volume():
+    q = gauss2_rule(BOX, 6)
+    assert len(q.nodes) == 216
+    assert np.all(q.weights == q.weights[0])
+    assert q.weights.sum() == pytest.approx(32.0, rel=1e-14)
+    # z in [0, 2]: three cells of side 2/3, each with its two Gauss points at centre +- (1/3) / sqrt(3)
+    centres, half = np.array([1.0, 3.0, 5.0]) / 3.0, 1.0 / (3.0 * np.sqrt(3.0))
+    expected = np.sort(np.concatenate([centres - half, centres + half]))
+    np.testing.assert_allclose(np.unique(q.nodes[:, 2]), expected, rtol=0, atol=1e-15)
+
+
+def test_gauss2_integrates_a_cubic_per_cell_exactly():
+    # degree 3 in x, 2 in y and 1 in z on every cell: two Gauss points per axis are exact,
+    # where the midpoint rule of as many nodes is not
+    f = lambda p: p[:, 0] ** 3 * p[:, 1] ** 2 * p[:, 2]
+    box = BoxDomain(0, 1, -1, 2, 0.5, 1.5)
+    exact = (1 / 4) * (8 / 3 + 1 / 3) * (1.5**2 - 0.5**2) / 2  # 0.75
+    for m in (2, 4, 10):
+        q = gauss2_rule(box, m)
+        assert abs(np.sum(q.weights * f(q.nodes)) - exact) <= 1e-13 * exact
+    q = midpoint_rule(box, 10)
+    assert abs(np.sum(q.weights * f(q.nodes)) - exact) > 1e-3 * exact
+
+
+@pytest.mark.parametrize("m", [5, 1, 2.0, 0])
+def test_gauss2_rejects_an_odd_or_non_integral_count(m):
+    with pytest.raises(ConfigurationError, match="quadrature resolution must be"):
+        gauss2_rule(BOX, m)
 
 
 def test_quadrature_rejects_non_integral_resolution():
@@ -127,9 +160,11 @@ def test_face_rule_rejects_a_count_that_is_not_a_positive_integer(count):
 
 
 def test_quadrature_cell_volume_must_not_underflow():
-    # each side of a cell is a normal float, 2.5e-301, but their product is 0
-    with pytest.raises(DomainError, match=r"cell volume 2\.500e-301 x 2\.500e-301 x 2\.500e-301 underflows to 0"):
-        midpoint_rule(BoxDomain(0, 1e-300, 0, 1e-300, 0, 1e-300), 4)
+    # each side of a node's cell is a normal float, 2.5e-301, but their product is 0;
+    # two Gauss points share each 5e-301 cell of gauss2_rule, so each weighs as much
+    for rule in (midpoint_rule, gauss2_rule):
+        with pytest.raises(DomainError, match=r"cell volume 2\.500e-301 x 2\.500e-301 x 2\.500e-301 underflows to 0"):
+            rule(BoxDomain(0, 1e-300, 0, 1e-300, 0, 1e-300), 4)
 
 
 def test_face_rule_measures_area():

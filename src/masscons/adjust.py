@@ -69,7 +69,7 @@ from .fields import (
     Field2,
     Field3,
     Quadrature,
-    _physical_memory,
+    _require_memory,
     _weighted_sum,
     add_scaled,
     divergence_fd,
@@ -299,17 +299,6 @@ def boundary_data(
     return neumann, values, conormals
 
 
-def _require_memory(n: int) -> None:
-    """Raise DomainError unless the dense solve of a grid of ``n`` nodes fits in memory."""
-    need = _SOLVE_BYTES_PER_PAIR * n * n
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise DomainError(
-            f"a grid of {n} nodes needs about {need} bytes for the dense solve, "
-            f"more than the {have} bytes of physical memory"
-        )
-
-
 def build_system(
     problem: Problem,
     nodes: NodeSet,
@@ -323,8 +312,8 @@ def build_system(
 
     ``exact`` is required by oracle-neumann faces, whose flux also reads the
     base updraft ``w_b``. A right-hand side that is not finite raises
-    DomainError. The callers check memory: the line search and dump-gram
-    budget a grid's dense solve before they build its nodes.
+    DomainError. It does not check memory; :func:`_row_system` budgets a
+    row's dense solve before it builds the row's nodes.
     """
     aniso = problem.aniso
     # Data that overflow give a right-hand side of inf or NaN, which fails below
@@ -338,6 +327,22 @@ def build_system(
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
     return system
+
+
+def _row_system(
+    problem: Problem, box: BoxDomain, kernel: KernelParams, n_per_axis: int, *,
+    topo: Topography | None, policy: FaceBcPolicy, exact: Field3 | None, w_b: float,
+) -> GramSystem:
+    """The multiplier system of one row: ``problem`` on the n^3 centres of :func:`grid_centers`.
+
+    The line search and dump-gram both build a row's system here. A grid
+    whose dense solve would not fit in physical memory raises DomainError
+    before its nodes are built.
+    """
+    n = n_per_axis**3
+    _require_memory(f"a grid of {n} nodes", _SOLVE_BYTES_PER_PAIR * n * n, "the dense solve")
+    nodes = grid_centers(box, n_per_axis, topo=topo)
+    return build_system(problem, nodes, kernel, box, policy, exact=exact, w_b=w_b)
 
 
 def _direction_jet(residual_field: Field3, solution: MultiplierSolution, pts: np.ndarray):
@@ -438,9 +443,7 @@ def _line_search(
     d = vals_uc[:, :k] - vals_obs
     j_before = objective(d)
 
-    _require_memory(n_per_axis**3)
-    nodes = grid_centers(domain, n_per_axis, topo=topo)
-    system = build_system(problem, nodes, kernel, domain, policy, exact=exact, w_b=w_b)
+    system = _row_system(problem, domain, kernel, n_per_axis, topo=topo, policy=policy, exact=exact, w_b=w_b)
     solution = factorize_and_solve(system, trunc_tol=trunc_tol)
     r = Field3(fn=problem.residual.fn, div=poisson_rhs(problem.residual, domain))
     p = descent_direction(r, solution)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError
-from .geometry import BoxDomain, Topography, _bottom_height, _count, as_points
+from .geometry import _FACES, BoxDomain, Topography, _bottom_height, _count, _flat_normal, as_points
 
 __all__ = [
     "Field3",
@@ -148,6 +148,15 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _require_memory(what: str, need: int, use: str) -> None:
+    """Raise DomainError, naming ``what`` and ``use``, when ``need`` bytes exceed physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise DomainError(
+            f"{what} needs about {need} bytes for {use}, more than the {have} bytes of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Evaluation nodes and positive weights for volume integrals."""
@@ -173,12 +182,7 @@ def _tensor_rule(box: BoxDomain, m: int, unit_points: np.ndarray, topo: Topograp
     volume of an h^3 cell) underflows to zero, raises DomainError before any
     is allocated.
     """
-    need, have = _QUAD_BYTES_PER_NODE * m**3, _physical_memory()
-    if have is not None and need > have:
-        raise DomainError(
-            f"a quadrature of {m}^3 nodes needs about {need} bytes for its nodes, "
-            f"more than the {have} bytes of physical memory"
-        )
+    _require_memory(f"a quadrature of {m}^3 nodes", _QUAD_BYTES_PER_NODE * m**3, "its nodes")
     lo, hi = box.lo, box.hi
     h = (hi - lo) / m
     cell = float(np.prod(h))
@@ -229,24 +233,16 @@ def face_rule(box: BoxDomain, m_per_axis: int = 64) -> tuple[np.ndarray, np.ndar
     h = (hi - lo) / m
     mids = [lo[k] + h[k] * (np.arange(m) + 0.5) for k in range(3)]
     nodes, weights, normals = [], [], []
-    # (fixed axis, fixed value, sign of outward normal)
-    faces = [
-        (0, box.xmin, -1.0), (0, box.xmax, 1.0),
-        (1, box.ymin, -1.0), (1, box.ymax, 1.0),
-        (2, box.zmin, -1.0), (2, box.zmax, 1.0),
-    ]
-    for axis, value, sign in faces:
+    for axis, side in sorted(_FACES.values()):  # xmin, xmax, ymin, ymax, zmin, zmax
         others = [k for k in range(3) if k != axis]
         a, b = np.meshgrid(mids[others[0]], mids[others[1]], indexing="ij")
         pts = np.empty((m * m, 3))
-        pts[:, axis] = value
+        pts[:, axis] = box.bounds[2 * axis + side]
         pts[:, others[0]] = a.ravel()
         pts[:, others[1]] = b.ravel()
         nodes.append(pts)
         weights.append(np.full(m * m, float(h[others[0]] * h[others[1]])))
-        n = np.zeros(3)
-        n[axis] = sign
-        normals.append(np.broadcast_to(n, (m * m, 3)).copy())
+        normals.append(np.broadcast_to(_flat_normal(axis, side), (m * m, 3)).copy())
     return np.vstack(nodes), np.concatenate(weights), np.vstack(normals)
 
 

@@ -7,7 +7,8 @@ bottom, the vertical coordinate is stretched column by column,
 
 so the lowest grid layer lies on the terrain while node counts stay n^3.
 Every node carries exactly one face label; nodes on edges and corners are
-resolved by the fixed priority bottom > top > xmin > xmax > ymin > ymax.
+resolved by the order of the face table ``_FACES``, bottom > top > xmin >
+xmax > ymin > ymax.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def as_points(pts) -> np.ndarray:
 
 
 class FaceLabel(IntEnum):
-    """Face membership of a node; the enum order is the edge/corner tie-break priority."""
+    """Face membership of a node; ``_FACES`` lists the faces in edge/corner tie-break priority."""
 
     INTERIOR = 0
     BOTTOM = 1
@@ -59,14 +60,21 @@ class FaceLabel(IntEnum):
     YMAX = 6
 
 
-# Outward unit normals of the five flat faces (bottom is terrain-dependent).
-_FLAT_NORMALS = {
-    FaceLabel.TOP: np.array([0.0, 0.0, 1.0]),
-    FaceLabel.XMIN: np.array([-1.0, 0.0, 0.0]),
-    FaceLabel.XMAX: np.array([1.0, 0.0, 0.0]),
-    FaceLabel.YMIN: np.array([0.0, -1.0, 0.0]),
-    FaceLabel.YMAX: np.array([0.0, 1.0, 0.0]),
+# Each face's (axis, side), side 0 the lower bound and 1 the upper, in
+# edge/corner tie-break priority. The bottom's bound is the terrain height.
+_FACES = {
+    FaceLabel.BOTTOM: (2, 0),
+    FaceLabel.TOP: (2, 1),
+    FaceLabel.XMIN: (0, 0),
+    FaceLabel.XMAX: (0, 1),
+    FaceLabel.YMIN: (1, 0),
+    FaceLabel.YMAX: (1, 1),
 }
+
+
+def _flat_normal(axis: int, side: int) -> np.ndarray:
+    """The outward unit normal of a flat face: -1 or +1 along ``axis``, +0.0 elsewhere."""
+    return np.where(np.arange(3) == axis, 2.0 * side - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -190,43 +198,27 @@ def classify(pts, box: BoxDomain, topo: Topography | None = None) -> tuple[np.nd
     """
     pts = as_points(pts)
     tol = box.face_tol
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    zb = _bottom_height(box, topo, x, y)
-    outside = (
-        (x < box.xmin - tol)
-        | (x > box.xmax + tol)
-        | (y < box.ymin - tol)
-        | (y > box.ymax + tol)
-        | (z < zb - tol)
-        | (z > box.zmax + tol)
-    )
+    x, y = pts[:, 0], pts[:, 1]
+    bounds = ((box.xmin, box.xmax), (box.ymin, box.ymax), (_bottom_height(box, topo, x, y), box.zmax))
+    outside = np.zeros(len(pts), dtype=bool)
+    for axis, side in _FACES.values():
+        bound = bounds[axis][side]
+        outside |= pts[:, axis] > bound + tol if side else pts[:, axis] < bound - tol
     if np.any(outside):
         raise DomainError(f"{int(outside.sum())} point(s) outside the closed domain")
 
     labels = np.full(len(pts), int(FaceLabel.INTERIOR))
     normals = np.full((len(pts), 3), np.nan)
-
-    face_tests = [
-        (FaceLabel.BOTTOM, np.abs(z - zb) <= tol),
-        (FaceLabel.TOP, np.abs(z - box.zmax) <= tol),
-        (FaceLabel.XMIN, np.abs(x - box.xmin) <= tol),
-        (FaceLabel.XMAX, np.abs(x - box.xmax) <= tol),
-        (FaceLabel.YMIN, np.abs(y - box.ymin) <= tol),
-        (FaceLabel.YMAX, np.abs(y - box.ymax) <= tol),
-    ]
     unassigned = np.ones(len(pts), dtype=bool)
-    for label, mask in face_tests:
-        pick = mask & unassigned
+    for label, (axis, side) in _FACES.items():
+        pick = (np.abs(pts[:, axis] - bounds[axis][side]) <= tol) & unassigned
         if not pick.any():
             continue
         labels[pick] = int(label)
-        if label is FaceLabel.BOTTOM:
-            if topo is None:
-                normals[pick] = np.array([0.0, 0.0, -1.0])
-            else:
-                normals[pick] = topo.normal(x[pick], y[pick])
+        if label is FaceLabel.BOTTOM and topo is not None:
+            normals[pick] = topo.normal(x[pick], y[pick])
         else:
-            normals[pick] = _FLAT_NORMALS[label]
+            normals[pick] = _flat_normal(axis, side)
         unassigned &= ~pick
     return labels, normals
 

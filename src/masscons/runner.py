@@ -40,22 +40,14 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .adjust import (
-    AdjustmentResult,
-    FaceBcPolicy,
-    Problem,
-    _require_memory,
-    adjust,
-    build_system,
-    sasaki,
-)
+from .adjust import AdjustmentResult, FaceBcPolicy, Problem, _row_system, adjust, sasaki
 from .collocation import _sci, dump_gram
 from .config import KEY_FIELDS, ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
 from .fields import ExampleCase, Quadrature, example_field, gauss2_rule, inject
 # unused; the benchmark's tracer patches these names
 from .fields import divergence_fd, midpoint_rule  # noqa: F401
-from .geometry import Topography, grid_centers
+from .geometry import Topography
 from .kernel import KernelParams
 
 __all__ = [
@@ -180,20 +172,12 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
     return row, result
 
 
-def _write_rows(path, rows: list[TableRow]) -> None:
+def _write_csv(path, header, records) -> None:
+    """An ASCII CSV file of the header line, then one line per record."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow(row.csv_values())
-
-
-def _write_timings(path, rows: list[TableRow]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("N", "wall_time"))
-        for row in rows:
-            writer.writerow((str(row.n_nodes), _sci(row.wall_time)))
+        writer.writerow(header)
+        writer.writerows(records)
 
 
 # A value's cell is "%.17e" space-padded to 25 bytes, the longest such text
@@ -415,8 +399,9 @@ def run_experiment(
     outcomes = [_run_one(cfg, case, n, quad) for n in cfg.grid_sizes]
 
     rows = [row for row, _ in outcomes]
-    _write_rows(os.path.join(out, "table.csv"), rows)
-    _write_timings(os.path.join(out, "timings.csv"), rows)
+    _write_csv(os.path.join(out, "table.csv"), TABLE_COLUMNS, [row.csv_values() for row in rows])
+    timings = [(row.n_nodes, _sci(row.wall_time)) for row in rows]
+    _write_csv(os.path.join(out, "timings.csv"), ("N", "wall_time"), timings)
     write_echo(cfg, os.path.join(out, "config.echo"))
     done = [
         (os.path.join(out, f"field_N{n}.csv"), result)
@@ -460,7 +445,7 @@ def sweep(
     quad = _quadrature(cfg)
 
     rows = [_run_one(v, case, v.grid_sizes[0], quad)[0] for v in variants]
-    _write_rows(os.path.join(out, "sweep.csv"), rows)
+    _write_csv(os.path.join(out, "sweep.csv"), TABLE_COLUMNS, [row.csv_values() for row in rows])
     write_echo(cfg, os.path.join(out, "config.echo"))
     return rows
 
@@ -482,10 +467,8 @@ def dump_gram_for_config(
     problem = Problem.full(inject(case.data), w) if cfg.sasaki_mode else Problem.horizontal(case.data, w)
     paths = []
     for n in cfg.grid_sizes:
-        _require_memory(n**3)
-        nodes = grid_centers(box, n, topo=topo)
-        system = build_system(
-            problem, nodes, KernelParams(cfg.shape), box, _face_policy(cfg), exact=case.exact,
+        system = _row_system(
+            problem, box, KernelParams(cfg.shape), n, topo=topo, policy=_face_policy(cfg), exact=case.exact,
             w_b=cfg.base_updraft,
         )
         path = os.path.join(out, f"gram_N{n**3}.txt")
@@ -518,27 +501,25 @@ REFERENCE_RESULTS = {
 
 def write_reference_comparison(rows_by_example: dict[str, list[TableRow]], path) -> None:
     """Side-by-side CSV of published reference values against computed rows."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("example", "N", "c", "eps", "kappa_ref", "kappa", "div_ref", "div_mean",
-             "rel_error_ref", "rel_error")
-        )
-        for example, refs in REFERENCE_RESULTS.items():
-            rows = {row.n_nodes: row for row in rows_by_example.get(example, [])}
-            for n_nodes, c, eps, kappa_ref, div_ref, rel_ref in refs:
-                row = rows.get(n_nodes)
-                writer.writerow(
-                    (
-                        example,
-                        str(n_nodes),
-                        _sci(c),
-                        "" if eps is None else _sci(eps),
-                        _sci(kappa_ref),
-                        _sci(row.kappa) if row else "",
-                        _sci(div_ref),
-                        _sci(row.div_mean) if row else "",
-                        _sci(rel_ref),
-                        _sci(row.rel_error) if row else "",
-                    )
+    records = []
+    for example, refs in REFERENCE_RESULTS.items():
+        rows = {row.n_nodes: row for row in rows_by_example.get(example, [])}
+        for n_nodes, c, eps, kappa_ref, div_ref, rel_ref in refs:
+            row = rows.get(n_nodes)
+            records.append(
+                (
+                    example,
+                    str(n_nodes),
+                    _sci(c),
+                    "" if eps is None else _sci(eps),
+                    _sci(kappa_ref),
+                    _sci(row.kappa) if row else "",
+                    _sci(div_ref),
+                    _sci(row.div_mean) if row else "",
+                    _sci(rel_ref),
+                    _sci(row.rel_error) if row else "",
                 )
+            )
+    header = ("example", "N", "c", "eps", "kappa_ref", "kappa", "div_ref", "div_mean",
+              "rel_error_ref", "rel_error")
+    _write_csv(path, header, records)

@@ -474,8 +474,11 @@ def test_ascending_step_raises_non_descent():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3),
-        lambda: sasaki(inject(EX51.data), np.diag([1.0, 2.0, 4.0]), EX51.domain, KernelParams(0.1), 3),
+        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, quad=midpoint_rule(EX51.domain, 2)),
+        lambda: sasaki(
+            inject(EX51.data), np.diag([1.0, 2.0, 4.0]), EX51.domain, KernelParams(0.1), 3,
+            quad=midpoint_rule(EX51.domain, 2),
+        ),
     ],
     ids=["adjust", "sasaki"],
 )
@@ -483,10 +486,10 @@ def test_grid_too_large_for_memory_fails_before_assembly(run, monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("the system was assembled before the memory check")
 
-    module = importlib.import_module("masscons.adjust")
-    monkeypatch.setattr(module, "assemble", no_assembly)
-    monkeypatch.setattr(module, "_physical_memory", lambda: 1000)
-    # 27 nodes need 3 * 27^2 float64 = 17496 bytes
+    monkeypatch.setattr(importlib.import_module("masscons.adjust"), "assemble", no_assembly)
+    # One budget serves the quadrature and the grid: 1000 bytes hold the 2^3
+    # quadrature nodes (448 bytes), but 27 nodes need 3 * 27^2 float64 = 17496
+    monkeypatch.setattr(importlib.import_module("masscons.fields"), "_physical_memory", lambda: 1000)
     with pytest.raises(DomainError, match=r"27 nodes needs about 17496 bytes.* 1000 bytes"):
         run()
 

@@ -21,7 +21,7 @@ from masscons.config import ExperimentConfig, echo_config, parse_config, parse_v
 from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import Quadrature, example_field, midpoint_rule
 from masscons.runner import (
-    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _quadrature, _run_one, _write_fields, _write_rows,
+    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _quadrature, _run_one, _write_csv, _write_fields,
     dump_gram_for_config, run_experiment, sweep,
 )
 
@@ -268,7 +268,7 @@ def test_table_literal_columns_and_line(tmp_path):
         error="DomainError: grid of 8, too large",
     )
     path = tmp_path / "table.csv"
-    _write_rows(path, [row])
+    _write_csv(path, TABLE_COLUMNS, [row.csv_values()])
     assert path.read_text().splitlines()[1] == (
         '27,1.e-02,inf,-0.e+00,5.e-324,-inf,1.25e+00,1.e-01,nan,3.e-17,1.e+300,1.e-12,1,nan,'
         '"DomainError: grid of 8, too large"'
@@ -401,8 +401,9 @@ def test_ascending_row_fails_with_exit_code_3(tmp_path):
 
 
 def test_grid_too_large_for_memory_fails_the_row(tmp_path, monkeypatch):
-    monkeypatch.setattr(importlib.import_module("masscons.adjust"), "_physical_memory", lambda: 1000)
-    path = write_cfg(tmp_path, fast_cfg_text(tmp_path / "big"))
+    # 1000 bytes hold the run's 2^3 quadrature nodes (448 bytes), not a grid's dense solve
+    monkeypatch.setattr(importlib.import_module("masscons.fields"), "_physical_memory", lambda: 1000)
+    path = write_cfg(tmp_path, fast_cfg_text(tmp_path / "big").replace("quad = 8", "quad = 2"))
     assert main(["run", str(path)]) == 3
     table = (tmp_path / "big" / "table.csv").read_text().splitlines()
     assert len(table) == 3
@@ -1077,8 +1078,9 @@ def test_cli_dump_gram(tmp_path):
         "example = ex51\nc = 0.5\ns = 2,0.3,0.3,1\nbase = vertical\nw_b = 0.5\nbc_bottom = no-flow-through\n",
         "example = ex53\nc = 0.05\ns = 2,0.5,0.1,0.5,1.5,-0.3,0.1,-0.3,1\n"
         "bc_bottom = no-flow-through\nbc_top = oracle-neumann\n",
+        "example = ex53\neps = 0.1\nc = 0.1\ntopography = hill\nbc_bottom = no-flow-through\n",
     ],
-    ids=["horizontal", "sasaki-aniso-oracle"],
+    ids=["horizontal", "sasaki-aniso-oracle", "hill"],
 )
 def test_dump_gram_matches_the_solved_system(tmp_path, monkeypatch, text):
     # dump-gram writes the system the row's line search solves, bit for bit

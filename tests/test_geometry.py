@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from masscons.errors import ConfigurationError, DomainError
-from masscons.fields import midpoint_rule
+from masscons.fields import face_rule, midpoint_rule
 from masscons.geometry import BoxDomain, FaceLabel, Topography, classify, grid_centers
 
 BOX = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -86,6 +86,28 @@ def test_classify_outside_raises():
     for point, topo in (([0.0, 0.0, -0.1], None), ([2.5, 0.0, 1.0], None), ([0.0, 0.0, 0.1], hill())):
         with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
             classify(np.array([[0.3, -0.7, 1.1], point]), BOX, topo=topo)
+
+
+def test_classify_agrees_with_face_rule():
+    # Both read one face table: classify gives each face_rule node (a face cell
+    # midpoint, never on an edge) that face's label and face_rule's normal.
+    m = 3
+    nodes, _, normals = face_rule(BOX, m)
+    labels, classified = classify(nodes, BOX)
+    order = [FaceLabel.XMIN, FaceLabel.XMAX, FaceLabel.YMIN, FaceLabel.YMAX, FaceLabel.BOTTOM, FaceLabel.TOP]
+    assert labels.tolist() == [label for label in order for _ in range(m * m)]
+    np.testing.assert_array_equal(classified, normals)
+    # twice the face tolerance beyond each of the six faces is outside
+    for k in range(6):
+        i = k * m * m + (m * m) // 2
+        with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
+            classify(nodes[i : i + 1] + 2 * BOX.face_tol * normals[i], BOX)
+    # and so is a point just below the terrain, though inside the box
+    topo = hill()
+    below = np.array([[0.0, 0.0, topo.height(0.0, 0.0) - 2 * BOX.face_tol]])
+    with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
+        classify(below, BOX, topo=topo)
+    assert classify(below + [0.0, 0.0, 2 * BOX.face_tol], BOX, topo=topo)[0].tolist() == [FaceLabel.BOTTOM]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -23,7 +23,7 @@ def test_every_export_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_benchmark_tracer_installs_and_restores(monkeypatch):
+def test_benchmark_tracer_installs_and_restores(monkeypatch, tmp_path):
     # The tracer patches names such as runner.divergence_fd and
     # MultiplierSolution.hessian; a deleted or renamed one fails on entry.
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
@@ -32,9 +32,18 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     spec.loader.exec_module(tracing)
     runner, collocation = importlib.import_module("masscons.runner"), importlib.import_module("masscons.collocation")
     before = (runner.divergence_fd, collocation.MultiplierSolution.hessian, collocation.hess_phi)
-    with tracing.Tracer().installed():
+    config = tmp_path / "ex51.cfg"
+    config.write_text("example = ex51\nn = 3\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\n")
+    with tracing.Tracer().installed() as tracer:
         assert runner.divergence_fd is not before[0]
+        (row,) = masscons.run_experiment(masscons.parse_config(config), out_override=str(tmp_path / "out"))
     assert (runner.divergence_fd, collocation.MultiplierSolution.hessian, collocation.hess_phi) == before
+    # A patch that no longer sits where the row looks its name up reads as a
+    # layer that took no time; the row reaches each of these layers once.
+    assert row.error == ""
+    names = [s.name for s in tracer.spans]
+    for name in ("adjust.adjust", "geometry.grid_centers", "collocation.assemble", "collocation.solve"):
+        assert names.count(name) == 1, name
 
 
 def test_readme_library_example(capsys):

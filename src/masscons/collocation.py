@@ -40,7 +40,8 @@ exceeds N, or once the k-th singular value of the projection is still above
 sqrt(trunc_tol) * sigma_max, dgelsd solves G itself. The sketch comes from a
 counter-based hash, so the solve is deterministic. After the residual, the
 solve estimates the condition number from LAPACK dgeqrf's Householder QR
-of G, done in place, so :func:`factorize_and_solve` consumes the matrix.
+of G^T, as LAPACK reads the C-ordered G, done in place, so
+:func:`factorize_and_solve` consumes the matrix.
 
 The solved multiplier is evaluated by :meth:`MultiplierSolution.jet`, which
 returns lambda, grad lambda and the interior operator applied to lambda from
@@ -92,7 +93,7 @@ _SERIES_TOL = 2.0**-55
 _SKETCH_START = 32
 _CERT_PROBES = 10
 # Probes of the condition number's power step, their hash counters (far past
-# any sketch's), and the row block of its in-place transpose and triangular solves.
+# any sketch's), and the row block of its triangular solves.
 _KAPPA_PROBES = 8
 _KAPPA_STREAM = 1 << 48
 _TRI_BLOCK = 64
@@ -507,18 +508,12 @@ def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np
 
 
 def _qr_in_place(g: np.ndarray) -> None:
-    """Householder QR G = QR that overwrites ``g``; R^T lands in g's lower triangle.
+    """Householder QR G^T = QR that overwrites ``g``; R^T lands in g's lower triangle.
 
-    LAPACK reads the C-ordered g as G^T, so g is first transposed in place,
-    one strip of _TRI_BLOCK rows and columns at a time (no N x N copy), and
-    then factored by LAPACK dgeqrf after a workspace query.
+    LAPACK dgeqrf reads the C-ordered g as G^T and factors it there, after a
+    workspace query, with no N x N copy. kappa(G^T) = kappa(G).
     """
     n = len(g)
-    for s in range(0, n, _TRI_BLOCK):
-        e = s + _TRI_BLOCK
-        row = g[s:e, s:].copy()
-        g[s:e, s:] = g[s:, s:e].T
-        g[s:, s:e] = row.T
     tau, work = np.empty(n), np.empty(1)
     lapack_lite.dgeqrf(n, n, g, n, tau, work, -1, 0)
     work = np.empty(int(work[0]))
@@ -549,7 +544,7 @@ def _lower_transpose_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
     """sigma_max |G^-1|_2, |G^-1|_2 from one power step on a QR that overwrites ``g``.
 
-    With G = QR (:func:`_qr_in_place`), |G^-1|_2 = |R^-1|_2. The estimate is
+    With G^T = QR (:func:`_qr_in_place`), |G^-1|_2 = |G^-T|_2 = |R^-1|_2. The estimate is
     max_i |R^-1 y_i| over y_i = R^-T x_i / |R^-T x_i| for _KAPPA_PROBES hash
     probes x_i. A zero on R's diagonal gives inf.
     """

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError
-from .geometry import _FACES, BoxDomain, Topography, _bottom_height, _count, _flat_normal, as_points
+from .geometry import _FACES, BoxDomain, Topography, _count, _flat_normal, _tensor_grid, as_points
 
 __all__ = [
     "Field3",
@@ -175,10 +175,11 @@ def _tensor_rule(box: BoxDomain, m: int, unit_points: np.ndarray, topo: Topograp
     """m^3 nodes of weight h^3, at lo + h * unit_points per axis with h = (hi - lo) / m.
 
     With a terrain bottom, nodes are stretched per column exactly like the
-    center grid, and the weights are scaled by the local column height so the
-    weights still sum to the terrain-following volume. A terrain that reaches
-    the top of the box raises DomainError, as in the center grid. A rule whose
-    m^3 node arrays would not fit in physical memory, or whose node weight (the
+    center grid, because both take their points from ``_tensor_grid``, and
+    the weights are scaled by the local column height so the weights still
+    sum to the terrain-following volume. A terrain that reaches the top of
+    the box raises DomainError, as in the center grid. A rule whose m^3 node
+    arrays would not fit in physical memory, or whose node weight (the
     volume of an h^3 cell) underflows to zero, raises DomainError before any
     is allocated.
     """
@@ -188,15 +189,8 @@ def _tensor_rule(box: BoxDomain, m: int, unit_points: np.ndarray, topo: Topograp
     cell = float(np.prod(h))
     if cell == 0.0:
         raise DomainError(f"the quadrature cell volume {h[0]:.3e} x {h[1]:.3e} x {h[2]:.3e} underflows to 0")
-    axes = [lo[k] + h[k] * unit_points for k in range(3)]
-    zg, yg, xg = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    nodes = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
-    weights = np.full(len(nodes), cell)
-    if topo is not None:
-        zb = _bottom_height(box, topo, nodes[:, 0], nodes[:, 1])
-        factor = (box.zmax - zb) / (box.zmax - box.zmin)
-        nodes[:, 2] = zb + (nodes[:, 2] - box.zmin) * factor
-        weights = weights * factor
+    nodes, factor = _tensor_grid(box, [lo[k] + h[k] * unit_points for k in range(3)], topo)
+    weights = np.full(len(nodes), cell) if factor is None else cell * factor
     return Quadrature(nodes=nodes, weights=weights)
 
 
@@ -234,14 +228,9 @@ def face_rule(box: BoxDomain, m_per_axis: int = 64) -> tuple[np.ndarray, np.ndar
     mids = [lo[k] + h[k] * (np.arange(m) + 0.5) for k in range(3)]
     nodes, weights, normals = [], [], []
     for axis, side in sorted(_FACES.values()):  # xmin, xmax, ymin, ymax, zmin, zmax
-        others = [k for k in range(3) if k != axis]
-        a, b = np.meshgrid(mids[others[0]], mids[others[1]], indexing="ij")
-        pts = np.empty((m * m, 3))
-        pts[:, axis] = box.bounds[2 * axis + side]
-        pts[:, others[0]] = a.ravel()
-        pts[:, others[1]] = b.ravel()
-        nodes.append(pts)
-        weights.append(np.full(m * m, float(h[others[0]] * h[others[1]])))
+        axes = [[box.bounds[2 * k + side]] if k == axis else mids[k] for k in range(3)]
+        nodes.append(_tensor_grid(box, axes, None)[0])
+        weights.append(np.full(m * m, float(np.prod(np.delete(h, axis)))))
         normals.append(np.broadcast_to(_flat_normal(axis, side), (m * m, 3)).copy())
     return np.vstack(nodes), np.concatenate(weights), np.vstack(normals)
 

@@ -1,7 +1,7 @@
 """Box domains, optional terrain bottoms, and collocation center generation.
 
-Centers live on a boundary-inclusive tensor-product grid. With a terrain
-bottom, the vertical coordinate is stretched column by column,
+Centers and quadrature nodes live on tensor grids (``_tensor_grid``). With
+a terrain bottom, the vertical coordinate is stretched column by column,
 
     z -> z_b(x, y) + (z - z_lo) * (z_hi - z_b(x, y)) / (z_hi - z_lo),
 
@@ -185,16 +185,33 @@ def _bottom_height(box: BoxDomain, topo: Topography | None, x: np.ndarray, y: np
     if topo is None:
         return np.full(np.shape(x), box.zmin, dtype=float)
     zb = np.asarray(topo.height(x, y), dtype=float)
+    if not np.isfinite(zb).all():
+        raise DomainError("terrain height is not finite")
     if np.any(zb >= box.zmax):
         raise DomainError("terrain height reaches or exceeds the top of the box")
     return zb
+
+
+def _tensor_grid(box: BoxDomain, axes, topo: Topography | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (m, 3) points of the tensor grid over ``axes``, x fastest and z slowest, and their column factors.
+
+    A terrain bottom maps z as in the module docstring, and each factor is
+    (z_hi - z_b) / (z_hi - z_lo); on a flat bottom the factors are None.
+    """
+    zg, yg, xg = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    pts = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
+    if topo is None:
+        return pts, None
+    zb = _bottom_height(box, topo, pts[:, 0], pts[:, 1])
+    pts[:, 2] = zb + (pts[:, 2] - box.zmin) * (box.zmax - zb) / (box.zmax - box.zmin)
+    return pts, (box.zmax - zb) / (box.zmax - box.zmin)
 
 
 def classify(pts, box: BoxDomain, topo: Topography | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Face labels (m,) and outward unit normals (m, 3), NaN at interior points, of (m, 3) points.
 
     A point counts as on a face within ``box.face_tol``. Points outside the
-    closed domain raise :class:`DomainError`.
+    closed domain, or with a non-finite coordinate, raise :class:`DomainError`.
     """
     pts = as_points(pts)
     tol = box.face_tol
@@ -203,7 +220,7 @@ def classify(pts, box: BoxDomain, topo: Topography | None = None) -> tuple[np.nd
     outside = np.zeros(len(pts), dtype=bool)
     for axis, side in _FACES.values():
         bound = bounds[axis][side]
-        outside |= pts[:, axis] > bound + tol if side else pts[:, axis] < bound - tol
+        outside |= ~(pts[:, axis] <= bound + tol) if side else ~(pts[:, axis] >= bound - tol)
     if np.any(outside):
         raise DomainError(f"{int(outside.sum())} point(s) outside the closed domain")
 
@@ -232,15 +249,6 @@ def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None
     """
     # with 2 nodes per axis no node is interior, and div is never imposed
     n = _count(n_per_axis, 3, "n_per_axis")
-    xs = np.linspace(box.xmin, box.xmax, n)
-    ys = np.linspace(box.ymin, box.ymax, n)
-    zs = np.linspace(box.zmin, box.zmax, n)
-    zg, yg, xg = np.meshgrid(zs, ys, xs, indexing="ij")
-    pts = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
-
-    if topo is not None:
-        zb = _bottom_height(box, topo, pts[:, 0], pts[:, 1])
-        pts[:, 2] = zb + (pts[:, 2] - box.zmin) * (box.zmax - zb) / (box.zmax - box.zmin)
-
+    pts, _ = _tensor_grid(box, [np.linspace(lo, hi, n) for lo, hi in zip(box.lo, box.hi)], topo)
     labels, normals = classify(pts, box, topo)
     return NodeSet(points=pts, labels=labels, normals=normals)

@@ -313,8 +313,9 @@ def test_condition_number():
 
 
 # mpmath svd_r at 60 digits of the ex51_system matrices, kappa = sigma_max / sigma_min
-# of the float64 matrix. At N = 64 and c = 0.01 it is 1.48e25, where the estimate
-# reads 4.9e20 and a float64 SVD or LU inverse about 2e21; that case is left out.
+# of the float64 matrix. At N = 64 and c = 0.01 it is 5.6e21, where the estimate
+# reads 6.6e21, a float64 SVD 1.1e21 and an LU inverse 3.6e21. That case is left
+# out: far past 1/eps the QR's rounding sets the estimate.
 @pytest.mark.parametrize("n, c", [(3, 1e-3), (3, 0.01), (3, 0.1), (3, 1.0), (4, 1e-3), (4, 0.1)])
 def test_kappa_estimate_within_10x_of_exact(n, c):
     import mpmath
@@ -351,12 +352,13 @@ def test_kappa_estimate_within_10x_of_exact_on_ex53(n, c):
 
 
 def test_qr_in_place_matches_lapack():
-    # 150 rows are two strips of 64 and a short one of the in-place transpose;
-    # LAPACK dgeqrf then leaves R^T of G = QR in the lower triangle.
+    # LAPACK dgeqrf reads the C-ordered matrix as G^T and leaves R^T of
+    # G^T = QR in the lower triangle; 150 rows are two blocks of 64 and a
+    # short one of the triangular solves that read it.
     a = np.arange(150.0 * 150).reshape(150, 150) % 17 + np.eye(150)
     g = a.copy()
     collocation._qr_in_place(g)
-    r = np.linalg.qr(a, mode="r")
+    r = np.linalg.qr(a.T, mode="r")
     np.testing.assert_allclose(np.tril(g).T, r, rtol=0, atol=1e-12 * np.abs(r).max())
 
 

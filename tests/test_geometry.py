@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from masscons.errors import ConfigurationError, DomainError
-from masscons.fields import face_rule, midpoint_rule
+from masscons.fields import face_rule, gauss2_rule, midpoint_rule
 from masscons.geometry import BoxDomain, FaceLabel, Topography, classify, grid_centers
 
 BOX = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -82,10 +82,24 @@ def test_classify_examples():
 
 
 def test_classify_outside_raises():
-    # below the box, beside it, and below the terrain but inside the box
-    for point, topo in (([0.0, 0.0, -0.1], None), ([2.5, 0.0, 1.0], None), ([0.0, 0.0, 0.1], hill())):
+    # below the box, beside it, below the terrain but inside the box, and a
+    # non-finite coordinate on each axis, which no comparison puts inside
+    nan, inf = float("nan"), float("inf")
+    for point, topo in (
+        ([0.0, 0.0, -0.1], None),
+        ([2.5, 0.0, 1.0], None),
+        ([0.0, 0.0, 0.1], hill()),
+        ([nan, 0.5, 0.5], None),
+        ([0.5, nan, 0.5], None),
+        ([0.5, 0.5, nan], None),
+        ([0.5, 0.5, nan], hill()),
+        ([0.5, 0.5, inf], None),
+        ([-inf, 0.5, 0.5], None),
+    ):
         with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
             classify(np.array([[0.3, -0.7, 1.1], point]), BOX, topo=topo)
+    with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
+        classify(np.array([[nan, 0.5, 0.5]]), BoxDomain(0, 1, 0, 1, 0, 1))
 
 
 def test_classify_agrees_with_face_rule():
@@ -150,10 +164,34 @@ def test_terrain_following_grid():
     np.testing.assert_allclose(nodes.normals[i], expected, rtol=0, atol=1e-12)
     # interior count is preserved by the vertical stretch
     assert len(nodes.interior) == 27
+    # Centres and quadrature nodes share one map, bit for bit: z = zb + (z0 -
+    # zmin) * (zmax - zb) / (zmax - zmin) for the flat grid's z0, and every
+    # rule weight is cell * (zmax - zb) / (zmax - zmin). A box 3 high, since
+    # dividing by 2 is exact and would hide a map rounded another way.
+    box = BoxDomain(-2, 2, -2, 2, 0, 3)
+    lo, hi = box.zmin, box.zmax
+    cell = float(np.prod((box.hi - box.lo) / 6))
+    for make in (grid_centers, midpoint_rule, gauss2_rule):
+        m = 5 if make is grid_centers else 6
+        mapped, flat = make(box, m, topo=topo), make(box, m)
+        pts, flat_pts = (mapped.points, flat.points) if make is grid_centers else (mapped.nodes, flat.nodes)
+        np.testing.assert_array_equal(pts[:, :2], flat_pts[:, :2])
+        zb = topo.height(pts[:, 0], pts[:, 1])
+        np.testing.assert_array_equal(pts[:, 2], zb + (flat_pts[:, 2] - lo) * (hi - zb) / (hi - lo))
+        if make is not grid_centers:
+            np.testing.assert_array_equal(mapped.weights, cell * ((hi - zb) / (hi - lo)))
 
 
 def test_terrain_must_stay_below_top():
-    tall = Topography(height=lambda x, y: np.full(np.shape(x), 2.5), grad=lambda x, y: np.zeros(np.shape(x) + (2,)))
-    for make in (grid_centers, midpoint_rule):
+    def level(z):
+        return Topography(height=lambda x, y: np.full(np.shape(x), z), grad=lambda x, y: np.zeros(np.shape(x) + (2,)))
+
+    for make in (grid_centers, midpoint_rule, gauss2_rule):
         with pytest.raises(DomainError, match="terrain height reaches or exceeds the top of the box"):
-            make(BOX, 4, topo=tall)
+            make(BOX, 4, topo=level(2.5))
+        # a terrain height of NaN or inf is not below the top either
+        for z in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="terrain height is not finite"):
+                make(BOX, 4, topo=level(z))
+    with pytest.raises(DomainError, match="terrain height is not finite"):
+        classify(np.array([[0.5, 0.5, 0.5]]), BOX, topo=level(np.nan))

@@ -119,12 +119,9 @@ class GramSystem:
     aniso: np.ndarray | None = None
 
 
-def _row_blocks(m: int, n: int, width: int = 1):
-    """Slices of at most ``_BLOCK_ELEMENTS // (n width)`` (at least one) of m rows against n centers.
-
-    ``width`` is the number of values a row holds per center: 9 for a Hessian block.
-    """
-    rows = max(1, _BLOCK_ELEMENTS // (n * width))
+def _row_blocks(m: int, n: int):
+    """Slices of at most ``_BLOCK_ELEMENTS // n`` (at least one) of m rows of n values each."""
+    rows = max(1, _BLOCK_ELEMENTS // n)
     return (slice(start, start + rows) for start in range(0, m, rows))
 
 
@@ -347,7 +344,6 @@ class MultiplierSolution:
     residual: float
     residual_norm: float
     rank: int
-    trunc_tol: float
     kappa: float
 
     def jet(self, pts):
@@ -416,7 +412,7 @@ class MultiplierSolution:
         p = as_points(pts)
         centers = self.nodes.points[None, :, :]
         hess = np.empty((len(p), 3, 3))
-        for block in _row_blocks(len(p), len(self.coeffs), 9):
+        for block in _row_blocks(len(p), 9 * len(self.coeffs)):  # 9 values per center
             h = hess_phi(p[block][:, None, :], centers, self.kernel)
             hess[block] = np.einsum("mnkl,n->mkl", h, self.coeffs)
         return hess
@@ -588,7 +584,7 @@ def factorize_and_solve(system: GramSystem, trunc_tol: float = DEFAULT_TRUNC_TOL
     system.matrix = None
     return MultiplierSolution(
         coeffs=coeffs, nodes=system.nodes, kernel=system.kernel, aniso=system.aniso, residual=residual,
-        residual_norm=residual_norm, rank=rank, trunc_tol=float(trunc_tol),
+        residual_norm=residual_norm, rank=rank,
         kappa=_condition_estimate(g, sigma_max),
     )
 

@@ -15,10 +15,11 @@ significant digits, one more than round trip needs, space-padded to 25 bytes;
 configuration.
 
 Rows run one at a time, in configuration order, and files are written after
-all rows complete. The field files of a run are written together, block by
-block over the nodes. Every column's cells are keyed by its bytes and carried
-from block to block, so a column repeated in a block or by the block before is
-formatted once.
+all rows complete. A run and a sweep share that row loop, so a sweep over
+``n`` writes the rows of a run over the same grid sizes. The field files of a
+run are written together, block by block over the nodes. Every column's cells
+are keyed by its bytes and carried from block to block, so a column repeated
+in a block or by the block before is formatted once.
 The ``%.17e`` text is made with NumPy, not printf: the 18 digits are |x| times
 a power of ten, formed as a double-double (Dekker's product against a
 double-double table of 10^k), rounded to an integer and spelled through a
@@ -152,24 +153,13 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
                 weights=cfg.weight_matrix(), formula=cfg.formula, **shared,
             )
     except (MassconsError, np.linalg.LinAlgError) as exc:
-        wall = time.perf_counter() - started
-        row = TableRow(
-            n_nodes=n**3, shape=cfg.shape, trunc_tol=cfg.trunc_tol, wall_time=wall,
-            error=f"{type(exc).__name__}: {exc}",
+        result, outcome = None, dict(error=f"{type(exc).__name__}: {exc}")
+    else:
+        outcome = dict(
+            t_c=result.t_c, oracle_bc=result.oracle_bc, rank=result.multiplier.rank, **asdict(result.metrics)
         )
-        return row, None
     wall = time.perf_counter() - started
-    row = TableRow(
-        n_nodes=n**3,
-        shape=cfg.shape,
-        t_c=result.t_c,
-        trunc_tol=cfg.trunc_tol,
-        oracle_bc=result.oracle_bc,
-        rank=result.multiplier.rank,
-        wall_time=wall,
-        **asdict(result.metrics),
-    )
-    return row, result
+    return TableRow(n_nodes=n**3, shape=cfg.shape, trunc_tol=cfg.trunc_tol, wall_time=wall, **outcome), result
 
 
 def _write_csv(path, header, records) -> None:
@@ -331,20 +321,21 @@ def _format_chunk(values):
     return cells
 
 
-def _write_fields(paths, case: ExampleCase, results: list[AdjustmentResult], quad) -> None:
-    """u_plus, the exact field and div u_plus at the nodes, one file per result.
+def _write_fields(done: list[tuple[str, AdjustmentResult]], case: ExampleCase, quad) -> None:
+    """u_plus, the exact field and div u_plus at the nodes, one file per (path, result) pair.
 
     Each result's ``node_values`` and ``node_div`` are the values the adjustment
     cached. The exact field is evaluated once for all files, which are written
     together, block by block.
     """
-    if not paths:
+    if not done:
         return
     nodes = quad.nodes
     exact = case.exact(nodes)
+    results = [result for _, result in done]
     cells = {}  # a column's cells by its bytes, kept for the next block
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        files = [stack.enter_context(open(path, "wb")) for path, _ in done]
         for fh in files:
             fh.write(_FIELD_HEADER)
         for start in range(0, len(nodes), _FIELD_BLOCK_ROWS):
@@ -382,6 +373,26 @@ def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
     return out
 
 
+def _rows(
+    cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threads: int, out_override: str | None
+) -> tuple[str, ExampleCase, Quadrature, list[tuple[int, TableRow, AdjustmentResult | None]]]:
+    """Run one row per (config, n) pair, in order, and echo ``cfg`` to the output directory.
+
+    Every row shares the example and the quadrature built from ``cfg``.
+    Returns the output directory, the example, the quadrature and each row's
+    (n, row, result), result None on a failed row. ``threads`` must be 1:
+    rows run one at a time.
+    """
+    if threads != 1:
+        raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
+    out = _prepare_out(cfg, out_override)
+    case = example_field(cfg.example, eps=cfg.eps)
+    quad = _quadrature(cfg)
+    rows = [(n, *_run_one(row_cfg, case, n, quad)) for row_cfg, n in runs]
+    write_echo(replace(cfg, out=out), os.path.join(out, "config.echo"))
+    return out, case, quad, rows
+
+
 def run_experiment(
     cfg: ExperimentConfig, threads: int = 1, out_override: str | None = None
 ) -> list[TableRow]:
@@ -389,27 +400,14 @@ def run_experiment(
 
     ``threads`` must be 1: rows run one at a time.
     """
-    if threads != 1:
-        raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
-    out = _prepare_out(cfg, out_override)
-    cfg = replace(cfg, out=out)
-    case = example_field(cfg.example, eps=cfg.eps)
-    quad = _quadrature(cfg)
-
-    outcomes = [_run_one(cfg, case, n, quad) for n in cfg.grid_sizes]
-
-    rows = [row for row, _ in outcomes]
-    _write_csv(os.path.join(out, "table.csv"), TABLE_COLUMNS, [row.csv_values() for row in rows])
-    timings = [(row.n_nodes, _sci(row.wall_time)) for row in rows]
+    out, case, quad, rows = _rows(cfg, [(cfg, n) for n in cfg.grid_sizes], threads, out_override)
+    table = [row for _, row, _ in rows]
+    _write_csv(os.path.join(out, "table.csv"), TABLE_COLUMNS, [row.csv_values() for row in table])
+    timings = [(row.n_nodes, _sci(row.wall_time)) for row in table]
     _write_csv(os.path.join(out, "timings.csv"), ("N", "wall_time"), timings)
-    write_echo(cfg, os.path.join(out, "config.echo"))
-    done = [
-        (os.path.join(out, f"field_N{n}.csv"), result)
-        for n, (_, result) in zip(cfg.grid_sizes, outcomes)
-        if result is not None
-    ]
-    _write_fields([path for path, _ in done], case, [result for _, result in done], quad)
-    return rows
+    done = [(os.path.join(out, f"field_N{n}.csv"), result) for n, _, result in rows if result is not None]
+    _write_fields(done, case, quad)
+    return table
 
 
 def sweep(
@@ -422,11 +420,10 @@ def sweep(
     """One row per swept value with everything else fixed; writes sweep.csv.
 
     Each variant is ``cfg`` with the parameter's field replaced, so it is
-    checked as any config is; a value of ``n`` is the variant's one grid size.
+    checked as any config is; a value of ``n`` is the variant's one grid size,
+    so a sweep over ``n`` writes the rows of a run over the same sizes.
     ``threads`` must be 1: rows run one at a time.
     """
-    if threads != 1:
-        raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
     if parameter not in SWEEP_PARAMS:
         raise ConfigurationError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
     if len(values) == 0:
@@ -439,15 +436,10 @@ def sweep(
     if any(len(v.grid_sizes) != 1 for v in variants):
         raise ConfigurationError(f"a sweep over {parameter} needs a single grid size in the config")
 
-    out = _prepare_out(cfg, out_override)
-    cfg = replace(cfg, out=out)
-    case = example_field(cfg.example, eps=cfg.eps)
-    quad = _quadrature(cfg)
-
-    rows = [_run_one(v, case, v.grid_sizes[0], quad)[0] for v in variants]
-    _write_csv(os.path.join(out, "sweep.csv"), TABLE_COLUMNS, [row.csv_values() for row in rows])
-    write_echo(cfg, os.path.join(out, "config.echo"))
-    return rows
+    out, _, _, rows = _rows(cfg, [(v, v.grid_sizes[0]) for v in variants], threads, out_override)
+    table = [row for _, row, _ in rows]
+    _write_csv(os.path.join(out, "sweep.csv"), TABLE_COLUMNS, [row.csv_values() for row in table])
+    return table
 
 
 def dump_gram_for_config(

@@ -176,7 +176,7 @@ def test_descent_direction_zero_case():
     zero_residual = updraft()
     solution = MultiplierSolution(
         coeffs=np.zeros(len(nodes)), nodes=nodes, kernel=KernelParams(1.0),
-        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
+        aniso=None, residual=0.0, residual_norm=0.0, rank=0, kappa=float("nan"),
     )
     p = descent_direction(zero_residual, solution)
     rng = np.random.default_rng(5)
@@ -217,7 +217,7 @@ def test_step_length_formulas_agree_when_multiplier_vanishes():
     m = misfit(EX52.data, np.eye(2))
     solution = MultiplierSolution(
         coeffs=np.zeros(27), nodes=grid_centers(EX52.domain, 3), kernel=KernelParams(0.01),
-        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
+        aniso=None, residual=0.0, residual_norm=0.0, rank=0, kappa=float("nan"),
     )
     vals_p = descent_direction(m, solution)(quad.nodes)
     misfit_obs = 0.0 - EX52.data(quad.nodes)

@@ -542,7 +542,7 @@ def test_eval_jet():
 
     zeroed = MultiplierSolution(
         coeffs=np.zeros(len(nodes)), nodes=nodes, kernel=kp,
-        aniso=None, residual=0.0, residual_norm=0.0, rank=0, trunc_tol=1e-12, kappa=float("nan"),
+        aniso=None, residual=0.0, residual_norm=0.0, rank=0, kappa=float("nan"),
     )
     val, grad, lap = zeroed.jet(np.array([[0.1, 0.2, 0.3]]))
     assert val.tolist() == [0.0] and lap.tolist() == [0.0]
@@ -555,7 +555,7 @@ def test_eval_jet():
     )
     lone = MultiplierSolution(
         coeffs=np.array([1.0]), nodes=lone_center, kernel=kp,
-        aniso=None, residual=0.0, residual_norm=0.0, rank=1, trunc_tol=1e-12, kappa=float("nan"),
+        aniso=None, residual=0.0, residual_norm=0.0, rank=1, kappa=float("nan"),
     )
     val, grad, lap = lone.jet(np.array([[0.0, 0.0, 1.0]]))
     assert val.tolist() == [1.0]
@@ -643,7 +643,7 @@ def test_jet_matches_direct_kernel_sums(shape, aniso):
     kp = KernelParams(shape)
     solution = MultiplierSolution(
         coeffs=beta, nodes=nodes, kernel=kp, aniso=aniso,
-        residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+        residual=0.0, residual_norm=0.0, rank=len(nodes), kappa=float("nan"),
     )
     rows = _BLOCK_ELEMENTS // len(nodes)
     pts = np.vstack([rng.uniform(-3.0, 3.0, (rows + 37, 3)), centers[:5]])
@@ -703,8 +703,7 @@ def test_flat_series_jet_matches_direct_kernel_sums(shape, per_axis, half, offse
     rng = np.random.default_rng(seed)
     solution = MultiplierSolution(
         coeffs=rng.normal(size=len(nodes)) * 1e6, nodes=nodes, kernel=KernelParams(shape),
-        aniso=SPD if anisotropic else None, residual=0.0, residual_norm=0.0, rank=len(nodes),
-        trunc_tol=1e-12, kappa=float("nan"),
+        aniso=SPD if anisotropic else None, residual=0.0, residual_norm=0.0, rank=len(nodes), kappa=float("nan"),
     )
     pts = rng.uniform(box.lo - 0.25 * half, box.hi + 0.25 * half, (700, 3))
     with series_orders() as orders:
@@ -723,7 +722,7 @@ def test_flat_series_on_a_far_out_box_at_tiny_shape(aniso):
     nodes = grid_centers(box, 4)
     solution = MultiplierSolution(
         coeffs=np.random.default_rng(3).normal(size=len(nodes)), nodes=nodes, kernel=KernelParams(1e-63),
-        aniso=aniso, residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+        aniso=aniso, residual=0.0, residual_norm=0.0, rank=len(nodes), kappa=float("nan"),
     )
     pts = midpoint_rule(box, 8).nodes
     with series_orders() as orders:
@@ -739,7 +738,7 @@ def test_flat_series_at_its_lowest_order():
     nodes = grid_centers(CUBE, 4)
     solution = MultiplierSolution(
         coeffs=np.random.default_rng(4).normal(size=len(nodes)), nodes=nodes, kernel=KernelParams(1e-12),
-        aniso=SPD, residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+        aniso=SPD, residual=0.0, residual_norm=0.0, rank=len(nodes), kappa=float("nan"),
     )
     pts = np.random.default_rng(5).uniform(-3.0, 3.0, (200, 3))
     with series_orders() as orders:
@@ -757,7 +756,7 @@ def test_jet_with_no_fewer_monomials_than_pairs_is_the_direct_sums():
     kp = KernelParams(1e-3)
     solution = MultiplierSolution(
         coeffs=beta, nodes=nodes, kernel=kp, aniso=None,
-        residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+        residual=0.0, residual_norm=0.0, rank=len(nodes), kappa=float("nan"),
     )
     pts = midpoint_rule(SLAB, 8).nodes
     with series_orders() as orders:

@@ -541,7 +541,7 @@ def with_specials(rng, shape, shift):
 def assert_writer_matches_savetxt(folder, nodes, exact, results):
     """Each file _write_fields writes equals np.savetxt's, byte for byte."""
     paths = [folder / f"field_{k}.csv" for k in range(len(results))]
-    _write_fields(paths, SimpleNamespace(exact=lambda pts: exact), results, SimpleNamespace(nodes=nodes))
+    _write_fields(list(zip(paths, results)), SimpleNamespace(exact=lambda pts: exact), SimpleNamespace(nodes=nodes))
     for path, result in zip(paths, results):
         expected = savetxt_field(folder / "ref.csv", nodes, result.node_values, exact, result.node_div)
         assert path.read_bytes() == expected
@@ -783,7 +783,7 @@ def test_field_records_have_fixed_width(tmp_path):
     columns = np.stack([np.roll(cells, k) for k in range(len(cells))])
     result = SimpleNamespace(node_values=columns[:, 3:6], node_div=columns[:, 9])
     case = SimpleNamespace(exact=lambda pts: columns[:, 6:9])
-    _write_fields([tmp_path / "special.csv"], case, [result], SimpleNamespace(nodes=columns[:, :3]))
+    _write_fields([(tmp_path / "special.csv", result)], case, SimpleNamespace(nodes=columns[:, :3]))
     assert_fixed_width_records(tmp_path / "special.csv", columns)
 
 
@@ -797,7 +797,7 @@ def test_field_writer_memory_is_bounded_by_blocks(tmp_path):
     paths = [tmp_path / f"field_{k}.csv" for k in range(3)]
     tracemalloc.start()
     try:
-        _write_fields(paths, case, results, quad)
+        _write_fields(list(zip(paths, results)), case, quad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -981,7 +981,7 @@ def test_sweep_n_kappa_monotone(tmp_path):
     assert kappas[0] <= kappas[1] <= kappas[2]
 
 
-def test_single_value_sweep_matches_run(tmp_path):
+def test_single_value_sweep_matches_run(tmp_path, monkeypatch):
     # Each row of a sweep over c is, byte for byte, the table row of a run at that c alone.
     text = "example = ex51\nn = 4\nbc_bottom = no-flow-through\nquad = 8\n"
     values = [0.1, 0.25, 0.05]
@@ -993,6 +993,26 @@ def test_single_value_sweep_matches_run(tmp_path):
         out = tmp_path / f"run{k}"
         run_experiment(parse_config(write_cfg(tmp_path, text + f"c = {c}\nout = {out}\n", name=f"r{k}.cfg")))
         assert (out / "table.csv").read_bytes() == sweep_lines[0] + sweep_lines[1 + k]
+
+    # A sweep over n writes the table of a run over the same sizes, byte for
+    # byte, also when its middle row fails: the error text is the same.
+    runner = importlib.import_module("masscons.runner")
+    adjust = runner.adjust
+
+    def fail_middle(data, box, kernel, n, **kwargs):
+        if n == 4:
+            raise DomainError("injected failure")
+        return adjust(data, box, kernel, n, **kwargs)
+
+    run_cfg = parse_config(write_cfg(tmp_path, text.replace("n = 4", "n = 3,4,5") + "c = 0.1\n", name="rn.cfg"))
+    for case, errors in (("n", [""] * 3), ("failed-middle", ["", "DomainError: injected failure", ""])):
+        if case == "failed-middle":
+            monkeypatch.setattr(runner, "adjust", fail_middle)
+        rows = run_experiment(run_cfg, out_override=str(tmp_path / f"run-{case}"))
+        swept = sweep(cfg_sweep, "n", [3, 4, 5], out_override=str(tmp_path / f"sweep-{case}"))
+        assert [row.error for row in rows] == [row.error for row in swept] == errors
+        table = (tmp_path / f"run-{case}" / "table.csv").read_bytes()
+        assert (tmp_path / f"sweep-{case}" / "sweep.csv").read_bytes() == table
 
 
 # N = 9^3 = 729 centers: one collocation matrix is 729^2 float64, 4.25 MB.

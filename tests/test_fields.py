@@ -285,7 +285,7 @@ def batch_evaluators():
     def solution(coeffs):
         return MultiplierSolution(
             coeffs=coeffs, nodes=nodes, kernel=KernelParams(0.7), aniso=aniso,
-            residual=0.0, residual_norm=0.0, rank=len(nodes), trunc_tol=1e-12, kappa=float("nan"),
+            residual=0.0, residual_norm=0.0, rank=len(nodes), kappa=float("nan"),
         )
 
     lam, zero = solution(np.linspace(-1.0, 1.0, len(nodes))), solution(np.zeros(len(nodes)))

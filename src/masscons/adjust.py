@@ -58,6 +58,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .collocation import (
+    _SOLVE_BYTES_PER_PAIR,
     DEFAULT_TRUNC_TOL,
     GramSystem,
     MultiplierSolution,
@@ -118,13 +119,6 @@ FORMULAS = (MINIMIZER, CLOSED_FORM)
 _DEGENERATE_RTOL = 1e-14
 # Relative rise of the objective over the line search that counts as ascent.
 _DESCENT_RTOL = 1e-12
-# Bytes per N^2 of one row's dense solve: 3 N^2 float64. A sketched solve holds
-# the matrix and about 3 k N values more (Q, the k x N projection and dgelsd's
-# copy of it), but a high-rank row falls back to dgelsd on G, which holds the
-# matrix and numpy's copy of it; one N^2 more is headroom for dgelsd's
-# O(N log N) workspace and the 512 KiB assembly blocks. The solve's condition
-# estimate then factors the matrix in place and frees it.
-_SOLVE_BYTES_PER_PAIR = 3 * 8
 
 
 @dataclass(frozen=True)
@@ -301,20 +295,28 @@ def boundary_data(
 
 def build_system(
     problem: Problem,
-    nodes: NodeSet,
-    kernel: KernelParams,
     box: BoxDomain,
-    policy: FaceBcPolicy,
+    kernel: KernelParams,
+    n_per_axis: int,
+    *,
+    topo: Topography | None = None,
+    policy: FaceBcPolicy | None = None,
     exact: Field3 | None = None,
     w_b: float = 0.0,
 ) -> GramSystem:
-    """Assemble the multiplier system of ``problem``, unsolved.
+    """The multiplier system of ``problem`` on the n^3 centres of :func:`grid_centers`, unsolved.
 
-    ``exact`` is required by oracle-neumann faces, whose flux also reads the
-    base updraft ``w_b``. A right-hand side that is not finite raises
-    DomainError. It does not check memory; :func:`_row_system` budgets a
-    row's dense solve before it builds the row's nodes.
+    The line search and dump-gram both build a row's system here. A grid
+    whose dense solve would not fit in physical memory raises DomainError
+    before its nodes are built. ``policy`` defaults to flow-through on every
+    face. ``exact`` is required by oracle-neumann faces, whose flux also
+    reads the base updraft ``w_b``. A right-hand side that is not finite
+    raises DomainError.
     """
+    n = n_per_axis**3
+    _require_memory(f"a grid of {n} nodes", _SOLVE_BYTES_PER_PAIR * n * n, "the dense solve")
+    nodes = grid_centers(box, n_per_axis, topo=topo)
+    policy = policy if policy is not None else FaceBcPolicy.uniform(FLOW_THROUGH)
     aniso = problem.aniso
     # Data that overflow give a right-hand side of inf or NaN, which fails below
     # by name, so the data are evaluated quietly: the boundary rows here, the
@@ -327,22 +329,6 @@ def build_system(
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
     return system
-
-
-def _row_system(
-    problem: Problem, box: BoxDomain, kernel: KernelParams, n_per_axis: int, *,
-    topo: Topography | None, policy: FaceBcPolicy, exact: Field3 | None, w_b: float,
-) -> GramSystem:
-    """The multiplier system of one row: ``problem`` on the n^3 centres of :func:`grid_centers`.
-
-    The line search and dump-gram both build a row's system here. A grid
-    whose dense solve would not fit in physical memory raises DomainError
-    before its nodes are built.
-    """
-    n = n_per_axis**3
-    _require_memory(f"a grid of {n} nodes", _SOLVE_BYTES_PER_PAIR * n * n, "the dense solve")
-    nodes = grid_centers(box, n_per_axis, topo=topo)
-    return build_system(problem, nodes, kernel, box, policy, exact=exact, w_b=w_b)
 
 
 def _direction_jet(residual_field: Field3, solution: MultiplierSolution, pts: np.ndarray):
@@ -429,7 +415,6 @@ def _line_search(
     """
     if formula not in FORMULAS:
         raise ContractError(f"unknown step formula {formula!r}")
-    policy = policy if policy is not None else FaceBcPolicy.uniform(FLOW_THROUGH)
     quad = quad if quad is not None else gauss2_rule(domain, topo=topo)
     w, k, qw = problem.weights, len(problem.weights), quad.weights
 
@@ -443,7 +428,7 @@ def _line_search(
     d = vals_uc[:, :k] - vals_obs
     j_before = objective(d)
 
-    system = _row_system(problem, domain, kernel, n_per_axis, topo=topo, policy=policy, exact=exact, w_b=w_b)
+    system = build_system(problem, domain, kernel, n_per_axis, topo=topo, policy=policy, exact=exact, w_b=w_b)
     solution = factorize_and_solve(system, trunc_tol=trunc_tol)
     r = Field3(fn=problem.residual.fn, div=poisson_rhs(problem.residual, domain))
     p = descent_direction(r, solution)
@@ -476,7 +461,7 @@ def _line_search(
     )
     return AdjustmentResult(
         t_c=t, p=p, u_plus=add_scaled(updraft(w_b), t, p), multiplier=solution, metrics=metrics,
-        node_values=vals_uc, node_div=div, oracle_bc=bool(policy.faces(ORACLE_NEUMANN)),
+        node_values=vals_uc, node_div=div, oracle_bc=policy is not None and bool(policy.faces(ORACLE_NEUMANN)),
     )
 
 

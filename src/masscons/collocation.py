@@ -452,6 +452,15 @@ def _deflate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
+# Bytes per N^2 of one row's dense solve: 3 N^2 float64. A sketched solve holds
+# the matrix and about 3 k N values more (Q, the k x N projection and dgelsd's
+# copy of it), but a high-rank row falls back to dgelsd on G, which holds the
+# matrix and numpy's copy of it; one N^2 more is headroom for dgelsd's
+# O(N log N) workspace and the 512 KiB assembly blocks. The solve's condition
+# estimate then factors the matrix in place and frees it.
+_SOLVE_BYTES_PER_PAIR = 3 * 8
+
+
 def _truncated_solve(g: np.ndarray, b: np.ndarray, trunc_tol: float) -> tuple[np.ndarray, int, float]:
     """(beta, rank, sigma_max) of the truncated-SVD minimum-norm solution of g beta = b.
 

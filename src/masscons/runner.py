@@ -14,9 +14,11 @@ significant digits, one more than round trip needs, space-padded to 25 bytes;
 260 bytes; a failed row writes none. ``config.echo`` re-parses to an equal
 configuration.
 
-Rows run one at a time, in configuration order, and files are written after
-all rows complete. A run and a sweep share that row loop, so a sweep over
-``n`` writes the rows of a run over the same grid sizes. The field files of a
+Rows run one at a time, in configuration order; ``config.echo`` is written
+before the first row, the tables and field files after the last. A run and a sweep share that row loop, so a sweep over
+``n`` writes the rows of a run over the same grid sizes. The loop hands out
+one row at a time and keeps none of its results: a run keeps each row's node
+arrays for its field file, a sweep only the table rows. The field files of a
 run are written together, block by block over the nodes. Every column's cells
 are keyed by its bytes and carried from block to block, so a column repeated
 in a block or by the block before is formatted once.
@@ -41,7 +43,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .adjust import AdjustmentResult, FaceBcPolicy, Problem, _row_system, adjust, sasaki
+from .adjust import AdjustmentResult, FaceBcPolicy, Problem, adjust, build_system, sasaki
 from .collocation import _sci, dump_gram
 from .config import KEY_FIELDS, ExperimentConfig, write_echo
 from .errors import ConfigurationError, MassconsError
@@ -321,27 +323,26 @@ def _format_chunk(values):
     return cells
 
 
-def _write_fields(done: list[tuple[str, AdjustmentResult]], case: ExampleCase, quad) -> None:
-    """u_plus, the exact field and div u_plus at the nodes, one file per (path, result) pair.
+def _write_fields(done: list[tuple[str, np.ndarray, np.ndarray]], case: ExampleCase, quad) -> None:
+    """u_plus, the exact field and div u_plus at the nodes, one file per (path, u_plus, div).
 
-    Each result's ``node_values`` and ``node_div`` are the values the adjustment
-    cached. The exact field is evaluated once for all files, which are written
-    together, block by block.
+    u_plus and div are a row's ``node_values`` and ``node_div``, the values
+    the adjustment cached. The exact field is evaluated once for all files,
+    which are written together, block by block.
     """
     if not done:
         return
     nodes = quad.nodes
     exact = case.exact(nodes)
-    results = [result for _, result in done]
     cells = {}  # a column's cells by its bytes, kept for the next block
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path, _ in done]
+        files = [stack.enter_context(open(path, "wb")) for path, _, _ in done]
         for fh in files:
             fh.write(_FIELD_HEADER)
         for start in range(0, len(nodes), _FIELD_BLOCK_ROWS):
             block = slice(start, start + _FIELD_BLOCK_ROWS)
             shared = [col.tobytes() for col in np.vstack([nodes[block].T, exact[block].T])]
-            own = [[c.tobytes() for c in np.vstack([r.node_values[block].T, r.node_div[block]])] for r in results]
+            own = [[c.tobytes() for c in np.vstack([u[block].T, div[block]])] for _, u, div in done]
             keys = [shared[:3] + k[:3] + shared[3:] + k[3:] for k in own]  # x, y, z, u_plus, the exact field, div
             used = dict.fromkeys(key for file_keys in keys for key in file_keys)
             cells = {key: cells[key] for key in used if key in cells}
@@ -373,24 +374,30 @@ def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
     return out
 
 
-def _rows(
-    cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threads: int, out_override: str | None
-) -> tuple[str, ExampleCase, Quadrature, list[tuple[int, TableRow, AdjustmentResult | None]]]:
-    """Run one row per (config, n) pair, in order, and echo ``cfg`` to the output directory.
+def _rows(cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threads: int, out_override: str | None):
+    """Echo ``cfg`` to the output directory, then run one row per (config, n) pair, in order.
 
     Every row shares the example and the quadrature built from ``cfg``.
-    Returns the output directory, the example, the quadrature and each row's
-    (n, row, result), result None on a failed row. ``threads`` must be 1:
-    rows run one at a time.
+    Returns the output directory, the example, the quadrature and an iterator
+    that runs the rows one at a time, giving each row's (n, row, nodes):
+    nodes is the result's (node_values, node_div), None on a failed row. No
+    result outlives its row. ``threads`` must be 1: rows run one at a time.
     """
     if threads != 1:
         raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
     out = _prepare_out(cfg, out_override)
     case = example_field(cfg.example, eps=cfg.eps)
     quad = _quadrature(cfg)
-    rows = [(n, *_run_one(row_cfg, case, n, quad)) for row_cfg, n in runs]
     write_echo(replace(cfg, out=out), os.path.join(out, "config.echo"))
-    return out, case, quad, rows
+
+    def rows():
+        for row_cfg, n in runs:
+            row, result = _run_one(row_cfg, case, n, quad)
+            nodes = None if result is None else (result.node_values, result.node_div)
+            del result  # freed before the next row starts
+            yield n, row, nodes
+
+    return out, case, quad, rows()
 
 
 def run_experiment(
@@ -401,11 +408,12 @@ def run_experiment(
     ``threads`` must be 1: rows run one at a time.
     """
     out, case, quad, rows = _rows(cfg, [(cfg, n) for n in cfg.grid_sizes], threads, out_override)
+    rows = list(rows)
     table = [row for _, row, _ in rows]
     _write_csv(os.path.join(out, "table.csv"), TABLE_COLUMNS, [row.csv_values() for row in table])
     timings = [(row.n_nodes, _sci(row.wall_time)) for row in table]
     _write_csv(os.path.join(out, "timings.csv"), ("N", "wall_time"), timings)
-    done = [(os.path.join(out, f"field_N{n}.csv"), result) for n, _, result in rows if result is not None]
+    done = [(os.path.join(out, f"field_N{n}.csv"), *nodes) for n, _, nodes in rows if nodes is not None]
     _write_fields(done, case, quad)
     return table
 
@@ -459,7 +467,7 @@ def dump_gram_for_config(
     problem = Problem.full(inject(case.data), w) if cfg.sasaki_mode else Problem.horizontal(case.data, w)
     paths = []
     for n in cfg.grid_sizes:
-        system = _row_system(
+        system = build_system(
             problem, box, KernelParams(cfg.shape), n, topo=topo, policy=_face_policy(cfg), exact=case.exact,
             w_b=cfg.base_updraft,
         )
@@ -492,26 +500,22 @@ REFERENCE_RESULTS = {
 
 
 def write_reference_comparison(rows_by_example: dict[str, list[TableRow]], path) -> None:
-    """Side-by-side CSV of published reference values against computed rows."""
+    """Side-by-side CSV of published reference values against computed rows.
+
+    A computed row stands beside a published one only at the same N and c;
+    the computed cells are empty where no row has both.
+    """
     records = []
     for example, refs in REFERENCE_RESULTS.items():
-        rows = {row.n_nodes: row for row in rows_by_example.get(example, [])}
+        rows = {(row.n_nodes, row.shape): row for row in rows_by_example.get(example, [])}
         for n_nodes, c, eps, kappa_ref, div_ref, rel_ref in refs:
-            row = rows.get(n_nodes)
-            records.append(
-                (
-                    example,
-                    str(n_nodes),
-                    _sci(c),
-                    "" if eps is None else _sci(eps),
-                    _sci(kappa_ref),
-                    _sci(row.kappa) if row else "",
-                    _sci(div_ref),
-                    _sci(row.div_mean) if row else "",
-                    _sci(rel_ref),
-                    _sci(row.rel_error) if row else "",
-                )
-            )
+            row = rows.get((n_nodes, c))
+            got = [_sci(v) for v in (row.kappa, row.div_mean, row.rel_error)] if row else ["", "", ""]
+            eps = "" if eps is None else _sci(eps)
+            records.append((
+                example, str(n_nodes), _sci(c), eps,
+                _sci(kappa_ref), got[0], _sci(div_ref), got[1], _sci(rel_ref), got[2],
+            ))
     header = ("example", "N", "c", "eps", "kappa_ref", "kappa", "div_ref", "div_mean",
               "rel_error_ref", "rel_error")
     _write_csv(path, header, records)

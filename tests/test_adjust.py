@@ -347,8 +347,8 @@ def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed
     height, extent = box.zmax - box.zmin, min(box.xmax - box.xmin, box.ymax - box.ymin)
     topo = _hill(box, 0.3 * height, 0.25 * extent) if hill else None
     policy = FaceBcPolicy(*(NO_FLOW_THROUGH if s else FLOW_THROUGH for s in sealed))
-    nodes = grid_centers(box, n, topo=topo)
-    system = build_system(problem, nodes, KernelParams(c), box, policy)
+    system = build_system(problem, box, KernelParams(c), n, topo=topo, policy=policy)
+    nodes = system.nodes
     matrix = system.matrix.copy()  # the solve consumes the system's
     solution = factorize_and_solve(system)
 
@@ -376,7 +376,7 @@ def test_sasaki_identity_weights_match_full_adjust_bitwise():
     kp = KernelParams(0.5)
     a = sasaki(initial, np.eye(3), cube, kp, 4, quad=quad, exact=EX51.exact)
     problem = Problem.full(initial, np.eye(3))
-    system = build_system(problem, grid_centers(cube, 4), kp, cube, FaceBcPolicy.uniform(FLOW_THROUGH))
+    system = build_system(problem, cube, kp, 4)
     solution = factorize_and_solve(system)
     assert a.t_c == 1.0 and a.multiplier.aniso is None
     assert np.array_equal(a.multiplier.coeffs, solution.coeffs)

@@ -333,8 +333,7 @@ def ex53_system(n, c):
     case = example_field(cfg.example, eps=cfg.eps)
     problem = Problem.horizontal(case.data, cfg.weight_matrix())
     return build_system(
-        problem, grid_centers(cfg.box(), n), KernelParams(c), cfg.box(), _face_policy(cfg), exact=case.exact,
-        w_b=cfg.base_updraft,
+        problem, cfg.box(), KernelParams(c), n, policy=_face_policy(cfg), exact=case.exact, w_b=cfg.base_updraft
     )
 
 

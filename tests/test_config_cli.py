@@ -1,9 +1,11 @@
 import csv
+import gc
 import importlib
 import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 from decimal import Decimal
 from pathlib import Path
@@ -17,12 +19,13 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from masscons.adjust import _DESCENT_RTOL
 from masscons.cli import main
+from masscons.collocation import _sci
 from masscons.config import ExperimentConfig, echo_config, parse_config, parse_values
 from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import Quadrature, example_field, midpoint_rule
 from masscons.runner import (
     _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _quadrature, _run_one, _write_csv, _write_fields,
-    dump_gram_for_config, run_experiment, sweep,
+    dump_gram_for_config, run_experiment, sweep, write_reference_comparison,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -541,7 +544,8 @@ def with_specials(rng, shape, shift):
 def assert_writer_matches_savetxt(folder, nodes, exact, results):
     """Each file _write_fields writes equals np.savetxt's, byte for byte."""
     paths = [folder / f"field_{k}.csv" for k in range(len(results))]
-    _write_fields(list(zip(paths, results)), SimpleNamespace(exact=lambda pts: exact), SimpleNamespace(nodes=nodes))
+    done = [(path, result.node_values, result.node_div) for path, result in zip(paths, results)]
+    _write_fields(done, SimpleNamespace(exact=lambda pts: exact), SimpleNamespace(nodes=nodes))
     for path, result in zip(paths, results):
         expected = savetxt_field(folder / "ref.csv", nodes, result.node_values, exact, result.node_div)
         assert path.read_bytes() == expected
@@ -781,9 +785,9 @@ def test_field_records_have_fixed_width(tmp_path):
     # the widest values and the special ones keep the width
     cells = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308, -np.nan, 0.0, 1.0, -1.0]
     columns = np.stack([np.roll(cells, k) for k in range(len(cells))])
-    result = SimpleNamespace(node_values=columns[:, 3:6], node_div=columns[:, 9])
     case = SimpleNamespace(exact=lambda pts: columns[:, 6:9])
-    _write_fields([(tmp_path / "special.csv", result)], case, SimpleNamespace(nodes=columns[:, :3]))
+    done = [(tmp_path / "special.csv", columns[:, 3:6], columns[:, 9])]
+    _write_fields(done, case, SimpleNamespace(nodes=columns[:, :3]))
     assert_fixed_width_records(tmp_path / "special.csv", columns)
 
 
@@ -793,11 +797,10 @@ def test_field_writer_memory_is_bounded_by_blocks(tmp_path):
     quad = midpoint_rule(case.domain, 32)
     rng = np.random.default_rng(0)
     m = len(quad.nodes)
-    results = [SimpleNamespace(node_values=rng.standard_normal((m, 3)), node_div=rng.standard_normal(m)) for _ in range(3)]
-    paths = [tmp_path / f"field_{k}.csv" for k in range(3)]
+    done = [(tmp_path / f"field_{k}.csv", rng.standard_normal((m, 3)), rng.standard_normal(m)) for k in range(3)]
     tracemalloc.start()
     try:
-        _write_fields(list(zip(paths, results)), case, quad)
+        _write_fields(done, case, quad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -956,16 +959,12 @@ def test_sweep_shape_kappa_monotone(tmp_path):
     # independent conditioning oracle per swept value
     from masscons.adjust import FaceBcPolicy, NO_FLOW_THROUGH, Problem, build_system
     from masscons.collocation import factorize_and_solve
-    from masscons.geometry import grid_centers
     from masscons.kernel import KernelParams
 
     case = example_field("ex51")
-    nodes = grid_centers(case.domain, 5)
     problem = Problem.horizontal(case.data)
     for value, row in zip(values, rows):
-        system = build_system(
-            problem, nodes, KernelParams(value), case.domain, FaceBcPolicy(bottom=NO_FLOW_THROUGH)
-        )
+        system = build_system(problem, case.domain, KernelParams(value), 5, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH))
         assert factorize_and_solve(system).kappa == pytest.approx(row.kappa, rel=1e-10)
 
 
@@ -1046,6 +1045,49 @@ def test_dump_gram_holds_one_collocation_system_at_a_time(tmp_path):
     # 125^2 float64 matrix (125 kB) to the peak.
     extra = traced_peak(lambda: dump_gram_for_config(both)) - traced_peak(lambda: dump_gram_for_config(alone))
     assert extra < 125**2 * 8 // 2
+
+
+def test_no_row_result_outlives_its_row(tmp_path, monkeypatch):
+    # Each row's AdjustmentResult is freed before the next row starts, in a
+    # sweep and in a run: a run keeps only the node arrays its field files need.
+    runner = importlib.import_module("masscons.runner")
+    run_one = runner._run_one
+    refs, alive = [], []
+
+    def tracked(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        row, result = run_one(*args)
+        refs.append(weakref.ref(result))
+        return row, result
+
+    monkeypatch.setattr(runner, "_run_one", tracked)
+    cfg = parse_config(CONFIGS / "ex52.cfg")
+    sweep(cfg, "n", [3, 4, 5], out_override=str(tmp_path / "sweep"))
+    run_experiment(replace(cfg, grid_sizes=(3, 4, 5)), out_override=str(tmp_path / "run"))
+    gc.collect()
+    assert alive == [0] * 6
+    assert all(ref() is None for ref in refs)
+    assert sorted(p.name for p in (tmp_path / "run").glob("field_N*.csv")) == [f"field_N{n}.csv" for n in (3, 4, 5)]
+
+
+def test_reference_comparison_pairs_rows_on_n_and_c(tmp_path):
+    # A row at another c than the published one is not a comparison: its cells stay empty.
+    text = "example = ex51\nn = 3\nbc_bottom = no-flow-through\nquad = 4\n"
+    for c, paired in ((0.1, False), (0.001, True)):
+        cfg = parse_config(write_cfg(tmp_path, text + f"c = {c}\nout = {tmp_path / str(c)}\n"))
+        rows = run_experiment(cfg)
+        path = tmp_path / f"reference_{c}.csv"
+        write_reference_comparison({"ex51": rows}, path)
+        with open(path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == 9
+        (n27,) = [r for r in records if r["example"] == "ex51" and r["N"] == "27"]
+        computed = [n27["kappa"], n27["div_mean"], n27["rel_error"]]
+        row = rows[0]
+        expected = [_sci(row.kappa), _sci(row.div_mean), _sci(row.rel_error)] if paired else ["", "", ""]
+        assert computed == expected
+        assert all(r["kappa"] == "" for r in records if r is not n27)
 
 
 def test_sweep_validation(tmp_path):

@@ -186,14 +186,13 @@ class Problem:
 
 @dataclass(frozen=True)
 class Metrics:
+    """The line search's numbers; the solve's (rank, residuals, kappa) are on :class:`MultiplierSolution`."""
+
     rel_error: float
     div_mean: float
     div_max: float
-    kappa: float
     j_before: float
     j_after: float
-    residual: float
-    residual_norm: float
 
 
 @dataclass(frozen=True)
@@ -456,11 +455,8 @@ def _line_search(
     for name, value in values.items():
         if not np.isfinite(value) and (exact is not None or name != "rel_error"):
             raise DomainError(f"{name} is not finite ({value})")
-    metrics = Metrics(
-        **values, kappa=solution.kappa, residual=solution.residual, residual_norm=solution.residual_norm,
-    )
     return AdjustmentResult(
-        t_c=t, p=p, u_plus=add_scaled(updraft(w_b), t, p), multiplier=solution, metrics=metrics,
+        t_c=t, p=p, u_plus=add_scaled(updraft(w_b), t, p), multiplier=solution, metrics=Metrics(**values),
         node_values=vals_uc, node_div=div, oracle_bc=policy is not None and bool(policy.faces(ORACLE_NEUMANN)),
     )
 

@@ -315,7 +315,9 @@ def _series_sums(x_all, xx, centers, cc, c, order, rhs):
 class MultiplierSolution:
     """RBF coefficients over the centers, with its kernel and interior operator.
 
-    ``kappa`` is the condition number estimate of the matrix it was solved from.
+    The solve's numbers live here only: ``rank``, the directions it kept;
+    ``residual_norm`` |G beta - b| and ``residual`` that over max(|b|, 1); and
+    ``kappa``, the condition number estimate of the matrix it was solved from.
 
     Every evaluator is a selection from one chunked kernel pass (:meth:`jet`).
     With d = x - c_j and s_j = 1 + c^2 |d|^2 formed by GEMM expansion, each
@@ -537,21 +539,15 @@ def _lower_solve(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _lower_transpose_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """L^-T y for L the lower triangle of ``a``, in blocks of _TRI_BLOCK rows from the bottom."""
-    w = np.empty_like(y)
-    for s in reversed(range(0, len(a), _TRI_BLOCK)):
-        e = s + _TRI_BLOCK
-        w[s:e] = np.linalg.solve(np.tril(a[s:e, s:e]).T, y[s:e] - a[e:, s:e].T @ w[e:])
-    return w
-
-
 def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
     """sigma_max |G^-1|_2, |G^-1|_2 from one power step on a QR that overwrites ``g``.
 
     With G^T = QR (:func:`_qr_in_place`), |G^-1|_2 = |G^-T|_2 = |R^-1|_2. The estimate is
     max_i |R^-1 y_i| over y_i = R^-T x_i / |R^-T x_i| for _KAPPA_PROBES hash
-    probes x_i. A zero on R's diagonal gives inf.
+    probes x_i. A zero on R's diagonal gives inf. Both triangles go through
+    :func:`_lower_solve`: L = R^T is g's lower triangle, and the lower
+    triangle of g^T with rows and columns reversed is L^T reversed, so
+    L^-T y is that solve of the reversed y, reversed.
     """
     n = len(g)
     _qr_in_place(g)
@@ -559,7 +555,7 @@ def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
         return float("inf")
     with np.errstate(over="ignore", invalid="ignore"):
         z = _lower_solve(g, _hash_uniform(n, _KAPPA_PROBES, _KAPPA_STREAM))
-        w = _lower_transpose_solve(g, z / np.linalg.norm(z, axis=0))
+        w = _lower_solve(g.T[::-1, ::-1], (z / np.linalg.norm(z, axis=0))[::-1])[::-1]
         kappa = sigma_max * float(np.linalg.norm(w, axis=0).max())
     # overflow past the float range gives inf or, as inf / inf, NaN
     return kappa if np.isfinite(kappa) else float("inf")

@@ -157,8 +157,10 @@ def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[Ta
     except (MassconsError, np.linalg.LinAlgError) as exc:
         result, outcome = None, dict(error=f"{type(exc).__name__}: {exc}")
     else:
+        solution = result.multiplier
         outcome = dict(
-            t_c=result.t_c, oracle_bc=result.oracle_bc, rank=result.multiplier.rank, **asdict(result.metrics)
+            t_c=result.t_c, oracle_bc=result.oracle_bc, kappa=solution.kappa, residual=solution.residual,
+            residual_norm=solution.residual_norm, rank=solution.rank, **asdict(result.metrics),
         )
     wall = time.perf_counter() - started
     return TableRow(n_nodes=n**3, shape=cfg.shape, trunc_tol=cfg.trunc_tol, wall_time=wall, **outcome), result

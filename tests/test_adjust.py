@@ -383,7 +383,7 @@ def test_sasaki_identity_weights_match_full_adjust_bitwise():
     rng = np.random.default_rng(9)
     pts = rand_pts(rng, 50, cube)
     assert np.array_equal(a.u_plus(pts), descent_direction(problem.residual, solution)(pts))
-    assert a.metrics.kappa == solution.kappa
+    assert a.multiplier.kappa == solution.kappa
 
 
 def test_sasaki_divergence_free_initial_field_is_kept():

@@ -361,6 +361,23 @@ def test_qr_in_place_matches_lapack():
     np.testing.assert_allclose(np.tril(g).T, r, rtol=0, atol=1e-12 * np.abs(r).max())
 
 
+@pytest.mark.parametrize("n", [27, 64, 150])
+def test_power_step_solves_match_dense_solves(n):
+    # The condition estimate solves with the lower triangle of the in-place QR,
+    # whose upper part holds LAPACK's Householder data, so junk sits above the
+    # diagonal here. 150 rows are two blocks of 64 and a short one; the
+    # transposed solve runs on the reversed transpose, as the estimate does.
+    rng = np.random.default_rng(n)
+    a = 2.0 * np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / n + np.triu(1e3 * rng.standard_normal((n, n)), 1)
+    x = rng.standard_normal((n, 8))
+    for got, lower in (
+        (collocation._lower_solve(a, x), np.tril(a)),
+        (collocation._lower_solve(a.T[::-1, ::-1], x[::-1])[::-1], np.tril(a).T),
+    ):
+        want = np.linalg.solve(lower, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_kappa_nondecreasing_in_n_at_flat_shape():
     kappas = []
     for n in (3, 5, 8):

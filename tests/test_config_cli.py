@@ -154,6 +154,53 @@ def test_construction_rejects_what_the_parser_rejects(tmp_path, key, text, value
     assert str(parsed.value) == f"line {line}: {built.value}"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("example = ex51\nn = 3\n", "^missing required key 'c'$"),
+        ("example = ex51\nn 3\nc = 0.1\n", "^line 2: expected 'key = value', got 'n 3'$"),
+        ("example = ex51\nn = ,\nc = 0.1\n", "^line 2: n: needs at least one value$"),
+        (MINIMAL + "domain = 0,1,0,1,0\n", "^line 4: domain: needs 6 values: xmin,xmax,ymin,ymax,zmin,zmax$"),
+        (MINIMAL + "domain = 0,1,1,0,0,1\n", "^line 4: domain: bounds must satisfy lower < upper per axis$"),
+        (MINIMAL + "hill_amplitude = 5\n", r"^line 4: hill_amplitude: must lie in \[0, domain height\), got 5\.0$"),
+        (MINIMAL + "s = 1,0,0,1,0\n", r"^line 4: s: needs 4 entries \(2x2\) or 9 entries \(3x3\)$"),
+    ],
+    ids=["missing-key", "no-equals", "empty-n", "5-value-domain", "inverted-domain", "hill-too-high", "5-entry-s"],
+)
+def test_parse_rejects_malformed_config(tmp_path, text, message):
+    # ex51's box is 2 high, so a 5-high hill does not fit under its top
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config(write_cfg(tmp_path, text))
+
+
+def test_construction_rejects_an_example_that_is_not_text():
+    with pytest.raises(ConfigurationError, match="^example: not text: 3$") as err:
+        ExperimentConfig(example=3, grid_sizes=(3,), shape=0.1)
+    assert err.value.key == "example"
+
+
+def test_construction_rejects_grid_sizes_that_are_not_a_sequence():
+    with pytest.raises(ConfigurationError, match="^n: expected comma-separated values, got 3$") as err:
+        ExperimentConfig(example="ex51", grid_sizes=3, shape=0.1)
+    assert err.value.key == "n"
+
+
+def test_sweep_over_no_values_is_a_configuration_error(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match="^sweep needs at least one value$"):
+        sweep(ExperimentConfig("ex51", (3,), 0.1), "c", [], out_override=str(out))
+    assert not out.exists()
+
+
+def test_run_into_a_file_is_a_configuration_error(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(ConfigurationError) as err:
+        run_experiment(ExperimentConfig("ex51", (3,), 0.1), out_override=str(taken))
+    assert str(err.value).startswith(f"output directory not writable: {taken} (")
+    assert taken.read_text() == ""
+
+
 def test_bc_shorthand_and_override(tmp_path):
     text = MINIMAL + "bc = no-flow-through\nbc_top = flow-through\n"
     cfg = parse_config(write_cfg(tmp_path, text))

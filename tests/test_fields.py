@@ -10,6 +10,7 @@ from masscons.fields import (
     Field2,
     _weighted_sum,
     Field3,
+    Quadrature,
     divergence_fd,
     example_field,
     face_rule,
@@ -159,6 +160,16 @@ def test_face_rule_rejects_a_count_that_is_not_a_positive_integer(count):
             face_rule(UNIT, count)
 
 
+def test_quadrature_rejects_unequal_lengths():
+    with pytest.raises(ContractError, match="^quadrature nodes and weights must have equal length$"):
+        Quadrature(np.zeros((3, 3)), np.ones(2))
+
+
+def test_quadrature_rejects_a_zero_weight():
+    with pytest.raises(ContractError, match="^quadrature weights must be positive$"):
+        Quadrature(np.zeros((2, 3)), np.array([1.0, 0.0]))
+
+
 def test_quadrature_cell_volume_must_not_underflow():
     # each side of a node's cell is a normal float, 2.5e-301, but their product is 0;
     # two Gauss points share each 5e-301 cell of gauss2_rule, so each weighs as much
@@ -258,6 +269,11 @@ def test_validate_weights():
         validate_weights(np.array([[1.0, 0.0], [0.0, -2.0]]), 2)
     with pytest.raises(ContractError):
         validate_weights(np.eye(3), 2)
+
+
+def test_validate_weights_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ContractError, match=r"^weight matrix must be square, got shape \(2, 3\)$"):
+        validate_weights(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from masscons.errors import ConfigurationError, DomainError
+from masscons.errors import ConfigurationError, ContractError, DomainError
 from masscons.fields import face_rule, gauss2_rule, midpoint_rule
-from masscons.geometry import BoxDomain, FaceLabel, Topography, classify, grid_centers
+from masscons.geometry import BoxDomain, FaceLabel, NodeSet, Topography, classify, grid_centers
 
 BOX = BoxDomain(-2, 2, -2, 2, 0, 2)
 
@@ -54,6 +54,17 @@ def test_nan_boundary_normals_raise():
     flat = Topography(height=lambda x, y: np.zeros_like(x), grad=lambda x, y: np.full(np.shape(x) + (2,), np.nan))
     with pytest.raises(DomainError, match="unit vectors"):
         grid_centers(BOX, 3, topo=flat)
+
+
+def test_node_set_rejects_arrays_of_other_lengths():
+    message = r"^inconsistent NodeSet arrays: points \(2, 3\), labels \(3,\), normals \(2, 3\)$"
+    with pytest.raises(ContractError, match=message):
+        NodeSet(np.zeros((2, 3)), np.zeros(3, dtype=int), np.full((2, 3), np.nan))
+
+
+def test_node_set_rejects_a_normal_on_an_interior_node():
+    with pytest.raises(DomainError, match="^interior nodes must not carry normals$"):
+        NodeSet(np.zeros((1, 3)), np.array([FaceLabel.INTERIOR]), np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_grid_ordering_z_major():

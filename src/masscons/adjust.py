@@ -79,7 +79,7 @@ from .fields import (
     validate_weights,
 )
 from .fields import midpoint_rule  # noqa: F401  # unused; the benchmark's tracer patches this name
-from .geometry import BoxDomain, FaceLabel, NodeSet, Topography, grid_centers
+from .geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from .kernel import KernelParams
 
 __all__ = [
@@ -298,7 +298,6 @@ def build_system(
     kernel: KernelParams,
     n_per_axis: int,
     *,
-    topo: Topography | None = None,
     policy: FaceBcPolicy | None = None,
     exact: Field3 | None = None,
     w_b: float = 0.0,
@@ -314,7 +313,7 @@ def build_system(
     """
     n = n_per_axis**3
     _require_memory(f"a grid of {n} nodes", _SOLVE_BYTES_PER_PAIR * n * n, "the dense solve")
-    nodes = grid_centers(box, n_per_axis, topo=topo)
+    nodes = grid_centers(box, n_per_axis)
     policy = policy if policy is not None else FaceBcPolicy.uniform(FLOW_THROUGH)
     aniso = problem.aniso
     # Data that overflow give a right-hand side of inf or NaN, which fails below
@@ -399,7 +398,6 @@ def _line_search(
     kernel: KernelParams,
     n_per_axis: int,
     *,
-    topo: Topography | None,
     policy: FaceBcPolicy | None,
     formula: str,
     quad: Quadrature | None,
@@ -414,7 +412,7 @@ def _line_search(
     """
     if formula not in FORMULAS:
         raise ContractError(f"unknown step formula {formula!r}")
-    quad = quad if quad is not None else gauss2_rule(domain, topo=topo)
+    quad = quad if quad is not None else gauss2_rule(domain)
     w, k, qw = problem.weights, len(problem.weights), quad.weights
 
     # Values that overflow fail here by name.
@@ -427,7 +425,7 @@ def _line_search(
     d = vals_uc[:, :k] - vals_obs
     j_before = objective(d)
 
-    system = build_system(problem, domain, kernel, n_per_axis, topo=topo, policy=policy, exact=exact, w_b=w_b)
+    system = build_system(problem, domain, kernel, n_per_axis, policy=policy, exact=exact, w_b=w_b)
     solution = factorize_and_solve(system, trunc_tol=trunc_tol)
     r = Field3(fn=problem.residual.fn, div=poisson_rhs(problem.residual, domain))
     p = descent_direction(r, solution)
@@ -467,7 +465,6 @@ def adjust(
     kernel: KernelParams,
     n_per_axis: int,
     *,
-    topo: Topography | None = None,
     w_b: float = 0.0,
     weights=None,
     policy: FaceBcPolicy | None = None,
@@ -483,7 +480,7 @@ def adjust(
     """
     return _line_search(
         Problem.horizontal(data, weights), w_b, domain, kernel, n_per_axis,
-        topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
+        policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 
 
@@ -494,7 +491,6 @@ def adjust_full(
     kernel: KernelParams,
     n_per_axis: int,
     *,
-    topo: Topography | None = None,
     policy: FaceBcPolicy | None = None,
     formula: str = CLOSED_FORM,
     quad: Quadrature | None = None,
@@ -510,7 +506,7 @@ def adjust_full(
     """
     return _line_search(
         Problem.full(initial, weights), 0.0, domain, kernel, n_per_axis,
-        topo=topo, policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
+        policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 
 

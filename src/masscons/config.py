@@ -26,7 +26,7 @@ from .adjust import FACE_POLICIES, FLOW_THROUGH, FORMULAS, MINIMIZER, FaceBcPoli
 from .collocation import DEFAULT_TRUNC_TOL
 from .errors import ConfigurationError, ContractError, DomainError
 from .fields import DEFAULT_QUAD, example_field, validate_weights
-from .geometry import BoxDomain
+from .geometry import BoxDomain, Topography
 from .kernel import KernelParams
 
 __all__ = ["ExperimentConfig", "KEY_FIELDS", "parse_config", "parse_values", "echo_config", "write_echo"]
@@ -144,13 +144,11 @@ class ExperimentConfig:
             resolve("domain", tuple(float(b) for b in case.domain.bounds))
         elif len(self.domain) != 6:
             raise _fail("domain", "needs 6 values: xmin,xmax,ymin,ymax,zmin,zmax")
-        else:
-            try:
-                self.box()
-            except ConfigurationError:
-                raise _fail("domain", "bounds must satisfy lower < upper per axis") from None
-        with np.errstate(over="ignore"):
-            diameter = self.box().diameter()
+        try:  # the flat box, as the hill's defaults resolve below
+            with np.errstate(over="ignore"):
+                diameter = BoxDomain(*self.domain).diameter()
+        except ConfigurationError:
+            raise _fail("domain", "bounds must satisfy lower < upper per axis") from None
         if not math.isfinite(diameter):
             raise _fail("domain", f"the box diameter overflows: {diameter!r}")
         try:
@@ -192,7 +190,21 @@ class ExperimentConfig:
         return np.asarray(self.s_entries, dtype=float).reshape(dim, dim)
 
     def box(self) -> BoxDomain:
-        return BoxDomain(*self.domain)
+        """The domain box; on ``topography = hill`` its terrain is a Gaussian hill centred on the box."""
+        if self.topography != "hill":
+            return BoxDomain(*self.domain)
+        xmin, xmax, ymin, ymax, zmin, _ = self.domain
+        x0, y0 = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+        amp, width = self.hill_amplitude, self.hill_width
+
+        def height(x, y):
+            return zmin + amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / width**2)
+
+        def grad(x, y):
+            bump = amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / width**2)
+            return np.stack([-2.0 * (x - x0) / width**2 * bump, -2.0 * (y - y0) / width**2 * bump], axis=-1)
+
+        return BoxDomain(*self.domain, terrain=Topography(height=height, grad=grad))
 
 
 # Config key -> ExperimentConfig field.

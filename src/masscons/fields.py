@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError
-from .geometry import _FACES, BoxDomain, Topography, _count, _flat_normal, _tensor_grid, as_points
+from .geometry import _FACES, BoxDomain, _count, _flat_normal, _tensor_grid, as_points
 
 __all__ = [
     "Field3",
@@ -171,10 +171,10 @@ class Quadrature:
             raise ContractError("quadrature weights must be positive")
 
 
-def _tensor_rule(box: BoxDomain, m: int, unit_points: np.ndarray, topo: Topography | None) -> Quadrature:
+def _tensor_rule(box: BoxDomain, m: int, unit_points: np.ndarray) -> Quadrature:
     """m^3 nodes of weight h^3, at lo + h * unit_points per axis with h = (hi - lo) / m.
 
-    With a terrain bottom, nodes are stretched per column exactly like the
+    With a terrain bottom (``box.terrain``), nodes are stretched per column exactly like the
     center grid, because both take their points from ``_tensor_grid``, and
     the weights are scaled by the local column height so the weights still
     sum to the terrain-following volume. A terrain that reaches the top of
@@ -189,21 +189,21 @@ def _tensor_rule(box: BoxDomain, m: int, unit_points: np.ndarray, topo: Topograp
     cell = float(np.prod(h))
     if cell == 0.0:
         raise DomainError(f"the quadrature cell volume {h[0]:.3e} x {h[1]:.3e} x {h[2]:.3e} underflows to 0")
-    nodes, factor = _tensor_grid(box, [lo[k] + h[k] * unit_points for k in range(3)], topo)
+    nodes, factor = _tensor_grid(box, [lo[k] + h[k] * unit_points for k in range(3)])
     weights = np.full(len(nodes), cell) if factor is None else cell * factor
     return Quadrature(nodes=nodes, weights=weights)
 
 
-def midpoint_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD, topo: Topography | None = None) -> Quadrature:
+def midpoint_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD) -> Quadrature:
     """Tensor-product midpoint rule with m^3 cells; weights sum to the domain volume.
 
     Terrain, memory and underflow are handled as in :func:`_tensor_rule`.
     """
     m = _count(m_per_axis, 1, "quadrature resolution")
-    return _tensor_rule(box, m, np.arange(m) + 0.5, topo)
+    return _tensor_rule(box, m, np.arange(m) + 0.5)
 
 
-def gauss2_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD, topo: Topography | None = None) -> Quadrature:
+def gauss2_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD) -> Quadrature:
     """Composite two-point Gauss-Legendre rule: m points per axis over m/2 cells of side 2h.
 
     Each cell's nodes sit at its centre +- h / sqrt(3) per axis, so the rule
@@ -217,19 +217,21 @@ def gauss2_rule(box: BoxDomain, m_per_axis: int = DEFAULT_QUAD, topo: Topography
         raise ConfigurationError(f"quadrature resolution must be even (two points per cell), got {m}")
     centres = 2.0 * np.arange(m // 2) + 1.0
     offset = 1.0 / np.sqrt(3.0)
-    return _tensor_rule(box, m, np.column_stack([centres - offset, centres + offset]).ravel(), topo)
+    return _tensor_rule(box, m, np.column_stack([centres - offset, centres + offset]).ravel())
 
 
 def face_rule(box: BoxDomain, m_per_axis: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoint rule of m^2 cells on each of the six flat faces; returns (nodes, weights, outward normals)."""
+    """Midpoint rule of m^2 cells on each of the six faces of a box without terrain: (nodes, weights, normals)."""
     m = _count(m_per_axis, 1, "quadrature resolution")
+    if box.terrain is not None:
+        raise ContractError("face_rule integrates flat faces only; the box has a terrain bottom")
     lo, hi = box.lo, box.hi
     h = (hi - lo) / m
     mids = [lo[k] + h[k] * (np.arange(m) + 0.5) for k in range(3)]
     nodes, weights, normals = [], [], []
     for axis, side in sorted(_FACES.values()):  # xmin, xmax, ymin, ymax, zmin, zmax
         axes = [[box.bounds[2 * k + side]] if k == axis else mids[k] for k in range(3)]
-        nodes.append(_tensor_grid(box, axes, None)[0])
+        nodes.append(_tensor_grid(box, axes)[0])
         weights.append(np.full(m * m, float(np.prod(np.delete(h, axis)))))
         normals.append(np.broadcast_to(_flat_normal(axis, side), (m * m, 3)).copy())
     return np.vstack(nodes), np.concatenate(weights), np.vstack(normals)
@@ -252,18 +254,17 @@ def _weighted_sum(a: np.ndarray, w: np.ndarray, b: np.ndarray, qw: np.ndarray) -
 def divergence_fd(u: Field3, pts, h: float, box: BoxDomain | None = None):
     """Central-difference divergence with step h; the independent oracle.
 
-    When ``box`` is given, every stencil point must lie in the closed box.
+    When ``box`` is given, every stencil point must lie in its closed domain (``box.contains``).
     """
     p = as_points(pts)
     if h <= 0:
         raise DomainError("finite-difference step must be positive")
-    # p +- h e_k lies in the box for every k exactly when p +- (h, h, h) does
-    if box is not None and not (box.contains(p + h).all() and box.contains(p - h).all()):
+    steps = h * np.eye(3)
+    # each of the six points: over a terrain, p +- (h, h, h) can lie inside while p + h e_x does not
+    if box is not None and not all(box.contains(p + step).all() and box.contains(p - step).all() for step in steps):
         raise DomainError("finite-difference stencil leaves the domain")
     acc = np.zeros(len(p))
-    for k in range(3):
-        step = np.zeros(3)
-        step[k] = h
+    for k, step in enumerate(steps):
         acc += (u.fn(p + step)[:, k] - u.fn(p - step)[:, k]) / (2.0 * h)
     return acc
 

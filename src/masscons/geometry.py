@@ -79,7 +79,7 @@ def _flat_normal(axis: int, side: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned box; bounds are (lower, upper) per axis."""
+    """Axis-aligned box; bounds are (lower, upper) per axis, and the bottom is the ``terrain`` when there is one."""
 
     xmin: float
     xmax: float
@@ -87,6 +87,7 @@ class BoxDomain:
     ymax: float
     zmin: float
     zmax: float
+    terrain: Topography | None = None
 
     def __post_init__(self):
         for lo, hi, ax in (
@@ -118,9 +119,11 @@ class BoxDomain:
         return 1e-12 * self.diameter()
 
     def contains(self, pts) -> np.ndarray:
-        """Membership of each of the (m, 3) points in the closed box, within face_tol (flat bottom only)."""
+        """Membership of each of the (m, 3) points in the closed domain, on or above the terrain, within face_tol."""
         p = as_points(pts)
-        return np.all((p >= self.lo - self.face_tol) & (p <= self.hi + self.face_tol), axis=1)
+        tol = self.face_tol
+        bounds = _face_bounds(self, p)
+        return np.all([(p[:, k] >= lo - tol) & (p[:, k] <= hi + tol) for k, (lo, hi) in enumerate(bounds)], axis=0)
 
 
 @dataclass(frozen=True)
@@ -181,10 +184,11 @@ class NodeSet:
         return np.flatnonzero(self.labels != FaceLabel.INTERIOR)
 
 
-def _bottom_height(box: BoxDomain, topo: Topography | None, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if topo is None:
-        return np.full(np.shape(x), box.zmin, dtype=float)
-    zb = np.asarray(topo.height(x, y), dtype=float)
+def _bottom_height(box: BoxDomain, x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
+    """The terrain height at each (x, y); ``zmin`` itself on a flat bottom."""
+    if box.terrain is None:
+        return box.zmin
+    zb = np.asarray(box.terrain.height(x, y), dtype=float)
     if not np.isfinite(zb).all():
         raise DomainError("terrain height is not finite")
     if np.any(zb >= box.zmax):
@@ -192,7 +196,12 @@ def _bottom_height(box: BoxDomain, topo: Topography | None, x: np.ndarray, y: np
     return zb
 
 
-def _tensor_grid(box: BoxDomain, axes, topo: Topography | None) -> tuple[np.ndarray, np.ndarray | None]:
+def _face_bounds(box: BoxDomain, pts: np.ndarray) -> tuple:
+    """Each axis's (lower, upper) bound at the (m, 3) points; the lower z bound is the bottom height."""
+    return (box.xmin, box.xmax), (box.ymin, box.ymax), (_bottom_height(box, pts[:, 0], pts[:, 1]), box.zmax)
+
+
+def _tensor_grid(box: BoxDomain, axes) -> tuple[np.ndarray, np.ndarray | None]:
     """The (m, 3) points of the tensor grid over ``axes``, x fastest and z slowest, and their column factors.
 
     A terrain bottom maps z as in the module docstring, and each factor is
@@ -200,29 +209,25 @@ def _tensor_grid(box: BoxDomain, axes, topo: Topography | None) -> tuple[np.ndar
     """
     zg, yg, xg = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     pts = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
-    if topo is None:
+    if box.terrain is None:
         return pts, None
-    zb = _bottom_height(box, topo, pts[:, 0], pts[:, 1])
+    zb = _bottom_height(box, pts[:, 0], pts[:, 1])
     pts[:, 2] = zb + (pts[:, 2] - box.zmin) * (box.zmax - zb) / (box.zmax - box.zmin)
     return pts, (box.zmax - zb) / (box.zmax - box.zmin)
 
 
-def classify(pts, box: BoxDomain, topo: Topography | None = None) -> tuple[np.ndarray, np.ndarray]:
+def classify(pts, box: BoxDomain) -> tuple[np.ndarray, np.ndarray]:
     """Face labels (m,) and outward unit normals (m, 3), NaN at interior points, of (m, 3) points.
 
     A point counts as on a face within ``box.face_tol``. Points outside the
     closed domain, or with a non-finite coordinate, raise :class:`DomainError`.
     """
     pts = as_points(pts)
-    tol = box.face_tol
-    x, y = pts[:, 0], pts[:, 1]
-    bounds = ((box.xmin, box.xmax), (box.ymin, box.ymax), (_bottom_height(box, topo, x, y), box.zmax))
-    outside = np.zeros(len(pts), dtype=bool)
-    for axis, side in _FACES.values():
-        bound = bounds[axis][side]
-        outside |= ~(pts[:, axis] <= bound + tol) if side else ~(pts[:, axis] >= bound - tol)
+    outside = ~box.contains(pts)
     if np.any(outside):
         raise DomainError(f"{int(outside.sum())} point(s) outside the closed domain")
+    tol = box.face_tol
+    bounds = _face_bounds(box, pts)
 
     labels = np.full(len(pts), int(FaceLabel.INTERIOR))
     normals = np.full((len(pts), 3), np.nan)
@@ -232,15 +237,15 @@ def classify(pts, box: BoxDomain, topo: Topography | None = None) -> tuple[np.nd
         if not pick.any():
             continue
         labels[pick] = int(label)
-        if label is FaceLabel.BOTTOM and topo is not None:
-            normals[pick] = topo.normal(x[pick], y[pick])
+        if label is FaceLabel.BOTTOM and box.terrain is not None:
+            normals[pick] = box.terrain.normal(pts[pick, 0], pts[pick, 1])
         else:
             normals[pick] = _flat_normal(axis, side)
         unassigned &= ~pick
     return labels, normals
 
 
-def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None) -> NodeSet:
+def grid_centers(box: BoxDomain, n_per_axis: int) -> NodeSet:
     """Boundary-inclusive equidistant tensor grid of n^3 centers.
 
     Ordering is lexicographic with z slowest and x fastest, so identical
@@ -249,6 +254,6 @@ def grid_centers(box: BoxDomain, n_per_axis: int, topo: Topography | None = None
     """
     # with 2 nodes per axis no node is interior, and div is never imposed
     n = _count(n_per_axis, 3, "n_per_axis")
-    pts, _ = _tensor_grid(box, [np.linspace(lo, hi, n) for lo, hi in zip(box.lo, box.hi)], topo)
-    labels, normals = classify(pts, box, topo)
+    pts, _ = _tensor_grid(box, [np.linspace(lo, hi, n) for lo, hi in zip(box.lo, box.hi)])
+    labels, normals = classify(pts, box)
     return NodeSet(points=pts, labels=labels, normals=normals)

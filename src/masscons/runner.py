@@ -50,7 +50,6 @@ from .errors import ConfigurationError, MassconsError
 from .fields import ExampleCase, Quadrature, example_field, gauss2_rule, inject
 # unused; the benchmark's tracer patches these names
 from .fields import divergence_fd, midpoint_rule  # noqa: F401
-from .geometry import Topography
 from .kernel import KernelParams
 
 __all__ = [
@@ -112,26 +111,9 @@ def _cell(v) -> str:
 SWEEP_PARAMS = ("c", "n", "trunc_tol")
 
 
-def _hill_topography(cfg: ExperimentConfig) -> Topography | None:
-    if cfg.topography != "hill":
-        return None
-    x0 = 0.5 * (cfg.domain[0] + cfg.domain[1])
-    y0 = 0.5 * (cfg.domain[2] + cfg.domain[3])
-    zmin, amp, width = cfg.domain[4], cfg.hill_amplitude, cfg.hill_width
-
-    def height(x, y):
-        return zmin + amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / width**2)
-
-    def grad(x, y):
-        bump = amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / width**2)
-        return np.stack([-2.0 * (x - x0) / width**2 * bump, -2.0 * (y - y0) / width**2 * bump], axis=-1)
-
-    return Topography(height=height, grad=grad)
-
-
 def _quadrature(cfg: ExperimentConfig) -> Quadrature:
     """The rule every row of a run or sweep integrates over: ``quad`` Gauss points per axis."""
-    return gauss2_rule(cfg.box(), cfg.quad, topo=_hill_topography(cfg))
+    return gauss2_rule(cfg.box(), cfg.quad)
 
 
 def _face_policy(cfg: ExperimentConfig) -> FaceBcPolicy:
@@ -141,10 +123,7 @@ def _face_policy(cfg: ExperimentConfig) -> FaceBcPolicy:
 def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[TableRow, AdjustmentResult | None]:
     box, kernel = cfg.box(), KernelParams(cfg.shape)
     # the settings both pipelines take
-    shared = dict(
-        topo=_hill_topography(cfg), policy=_face_policy(cfg), quad=quad, trunc_tol=cfg.trunc_tol,
-        exact=case.exact,
-    )
+    shared = dict(policy=_face_policy(cfg), quad=quad, trunc_tol=cfg.trunc_tol, exact=case.exact)
     started = time.perf_counter()
     try:
         if cfg.sasaki_mode:
@@ -464,13 +443,12 @@ def dump_gram_for_config(
     out = _prepare_out(cfg, out_override)
     case = example_field(cfg.example, eps=cfg.eps)
     box = cfg.box()
-    topo = _hill_topography(cfg)
     w = cfg.weight_matrix()
     problem = Problem.full(inject(case.data), w) if cfg.sasaki_mode else Problem.horizontal(case.data, w)
     paths = []
     for n in cfg.grid_sizes:
         system = build_system(
-            problem, box, KernelParams(cfg.shape), n, topo=topo, policy=_face_policy(cfg), exact=case.exact,
+            problem, box, KernelParams(cfg.shape), n, policy=_face_policy(cfg), exact=case.exact,
             w_b=cfg.base_updraft,
         )
         path = os.path.join(out, f"gram_N{n**3}.txt")

@@ -1,5 +1,6 @@
 import importlib
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from masscons.collocation import MultiplierSolution, factorize_and_solve
 from masscons.errors import ContractError, DegenerateDirectionError, DomainError, NonDescentError
 from masscons.fields import (
     Field2,
+    Field3,
     divergence_fd,
     example_field,
     inject,
@@ -136,11 +138,10 @@ def test_boundary_data_matches_per_node_reference_bitwise():
     # Hill terrain, anisotropic S and an oracle face about an updraft: every
     # Neumann value is the row's own flux @ nu_i and every conormal A @ nu_i,
     # bit for bit.
-    box = EX53.domain
-    topo = _hill(box)
+    box = _hill(EX53.domain)
     weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
     problem = Problem.full(inject(EX53.data), weights)
-    nodes = grid_centers(box, 6, topo=topo)
+    nodes = grid_centers(box, 6)
     r = problem.residual
     policy = FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN, xmin=NO_FLOW_THROUGH)
     neumann, values, conormals = boundary_data(
@@ -171,16 +172,25 @@ def test_boundary_data_oracle_requires_exact():
         boundary_data(FaceBcPolicy.uniform(ORACLE_NEUMANN), m, nodes)
 
 
-def test_descent_direction_zero_case():
+def _zero_solution():
     nodes = grid_centers(EX51.domain, 3)
-    zero_residual = updraft()
-    solution = MultiplierSolution(
+    return MultiplierSolution(
         coeffs=np.zeros(len(nodes)), nodes=nodes, kernel=KernelParams(1.0),
         aniso=None, residual=0.0, residual_norm=0.0, rank=0, kappa=float("nan"),
     )
-    p = descent_direction(zero_residual, solution)
+
+
+def test_descent_direction_zero_case():
+    p = descent_direction(updraft(), _zero_solution())
     rng = np.random.default_rng(5)
     assert np.all(p(rand_pts(rng, 100, EX51.domain)) == 0.0)
+
+
+def test_descent_direction_needs_the_residual_divergence():
+    # p's divergence is -div r + L lambda, so a residual without one has no direction
+    residual = Field3(fn=updraft().fn)
+    with pytest.raises(ContractError, match="^the descent direction needs the residual's divergence$"):
+        descent_direction(residual, _zero_solution())
 
 
 def test_descent_direction_exact_config():
@@ -345,9 +355,9 @@ def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed
     else:  # full observation under an SPD 3x3 S
         problem = Problem.full(inject(case.data), scale @ scale.T + 0.5 * np.eye(3))
     height, extent = box.zmax - box.zmin, min(box.xmax - box.xmin, box.ymax - box.ymin)
-    topo = _hill(box, 0.3 * height, 0.25 * extent) if hill else None
+    box = _hill(box, 0.3 * height, 0.25 * extent) if hill else box
     policy = FaceBcPolicy(*(NO_FLOW_THROUGH if s else FLOW_THROUGH for s in sealed))
-    system = build_system(problem, box, KernelParams(c), n, topo=topo, policy=policy)
+    system = build_system(problem, box, KernelParams(c), n, policy=policy)
     nodes = system.nodes
     matrix = system.matrix.copy()  # the solve consumes the system's
     solution = factorize_and_solve(system)
@@ -495,12 +505,13 @@ def test_grid_too_large_for_memory_fails_before_assembly(run, monkeypatch):
 
 
 def _hill(box, amplitude=2.0, width=3.0):
+    """``box`` with a Gaussian hill of ``amplitude`` and ``width`` over its centre as its terrain."""
     x0, y0 = 0.5 * (box.xmin + box.xmax), 0.5 * (box.ymin + box.ymax)
     bump = lambda x, y: amplitude * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / width**2)
     grad = lambda x, y: np.stack(
         [-2.0 * (x - x0) / width**2 * bump(x, y), -2.0 * (y - y0) / width**2 * bump(x, y)], axis=-1
     )
-    return Topography(height=lambda x, y: box.zmin + bump(x, y), grad=grad)
+    return replace(box, terrain=Topography(height=lambda x, y: box.zmin + bump(x, y), grad=grad))
 
 
 def _ex51_flat(weights=None):
@@ -520,13 +531,13 @@ def _ex51_flat_non_scalar_weight():
 
 def _ex53_sasaki_hill():
     weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
-    topo = _hill(EX53.domain)
-    quad = midpoint_rule(EX53.domain, 8, topo=topo)
+    box = _hill(EX53.domain)
+    quad = midpoint_rule(box, 8)
     result = sasaki(
-        inject(EX53.data), weights, EX53.domain, KernelParams(0.01), 4, topo=topo,
+        inject(EX53.data), weights, box, KernelParams(0.01), 4,
         policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad, exact=EX53.exact,
     )
-    return result, quad, None
+    return result, quad, box
 
 
 @pytest.mark.parametrize(
@@ -536,7 +547,7 @@ def _ex53_sasaki_hill():
 )
 def test_analytic_divergence_matches_fd_oracle(make):
     result, quad, box = make()
-    h = 1e-5 * (box if box is not None else EX53.domain).diameter()
+    h = 1e-5 * box.diameter()
     fd = divergence_fd(result.u_plus, quad.nodes, h, box=box)
     # At this step the oracle's error is roundoff of the field values over h
     # (2e-6 on ex51 at N = 512), which grows with the coefficient size and

@@ -23,6 +23,7 @@ from masscons.collocation import _sci
 from masscons.config import ExperimentConfig, echo_config, parse_config, parse_values
 from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import Quadrature, example_field, midpoint_rule
+from masscons.geometry import BoxDomain, FaceLabel, grid_centers
 from masscons.runner import (
     _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _quadrature, _run_one, _write_csv, _write_fields,
     dump_gram_for_config, run_experiment, sweep, write_reference_comparison,
@@ -122,6 +123,24 @@ def test_direct_construction_equals_parsed_minimal_file(tmp_path, example):
     cfg = parse_config(write_cfg(tmp_path, f"example = {example}\nn = 4\nc = 0.01\n"))
     assert ExperimentConfig(example, (4,), 0.01) == cfg
     assert echo_config(ExperimentConfig(example, (4,), 0.01)) == echo_config(cfg)
+
+
+def test_box_carries_the_configured_terrain():
+    # On a hill config the box's bottom node under the box centre lies on the
+    # hill's top, zmin + hill_amplitude; a flat config's box is the plain box.
+    cfg = ExperimentConfig("ex53", (3,), 0.01, topography="hill", hill_amplitude=1.25)
+    nodes = grid_centers(cfg.box(), 3)
+    centre = (nodes.points[:, 0] == 0.0) & (nodes.points[:, 1] == 0.0) & (nodes.labels == FaceLabel.BOTTOM)
+    assert nodes.points[centre, 2].tolist() == [cfg.domain[4] + 1.25]
+    # the terrain is the config's, so a variant with another shape has the same one
+    pts = np.random.default_rng(3).uniform(-7.0, 7.0, (50, 2))
+    terrains = [replace(cfg, shape=c).box().terrain for c in (0.01, 0.5)]
+    for name in ("height", "grad"):
+        first, second = (getattr(t, name)(pts[:, 0], pts[:, 1]) for t in terrains)
+        np.testing.assert_array_equal(first, second)
+    assert replace(cfg, topography="off").box() == BoxDomain(*cfg.domain)
+    flat = ExperimentConfig("ex51", (3,), 0.01)
+    assert flat.box() == BoxDomain(*flat.domain) and flat.box().terrain is None
 
 
 INF, NAN = float("inf"), float("nan")

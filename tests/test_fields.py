@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from masscons.fields import (
     validate_weights,
 )
 from masscons.collocation import MultiplierSolution
-from masscons.geometry import BoxDomain, classify, grid_centers
+from masscons.geometry import BoxDomain, Topography, classify, grid_centers
 from masscons.kernel import KernelParams
 
 BOX = BoxDomain(-2, 2, -2, 2, 0, 2)
@@ -102,15 +103,13 @@ def test_quadrature_weights_sum_to_volume():
     assert np.all(q.weights > 0)
     assert q.weights.sum() == pytest.approx(32.0, rel=1e-10)
 
-    from masscons.geometry import Topography
-
     height = lambda x, y: 0.25 * np.exp(-(x**2 + y**2))
     topo = Topography(height=height, grad=lambda x, y: -2.0 * np.stack([x, y], axis=-1) * height(x, y)[..., None])
     # terrain-following volume = box volume minus the volume under the hill,
     # the Gaussian's integral over the [-2, 2]^2 footprint
     hill_volume = 0.25 * np.pi * math.erf(2.0) ** 2
     for rule in (midpoint_rule, gauss2_rule):  # 4.8e-6 and 1.2e-7 off
-        assert rule(BOX, 24, topo=topo).weights.sum() == pytest.approx(32.0 - hill_volume, rel=1e-5)
+        assert rule(replace(BOX, terrain=topo), 24).weights.sum() == pytest.approx(32.0 - hill_volume, rel=1e-5)
 
 
 def test_gauss2_weights_are_equal_and_sum_to_the_volume():
@@ -178,6 +177,13 @@ def test_quadrature_cell_volume_must_not_underflow():
             rule(BoxDomain(0, 1e-300, 0, 1e-300, 0, 1e-300), 4)
 
 
+def test_face_rule_rejects_a_terrain():
+    # its bottom cells are flat at zmin, which is not the bottom of a box with a terrain
+    level = Topography(height=lambda x, y: np.full(np.shape(x), 0.5), grad=lambda x, y: np.zeros(np.shape(x) + (2,)))
+    with pytest.raises(ContractError, match="^face_rule integrates flat faces only; the box has a terrain bottom$"):
+        face_rule(replace(BOX, terrain=level), 4)
+
+
 def test_face_rule_measures_area():
     nodes, weights, normals = face_rule(BOX, 32)
     assert weights.sum() == pytest.approx(2 * (4 * 4) + 4 * (4 * 2), rel=1e-12)
@@ -222,6 +228,20 @@ def test_divergence_fd_stencil_must_stay_inside():
         divergence_fd(u, np.array([[0.0, 0.0, 1.0]]), -1e-3)
     # a stencil that touches a face stays inside
     assert divergence_fd(u, np.array([[0.0, 0.0, 1e-3], [2.0 - 1e-3, 0.0, 1.0]]), 1e-3, box=BOX).shape == (2,)
+
+
+def test_divergence_fd_stencil_must_stay_above_the_terrain():
+    # z = 1 + 3 (x - y): at p = (0, 0, 1 + 1.5 h) the point p + h e_x lies 1.5 h
+    # below the terrain, while p +- (h, h, h) and p - h e_z lie above it
+    u, h = example_field("ex51").exact, 1e-3
+    slope = Topography(height=lambda x, y: 1.0 + 3.0 * (x - y), grad=lambda x, y: np.zeros(np.shape(x) + (2,)))
+    box = BoxDomain(-0.1, 0.1, -0.1, 0.1, 0.0, 2.0, terrain=slope)
+    p = np.array([[0.0, 0.0, 1.0 + 1.5 * h]])
+    assert box.contains(np.vstack([p + h, p - h, p - [0.0, 0.0, h]])).all()
+    with pytest.raises(DomainError, match="stencil leaves the domain"):
+        divergence_fd(u, p, h, box=box)
+    assert divergence_fd(u, p, h, box=replace(box, terrain=None)).shape == (1,)
+    assert divergence_fd(u, p + [0.0, 0.0, 3.0 * h], h, box=box).shape == (1,)
 
 
 def test_example_fields_are_divergence_free():

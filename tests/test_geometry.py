@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def test_nan_boundary_normals_raise():
     # a terrain slope of NaN gives NaN bottom normals, which are not unit vectors
     flat = Topography(height=lambda x, y: np.zeros_like(x), grad=lambda x, y: np.full(np.shape(x) + (2,), np.nan))
     with pytest.raises(DomainError, match="unit vectors"):
-        grid_centers(BOX, 3, topo=flat)
+        grid_centers(replace(BOX, terrain=flat), 3)
 
 
 def test_node_set_rejects_arrays_of_other_lengths():
@@ -108,7 +110,7 @@ def test_classify_outside_raises():
         ([-inf, 0.5, 0.5], None),
     ):
         with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
-            classify(np.array([[0.3, -0.7, 1.1], point]), BOX, topo=topo)
+            classify(np.array([[0.3, -0.7, 1.1], point]), replace(BOX, terrain=topo))
     with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
         classify(np.array([[nan, 0.5, 0.5]]), BoxDomain(0, 1, 0, 1, 0, 1))
 
@@ -128,11 +130,26 @@ def test_classify_agrees_with_face_rule():
         with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
             classify(nodes[i : i + 1] + 2 * BOX.face_tol * normals[i], BOX)
     # and so is a point just below the terrain, though inside the box
-    topo = hill()
-    below = np.array([[0.0, 0.0, topo.height(0.0, 0.0) - 2 * BOX.face_tol]])
+    box = replace(BOX, terrain=hill())
+    below = np.array([[0.0, 0.0, box.terrain.height(0.0, 0.0) - 2 * BOX.face_tol]])
     with pytest.raises(DomainError, match=r"^1 point\(s\) outside the closed domain"):
-        classify(below, BOX, topo=topo)
-    assert classify(below + [0.0, 0.0, 2 * BOX.face_tol], BOX, topo=topo)[0].tolist() == [FaceLabel.BOTTOM]
+        classify(below, box)
+    assert classify(below + [0.0, 0.0, 2 * BOX.face_tol], box)[0].tolist() == [FaceLabel.BOTTOM]
+
+
+def test_contains_sees_the_terrain():
+    # On a hill box a point more than face_tol below the terrain is outside,
+    # though inside the flat box, and one within face_tol below it is inside.
+    box = replace(BOX, terrain=hill())
+    top = box.terrain.height(0.0, 0.0)
+    pts = np.array([[0.0, 0.0, top - 2 * BOX.face_tol], [0.0, 0.0, top - 0.5 * BOX.face_tol], [0.0, 0.0, top]])
+    assert box.contains(pts).tolist() == [False, True, True]
+    assert BOX.contains(pts).all()
+    # elsewhere the domain is the flat box cut at the terrain
+    sample = np.random.default_rng(4).uniform(BOX.lo - 0.1, BOX.hi + 0.1, (200, 3))
+    above = sample[:, 2] >= box.terrain.height(sample[:, 0], sample[:, 1])
+    assert (BOX.contains(sample) & ~above).any()
+    np.testing.assert_array_equal(box.contains(sample), BOX.contains(sample) & above)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -146,12 +163,12 @@ def test_tiny_box_keeps_its_interior(n):
 
 
 def test_normals_point_outward():
-    for topo in (None, hill()):
-        nodes = grid_centers(BOX, 6, topo=topo)
-        step = 1e-6 * BOX.diameter()
+    for box in (BOX, replace(BOX, terrain=hill())):
+        nodes = grid_centers(box, 6)
+        step = 1e-6 * box.diameter()
         outside = nodes.points[nodes.boundary] + step * nodes.normals[nodes.boundary]
         with pytest.raises(DomainError, match=rf"^{len(nodes.boundary)} point\(s\) outside"):
-            classify(outside, BOX, topo=topo)
+            classify(outside, box)
         norms = np.linalg.norm(nodes.normals[nodes.boundary], axis=1)
         assert np.abs(norms - 1).max() <= 1e-12
         assert np.all(np.isnan(nodes.normals[nodes.interior]))
@@ -159,7 +176,7 @@ def test_normals_point_outward():
 
 def test_terrain_following_grid():
     topo = hill()
-    nodes = grid_centers(BOX, 5, topo=topo)
+    nodes = grid_centers(replace(BOX, terrain=topo), 5)
     assert len(nodes) == 125
     bottom = nodes.points[nodes.labels == FaceLabel.BOTTOM]
     np.testing.assert_allclose(
@@ -184,7 +201,7 @@ def test_terrain_following_grid():
     cell = float(np.prod((box.hi - box.lo) / 6))
     for make in (grid_centers, midpoint_rule, gauss2_rule):
         m = 5 if make is grid_centers else 6
-        mapped, flat = make(box, m, topo=topo), make(box, m)
+        mapped, flat = make(replace(box, terrain=topo), m), make(box, m)
         pts, flat_pts = (mapped.points, flat.points) if make is grid_centers else (mapped.nodes, flat.nodes)
         np.testing.assert_array_equal(pts[:, :2], flat_pts[:, :2])
         zb = topo.height(pts[:, 0], pts[:, 1])
@@ -199,10 +216,10 @@ def test_terrain_must_stay_below_top():
 
     for make in (grid_centers, midpoint_rule, gauss2_rule):
         with pytest.raises(DomainError, match="terrain height reaches or exceeds the top of the box"):
-            make(BOX, 4, topo=level(2.5))
+            make(replace(BOX, terrain=level(2.5)), 4)
         # a terrain height of NaN or inf is not below the top either
         for z in (np.nan, np.inf, -np.inf):
             with pytest.raises(DomainError, match="terrain height is not finite"):
-                make(BOX, 4, topo=level(z))
+                make(replace(BOX, terrain=level(z)), 4)
     with pytest.raises(DomainError, match="terrain height is not finite"):
-        classify(np.array([[0.5, 0.5, 0.5]]), BOX, topo=level(np.nan))
+        classify(np.array([[0.5, 0.5, 0.5]]), replace(BOX, terrain=level(np.nan)))

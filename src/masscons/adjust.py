@@ -1,16 +1,17 @@
 """Divergence-free adjustment of a 3D field by a line search.
 
-One pipeline serves two problems. A :class:`Problem` is the residual field
-r = r(u_c) at the base u_c, the observed width k (the order of the weight
-matrix S) and a 3x3 metric G:
+One pipeline serves two problems. A :class:`Problem` states the whole
+constrained problem: the residual field r = r(u_c) at the base u_c, the
+observed width k (the order of the weight matrix S), a 3x3 metric G, and
+the box (with its terrain) and face policy of the constraint:
 
   horizontal data   r = M* ( S (M u_c - data) ),  k = 2, G = I,
   full observation  r = u_c - initial,             k = 3, G = S.
 
-Both searches start from a constant updraft u_c = (0, 0, w_b): the
-horizontal one from the w_b it is given (zero by default), a modelling input
-the data cannot see, and the full-observation one from zero. Neither
-observes anything of u_c, so r is built once, with the problem. The line
+The problem also holds its base, the updraft u_c = (0, 0, w_b): w_b is
+given to the horizontal problem (zero by default), a modelling input the
+data cannot see, and is zero for full observation. Neither observes
+anything of u_c, so r and div r are settled once, with the problem. The line
 search about u_c is one straight pass with one multiplier system and one solve:
 
   1. residual    r, the problem's,
@@ -29,11 +30,12 @@ u_plus = initial + S^-1 grad lambda: :func:`sasaki` is :func:`adjust_full`
 at its defaults.
 
 The line search and the diagnostics need p at the quadrature nodes (by
-default :func:`~masscons.fields.gauss2_rule`'s); one
-multiplier jet there gives both its values and its divergence
-div p = -div r + L lambda (L the multiplier's interior operator, analytic).
-div r is the function the system's right-hand side uses, :func:`poisson_rhs`:
-analytic, or central differences of r where r has none (a non-scalar 2x2 S).
+default :func:`~masscons.fields.gauss2_rule`'s), which must lie in the
+problem's box; one multiplier jet there gives both its values and its
+divergence div p = -div r + L lambda (L the multiplier's interior operator,
+analytic). div r is the one the problem settles through :func:`poisson_rhs`,
+which the system's right-hand side also uses: analytic, or central
+differences of r where r has none (a non-scalar 2x2 S).
 The divergence of u_plus is t div p, so ``div_mean``/``div_max`` and the node
 arrays on the result cost no further kernel sums. ``rel_error`` and
 ``div_mean`` are quadrature-weighted (an L2 ratio and a mean over the volume);
@@ -53,7 +55,7 @@ turns them into a Neumann mask, values and conormals per boundary node:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -151,13 +153,17 @@ class FaceBcPolicy:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """What the line search observes, and in which geometry.
+    """The constrained problem: what the line search observes, where, and from which base.
 
-    ``residual`` is r(u_c) at the line search's base u_c, whose first k =
-    len(weights) components, compared with ``observed`` under the k x k
-    weights S, are zero. ``metric`` is the 3x3 G of the multiplier operator
-    div(G^-1 grad .) and of the closed-form step numerator <G p, p>.
-    ``name`` labels the observed values in error messages.
+    ``residual`` is r(u_c) at the line search's base u_c = ``base``, whose
+    first k = len(weights) components, compared with ``observed`` under the
+    k x k weights S, are zero; it carries the divergence :func:`poisson_rhs`
+    gives it. ``metric`` is the 3x3 G of the multiplier operator
+    div(G^-1 grad .) and of the closed-form step numerator <G p, p>, and
+    ``aniso`` is G^-1, or None for the plain Laplacian. ``box`` is the domain
+    with its terrain and ``policy`` the condition on each of its faces, which
+    the constructors default to flow-through on every face. ``name`` labels
+    the observed values in error messages.
     """
 
     residual: Field3
@@ -165,23 +171,30 @@ class Problem:
     weights: np.ndarray
     metric: np.ndarray
     name: str
+    box: BoxDomain
+    policy: FaceBcPolicy
+    base: Field3
+    aniso: np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "residual", Field3(self.residual.fn, poisson_rhs(self.residual, self.box)))
+        isotropic = np.array_equal(self.metric, np.eye(3))
+        object.__setattr__(self, "aniso", None if isotropic else np.linalg.inv(self.metric))
 
     @classmethod
-    def horizontal(cls, data: Field2, weights=None) -> "Problem":
-        """Horizontal data: r = M* ( S (M u_c - data) ), k = 2, G = I."""
+    def horizontal(
+        cls, data: Field2, box: BoxDomain, weights=None, *, w_b: float = 0.0, policy: FaceBcPolicy | None = None
+    ) -> "Problem":
+        """Horizontal data about u_c = (0, 0, w_b): r = M* ( S (M u_c - data) ), k = 2, G = I."""
         w = validate_weights(weights if weights is not None else np.eye(2), 2)
-        return cls(misfit(data, w), data, w, np.eye(3), "data")
+        return cls(misfit(data, w), data, w, np.eye(3), "data", box, policy or FaceBcPolicy(), updraft(w_b))
 
     @classmethod
-    def full(cls, initial: Field3, weights) -> "Problem":
-        """Full observation from zero: r = 0 - initial, k = 3, G = S."""
+    def full(cls, initial: Field3, box: BoxDomain, weights, *, policy: FaceBcPolicy | None = None) -> "Problem":
+        """Full observation from u_c = 0: r = u_c - initial, k = 3, G = S."""
         w = validate_weights(weights, 3)
-        return cls(add_scaled(updraft(), -1.0, initial), initial, w, w, "initial")
-
-    @property
-    def aniso(self) -> np.ndarray | None:
-        """G^-1, the multiplier's operator matrix; None for the plain Laplacian."""
-        return None if np.array_equal(self.metric, np.eye(3)) else np.linalg.inv(self.metric)
+        base = updraft()
+        return cls(add_scaled(base, -1.0, initial), initial, w, w, "initial", box, policy or FaceBcPolicy(), base)
 
 
 @dataclass(frozen=True)
@@ -248,41 +261,36 @@ def poisson_rhs(residual_field: Field3, box: BoxDomain):
 
 
 def boundary_data(
-    policy: FaceBcPolicy,
-    residual_field: Field3,
-    nodes: NodeSet,
-    exact: Field3 | None = None,
-    w_b: float = 0.0,
-    aniso: np.ndarray | None = None,
+    problem: Problem, nodes: NodeSet, exact: Field3 | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary rows realizing the face policies, aligned with ``nodes.boundary``.
+    """Boundary rows realizing the problem's face policy, aligned with ``nodes.boundary``.
 
     Returns the Neumann mask, the values and the conormals that
     :func:`~masscons.collocation.assemble` takes. flow-through pins lambda to
     zero. no-flow-through prescribes (A grad lambda) . nu = r . nu, collocated
-    as grad lambda . (A nu) with A = ``aniso`` (the identity when None), so the
-    direction's normal component vanishes. oracle-neumann prescribes the flux
-    (exact - u_c + r) . nu, which turns the direction into the exact
-    correction; u_c is the updraft (0, 0, ``w_b``). The conormal is nu, or
-    A nu, on every row.
+    as grad lambda . (A nu) with A = ``problem.aniso`` (the identity when
+    None), so the direction's normal component vanishes. oracle-neumann
+    prescribes the flux (exact - u_c + r) . nu about the problem's base u_c,
+    which turns the direction into the exact correction. The conormal is nu,
+    or A nu, on every row.
     """
     idx = nodes.boundary
     pts = nodes.points[idx]
     normals = nodes.normals[idx]
-    neumann = np.isin(nodes.labels[idx], policy.faces(NO_FLOW_THROUGH, ORACLE_NEUMANN))
-    oracle = np.isin(nodes.labels[idx], policy.faces(ORACLE_NEUMANN))
+    neumann = np.isin(nodes.labels[idx], problem.policy.faces(NO_FLOW_THROUGH, ORACLE_NEUMANN))
+    oracle = np.isin(nodes.labels[idx], problem.policy.faces(ORACLE_NEUMANN))
 
-    flux = residual_field(pts)
+    flux = problem.residual(pts)
     if oracle.any():
         if exact is None:
             raise ContractError("oracle-neumann boundary data requires the exact field")
-        oracle_vals = exact(pts) - updraft(w_b)(pts) + flux
+        oracle_vals = exact(pts) - problem.base(pts) + flux
         flux = np.where(oracle[:, None], oracle_vals, flux)
 
     # Batched matmul gives each row the bits of its own 3-vector product.
     values = np.zeros(len(idx))
     values[neumann] = np.matmul(flux[neumann][:, None, :], normals[neumann][:, :, None])[:, 0, 0]
-    conormals = normals if aniso is None else np.matmul(aniso, normals[:, :, None])[:, :, 0]
+    conormals = normals if problem.aniso is None else np.matmul(problem.aniso, normals[:, :, None])[:, :, 0]
 
     if len(idx) and neumann.all():
         log.warning(
@@ -292,38 +300,25 @@ def boundary_data(
     return neumann, values, conormals
 
 
-def build_system(
-    problem: Problem,
-    box: BoxDomain,
-    kernel: KernelParams,
-    n_per_axis: int,
-    *,
-    policy: FaceBcPolicy | None = None,
-    exact: Field3 | None = None,
-    w_b: float = 0.0,
-) -> GramSystem:
-    """The multiplier system of ``problem`` on the n^3 centres of :func:`grid_centers`, unsolved.
+def build_system(problem: Problem, kernel: KernelParams, n_per_axis: int, *, exact: Field3 | None = None) -> GramSystem:
+    """The multiplier system of ``problem`` on the n^3 centres :func:`grid_centers` places in its box, unsolved.
 
     The line search and dump-gram both build a row's system here. A grid
     whose dense solve would not fit in physical memory raises DomainError
-    before its nodes are built. ``policy`` defaults to flow-through on every
-    face. ``exact`` is required by oracle-neumann faces, whose flux also
-    reads the base updraft ``w_b``. A right-hand side that is not finite
-    raises DomainError.
+    before its nodes are built. ``exact`` is required by oracle-neumann
+    faces. A right-hand side that is not finite raises DomainError.
     """
     n = n_per_axis**3
     _require_memory(f"a grid of {n} nodes", _SOLVE_BYTES_PER_PAIR * n * n, "the dense solve")
-    nodes = grid_centers(box, n_per_axis)
-    policy = policy if policy is not None else FaceBcPolicy.uniform(FLOW_THROUGH)
-    aniso = problem.aniso
+    nodes = grid_centers(problem.box, n_per_axis)
     # Data that overflow give a right-hand side of inf or NaN, which fails below
     # by name, so the data are evaluated quietly: the boundary rows here, the
     # source where assemble calls it. The matrix's kernel arithmetic keeps its
     # warnings, because no finiteness check follows it.
     quiet = np.errstate(over="ignore", invalid="ignore")
     with quiet:
-        rows = boundary_data(policy, problem.residual, nodes, exact=exact, w_b=w_b, aniso=aniso)
-    system = assemble(nodes, kernel, *rows, quiet(poisson_rhs(problem.residual, box)), aniso=aniso)
+        rows = boundary_data(problem, nodes, exact=exact)
+    system = assemble(nodes, kernel, *rows, quiet(problem.residual.div), aniso=problem.aniso)
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
     return system
@@ -340,8 +335,8 @@ def _direction_jet(residual_field: Field3, solution: MultiplierSolution, pts: np
 def descent_direction(residual_field: Field3, solution: MultiplierSolution) -> Field3:
     """Steepest-descent direction p = -r + A grad lambda (A the identity when isotropic).
 
-    r must carry its divergence; the line search gives it the one
-    :func:`poisson_rhs` returns. The divergence of p, -div r + L lambda,
+    r must carry its divergence, as a :class:`Problem`'s residual carries the
+    one :func:`poisson_rhs` gives it. The divergence of p, -div r + L lambda,
     vanishes at the collocation nodes up to the linear-solve residual.
     """
     if residual_field.div is None:
@@ -393,43 +388,43 @@ def _relative_error(vals_uplus: np.ndarray, exact: Field3 | None, nodes: np.ndar
 
 def _line_search(
     problem: Problem,
-    w_b: float,
-    domain: BoxDomain,
     kernel: KernelParams,
     n_per_axis: int,
     *,
-    policy: FaceBcPolicy | None,
     formula: str,
     quad: Quadrature | None,
     trunc_tol: float,
     exact: Field3 | None,
 ) -> AdjustmentResult:
-    """The line search of ``problem`` from the updraft u_c = (0, 0, w_b).
+    """The line search of ``problem`` from its base u_c.
 
-    A step that ends with a larger objective than it started from raises
+    A quadrature node outside the problem's box raises DomainError. A step
+    that ends with a larger objective than it started from raises
     NonDescentError; a metric that is not finite (``rel_error`` only when
     ``exact`` is given) raises DomainError naming it.
     """
     if formula not in FORMULAS:
         raise ContractError(f"unknown step formula {formula!r}")
-    quad = quad if quad is not None else gauss2_rule(domain)
+    quad = quad if quad is not None else gauss2_rule(problem.box)
+    outside = ~problem.box.contains(quad.nodes)
+    if outside.any():
+        raise DomainError(f"{int(outside.sum())} quadrature node(s) outside the problem's box")
     w, k, qw = problem.weights, len(problem.weights), quad.weights
 
     # Values that overflow fail here by name.
     with np.errstate(over="ignore", invalid="ignore"):
         vals_obs = problem.observed(quad.nodes)
-        vals_uc = updraft(w_b)(quad.nodes)
+        vals_uc = problem.base(quad.nodes)
     _require_finite(f"{problem.name} values", vals_obs)
     _require_finite("base field values", vals_uc)
     objective = lambda d: 0.5 * _weighted_sum(d, w, d, qw)  # J of the observed misfit d = M u - observed
     d = vals_uc[:, :k] - vals_obs
     j_before = objective(d)
 
-    system = build_system(problem, domain, kernel, n_per_axis, policy=policy, exact=exact, w_b=w_b)
+    system = build_system(problem, kernel, n_per_axis, exact=exact)
     solution = factorize_and_solve(system, trunc_tol=trunc_tol)
-    r = Field3(fn=problem.residual.fn, div=poisson_rhs(problem.residual, domain))
-    p = descent_direction(r, solution)
-    vals_p, div_p = _direction_jet(r, solution, quad.nodes)
+    p = descent_direction(problem.residual, solution)
+    vals_p, div_p = _direction_jet(problem.residual, solution, quad.nodes)
     t = _step(vals_p, d, w, problem.metric, qw, formula)
     vals_uc = vals_uc + t * vals_p
     div = 0.0 + t * div_p
@@ -454,8 +449,8 @@ def _line_search(
         if not np.isfinite(value) and (exact is not None or name != "rel_error"):
             raise DomainError(f"{name} is not finite ({value})")
     return AdjustmentResult(
-        t_c=t, p=p, u_plus=add_scaled(updraft(w_b), t, p), multiplier=solution, metrics=Metrics(**values),
-        node_values=vals_uc, node_div=div, oracle_bc=policy is not None and bool(policy.faces(ORACLE_NEUMANN)),
+        t_c=t, p=p, u_plus=add_scaled(problem.base, t, p), multiplier=solution, metrics=Metrics(**values),
+        node_values=vals_uc, node_div=div, oracle_bc=bool(problem.policy.faces(ORACLE_NEUMANN)),
     )
 
 
@@ -479,8 +474,8 @@ def adjust(
     relative error metric and is required by oracle-neumann faces.
     """
     return _line_search(
-        Problem.horizontal(data, weights), w_b, domain, kernel, n_per_axis,
-        policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
+        Problem.horizontal(data, domain, weights, w_b=w_b, policy=policy), kernel, n_per_axis,
+        formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 
 
@@ -505,8 +500,8 @@ def adjust_full(
     length is exactly one, so u_plus = initial + S^-1 grad lambda.
     """
     return _line_search(
-        Problem.full(initial, weights), 0.0, domain, kernel, n_per_axis,
-        policy=policy, formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
+        Problem.full(initial, domain, weights, policy=policy), kernel, n_per_axis,
+        formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
     )
 
 

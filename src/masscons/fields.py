@@ -159,14 +159,20 @@ def _require_memory(what: str, need: int, use: str) -> None:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Evaluation nodes and positive weights for volume integrals."""
+    """Finite (m, 3) evaluation nodes and finite positive (m,) weights for volume integrals."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.nodes) != len(self.weights):
+        if np.ndim(self.nodes) != 2 or np.shape(self.nodes)[1] != 3:
+            raise ContractError(f"quadrature nodes must have shape (m, 3), got {np.shape(self.nodes)}")
+        if np.shape(self.weights) != (len(self.nodes),):
             raise ContractError("quadrature nodes and weights must have equal length")
+        if not np.all(np.isfinite(self.nodes)):
+            raise ContractError("quadrature nodes must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ContractError("quadrature weights must be finite")
         if np.any(self.weights <= 0):
             raise ContractError("quadrature weights must be positive")
 
@@ -257,8 +263,8 @@ def divergence_fd(u: Field3, pts, h: float, box: BoxDomain | None = None):
     When ``box`` is given, every stencil point must lie in its closed domain (``box.contains``).
     """
     p = as_points(pts)
-    if h <= 0:
-        raise DomainError("finite-difference step must be positive")
+    if not 0 < h < np.inf:
+        raise DomainError(f"finite-difference step must be positive and finite, got {h}")
     steps = h * np.eye(3)
     # each of the six points: over a terrain, p +- (h, h, h) can lie inside while p + h e_x does not
     if box is not None and not all(box.contains(p + step).all() and box.contains(p - step).all() for step in steps):

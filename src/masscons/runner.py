@@ -442,15 +442,14 @@ def dump_gram_for_config(
     """
     out = _prepare_out(cfg, out_override)
     case = example_field(cfg.example, eps=cfg.eps)
-    box = cfg.box()
-    w = cfg.weight_matrix()
-    problem = Problem.full(inject(case.data), w) if cfg.sasaki_mode else Problem.horizontal(case.data, w)
+    box, w, policy = cfg.box(), cfg.weight_matrix(), _face_policy(cfg)
+    if cfg.sasaki_mode:
+        problem = Problem.full(inject(case.data), box, w, policy=policy)
+    else:
+        problem = Problem.horizontal(case.data, box, w, w_b=cfg.base_updraft, policy=policy)
     paths = []
     for n in cfg.grid_sizes:
-        system = build_system(
-            problem, box, KernelParams(cfg.shape), n, policy=_face_policy(cfg), exact=case.exact,
-            w_b=cfg.base_updraft,
-        )
+        system = build_system(problem, KernelParams(cfg.shape), n, exact=case.exact)
         path = os.path.join(out, f"gram_N{n**3}.txt")
         dump_gram(system, path)
         del system  # freed before the next grid size is assembled

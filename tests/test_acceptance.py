@@ -166,10 +166,8 @@ def _interior_pde_residual(cfg, n):
         bottom=cfg.bc_bottom, top=cfg.bc_top, xmin=cfg.bc_xmin,
         xmax=cfg.bc_xmax, ymin=cfg.bc_ymin, ymax=cfg.bc_ymax,
     )
-    problem = Problem.horizontal(case.data, cfg.weight_matrix())
-    system = build_system(
-        problem, cfg.box(), KernelParams(cfg.shape), n, policy=policy, exact=case.exact, w_b=cfg.base_updraft
-    )
+    problem = Problem.horizontal(case.data, cfg.box(), cfg.weight_matrix(), w_b=cfg.base_updraft, policy=policy)
+    system = build_system(problem, KernelParams(cfg.shape), n, exact=case.exact)
     nodes = system.nodes
     solution = factorize_and_solve(system, trunc_tol=cfg.trunc_tol)
     interior = nodes.interior

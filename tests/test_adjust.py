@@ -31,6 +31,7 @@ from masscons.errors import ContractError, DegenerateDirectionError, DomainError
 from masscons.fields import (
     Field2,
     Field3,
+    Quadrature,
     divergence_fd,
     example_field,
     inject,
@@ -90,8 +91,8 @@ def test_boundary_data_policies(caplog):
     nodes = grid_centers(EX51.domain, 3)
     boundary = nodes.boundary
     labels = nodes.labels[boundary]
-    m = misfit(EX51.data, np.eye(2))
-    neumann, values, conormals = boundary_data(FaceBcPolicy(bottom=NO_FLOW_THROUGH), m, nodes)
+    ex51 = lambda policy: Problem.horizontal(EX51.data, EX51.domain, policy=policy)
+    neumann, values, conormals = boundary_data(ex51(FaceBcPolicy(bottom=NO_FLOW_THROUGH)), nodes)
     assert neumann.dtype == bool and values.shape == neumann.shape == (len(boundary),)
     np.testing.assert_array_equal(neumann, labels == FaceLabel.BOTTOM)
     # flat ground annihilates the horizontal misfit (g = 0); flow-through rows hold 0
@@ -100,27 +101,23 @@ def test_boundary_data_policies(caplog):
 
     # vertical normal annihilates horizontal misfit on the top face
     nodes52 = grid_centers(EX52.domain, 3)
-    m52 = misfit(EX52.data, np.eye(2))
-    neumann52, values52, _ = boundary_data(CRIT3_POLICY, m52, nodes52)
+    neumann52, values52, _ = boundary_data(Problem.horizontal(EX52.data, EX52.domain, policy=CRIT3_POLICY), nodes52)
     sealed = np.isin(nodes52.labels[nodes52.boundary], (FaceLabel.TOP, FaceLabel.BOTTOM))
     np.testing.assert_array_equal(neumann52, sealed)
     assert np.all(values52 == 0.0)
 
     with caplog.at_level(logging.WARNING):
-        boundary_data(FaceBcPolicy.uniform(NO_FLOW_THROUGH), m, nodes)
+        boundary_data(ex51(FaceBcPolicy.uniform(NO_FLOW_THROUGH)), nodes)
     assert any("Neumann" in record.message for record in caplog.records)
 
     # full observation with 3x3 weights S: every row carries the conormal
     # S^-1 nu, and oracle rows the flux (exact - initial) . nu about a zero base
     weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
     initial = inject(EX53.data)
-    problem = Problem.full(initial, weights)
+    problem = Problem.full(initial, EX53.domain, weights, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN))
     nodes53 = grid_centers(EX53.domain, 3)
     r = problem.residual
-    neumann53, values53, conormals53 = boundary_data(
-        FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN), r, nodes53,
-        exact=EX53.exact, aniso=problem.aniso,
-    )
+    neumann53, values53, conormals53 = boundary_data(problem, nodes53, exact=EX53.exact)
     pts = nodes53.points[nodes53.boundary]
     normals = nodes53.normals[nodes53.boundary]
     r_vals, oracle_vals = r(pts), EX53.exact(pts) - initial(pts)
@@ -135,41 +132,44 @@ def test_boundary_data_policies(caplog):
 
 
 def test_boundary_data_matches_per_node_reference_bitwise():
-    # Hill terrain, anisotropic S and an oracle face about an updraft: every
-    # Neumann value is the row's own flux @ nu_i and every conormal A @ nu_i,
-    # bit for bit.
+    # Hill terrain and an oracle face, about each problem's own base: an
+    # updraft under horizontal data, zero under full observation with an
+    # anisotropic S. Every Neumann value is the row's own flux @ nu_i and
+    # every conormal A @ nu_i (nu_i when isotropic), bit for bit.
     box = _hill(EX53.domain)
-    weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
-    problem = Problem.full(inject(EX53.data), weights)
-    nodes = grid_centers(box, 6)
-    r = problem.residual
     policy = FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN, xmin=NO_FLOW_THROUGH)
-    neumann, values, conormals = boundary_data(
-        policy, r, nodes, exact=EX53.exact, w_b=0.3, aniso=problem.aniso
-    )
-    a = problem.aniso
+    weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
+    cases = [
+        (Problem.horizontal(EX53.data, box, w_b=0.3, policy=policy), updraft(0.3)),
+        (Problem.full(inject(EX53.data), box, weights, policy=policy), updraft()),
+    ]
+    nodes = grid_centers(box, 6)
     pts = nodes.points[nodes.boundary]
-    r_vals = r(pts)
-    oracle_vals = EX53.exact(pts) - updraft(0.3)(pts) + r_vals
-    for row, i in enumerate(nodes.boundary):
-        nu, kind = nodes.normals[i], getattr(policy, FaceLabel(nodes.labels[i]).name.lower())
-        assert conormals[row].tobytes() == (a @ nu).tobytes()
-        assert neumann[row] == (kind != FLOW_THROUGH)
-        if kind == FLOW_THROUGH:
-            assert values[row] == 0.0
-            continue
-        flux = r_vals if kind == NO_FLOW_THROUGH else oracle_vals
-        assert values[row].tobytes() == np.float64(float(flux[row] @ nu)).tobytes()
-    assert {FaceLabel(label) for label in nodes.labels[nodes.boundary][neumann]} == {
-        FaceLabel.BOTTOM, FaceLabel.TOP, FaceLabel.XMIN
-    }
+    for problem, base in cases:
+        neumann, values, conormals = boundary_data(problem, nodes, exact=EX53.exact)
+        r_vals = problem.residual(pts)
+        oracle_vals = EX53.exact(pts) - base(pts) + r_vals
+        for row, i in enumerate(nodes.boundary):
+            nu, kind = nodes.normals[i], getattr(policy, FaceLabel(nodes.labels[i]).name.lower())
+            conormal = nu if problem.aniso is None else problem.aniso @ nu
+            assert conormals[row].tobytes() == conormal.tobytes()
+            assert neumann[row] == (kind != FLOW_THROUGH)
+            if kind == FLOW_THROUGH:
+                assert values[row] == 0.0
+                continue
+            flux = r_vals if kind == NO_FLOW_THROUGH else oracle_vals
+            assert values[row].tobytes() == np.float64(float(flux[row] @ nu)).tobytes()
+        assert {FaceLabel(label) for label in nodes.labels[nodes.boundary][neumann]} == {
+            FaceLabel.BOTTOM, FaceLabel.TOP, FaceLabel.XMIN
+        }
+    assert cases[0][0].aniso is None
+    np.testing.assert_array_equal(cases[1][0].aniso, np.linalg.inv(weights))
 
 
 def test_boundary_data_oracle_requires_exact():
     nodes = grid_centers(EX51.domain, 3)
-    m = misfit(EX51.data, np.eye(2))
     with pytest.raises(ContractError):
-        boundary_data(FaceBcPolicy.uniform(ORACLE_NEUMANN), m, nodes)
+        boundary_data(Problem.horizontal(EX51.data, EX51.domain, policy=FaceBcPolicy.uniform(ORACLE_NEUMANN)), nodes)
 
 
 def _zero_solution():
@@ -350,14 +350,14 @@ def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed
     # nodes and lambda at the Dirichlet nodes are the rows of G beta - b.
     case = EX51 if example == "ex51" else EX53
     box = case.domain
-    if np.ndim(scale) == 0:  # horizontal data under a scalar 2x2 S
-        problem = Problem.horizontal(case.data, scale * np.eye(2))
-    else:  # full observation under an SPD 3x3 S
-        problem = Problem.full(inject(case.data), scale @ scale.T + 0.5 * np.eye(3))
     height, extent = box.zmax - box.zmin, min(box.xmax - box.xmin, box.ymax - box.ymin)
     box = _hill(box, 0.3 * height, 0.25 * extent) if hill else box
     policy = FaceBcPolicy(*(NO_FLOW_THROUGH if s else FLOW_THROUGH for s in sealed))
-    system = build_system(problem, box, KernelParams(c), n, policy=policy)
+    if np.ndim(scale) == 0:  # horizontal data under a scalar 2x2 S
+        problem = Problem.horizontal(case.data, box, scale * np.eye(2), policy=policy)
+    else:  # full observation under an SPD 3x3 S
+        problem = Problem.full(inject(case.data), box, scale @ scale.T + 0.5 * np.eye(3), policy=policy)
+    system = build_system(problem, KernelParams(c), n)
     nodes = system.nodes
     matrix = system.matrix.copy()  # the solve consumes the system's
     solution = factorize_and_solve(system)
@@ -385,8 +385,8 @@ def test_sasaki_identity_weights_match_full_adjust_bitwise():
     initial = inject(EX51.data)
     kp = KernelParams(0.5)
     a = sasaki(initial, np.eye(3), cube, kp, 4, quad=quad, exact=EX51.exact)
-    problem = Problem.full(initial, np.eye(3))
-    system = build_system(problem, cube, kp, 4)
+    problem = Problem.full(initial, cube, np.eye(3))
+    system = build_system(problem, kp, 4)
     solution = factorize_and_solve(system)
     assert a.t_c == 1.0 and a.multiplier.aniso is None
     assert np.array_equal(a.multiplier.coeffs, solution.coeffs)
@@ -616,3 +616,13 @@ _CONST_INF = Field2(fn=lambda p: np.full((len(p), 2), np.inf))
 def test_non_finite_input_raises_domain_error(run, match):
     with pytest.raises(DomainError, match=match):
         run(midpoint_rule(EX51.domain, 6))
+
+
+def test_quadrature_node_outside_the_box_raises_domain_error():
+    # The data and the direction evaluate anywhere, so a node at x = 100 on a
+    # box of -2 <= x <= 2 would otherwise give a row that reads as a success.
+    quad = midpoint_rule(EX51.domain, 6)
+    nodes = quad.nodes.copy()
+    nodes[0, 0] = 100.0
+    with pytest.raises(DomainError, match=r"^1 quadrature node\(s\) outside the problem's box$"):
+        adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, quad=Quadrature(nodes, quad.weights), exact=EX51.exact)

@@ -82,7 +82,7 @@ def test_identity_anisotropy_reproduces_isotropic_rows():
     # Identity weights never reach the anisotropic operator: Problem.aniso is
     # None for them. Passed explicitly, the identity's closed-form rows are
     # the Laplacian rows up to roundoff.
-    assert Problem.full(updraft(), np.eye(3)).aniso is None
+    assert Problem.full(updraft(), CUBE, np.eye(3)).aniso is None
     nodes = grid_centers(CUBE, 4)
     iso = assemble(nodes, KernelParams(0.7), *dirichlet_all(nodes), ZERO_F)
     aniso = assemble(nodes, KernelParams(0.7), *dirichlet_all(nodes), ZERO_F, aniso=np.eye(3))
@@ -331,10 +331,10 @@ def ex53_system(n, c):
     """The multiplier system of configs/ex53.cfg (sealed bottom, open elsewhere) at n^3 nodes and shape c."""
     cfg = parse_config(str(Path(__file__).resolve().parents[1] / "configs" / "ex53.cfg"))
     case = example_field(cfg.example, eps=cfg.eps)
-    problem = Problem.horizontal(case.data, cfg.weight_matrix())
-    return build_system(
-        problem, cfg.box(), KernelParams(c), n, policy=_face_policy(cfg), exact=case.exact, w_b=cfg.base_updraft
+    problem = Problem.horizontal(
+        case.data, cfg.box(), cfg.weight_matrix(), w_b=cfg.base_updraft, policy=_face_policy(cfg)
     )
+    return build_system(problem, KernelParams(c), n, exact=case.exact)
 
 
 # The same check on ex53, whose sheared vortex gives a multiplier that is not

@@ -1028,9 +1028,9 @@ def test_sweep_shape_kappa_monotone(tmp_path):
     from masscons.kernel import KernelParams
 
     case = example_field("ex51")
-    problem = Problem.horizontal(case.data)
+    problem = Problem.horizontal(case.data, case.domain, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH))
     for value, row in zip(values, rows):
-        system = build_system(problem, case.domain, KernelParams(value), 5, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH))
+        system = build_system(problem, KernelParams(value), 5)
         assert factorize_and_solve(system).kappa == pytest.approx(row.kappa, rel=1e-10)
 
 
@@ -1203,7 +1203,8 @@ def test_cli_dump_gram(tmp_path):
 @pytest.mark.parametrize(
     "text",
     [
-        "example = ex51\nc = 0.5\ns = 2,0.3,0.3,1\nbase = vertical\nw_b = 0.5\nbc_bottom = no-flow-through\n",
+        "example = ex51\nc = 0.5\ns = 2,0.3,0.3,1\nbase = vertical\nw_b = 0.5\nbc_bottom = no-flow-through\n"
+        "bc_top = oracle-neumann\n",
         "example = ex53\nc = 0.05\ns = 2,0.5,0.1,0.5,1.5,-0.3,0.1,-0.3,1\n"
         "bc_bottom = no-flow-through\nbc_top = oracle-neumann\n",
         "example = ex53\neps = 0.1\nc = 0.1\ntopography = hill\nbc_bottom = no-flow-through\n",

@@ -169,6 +169,24 @@ def test_quadrature_rejects_a_zero_weight():
         Quadrature(np.zeros((2, 3)), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "nodes, weights, message",
+    [
+        (np.zeros((2, 2)), np.ones(2), r"^quadrature nodes must have shape \(m, 3\), got \(2, 2\)$"),
+        (np.array([[0.0, 0.0, np.nan], [0.0, 0.0, 0.0]]), np.ones(2), "^quadrature nodes must be finite$"),
+        (np.zeros((2, 3)), np.array([1.0, np.nan]), "^quadrature weights must be finite$"),
+        (np.zeros((2, 3)), np.array([1.0, np.inf]), "^quadrature weights must be finite$"),
+    ],
+    ids=["two-columns", "nan-node", "nan-weight", "inf-weight"],
+)
+def test_quadrature_rejects_malformed_nodes_and_weights(nodes, weights, message):
+    # NaN slips past weights <= 0; passed on, each of these failed a line search
+    # later under another name (a non-finite step, a degenerate direction, data
+    # values not finite), or not at all for (m, 2) nodes
+    with pytest.raises(ContractError, match=message):
+        Quadrature(nodes, weights)
+
+
 def test_quadrature_cell_volume_must_not_underflow():
     # each side of a node's cell is a normal float, 2.5e-301, but their product is 0;
     # two Gauss points share each 5e-301 cell of gauss2_rule, so each weighs as much
@@ -228,6 +246,15 @@ def test_divergence_fd_stencil_must_stay_inside():
         divergence_fd(u, np.array([[0.0, 0.0, 1.0]]), -1e-3)
     # a stencil that touches a face stays inside
     assert divergence_fd(u, np.array([[0.0, 0.0, 1e-3], [2.0 - 1e-3, 0.0, 1.0]]), 1e-3, box=BOX).shape == (2,)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_divergence_fd_rejects_a_step_that_is_not_finite(h):
+    # either step would make every difference NaN, with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^finite-difference step must be positive and finite, got {h}$"):
+            divergence_fd(example_field("ex51").exact, np.array([[0.0, 0.0, 1.0]]), h)
 
 
 def test_divergence_fd_stencil_must_stay_above_the_terrain():

@@ -9,11 +9,12 @@ truncated-SVD minimum-norm dense solve that pays for the kept rank only: a
 certified randomized range sketch, LAPACK dgelsd on its projection, and
 dgelsd on the whole matrix when the rank is high.
 
-Library entry points: :func:`masscons.adjust.adjust` (horizontal data),
-:func:`masscons.adjust.sasaki` (full observations, classical one-shot: the
-full-observation :func:`masscons.adjust.adjust_full` at its defaults), both
-one line search over a :class:`masscons.adjust.Problem`, and the
-``masscons`` CLI for config-driven experiment tables.
+Library entry points: :func:`masscons.adjust.adjust`, the line search over
+a :class:`masscons.adjust.Problem` (``Problem.horizontal`` for horizontal
+data, ``Problem.full`` for full observations), :func:`masscons.adjust.sasaki`,
+the same search with the closed-form step (on full observations the classical
+one-shot adjustment), and the ``masscons`` CLI for config-driven experiment
+tables.
 """
 
 from .adjust import (
@@ -26,7 +27,6 @@ from .adjust import (
     FaceBcPolicy,
     Problem,
     adjust,
-    adjust_full,
     boundary_data,
     build_system,
     descent_direction,

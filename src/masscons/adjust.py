@@ -11,8 +11,10 @@ the box (with its terrain) and face policy of the constraint:
 The problem also holds its base, the updraft u_c = (0, 0, w_b): w_b is
 given to the horizontal problem (zero by default), a modelling input the
 data cannot see, and is zero for full observation. Neither observes
-anything of u_c, so r and div r are settled once, with the problem. The line
-search about u_c is one straight pass with one multiplier system and one solve:
+anything of u_c, so r and div r are settled once, with the problem, as is
+the exact field, when one is known. :func:`adjust`, the one entry, runs the
+line search about u_c as one straight pass with one multiplier system and
+one solve:
 
   1. residual    r, the problem's,
   2. multiplier  div(G^-1 grad lambda) = div r in the volume, with per-face
@@ -26,8 +28,8 @@ search about u_c is one straight pass with one multiplier system and one solve:
 The solve also estimates the condition number of the system, whose matrix
 it consumes. With full observation the closed-form ratio is exactly one, so
 the search from zero is the classical one-shot (Sasaki) adjustment
-u_plus = initial + S^-1 grad lambda: :func:`sasaki` is :func:`adjust_full`
-at its defaults.
+u_plus = initial + S^-1 grad lambda: :func:`sasaki` is :func:`adjust` with
+the closed-form step.
 
 The line search and the diagnostics need p at the quadrature nodes (by
 default :func:`~masscons.fields.gauss2_rule`'s), which must lie in the
@@ -102,7 +104,6 @@ __all__ = [
     "build_system",
     "descent_direction",
     "adjust",
-    "adjust_full",
     "sasaki",
 ]
 
@@ -162,8 +163,10 @@ class Problem:
     div(G^-1 grad .) and of the closed-form step numerator <G p, p>, and
     ``aniso`` is G^-1, or None for the plain Laplacian. ``box`` is the domain
     with its terrain and ``policy`` the condition on each of its faces, which
-    the constructors default to flow-through on every face. ``name`` labels
-    the observed values in error messages.
+    the constructors default to flow-through on every face. ``exact`` is the
+    known field, if any: it gives the line search's ``rel_error`` and the
+    oracle-neumann faces' flux, so such a face without it raises ContractError
+    here. ``name`` labels the observed values in error messages.
     """
 
     residual: Field3
@@ -174,27 +177,34 @@ class Problem:
     box: BoxDomain
     policy: FaceBcPolicy
     base: Field3
+    exact: Field3 | None = None
     aniso: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
+        if self.exact is None and self.policy.faces(ORACLE_NEUMANN):
+            raise ContractError("oracle-neumann boundary data requires the exact field")
         object.__setattr__(self, "residual", Field3(self.residual.fn, poisson_rhs(self.residual, self.box)))
         isotropic = np.array_equal(self.metric, np.eye(3))
         object.__setattr__(self, "aniso", None if isotropic else np.linalg.inv(self.metric))
 
     @classmethod
     def horizontal(
-        cls, data: Field2, box: BoxDomain, weights=None, *, w_b: float = 0.0, policy: FaceBcPolicy | None = None
+        cls, data: Field2, box: BoxDomain, weights=None, *, w_b: float = 0.0,
+        policy: FaceBcPolicy | None = None, exact: Field3 | None = None,
     ) -> "Problem":
         """Horizontal data about u_c = (0, 0, w_b): r = M* ( S (M u_c - data) ), k = 2, G = I."""
         w = validate_weights(weights if weights is not None else np.eye(2), 2)
-        return cls(misfit(data, w), data, w, np.eye(3), "data", box, policy or FaceBcPolicy(), updraft(w_b))
+        return cls(misfit(data, w), data, w, np.eye(3), "data", box, policy or FaceBcPolicy(), updraft(w_b), exact)
 
     @classmethod
-    def full(cls, initial: Field3, box: BoxDomain, weights, *, policy: FaceBcPolicy | None = None) -> "Problem":
+    def full(
+        cls, initial: Field3, box: BoxDomain, weights, *,
+        policy: FaceBcPolicy | None = None, exact: Field3 | None = None,
+    ) -> "Problem":
         """Full observation from u_c = 0: r = u_c - initial, k = 3, G = S."""
-        w = validate_weights(weights, 3)
-        base = updraft()
-        return cls(add_scaled(base, -1.0, initial), initial, w, w, "initial", box, policy or FaceBcPolicy(), base)
+        w, base = validate_weights(weights, 3), updraft()
+        residual = add_scaled(base, -1.0, initial)
+        return cls(residual, initial, w, w, "initial", box, policy or FaceBcPolicy(), base, exact)
 
 
 @dataclass(frozen=True)
@@ -260,9 +270,7 @@ def poisson_rhs(residual_field: Field3, box: BoxDomain):
     return lambda pts: divergence_fd(residual_field, pts, h)
 
 
-def boundary_data(
-    problem: Problem, nodes: NodeSet, exact: Field3 | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def boundary_data(problem: Problem, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary rows realizing the problem's face policy, aligned with ``nodes.boundary``.
 
     Returns the Neumann mask, the values and the conormals that
@@ -270,7 +278,8 @@ def boundary_data(
     zero. no-flow-through prescribes (A grad lambda) . nu = r . nu, collocated
     as grad lambda . (A nu) with A = ``problem.aniso`` (the identity when
     None), so the direction's normal component vanishes. oracle-neumann
-    prescribes the flux (exact - u_c + r) . nu about the problem's base u_c,
+    prescribes the flux (exact - u_c + r) . nu about the problem's base u_c
+    from its exact field,
     which turns the direction into the exact correction. The conormal is nu,
     or A nu, on every row.
     """
@@ -282,9 +291,7 @@ def boundary_data(
 
     flux = problem.residual(pts)
     if oracle.any():
-        if exact is None:
-            raise ContractError("oracle-neumann boundary data requires the exact field")
-        oracle_vals = exact(pts) - problem.base(pts) + flux
+        oracle_vals = problem.exact(pts) - problem.base(pts) + flux
         flux = np.where(oracle[:, None], oracle_vals, flux)
 
     # Batched matmul gives each row the bits of its own 3-vector product.
@@ -300,13 +307,13 @@ def boundary_data(
     return neumann, values, conormals
 
 
-def build_system(problem: Problem, kernel: KernelParams, n_per_axis: int, *, exact: Field3 | None = None) -> GramSystem:
+def build_system(problem: Problem, kernel: KernelParams, n_per_axis: int) -> GramSystem:
     """The multiplier system of ``problem`` on the n^3 centres :func:`grid_centers` places in its box, unsolved.
 
     The line search and dump-gram both build a row's system here. A grid
     whose dense solve would not fit in physical memory raises DomainError
-    before its nodes are built. ``exact`` is required by oracle-neumann
-    faces. A right-hand side that is not finite raises DomainError.
+    before its nodes are built. A right-hand side that is not finite raises
+    DomainError.
     """
     n = n_per_axis**3
     _require_memory(f"a grid of {n} nodes", _SOLVE_BYTES_PER_PAIR * n * n, "the dense solve")
@@ -317,7 +324,7 @@ def build_system(problem: Problem, kernel: KernelParams, n_per_axis: int, *, exa
     # warnings, because no finiteness check follows it.
     quiet = np.errstate(over="ignore", invalid="ignore")
     with quiet:
-        rows = boundary_data(problem, nodes, exact=exact)
+        rows = boundary_data(problem, nodes)
     system = assemble(nodes, kernel, *rows, quiet(problem.residual.div), aniso=problem.aniso)
     if not np.all(np.isfinite(system.rhs)):
         raise DomainError("the right-hand side of the multiplier system is not finite")
@@ -386,22 +393,21 @@ def _relative_error(vals_uplus: np.ndarray, exact: Field3 | None, nodes: np.ndar
     return float(np.sqrt(num) / np.sqrt(np.sum(rel_w * np.sum(vals_exact**2, axis=1))))
 
 
-def _line_search(
+def adjust(
     problem: Problem,
     kernel: KernelParams,
     n_per_axis: int,
     *,
-    formula: str,
-    quad: Quadrature | None,
-    trunc_tol: float,
-    exact: Field3 | None,
+    formula: str = MINIMIZER,
+    quad: Quadrature | None = None,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> AdjustmentResult:
-    """The line search of ``problem`` from its base u_c.
+    """The line search of ``problem`` from its base u_c, on the n^3 centres of its box.
 
     A quadrature node outside the problem's box raises DomainError. A step
     that ends with a larger objective than it started from raises
     NonDescentError; a metric that is not finite (``rel_error`` only when
-    ``exact`` is given) raises DomainError naming it.
+    the problem has its exact field) raises DomainError naming it.
     """
     if formula not in FORMULAS:
         raise ContractError(f"unknown step formula {formula!r}")
@@ -409,7 +415,7 @@ def _line_search(
     outside = ~problem.box.contains(quad.nodes)
     if outside.any():
         raise DomainError(f"{int(outside.sum())} quadrature node(s) outside the problem's box")
-    w, k, qw = problem.weights, len(problem.weights), quad.weights
+    w, k, qw, exact = problem.weights, len(problem.weights), quad.weights, problem.exact
 
     # Values that overflow fail here by name.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,7 +427,7 @@ def _line_search(
     d = vals_uc[:, :k] - vals_obs
     j_before = objective(d)
 
-    system = build_system(problem, kernel, n_per_axis, exact=exact)
+    system = build_system(problem, kernel, n_per_axis)
     solution = factorize_and_solve(system, trunc_tol=trunc_tol)
     p = descent_direction(problem.residual, solution)
     vals_p, div_p = _direction_jet(problem.residual, solution, quad.nodes)
@@ -454,57 +460,22 @@ def _line_search(
     )
 
 
-def adjust(
-    data: Field2,
-    domain: BoxDomain,
+def sasaki(
+    problem: Problem,
     kernel: KernelParams,
     n_per_axis: int,
     *,
-    w_b: float = 0.0,
-    weights=None,
-    policy: FaceBcPolicy | None = None,
-    formula: str = MINIMIZER,
     quad: Quadrature | None = None,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
-    exact: Field3 | None = None,
 ) -> AdjustmentResult:
-    """Run the horizontal-data line search from the updraft (0, 0, w_b).
+    """The line search with the closed-form step: on a full-observation problem, Sasaki's (1970) field.
 
-    The data cannot see w_b: it is a modelling input. ``exact`` enables the
-    relative error metric and is required by oracle-neumann faces.
+    There the multiplier solves div(S^-1 grad lambda) = -div initial with
+    boundary conditions (-initial - S^-1 grad lambda) . nu = 0 or lambda = 0
+    per face, the direction is p = initial + S^-1 grad lambda, and the step
+    is exactly one, so u_plus = initial + S^-1 grad lambda.
     """
-    return _line_search(
-        Problem.horizontal(data, domain, weights, w_b=w_b, policy=policy), kernel, n_per_axis,
-        formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
-    )
+    return adjust(problem, kernel, n_per_axis, formula=CLOSED_FORM, quad=quad, trunc_tol=trunc_tol)
 
 
-def adjust_full(
-    initial: Field3,
-    weights,
-    domain: BoxDomain,
-    kernel: KernelParams,
-    n_per_axis: int,
-    *,
-    policy: FaceBcPolicy | None = None,
-    formula: str = CLOSED_FORM,
-    quad: Quadrature | None = None,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    exact: Field3 | None = None,
-) -> AdjustmentResult:
-    """Full-observation line search from zero: every component of ``initial`` is data.
-
-    The multiplier solves div(S^-1 grad lambda) = -div initial with boundary
-    conditions (-initial - S^-1 grad lambda) . nu = 0 or lambda = 0 per face,
-    the direction is p = initial + S^-1 grad lambda, and the closed-form step
-    length is exactly one, so u_plus = initial + S^-1 grad lambda.
-    """
-    return _line_search(
-        Problem.full(initial, domain, weights, policy=policy), kernel, n_per_axis,
-        formula=formula, quad=quad, trunc_tol=trunc_tol, exact=exact,
-    )
-
-
-# The classical one-shot (Sasaki 1970) adjustment u_plus = initial + S^-1 grad lambda
-# is the full-observation line search at its defaults: zero base field, unit step.
-sasaki = adjust_full
+adjust_full = sasaki  # unused; the benchmark's tracer patches this name

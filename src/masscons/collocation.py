@@ -64,7 +64,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import ContractError, SingularSystemError
+from .errors import ContractError, DomainError, SingularSystemError
 from .geometry import FaceLabel, NodeSet, as_points
 from .kernel import KernelParams, hess_phi
 from .kernel import grad_phi, lap_phi, phi_sq  # noqa: F401  # unused; the benchmark's tracer patches these names
@@ -222,7 +222,8 @@ def assemble(
     interior source evaluated at the interior nodes. ``aniso`` switches the
     interior operator to A : hess (:func:`_aniso_rows`). Rows are formed
     from :func:`_s_block` in blocks of at most _BLOCK_ELEMENTS // N; a shape
-    whose s^(5/2) overflows over the nodes' extent raises DomainError.
+    whose s^(5/2) overflows over the nodes' extent D, or whose s = 1 + c^2 D^2
+    rounds to 1 (a kernel constant over the nodes), raises DomainError.
     """
     pts = nodes.points
     n = len(pts)
@@ -233,7 +234,14 @@ def assemble(
             f"boundary data must hold one row per boundary node ({m}): neumann "
             f"{np.shape(neumann)}, values {np.shape(values)}, conormals {np.shape(conormals)}"
         )
-    kernel.require_finite_over(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
+    extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    kernel.require_finite_over(extent)
+    c = kernel.shape
+    if 1.0 + c * c * (extent * extent) == 1.0:
+        raise DomainError(
+            f"shape parameter {c} over a distance of {extent}: s = 1 + c^2 D^2 rounds to 1, "
+            "so every kernel is the same constant and the system imposes nothing"
+        )
 
     # about the centroid, as MultiplierSolution.jet expands the same forms
     x = pts - pts.mean(axis=0)
@@ -539,6 +547,18 @@ def _lower_solve(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _scaled_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` with each column whose 2-norm overflows divided by its largest |entry|, and the divisors.
+
+    The norm squares the entries, so it overflows from about 1e154 while the
+    entries are finite. The other columns keep their bits, and divisor 1.
+    """
+    scale = np.ones(a.shape[1])
+    big = ~np.isfinite(np.linalg.norm(a, axis=0))
+    scale[big] = np.abs(a[:, big]).max(axis=0)
+    return a / scale, scale
+
+
 def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
     """sigma_max |G^-1|_2, |G^-1|_2 from one power step on a QR that overwrites ``g``.
 
@@ -554,9 +574,9 @@ def _condition_estimate(g: np.ndarray, sigma_max: float) -> float:
     if not np.diagonal(g).all():
         return float("inf")
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _lower_solve(g, _hash_uniform(n, _KAPPA_PROBES, _KAPPA_STREAM))
-        w = _lower_solve(g.T[::-1, ::-1], (z / np.linalg.norm(z, axis=0))[::-1])[::-1]
-        kappa = sigma_max * float(np.linalg.norm(w, axis=0).max())
+        z, _ = _scaled_down(_lower_solve(g, _hash_uniform(n, _KAPPA_PROBES, _KAPPA_STREAM)))
+        w, scale = _scaled_down(_lower_solve(g.T[::-1, ::-1], (z / np.linalg.norm(z, axis=0))[::-1])[::-1])
+        kappa = sigma_max * float((scale * np.linalg.norm(w, axis=0)).max())
     # overflow past the float range gives inf or, as inf / inf, NaN
     return kappa if np.isfinite(kappa) else float("inf")
 

@@ -120,19 +120,22 @@ def _face_policy(cfg: ExperimentConfig) -> FaceBcPolicy:
     return FaceBcPolicy(**{f.name: getattr(cfg, f"bc_{f.name}") for f in fields(FaceBcPolicy)})
 
 
-def _run_one(cfg: ExperimentConfig, case: ExampleCase, n: int, quad) -> tuple[TableRow, AdjustmentResult | None]:
-    box, kernel = cfg.box(), KernelParams(cfg.shape)
-    # the settings both pipelines take
-    shared = dict(policy=_face_policy(cfg), quad=quad, trunc_tol=cfg.trunc_tol, exact=case.exact)
+def _problem(cfg: ExperimentConfig, case: ExampleCase) -> Problem:
+    """The problem every row of ``cfg`` solves; c, n and trunc_tol only discretise it."""
+    box, w, policy = cfg.box(), cfg.weight_matrix(), _face_policy(cfg)
+    if cfg.sasaki_mode:
+        return Problem.full(inject(case.data), box, w, policy=policy, exact=case.exact)
+    return Problem.horizontal(case.data, box, w, w_b=cfg.base_updraft, policy=policy, exact=case.exact)
+
+
+def _run_one(cfg: ExperimentConfig, problem: Problem, n: int, quad) -> tuple[TableRow, AdjustmentResult | None]:
+    kernel = KernelParams(cfg.shape)
     started = time.perf_counter()
     try:
         if cfg.sasaki_mode:
-            result = sasaki(inject(case.data), cfg.weight_matrix(), box, kernel, n, **shared)
+            result = sasaki(problem, kernel, n, quad=quad, trunc_tol=cfg.trunc_tol)
         else:
-            result = adjust(
-                case.data, box, kernel, n, w_b=cfg.base_updraft,
-                weights=cfg.weight_matrix(), formula=cfg.formula, **shared,
-            )
+            result = adjust(problem, kernel, n, formula=cfg.formula, quad=quad, trunc_tol=cfg.trunc_tol)
     except (MassconsError, np.linalg.LinAlgError) as exc:
         result, outcome = None, dict(error=f"{type(exc).__name__}: {exc}")
     else:
@@ -358,9 +361,9 @@ def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
 def _rows(cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threads: int, out_override: str | None):
     """Echo ``cfg`` to the output directory, then run one row per (config, n) pair, in order.
 
-    Every row shares the example and the quadrature built from ``cfg``.
-    Returns the output directory, the example, the quadrature and an iterator
-    that runs the rows one at a time, giving each row's (n, row, nodes):
+    Every row shares the example, its problem and the quadrature built from
+    ``cfg``. Returns the output directory, the example, the quadrature and an
+    iterator that runs the rows one at a time, giving each row's (n, row, nodes):
     nodes is the result's (node_values, node_div), None on a failed row. No
     result outlives its row. ``threads`` must be 1: rows run one at a time.
     """
@@ -368,12 +371,12 @@ def _rows(cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threa
         raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
     out = _prepare_out(cfg, out_override)
     case = example_field(cfg.example, eps=cfg.eps)
-    quad = _quadrature(cfg)
+    problem, quad = _problem(cfg, case), _quadrature(cfg)
     write_echo(replace(cfg, out=out), os.path.join(out, "config.echo"))
 
     def rows():
         for row_cfg, n in runs:
-            row, result = _run_one(row_cfg, case, n, quad)
+            row, result = _run_one(row_cfg, problem, n, quad)
             nodes = None if result is None else (result.node_values, result.node_div)
             del result  # freed before the next row starts
             yield n, row, nodes
@@ -436,20 +439,15 @@ def dump_gram_for_config(
 ) -> list[str]:
     """Assemble the multiplier system per grid size; dump G, b and G's singular values.
 
-    The system is the one the row's line search solves, about the configured
-    updraft (zero in full-observation mode). A grid whose dense solve would
-    not fit in physical memory raises DomainError before its nodes are built.
+    The system is the one the row's line search solves: its problem is the
+    row's. A grid whose dense solve would not fit in physical memory raises
+    DomainError before its nodes are built.
     """
     out = _prepare_out(cfg, out_override)
-    case = example_field(cfg.example, eps=cfg.eps)
-    box, w, policy = cfg.box(), cfg.weight_matrix(), _face_policy(cfg)
-    if cfg.sasaki_mode:
-        problem = Problem.full(inject(case.data), box, w, policy=policy)
-    else:
-        problem = Problem.horizontal(case.data, box, w, w_b=cfg.base_updraft, policy=policy)
+    problem = _problem(cfg, example_field(cfg.example, eps=cfg.eps))
     paths = []
     for n in cfg.grid_sizes:
-        system = build_system(problem, KernelParams(cfg.shape), n, exact=case.exact)
+        system = build_system(problem, KernelParams(cfg.shape), n)
         path = os.path.join(out, f"gram_N{n**3}.txt")
         dump_gram(system, path)
         del system  # freed before the next grid size is assembled

@@ -27,7 +27,6 @@ from masscons.adjust import (
     FaceBcPolicy,
     Problem,
     adjust,
-    adjust_full,
     build_system,
 )
 from masscons.collocation import factorize_and_solve
@@ -104,9 +103,11 @@ def test_criterion_2_full_observation_step():
     case = example_field("ex51")
     weights = np.diag([1.0, 2.0, 4.0])
     started = time.perf_counter()
-    result = adjust_full(
-        inject(case.data), weights, case.domain, KernelParams(0.5), 5,
-        policy=FaceBcPolicy.uniform(FLOW_THROUGH), formula=CLOSED_FORM, exact=case.exact,
+    result = adjust(
+        Problem.full(
+            inject(case.data), case.domain, weights, policy=FaceBcPolicy.uniform(FLOW_THROUGH), exact=case.exact
+        ),
+        KernelParams(0.5), 5, formula=CLOSED_FORM,
     )
     elapsed = time.perf_counter() - started
     ok = abs(result.t_c - 1.0) <= 1e-12 and elapsed < 5.0
@@ -116,10 +117,11 @@ def test_criterion_2_full_observation_step():
 def crit3_result(n=5):
     case = example_field("ex52")
     return adjust(
-        case.data, case.domain, KernelParams(0.01), n,
-        w_b=1.0,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=NO_FLOW_THROUGH),
-        formula=MINIMIZER, exact=case.exact,
+        Problem.horizontal(
+            case.data, case.domain, w_b=1.0, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=NO_FLOW_THROUGH),
+            exact=case.exact,
+        ),
+        KernelParams(0.01), n, formula=MINIMIZER,
     )
 
 
@@ -141,9 +143,8 @@ def test_criterion_3_exact_recovery_vortex():
 def crit4_result():
     case = example_field("ex53", eps=0.1)
     return adjust(
-        case.data, case.domain, KernelParams(0.5), 8,
-        policy=FaceBcPolicy.uniform(ORACLE_NEUMANN),
-        formula=MINIMIZER, exact=case.exact,
+        Problem.horizontal(case.data, case.domain, policy=FaceBcPolicy.uniform(ORACLE_NEUMANN), exact=case.exact),
+        KernelParams(0.5), 8, formula=MINIMIZER,
     )
 
 
@@ -166,8 +167,10 @@ def _interior_pde_residual(cfg, n):
         bottom=cfg.bc_bottom, top=cfg.bc_top, xmin=cfg.bc_xmin,
         xmax=cfg.bc_xmax, ymin=cfg.bc_ymin, ymax=cfg.bc_ymax,
     )
-    problem = Problem.horizontal(case.data, cfg.box(), cfg.weight_matrix(), w_b=cfg.base_updraft, policy=policy)
-    system = build_system(problem, KernelParams(cfg.shape), n, exact=case.exact)
+    problem = Problem.horizontal(
+        case.data, cfg.box(), cfg.weight_matrix(), w_b=cfg.base_updraft, policy=policy, exact=case.exact
+    )
+    system = build_system(problem, KernelParams(cfg.shape), n)
     nodes = system.nodes
     solution = factorize_and_solve(system, trunc_tol=cfg.trunc_tol)
     interior = nodes.interior

@@ -114,10 +114,12 @@ def test_boundary_data_policies(caplog):
     # S^-1 nu, and oracle rows the flux (exact - initial) . nu about a zero base
     weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
     initial = inject(EX53.data)
-    problem = Problem.full(initial, EX53.domain, weights, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN))
+    problem = Problem.full(
+        initial, EX53.domain, weights, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN), exact=EX53.exact
+    )
     nodes53 = grid_centers(EX53.domain, 3)
     r = problem.residual
-    neumann53, values53, conormals53 = boundary_data(problem, nodes53, exact=EX53.exact)
+    neumann53, values53, conormals53 = boundary_data(problem, nodes53)
     pts = nodes53.points[nodes53.boundary]
     normals = nodes53.normals[nodes53.boundary]
     r_vals, oracle_vals = r(pts), EX53.exact(pts) - initial(pts)
@@ -140,13 +142,13 @@ def test_boundary_data_matches_per_node_reference_bitwise():
     policy = FaceBcPolicy(bottom=NO_FLOW_THROUGH, top=ORACLE_NEUMANN, xmin=NO_FLOW_THROUGH)
     weights = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
     cases = [
-        (Problem.horizontal(EX53.data, box, w_b=0.3, policy=policy), updraft(0.3)),
-        (Problem.full(inject(EX53.data), box, weights, policy=policy), updraft()),
+        (Problem.horizontal(EX53.data, box, w_b=0.3, policy=policy, exact=EX53.exact), updraft(0.3)),
+        (Problem.full(inject(EX53.data), box, weights, policy=policy, exact=EX53.exact), updraft()),
     ]
     nodes = grid_centers(box, 6)
     pts = nodes.points[nodes.boundary]
     for problem, base in cases:
-        neumann, values, conormals = boundary_data(problem, nodes, exact=EX53.exact)
+        neumann, values, conormals = boundary_data(problem, nodes)
         r_vals = problem.residual(pts)
         oracle_vals = EX53.exact(pts) - base(pts) + r_vals
         for row, i in enumerate(nodes.boundary):
@@ -170,6 +172,17 @@ def test_boundary_data_oracle_requires_exact():
     nodes = grid_centers(EX51.domain, 3)
     with pytest.raises(ContractError):
         boundary_data(Problem.horizontal(EX51.data, EX51.domain, policy=FaceBcPolicy.uniform(ORACLE_NEUMANN)), nodes)
+
+
+def test_oracle_face_without_exact_fails_at_construction():
+    policy = FaceBcPolicy(top=ORACLE_NEUMANN)
+    match = "^oracle-neumann boundary data requires the exact field$"
+    with pytest.raises(ContractError, match=match):
+        Problem.horizontal(EX51.data, EX51.domain, policy=policy)
+    with pytest.raises(ContractError, match=match):
+        Problem.full(inject(EX51.data), EX51.domain, np.eye(3), policy=policy)
+    assert Problem.full(inject(EX51.data), EX51.domain, np.eye(3), policy=policy, exact=EX51.exact).exact is EX51.exact
+    assert Problem.horizontal(EX51.data, EX51.domain).exact is None
 
 
 def _zero_solution():
@@ -196,8 +209,8 @@ def test_descent_direction_needs_the_residual_divergence():
 def test_descent_direction_exact_config():
     # zero source and zero boundary data force beta = 0, so p is the injected data
     result = adjust(
-        EX52.data, EX52.domain, KernelParams(0.01), 5,
-        w_b=1.0, policy=CRIT3_POLICY, exact=EX52.exact,
+        Problem.horizontal(EX52.data, EX52.domain, w_b=1.0, policy=CRIT3_POLICY, exact=EX52.exact),
+        KernelParams(0.01), 5,
     )
     assert np.all(result.multiplier.coeffs == 0.0)
     rng = np.random.default_rng(6)
@@ -210,9 +223,8 @@ def test_descent_direction_recovers_linear_correction():
     # With oracle flux data the continuum multiplier is -z^2 and the direction
     # approaches the exact correction (x, y, -2z) in the flat regime.
     result = adjust(
-        EX51.data, EX51.domain, KernelParams(0.05), 5,
-        policy=FaceBcPolicy.uniform(ORACLE_NEUMANN),
-        exact=EX51.exact,
+        Problem.horizontal(EX51.data, EX51.domain, policy=FaceBcPolicy.uniform(ORACLE_NEUMANN), exact=EX51.exact),
+        KernelParams(0.05), 5,
     )
     rng = np.random.default_rng(7)
     pts = rng.uniform(EX51.domain.lo + 0.3, EX51.domain.hi - 0.3, (200, 3))
@@ -251,8 +263,8 @@ def test_step_length_matches_full_observation_line_search(formula):
     # from its values at the quadrature nodes, is the search's t_c.
     weights = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
     quad = midpoint_rule(EX51.domain, 8)
-    result = adjust_full(
-        inject(EX51.data), weights, EX51.domain, KernelParams(0.5), 4, quad=quad, formula=formula,
+    result = adjust(
+        Problem.full(inject(EX51.data), EX51.domain, weights), KernelParams(0.5), 4, quad=quad, formula=formula,
     )
     initial = inject(EX51.data)(quad.nodes)
     t = _step(result.p(quad.nodes), 0.0 - initial, weights, weights, quad.weights, formula)
@@ -264,7 +276,8 @@ def test_j_before_value_and_scaling():
     # the midpoint rule's O(h^2); S = 3 I triples it.
     quad = midpoint_rule(EX51.domain, 64)
     j = [
-        adjust(EX51.data, EX51.domain, KernelParams(0.5), 3, weights=s * np.eye(2), quad=quad).metrics.j_before
+        adjust(Problem.horizontal(EX51.data, EX51.domain, s * np.eye(2)), KernelParams(0.5), 3, quad=quad)
+        .metrics.j_before
         for s in (1.0, 3.0)
     ]
     assert j[0] == pytest.approx(128.0 / 3.0, rel=5e-4)
@@ -273,9 +286,8 @@ def test_j_before_value_and_scaling():
 
 def test_adjust_exact_recovery_ex52():
     result = adjust(
-        EX52.data, EX52.domain, KernelParams(0.01), 5,
-        w_b=1.0, policy=CRIT3_POLICY,
-        formula=MINIMIZER, exact=EX52.exact,
+        Problem.horizontal(EX52.data, EX52.domain, w_b=1.0, policy=CRIT3_POLICY, exact=EX52.exact),
+        KernelParams(0.01), 5, formula=MINIMIZER,
     )
     assert result.t_c == 1.0
     assert result.metrics.rel_error <= 1e-10
@@ -285,9 +297,8 @@ def test_adjust_exact_recovery_ex52():
 def test_adjusted_field_is_base_plus_step():
     quad = midpoint_rule(EX51.domain, 8)
     result = adjust(
-        EX51.data, EX51.domain, KernelParams(0.1), 4,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
-        quad=quad, exact=EX51.exact,
+        Problem.horizontal(EX51.data, EX51.domain, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), exact=EX51.exact),
+        KernelParams(0.1), 4, quad=quad,
     )
     rng = np.random.default_rng(8)
     pts = rand_pts(rng, 100, EX51.domain)
@@ -297,10 +308,10 @@ def test_adjusted_field_is_base_plus_step():
     assert result.metrics.j_after <= result.metrics.j_before + 1e-12
 
     lifted = adjust(
-        EX51.data, EX51.domain, KernelParams(0.1), 4,
-        w_b=2.5,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
-        quad=quad, exact=EX51.exact,
+        Problem.horizontal(
+            EX51.data, EX51.domain, w_b=2.5, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), exact=EX51.exact
+        ),
+        KernelParams(0.1), 4, quad=quad,
     )
     base_vals = np.broadcast_to([0.0, 0.0, 2.5], (len(pts), 3))
     np.testing.assert_allclose(
@@ -311,9 +322,8 @@ def test_adjusted_field_is_base_plus_step():
 def test_objective_descent_strict():
     quad = midpoint_rule(EX53.domain, 8)
     result = adjust(
-        EX53.data, EX53.domain, KernelParams(0.01), 4,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
-        quad=quad, formula=MINIMIZER, exact=EX53.exact,
+        Problem.horizontal(EX53.data, EX53.domain, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), exact=EX53.exact),
+        KernelParams(0.01), 4, quad=quad, formula=MINIMIZER,
     )
     assert result.metrics.j_before > 1e-10
     assert result.metrics.j_after < result.metrics.j_before
@@ -322,9 +332,8 @@ def test_objective_descent_strict():
 def test_direction_divergence_free_at_collocation_nodes():
     quad = midpoint_rule(EX53.domain, 8)
     result = adjust(
-        EX53.data, EX53.domain, KernelParams(0.05), 5,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH),
-        quad=quad, exact=EX53.exact,
+        Problem.horizontal(EX53.data, EX53.domain, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), exact=EX53.exact),
+        KernelParams(0.05), 5, quad=quad,
     )
     nodes = result.multiplier.nodes
     interior = nodes.points[nodes.interior]
@@ -376,15 +385,15 @@ def test_direction_meets_every_collocated_row(example, n, c, hill, scale, sealed
 
 
 def test_sasaki_identity_weights_match_full_adjust_bitwise():
-    # sasaki is adjust_full at its defaults: one line search from the zero
-    # field with the unit closed-form step. With identity weights it solves
+    # sasaki (adjust_full is its alias) is the line search with the closed-form
+    # step: from the zero field that step is one. With identity weights it solves
     # the isotropic system build_system assembles about the zero field, bit for bit.
     assert sasaki is adjust_full
     cube = BoxDomain(-2, 2, -2, 2, -2, 2)
     quad = midpoint_rule(cube, 8)
     initial = inject(EX51.data)
     kp = KernelParams(0.5)
-    a = sasaki(initial, np.eye(3), cube, kp, 4, quad=quad, exact=EX51.exact)
+    a = sasaki(Problem.full(initial, cube, np.eye(3), exact=EX51.exact), kp, 4, quad=quad)
     problem = Problem.full(initial, cube, np.eye(3))
     system = build_system(problem, kp, 4)
     solution = factorize_and_solve(system)
@@ -400,7 +409,7 @@ def test_sasaki_divergence_free_initial_field_is_kept():
     # divergence-free initial data with compatible (lambda = 0) conditions
     # gives a zero right-hand side, beta = 0, and u_plus = initial exactly
     quad = midpoint_rule(EX52.domain, 8)
-    result = sasaki(EX52.exact, np.eye(3), EX52.domain, KernelParams(0.1), 4, quad=quad, exact=EX52.exact)
+    result = sasaki(Problem.full(EX52.exact, EX52.domain, np.eye(3), exact=EX52.exact), KernelParams(0.1), 4, quad=quad)
     assert np.all(result.multiplier.coeffs == 0.0)
     rng = np.random.default_rng(10)
     pts = rand_pts(rng, 100, EX52.domain)
@@ -413,8 +422,8 @@ def test_sasaki_projects_onto_divergence_free_field():
     # sees zero divergence at the interior centers up to the solve residual.
     cube = BoxDomain(-2, 2, -2, 2, -2, 2)
     result = sasaki(
-        inject(EX51.data), np.eye(3), cube, KernelParams(0.5), 8,
-        quad=midpoint_rule(cube, 8), exact=EX51.exact,
+        Problem.full(inject(EX51.data), cube, np.eye(3), exact=EX51.exact), KernelParams(0.5), 8,
+        quad=midpoint_rule(cube, 8),
     )
     assert result.t_c == 1.0
     nodes = result.multiplier.nodes
@@ -425,17 +434,17 @@ def test_sasaki_projects_onto_divergence_free_field():
 
 def test_adjust_full_anisotropic_weights():
     weights = np.diag([1.0, 2.0, 4.0])
-    result = adjust_full(
-        inject(EX51.data), weights, EX51.domain, KernelParams(0.5), 5,
-        quad=midpoint_rule(EX51.domain, 8), formula=CLOSED_FORM, exact=EX51.exact,
+    result = adjust(
+        Problem.full(inject(EX51.data), EX51.domain, weights, exact=EX51.exact), KernelParams(0.5), 5,
+        quad=midpoint_rule(EX51.domain, 8), formula=CLOSED_FORM,
     )
     assert result.t_c == 1.0
     # the multiplier's operator is div(S^-1 grad .)
     np.testing.assert_array_equal(result.multiplier.aniso, np.linalg.inv(weights))
     # minimizer formula also descends
-    result_min = adjust_full(
-        inject(EX51.data), weights, EX51.domain, KernelParams(0.5), 5,
-        quad=midpoint_rule(EX51.domain, 8), formula=MINIMIZER, exact=EX51.exact,
+    result_min = adjust(
+        Problem.full(inject(EX51.data), EX51.domain, weights, exact=EX51.exact), KernelParams(0.5), 5,
+        quad=midpoint_rule(EX51.domain, 8), formula=MINIMIZER,
     )
     assert result_min.metrics.j_after <= result_min.metrics.j_before
 
@@ -448,8 +457,8 @@ def test_face_policy_validation():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, formula="bogus"),
-        lambda: adjust_full(inject(EX51.data), np.eye(3), EX51.domain, KernelParams(0.1), 3, formula="bogus"),
+        lambda: adjust(Problem.horizontal(EX51.data, EX51.domain), KernelParams(0.1), 3, formula="bogus"),
+        lambda: adjust(Problem.full(inject(EX51.data), EX51.domain, np.eye(3)), KernelParams(0.1), 3, formula="bogus"),
     ],
     ids=["adjust-formula", "full-formula"],
 )
@@ -467,10 +476,10 @@ def _sealed_vertical_base(formula):
     # A constant updraft under a sealed bottom and xmax: the closed-form ratio
     # presumes a vanishing boundary term, which these faces do not give.
     return adjust(
-        EX51.data, EX51.domain, KernelParams(0.1), 3,
-        w_b=2.0,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, xmax=NO_FLOW_THROUGH),
-        formula=formula, quad=midpoint_rule(EX51.domain, 12),
+        Problem.horizontal(
+            EX51.data, EX51.domain, w_b=2.0, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH, xmax=NO_FLOW_THROUGH)
+        ),
+        KernelParams(0.1), 3, formula=formula, quad=midpoint_rule(EX51.domain, 12),
     )
 
 
@@ -484,9 +493,11 @@ def test_ascending_step_raises_non_descent():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, quad=midpoint_rule(EX51.domain, 2)),
+        lambda: adjust(
+            Problem.horizontal(EX51.data, EX51.domain), KernelParams(0.1), 3, quad=midpoint_rule(EX51.domain, 2)
+        ),
         lambda: sasaki(
-            inject(EX51.data), np.diag([1.0, 2.0, 4.0]), EX51.domain, KernelParams(0.1), 3,
+            Problem.full(inject(EX51.data), EX51.domain, np.diag([1.0, 2.0, 4.0])), KernelParams(0.1), 3,
             quad=midpoint_rule(EX51.domain, 2),
         ),
     ],
@@ -517,8 +528,10 @@ def _hill(box, amplitude=2.0, width=3.0):
 def _ex51_flat(weights=None):
     quad = midpoint_rule(EX51.domain, 12)
     result = adjust(
-        EX51.data, EX51.domain, KernelParams(1e-3), 4, weights=weights,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad, exact=EX51.exact,
+        Problem.horizontal(
+            EX51.data, EX51.domain, weights, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), exact=EX51.exact
+        ),
+        KernelParams(1e-3), 4, quad=quad,
     )
     return result, quad, EX51.domain
 
@@ -534,8 +547,8 @@ def _ex53_sasaki_hill():
     box = _hill(EX53.domain)
     quad = midpoint_rule(box, 8)
     result = sasaki(
-        inject(EX53.data), weights, box, KernelParams(0.01), 4,
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad, exact=EX53.exact,
+        Problem.full(inject(EX53.data), box, weights, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), exact=EX53.exact),
+        KernelParams(0.01), 4, quad=quad,
     )
     return result, quad, box
 
@@ -569,8 +582,10 @@ def test_non_scalar_weight_row_makes_one_multiplier_jet(monkeypatch):
     monkeypatch.setattr(MultiplierSolution, "jet", lambda self, pts: calls.append(len(pts)) or jet(self, pts))
     quad = midpoint_rule(EX51.domain, 8)
     result = adjust(
-        EX51.data, EX51.domain, KernelParams(0.1), 4, weights=np.diag([2.0, 1.0]),
-        policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad, exact=EX51.exact,
+        Problem.horizontal(
+            EX51.data, EX51.domain, np.diag([2.0, 1.0]), policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), exact=EX51.exact
+        ),
+        KernelParams(0.1), 4, quad=quad,
     )
     assert calls == [len(quad.nodes)]
     assert np.isfinite(result.metrics.div_mean) and np.isfinite(result.metrics.div_max)
@@ -591,22 +606,26 @@ _CONST_INF = Field2(fn=lambda p: np.full((len(p), 2), np.inf))
 @pytest.mark.parametrize(
     "run, match",
     [
-        (lambda quad: adjust(_CONST_NAN, EX51.domain, KernelParams(0.1), 3, quad=quad), "data values"),
+        (
+            lambda quad: adjust(Problem.horizontal(_CONST_NAN, EX51.domain), KernelParams(0.1), 3, quad=quad),
+            "data values",
+        ),
         (
             lambda quad: adjust(
-                EX51.data, EX51.domain, KernelParams(0.1), 3,
-                w_b=float("nan"), quad=quad,
+                Problem.horizontal(EX51.data, EX51.domain, w_b=float("nan")), KernelParams(0.1), 3, quad=quad,
             ),
             "base field values",
         ),
         (
-            lambda quad: sasaki(inject(_CONST_INF), np.eye(3), EX51.domain, KernelParams(0.1), 3, quad=quad),
+            lambda quad: sasaki(
+                Problem.full(inject(_CONST_INF), EX51.domain, np.eye(3)), KernelParams(0.1), 3, quad=quad
+            ),
             "initial values",
         ),
         (
             lambda quad: adjust(
-                Field2(fn=_nan_on_ground), EX51.domain, KernelParams(0.1), 3,
-                policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH), quad=quad,
+                Problem.horizontal(Field2(fn=_nan_on_ground), EX51.domain, policy=FaceBcPolicy(bottom=NO_FLOW_THROUGH)),
+                KernelParams(0.1), 3, quad=quad,
             ),
             "right-hand side",
         ),
@@ -625,4 +644,7 @@ def test_quadrature_node_outside_the_box_raises_domain_error():
     nodes = quad.nodes.copy()
     nodes[0, 0] = 100.0
     with pytest.raises(DomainError, match=r"^1 quadrature node\(s\) outside the problem's box$"):
-        adjust(EX51.data, EX51.domain, KernelParams(0.1), 3, quad=Quadrature(nodes, quad.weights), exact=EX51.exact)
+        adjust(
+            Problem.horizontal(EX51.data, EX51.domain, exact=EX51.exact), KernelParams(0.1), 3,
+            quad=Quadrature(nodes, quad.weights),
+        )

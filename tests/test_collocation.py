@@ -332,9 +332,9 @@ def ex53_system(n, c):
     cfg = parse_config(str(Path(__file__).resolve().parents[1] / "configs" / "ex53.cfg"))
     case = example_field(cfg.example, eps=cfg.eps)
     problem = Problem.horizontal(
-        case.data, cfg.box(), cfg.weight_matrix(), w_b=cfg.base_updraft, policy=_face_policy(cfg)
+        case.data, cfg.box(), cfg.weight_matrix(), w_b=cfg.base_updraft, policy=_face_policy(cfg), exact=case.exact
     )
-    return build_system(problem, KernelParams(c), n, exact=case.exact)
+    return build_system(problem, KernelParams(c), n)
 
 
 # The same check on ex53, whose sheared vortex gives a multiplier that is not
@@ -384,6 +384,26 @@ def test_kappa_nondecreasing_in_n_at_flat_shape():
         kappas.append(factorize_and_solve(ex51_system(n, 0.001)).kappa)
     assert kappas[0] >= 1e12
     assert kappas[0] <= kappas[1] <= kappas[2]
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
+def test_kappa_reads_past_the_probe_norm_overflow(s):
+    # R^-T x reaches about 1/s on the small pivot: past 1e154 its 2-norm overflows
+    # while its entries are finite. The estimate still reads 1/s (it read 0.0).
+    g = np.eye(27)
+    g[5, 5] = s
+    assert 0.1 / s <= collocation._condition_estimate(g, 1.0) <= 10.0 / s
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), decades=st.integers(0, 300))
+def test_kappa_is_at_least_one(n, seed, decades):
+    # sigma_max |R^-1 y| >= sigma_max / sigma_max for a unit y, on any G, here
+    # with one row scaled down by 10^-decades, past the probes' norm overflow.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    g[rng.integers(n)] *= 10.0**-decades
+    assert collocation._condition_estimate(g.copy(), np.linalg.norm(g, 2)) >= 1.0
 
 
 def test_singular_system_error():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from masscons.adjust import _DESCENT_RTOL
+from masscons.adjust import _DESCENT_RTOL, Problem
 from masscons.cli import main
 from masscons.collocation import _sci
 from masscons.config import ExperimentConfig, echo_config, parse_config, parse_values
@@ -25,8 +25,8 @@ from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import Quadrature, example_field, midpoint_rule
 from masscons.geometry import BoxDomain, FaceLabel, grid_centers
 from masscons.runner import (
-    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _quadrature, _run_one, _write_csv, _write_fields,
-    dump_gram_for_config, run_experiment, sweep, write_reference_comparison,
+    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _problem, _quadrature, _run_one, _write_csv,
+    _write_fields, dump_gram_for_config, run_experiment, sweep, write_reference_comparison,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -513,6 +513,26 @@ def test_quadrature_cell_volume_underflow_exits_3(tmp_path, capsys):
     assert "DomainError: the quadrature cell volume 2.500e-301" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_constant_over_the_box_fails_its_rows(tmp_path, capsys):
+    # On a box 1e-13 across, c^2 D^2 is about 3e-28, so every s = 1 + c^2 r^2 is 1:
+    # each kernel is the same constant and the system imposes nothing. The parent
+    # of this check solved both rows at rank 1 and exited 0. The config is valid.
+    text = "example = ex51\nn = 3,4\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\n"
+    path = write_cfg(tmp_path, text + "domain = 0,1e-13,0,1e-13,0,1e-13\n")
+    rows = run_experiment(parse_config(path), out_override=str(tmp_path / "out"))
+    assert [row.error.split(": s = ")[0] for row in rows] == [
+        "DomainError: shape parameter 0.1 over a distance of 1.7320508075688773e-13"
+    ] * 2
+    assert all("rounds to 1" in row.error for row in rows)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 3
+    assert main(["dump-gram", str(path), "--out", str(tmp_path / "dg")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not list((tmp_path / "dg").glob("gram_*"))
+
+
 # ex51's box has diameter 6: c is in range while s = 1 + 36 c^2 keeps s^(5/2) finite.
 EX51_C_BOUND = math.sqrt((sys.float_info.max ** 0.4 - 1.0) / 36.0)
 
@@ -739,10 +759,10 @@ def test_failed_middle_row_leaves_its_field_file_out(tmp_path, monkeypatch):
     runner = importlib.import_module("masscons.runner")
     adjust = runner.adjust
 
-    def fail_middle(data, box, kernel, n, **kwargs):
+    def fail_middle(problem, kernel, n, **kwargs):
         if n == 4:
             raise DomainError("injected failure")
-        return adjust(data, box, kernel, n, **kwargs)
+        return adjust(problem, kernel, n, **kwargs)
 
     monkeypatch.setattr(runner, "adjust", fail_middle)
     out = tmp_path / "results"
@@ -753,7 +773,7 @@ def test_failed_middle_row_leaves_its_field_file_out(tmp_path, monkeypatch):
     case = example_field(cfg.example, eps=cfg.eps)
     quad = _quadrature(cfg)
     for n in (3, 5):
-        _, result = _run_one(cfg, case, n, quad)
+        _, result = _run_one(cfg, _problem(cfg, case), n, quad)
         expected = savetxt_field(
             tmp_path / "ref.csv", quad.nodes, result.node_values, case.exact(quad.nodes), result.node_div
         )
@@ -777,7 +797,7 @@ def test_default_rule_integrates_ex51_objective_exactly():
     assert cfg.quad == 16
     quad = _quadrature(cfg)
     assert len(quad.nodes) == 4096
-    row, _ = _run_one(cfg, example_field(cfg.example), 3, quad)
+    row, _ = _run_one(cfg, _problem(cfg, example_field(cfg.example)), 3, quad)
     assert abs(row.j_before - 128.0 / 3.0) <= 1e-13 * 128.0 / 3.0
 
 
@@ -786,8 +806,8 @@ def test_default_rule_is_close_to_gauss_legendre_on_ex53():
     # t_c; the 32^3 midpoint rule read 4.3e-4 and 3.6e-6
     cfg = parse_config(CONFIGS / "ex53.cfg")
     case = example_field(cfg.example, eps=cfg.eps)
-    row, _ = _run_one(cfg, case, 3, _quadrature(cfg))
-    ref, _ = _run_one(cfg, case, 3, gauss_legendre_rule(cfg.box(), 48))
+    row, _ = _run_one(cfg, _problem(cfg, case), 3, _quadrature(cfg))
+    ref, _ = _run_one(cfg, _problem(cfg, case), 3, gauss_legendre_rule(cfg.box(), 48))
     assert abs(row.j_before - ref.j_before) <= 1e-4 * ref.j_before
     assert abs(row.t_c - ref.t_c) <= 2e-6 * abs(ref.t_c)
 
@@ -797,7 +817,7 @@ def test_node_metrics_are_quadrature_weighted_on_terrain(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, text))
     case = example_field(cfg.example, eps=cfg.eps)
     quad = _quadrature(cfg)
-    row, result = _run_one(cfg, case, 3, quad)
+    row, result = _run_one(cfg, _problem(cfg, case), 3, quad)
     w, exact = quad.weights, case.exact(quad.nodes)
     assert w.max() > 1.1 * w.min()  # the hill stretches its columns unequally
     err = result.node_values - exact
@@ -844,7 +864,7 @@ def test_field_records_have_fixed_width(tmp_path):
     quad = _quadrature(cfg)
     exact = case.exact(quad.nodes)
     for n in (3, 4):
-        _, result = _run_one(cfg, case, n, quad)
+        _, result = _run_one(cfg, _problem(cfg, case), n, quad)
         columns = np.column_stack([quad.nodes, result.node_values, exact, result.node_div])
         assert_fixed_width_records(out / f"field_N{n}.csv", columns)
 
@@ -1064,10 +1084,10 @@ def test_single_value_sweep_matches_run(tmp_path, monkeypatch):
     runner = importlib.import_module("masscons.runner")
     adjust = runner.adjust
 
-    def fail_middle(data, box, kernel, n, **kwargs):
+    def fail_middle(problem, kernel, n, **kwargs):
         if n == 4:
             raise DomainError("injected failure")
-        return adjust(data, box, kernel, n, **kwargs)
+        return adjust(problem, kernel, n, **kwargs)
 
     run_cfg = parse_config(write_cfg(tmp_path, text.replace("n = 4", "n = 3,4,5") + "c = 0.1\n", name="rn.cfg"))
     for case, errors in (("n", [""] * 3), ("failed-middle", ["", "DomainError: injected failure", ""])):
@@ -1135,6 +1155,20 @@ def test_no_row_result_outlives_its_row(tmp_path, monkeypatch):
     assert alive == [0] * 6
     assert all(ref() is None for ref in refs)
     assert sorted(p.name for p in (tmp_path / "run").glob("field_N*.csv")) == [f"field_N{n}.csv" for n in (3, 4, 5)]
+
+
+def test_a_run_and_a_sweep_each_build_one_problem(tmp_path, monkeypatch):
+    # c, n and trunc_tol only discretise the problem, so every row of a run or a
+    # sweep solves the one Problem its config states.
+    built = []
+    post_init = Problem.__post_init__
+    monkeypatch.setattr(Problem, "__post_init__", lambda self: built.append(self) or post_init(self))
+    cfg = parse_config(write_cfg(tmp_path, fast_cfg_text(tmp_path / "run")))
+    rows = run_experiment(cfg)
+    assert [row.n_nodes for row in rows] == [27, 64] and len(built) == 1
+    built.clear()
+    rows = sweep(replace(cfg, grid_sizes=(3,)), "c", [0.05, 0.1, 0.2], out_override=str(tmp_path / "sweep"))
+    assert [row.error for row in rows] == [""] * 3 and len(built) == 1
 
 
 def test_reference_comparison_pairs_rows_on_n_and_c(tmp_path):
@@ -1229,7 +1263,7 @@ def test_dump_gram_matches_the_solved_system(tmp_path, monkeypatch, text):
     )
     cfg = parse_config(path)
     quad = _quadrature(cfg)
-    _, result = _run_one(cfg, example_field(cfg.example, eps=cfg.eps), 3, quad)
+    _, result = _run_one(cfg, _problem(cfg, example_field(cfg.example, eps=cfg.eps)), 3, quad)
     assert result is not None and len(solved) == 1
     assert np.array_equal(matrix, solved[0].matrix)
     assert np.array_equal(rhs, solved[0].rhs)

@@ -45,6 +45,14 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch, tmp_path):
     for name in ("adjust.adjust", "geometry.grid_centers", "collocation.assemble", "collocation.solve"):
         assert names.count(name) == 1, name
 
+    # A full-observation row goes through sasaki, one span per row.
+    config.write_text("example = ex51\nn = 3,4\nc = 0.1\nquad = 4\ns = 1,0,0,0,2,0,0,0,1\n")
+    with tracing.Tracer().installed() as tracer:
+        rows = masscons.run_experiment(masscons.parse_config(config), out_override=str(tmp_path / "full"))
+    assert [row.error for row in rows] == ["", ""]
+    names = [s.name for s in tracer.spans]
+    assert names.count("adjust.sasaki") == 2 and "adjust.adjust" not in names
+
 
 def test_readme_library_example(capsys):
     (code,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)

@@ -34,13 +34,7 @@ from .adjust import (
     poisson_rhs,
     sasaki,
 )
-from .collocation import (
-    GramSystem,
-    MultiplierSolution,
-    assemble,
-    dump_gram,
-    factorize_and_solve,
-)
+from .collocation import GramSystem, MultiplierSolution, assemble, factorize_and_solve
 from .config import ExperimentConfig, echo_config, parse_config
 from .errors import (
     ConfigurationError,
@@ -65,6 +59,6 @@ from .fields import (
 )
 from .geometry import BoxDomain, FaceLabel, NodeSet, Topography, classify, grid_centers
 from .kernel import KernelParams, grad_phi, hess_phi, lap_phi
-from .runner import REFERENCE_RESULTS, TableRow, run_experiment, sweep, write_reference_comparison
+from .runner import REFERENCE_RESULTS, TableRow, dump_gram, run_experiment, sweep, write_reference_comparison
 
 __version__ = "0.1.0"

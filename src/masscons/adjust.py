@@ -56,7 +56,6 @@ turns them into a Neumann mask, values and conormals per boundary node:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -106,8 +105,6 @@ __all__ = [
     "adjust",
     "sasaki",
 ]
-
-log = logging.getLogger(__name__)
 
 FLOW_THROUGH = "flow-through"
 NO_FLOW_THROUGH = "no-flow-through"
@@ -298,12 +295,6 @@ def boundary_data(problem: Problem, nodes: NodeSet) -> tuple[np.ndarray, np.ndar
     values = np.zeros(len(idx))
     values[neumann] = np.matmul(flux[neumann][:, None, :], normals[neumann][:, :, None])[:, 0, 0]
     conormals = normals if problem.aniso is None else np.matmul(problem.aniso, normals[:, :, None])[:, :, 0]
-
-    if len(idx) and neumann.all():
-        log.warning(
-            "all boundary conditions are Neumann: the system is rank deficient up to a "
-            "constant; the truncated solve returns the minimal-norm multiplier"
-        )
     return neumann, values, conormals
 
 

@@ -4,10 +4,11 @@
     masscons sweep <config> --param {c,n,trunc_tol} --values v1,v2,... [--out DIR]
     masscons dump-gram <config> [--out DIR]
 
-Exit codes: 0 all rows succeeded, 2 configuration error, 3 at least one row
-failed (failed rows are recorded in the table with their error message),
-dump-gram could not build a system, or the quadrature does not fit in
-memory.
+Each row's line prints kappa, div, rel_error and the solve's rank and
+residual, so a bad solve shows on the console. Exit codes: 0 all rows
+succeeded, 2 configuration error, 3 at least one row failed (failed rows are
+recorded in the table with their error message), dump-gram could not build a
+system, or the quadrature does not fit in memory.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def main(argv=None) -> int:
     failed = [row for row in rows if row.error]
     for row in rows:
         status = f"FAILED ({row.error})" if row.error else (
-            f"kappa={row.kappa:.6e} div={row.div_mean:.6e} rel_error={row.rel_error:.6e}"
+            f"kappa={row.kappa:.6e} div={row.div_mean:.6e} rel_error={row.rel_error:.6e} "
+            f"rank={row.rank} residual={row.residual:.6e}"
         )
         print(f"N={row.n_nodes} c={row.shape:g}: {status}")
     return 3 if failed else 0

@@ -55,7 +55,6 @@ monomials, taken only where it forms fewer numbers (:func:`_series_order`).
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -65,7 +64,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import ContractError, DomainError, SingularSystemError
-from .geometry import FaceLabel, NodeSet, as_points
+from .geometry import NodeSet, as_points
 from .kernel import KernelParams, hess_phi
 from .kernel import grad_phi, lap_phi, phi_sq  # noqa: F401  # unused; the benchmark's tracer patches these names
 
@@ -74,10 +73,7 @@ __all__ = [
     "MultiplierSolution",
     "assemble",
     "factorize_and_solve",
-    "dump_gram",
 ]
-
-log = logging.getLogger(__name__)
 
 # The solve keeps the directions with sigma > DEFAULT_TRUNC_TOL * sigma_max when given no tolerance.
 DEFAULT_TRUNC_TOL = 1e-12
@@ -604,8 +600,6 @@ def factorize_and_solve(system: GramSystem, trunc_tol: float = DEFAULT_TRUNC_TOL
     resid = g @ coeffs - system.rhs
     residual_norm = float(np.linalg.norm(resid))
     residual = residual_norm / max(float(np.linalg.norm(system.rhs)), 1.0)
-    if residual > 1e-6:
-        log.warning("collocation solve residual %.3e (rank %d of %d)", residual, rank, len(coeffs))
     system.matrix = None
     return MultiplierSolution(
         coeffs=coeffs, nodes=system.nodes, kernel=system.kernel, aniso=system.aniso, residual=residual,
@@ -613,28 +607,3 @@ def factorize_and_solve(system: GramSystem, trunc_tol: float = DEFAULT_TRUNC_TOL
         kappa=_condition_estimate(g, sigma_max),
     )
 
-
-def _sci(v: float) -> str:
-    return np.format_float_scientific(v, unique=True)
-
-
-def dump_gram(system: GramSystem, path) -> None:
-    """Write G, b, the singular values of G, and the node set as delimited text.
-
-    Needs the assembled matrix, so it runs before :func:`factorize_and_solve`.
-    """
-    if system.matrix is None:
-        raise ContractError("dump_gram requires the matrix, which factorize_and_solve consumes")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# gram matrix {system.matrix.shape[0]}x{system.matrix.shape[1]}\n")
-        for row in system.matrix:
-            fh.write(",".join(_sci(v) for v in row) + "\n")
-        fh.write("# rhs\n")
-        fh.write(",".join(_sci(v) for v in system.rhs) + "\n")
-        fh.write("# singular values\n")
-        fh.write(",".join(_sci(v) for v in np.linalg.svd(system.matrix, compute_uv=False)) + "\n")
-        fh.write("# row kinds\n")
-        fh.write(",".join(system.row_kinds) + "\n")
-        fh.write("# nodes x,y,z,label\n")
-        for pt, label in zip(system.nodes.points, system.nodes.labels):
-            fh.write(",".join(_sci(v) for v in pt) + f",{FaceLabel(label).name.lower()}\n")

@@ -38,6 +38,7 @@ _KEYS = {"grid_sizes": "n", "shape": "c", "s_entries": "s"}
 # Settings of the horizontal line search; full-observation mode (9-entry s)
 # starts from zero and takes a unit closed-form step, so it rejects them.
 _HORIZONTAL_KEYS = ("base", "w_b", "formula")
+_FULL_MODE_UNUSED = "not used in full-observation mode (9-entry s)"
 
 
 def _setting(default=MISSING, kind=float, many=False, above=None, below=None, choices=None):
@@ -88,9 +89,11 @@ class ExperimentConfig:
 
     Each field declares its default and what its values must meet; a value
     that does not raises ConfigurationError naming the config key. Grid
-    sizes must be distinct and ``quad`` even. Floats must be finite, and so
-    must the box diameter D, the kernels' s^(5/2) at s = 1 + c^2 D^2 and, on
-    hill terrain, D / hill_width^2. ``domain``,
+    sizes must be distinct, ``quad`` even, ``out`` text the echo writes back
+    (nonempty, no ``#``, CR, LF or edge whitespace), and in full-observation
+    mode ``base``, ``w_b`` and ``formula`` at their defaults. Floats must be
+    finite, and so must the box diameter D, the kernels' s^(5/2) at
+    s = 1 + c^2 D^2 and, on hill terrain, D / hill_width^2. ``domain``,
     ``hill_amplitude`` and ``hill_width`` default to None, resolved to the
     example's box, 20 % of the box height and 25 % of its smaller
     horizontal extent, so a constructed config equals what
@@ -130,6 +133,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 resolve(f.name, _checked(_KEYS.get(f.name, f.name), value, **f.metadata))
+        if not self.out or self.out != self.out.strip() or any(ch in self.out for ch in "#\r\n"):
+            # the echo writes out back as one line, stripped, cut at '#'
+            raise _fail("out", f"must be nonempty, without '#', CR, LF or edge whitespace, got {self.out!r}")
         if self.quad % 2:
             raise _fail("quad", f"must be even (two Gauss points per cell), got {self.quad!r}")
         if len(set(self.grid_sizes)) != len(self.grid_sizes):
@@ -175,6 +181,9 @@ class ExperimentConfig:
             validate_weights(self.weight_matrix())
         except ContractError as exc:
             raise _fail("s", exc) from None
+        for f in fields(self):
+            if self.sasaki_mode and f.name in _HORIZONTAL_KEYS and getattr(self, f.name) != f.default:
+                raise _fail(f.name, _FULL_MODE_UNUSED)
 
     @property
     def sasaki_mode(self) -> bool:
@@ -183,7 +192,7 @@ class ExperimentConfig:
     @property
     def base_updraft(self) -> float:
         """The updraft w_b the line search starts from: ``w_b`` for a vertical base, else 0."""
-        return self.w_b if self.base == "vertical" and not self.sasaki_mode else 0.0
+        return self.w_b if self.base == "vertical" else 0.0
 
     def weight_matrix(self) -> np.ndarray:
         dim = 3 if self.sasaki_mode else 2
@@ -268,7 +277,7 @@ def parse_config(path) -> ExperimentConfig:
     if cfg.sasaki_mode:
         for key in _HORIZONTAL_KEYS:
             if key in raw:
-                raise ConfigurationError(f"{key}: not used in full-observation mode (9-entry s)", raw[key][1])
+                raise ConfigurationError(f"{key}: {_FULL_MODE_UNUSED}", raw[key][1])
     return cfg
 
 

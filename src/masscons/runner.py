@@ -1,4 +1,4 @@
-"""Experiment execution: table rows, CSV artifacts, sweeps, and comparisons.
+"""Experiment execution: table rows, sweeps, and every text output but ``config.echo``.
 
 One row is produced per grid size. ``table.csv`` leads with the columns of
 the published result tables (N, c, kappa, divergence, relative error) and
@@ -11,8 +11,8 @@ the adjusted field's divergence at the run's quadrature nodes
 the adjustment already computed, as fixed-width ``%-25.17e`` cells (18
 significant digits, one more than round trip needs, space-padded to 25 bytes;
 ``nan`` and ``inf`` spelled as Python spells them), so every data record is
-260 bytes; a failed row writes none. ``config.echo`` re-parses to an equal
-configuration.
+260 bytes; a failed row writes none and removes an earlier run's.
+``config.echo`` re-parses to an equal configuration.
 
 Rows run one at a time, in configuration order; ``config.echo`` is written
 before the first row, the tables and field files after the last. A run and a sweep share that row loop, so a sweep over
@@ -38,18 +38,19 @@ import csv
 import functools
 import os
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .adjust import AdjustmentResult, FaceBcPolicy, Problem, adjust, build_system, sasaki
-from .collocation import _sci, dump_gram
+from .collocation import GramSystem
 from .config import KEY_FIELDS, ExperimentConfig, write_echo
-from .errors import ConfigurationError, MassconsError
+from .errors import ConfigurationError, ContractError, MassconsError
 from .fields import ExampleCase, Quadrature, example_field, gauss2_rule, inject
 # unused; the benchmark's tracer patches these names
 from .fields import divergence_fd, midpoint_rule  # noqa: F401
+from .geometry import FaceLabel
 from .kernel import KernelParams
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "run_experiment",
     "sweep",
     "SWEEP_PARAMS",
+    "dump_gram",
     "dump_gram_for_config",
     "REFERENCE_RESULTS",
     "write_reference_comparison",
@@ -97,6 +99,10 @@ class TableRow:
 TABLE_COLUMNS = tuple(
     {"n_nodes": "N", "shape": "c"}.get(f.name, f.name) for f in fields(TableRow)[:-1]
 )
+
+
+def _sci(v: float) -> str:
+    return np.format_float_scientific(v, unique=True)
 
 
 def _cell(v) -> str:
@@ -345,8 +351,11 @@ def _write_fields(done: list[tuple[str, np.ndarray, np.ndarray]], case: ExampleC
                 fh.write(text)
 
 
-def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
-    out = out_override if out_override is not None else cfg.out
+def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> ExperimentConfig:
+    """``cfg`` with ``out_override`` as its checked ``out``, if given; creates and probes that directory."""
+    if out_override is not None:
+        cfg = replace(cfg, out=out_override)
+    out = cfg.out
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write_probe")
@@ -355,7 +364,7 @@ def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> str:
         os.remove(probe)
     except OSError as exc:
         raise ConfigurationError(f"output directory not writable: {out} ({exc})") from None
-    return out
+    return cfg
 
 
 def _rows(cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threads: int, out_override: str | None):
@@ -369,10 +378,10 @@ def _rows(cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threa
     """
     if threads != 1:
         raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
-    out = _prepare_out(cfg, out_override)
-    case = example_field(cfg.example, eps=cfg.eps)
+    cfg = _prepare_out(cfg, out_override)
+    out, case = cfg.out, example_field(cfg.example, eps=cfg.eps)
     problem, quad = _problem(cfg, case), _quadrature(cfg)
-    write_echo(replace(cfg, out=out), os.path.join(out, "config.echo"))
+    write_echo(cfg, os.path.join(out, "config.echo"))
 
     def rows():
         for row_cfg, n in runs:
@@ -398,6 +407,10 @@ def run_experiment(
     timings = [(row.n_nodes, _sci(row.wall_time)) for row in table]
     _write_csv(os.path.join(out, "timings.csv"), ("N", "wall_time"), timings)
     done = [(os.path.join(out, f"field_N{n}.csv"), *nodes) for n, _, nodes in rows if nodes is not None]
+    for n, _, nodes in rows:
+        if nodes is None:  # so no field file beside table.csv is from an earlier run
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(out, f"field_N{n}.csv"))
     _write_fields(done, case, quad)
     return table
 
@@ -434,6 +447,26 @@ def sweep(
     return table
 
 
+def dump_gram(system: GramSystem, path) -> None:
+    """Write G, b, the singular values of G, and the node set as delimited text.
+
+    Needs the assembled matrix, so it runs before
+    :func:`~masscons.collocation.factorize_and_solve`.
+    """
+    g = system.matrix
+    if g is None:
+        raise ContractError("dump_gram requires the matrix, which factorize_and_solve consumes")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"# gram matrix {g.shape[0]}x{g.shape[1]}\n")
+        for row in g:
+            fh.write(",".join(_sci(v) for v in row) + "\n")
+        fh.write("# rhs\n" + ",".join(_sci(v) for v in system.rhs) + "\n")
+        fh.write("# singular values\n" + ",".join(_sci(v) for v in np.linalg.svd(g, compute_uv=False)) + "\n")
+        fh.write("# row kinds\n" + ",".join(system.row_kinds) + "\n# nodes x,y,z,label\n")
+        for pt, label in zip(system.nodes.points, system.nodes.labels):
+            fh.write(",".join(_sci(v) for v in pt) + f",{FaceLabel(label).name.lower()}\n")
+
+
 def dump_gram_for_config(
     cfg: ExperimentConfig, out_override: str | None = None
 ) -> list[str]:
@@ -443,7 +476,7 @@ def dump_gram_for_config(
     row's. A grid whose dense solve would not fit in physical memory raises
     DomainError before its nodes are built.
     """
-    out = _prepare_out(cfg, out_override)
+    out = _prepare_out(cfg, out_override).out
     problem = _problem(cfg, example_field(cfg.example, eps=cfg.eps))
     paths = []
     for n in cfg.grid_sizes:

@@ -20,7 +20,6 @@ from masscons.collocation import (
     _direct_sums,
     _series_order,
     assemble,
-    dump_gram,
     factorize_and_solve,
 )
 from masscons.config import ExperimentConfig, parse_config
@@ -28,7 +27,7 @@ from masscons.errors import ConfigurationError, ContractError, DomainError, Sing
 from masscons.fields import example_field, midpoint_rule, updraft
 from masscons.geometry import BoxDomain, FaceLabel, NodeSet, grid_centers
 from masscons.kernel import KernelParams, grad_phi, hess_phi, lap_phi, phi_sq
-from masscons.runner import _face_policy
+from masscons.runner import _face_policy, dump_gram
 
 CUBE = BoxDomain(-2, 2, -2, 2, -2, 2)
 SLAB = BoxDomain(-2, 2, -2, 2, 0, 2)

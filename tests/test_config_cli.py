@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from masscons.adjust import _DESCENT_RTOL, Problem
 from masscons.cli import main
-from masscons.collocation import _sci
 from masscons.config import ExperimentConfig, echo_config, parse_config, parse_values
 from masscons.errors import ConfigurationError, DomainError, MassconsError
 from masscons.fields import Quadrature, example_field, midpoint_rule
 from masscons.geometry import BoxDomain, FaceLabel, grid_centers
 from masscons.runner import (
-    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _problem, _quadrature, _run_one, _write_csv,
+    _FIELD_BLOCK_ROWS, TABLE_COLUMNS, TableRow, _format_cells, _problem, _quadrature, _run_one, _sci, _write_csv,
     _write_fields, dump_gram_for_config, run_experiment, sweep, write_reference_comparison,
 )
 
@@ -281,6 +280,13 @@ def spd_weights(draw, dim):
     return "s = " + ",".join(repr(float(v)) for v in s.ravel())
 
 
+# Output directories the flat format writes back: printable ASCII without '#',
+# inner spaces, ',' and '=' included, and no edge whitespace.
+out_texts = st.text(
+    st.sampled_from("ab/._-~ ,=" + "0123456789"), min_size=1, max_size=12
+).filter(lambda text: text == text.strip())
+
+
 @st.composite
 def config_texts(draw):
     """Config files over every example, with and without a domain and the hill keys."""
@@ -309,6 +315,8 @@ def config_texts(draw):
         lines += ["bc = no-flow-through", "bc_top = oracle-neumann"]
     if draw(st.booleans()):
         lines.append(f"trunc_tol = {draw(st.floats(1e-15, 0.5))!r}")
+    if draw(st.booleans()):
+        lines.append(f"out = {draw(out_texts)}")
     return "\n".join(lines) + "\n"
 
 
@@ -354,6 +362,37 @@ def test_full_mode_rejects_horizontal_keys(tmp_path, key, value):
     with pytest.raises(ConfigurationError, match=f"line 5: {key}: not used in full-observation mode"):
         parse_config(path)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("base", "vertical"), ("w_b", 5.0), ("formula", "closed-form")])
+def test_full_mode_construction_rejects_horizontal_settings(tmp_path, key, value):
+    # a config built in code is checked as the parser checks a file: the value
+    # would be ignored, and the echo, which leaves the key out, would lose it
+    nine = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ConfigurationError) as built:
+        ExperimentConfig("ex51", (3,), 0.1, s_entries=nine, **{key: value})
+    assert str(built.value) == f"{key}: not used in full-observation mode (9-entry s)"
+    assert built.value.key == key
+    path = write_cfg(tmp_path, MINIMAL + "s = 1,0,0,0,1,0,0,0,1\n" + f"{key} = {value}\n")
+    with pytest.raises(ConfigurationError) as parsed:
+        parse_config(path)
+    assert str(parsed.value) == f"line 5: {built.value}"
+    assert ExperimentConfig("ex51", (3,), 0.1, s_entries=nine).base_updraft == 0.0
+
+
+@pytest.mark.parametrize("out", ["o#1", " sp", "sp ", "", "a\nb", "a\rb", "\t"])
+def test_out_the_echo_cannot_write_back_is_a_configuration_error(tmp_path, monkeypatch, capsys, out):
+    # the echo writes "out = <out>" as one line, which the parser strips and cuts at '#'
+    with pytest.raises(ConfigurationError, match="^out: must be nonempty") as err:
+        ExperimentConfig("ex51", (3,), 0.1, out=out)
+    assert err.value.key == "out"
+    # an --out override is checked the same way, before any directory is made
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_cfg(tmp_path, "example = ex51\nn = 3\nc = 0.1\nquad = 4\n")
+    for command in (["run"], ["sweep", "--param", "c", "--values", "0.2"], ["dump-gram"]):
+        assert main([command[0], str(cfg_path), *command[1:], "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: out: must be nonempty")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 def test_run_experiment_artifacts(tmp_path):
@@ -570,6 +609,20 @@ def test_non_finite_metric_fails_the_row(tmp_path):
     (row,) = run_experiment(parse_config(path))
     assert row.error == "DomainError: rel_error is not finite (inf)"
     assert main(["run", str(path)]) == 3
+
+
+def test_failed_row_removes_its_field_file_from_an_earlier_run(tmp_path):
+    # a failed row writes no field file, so none from an earlier run into the
+    # same directory is left beside the new table; other rows' files stay
+    out = tmp_path / "o"
+    text = f"example = ex51\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\nout = {out}\n"
+    assert main(["run", str(write_cfg(tmp_path, text + "n = 3,4\n"))]) == 0
+    kept = (out / "field_N4.csv").read_bytes()
+    failing = write_cfg(tmp_path, text + "n = 3\nbase = vertical\nw_b = 1e308\n", name="failing.cfg")
+    assert main(["run", str(failing)]) == 3
+    assert "rel_error is not finite" in (out / "table.csv").read_text()
+    assert not (out / "field_N3.csv").exists()
+    assert (out / "field_N4.csv").read_bytes() == kept
 
 
 def test_iterations_key_is_unknown(tmp_path):
@@ -1322,6 +1375,26 @@ def test_cli_out_override(tmp_path):
     assert main(["run", str(cfg_path), "--out", str(target)]) == 0
     assert (target / "table.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_cli_row_line_reports_the_solve_and_stderr_stays_empty(tmp_path):
+    # a bad solve shows in the row's line through its rank and residual, not on
+    # stderr: shipped ex51 keeps 9 or 10 directions and leaves residuals of 0.3-0.9
+    env_src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "masscons", "run", str(CONFIGS / "ex51.cfg"), "--out", str(tmp_path / "ex51")],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    with open(tmp_path / "ex51" / "table.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(table) == 3
+    for line, row in zip(lines, table):
+        assert line.startswith(f"N={row['N']} c=0.001: kappa=")
+        assert line.endswith(f" rank={row['rank']} residual={float(row['residual']):.6e}")
 
 
 def test_module_entry_point(tmp_path):

@@ -242,20 +242,24 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a configuration file into a checked ExperimentConfig."""
     if not os.path.isfile(path):
         raise ConfigurationError(f"configuration file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"configuration file not readable: {path} ({exc})") from None
     raw: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigurationError(f"expected 'key = value', got {text!r}", lineno)
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key in raw:
-                raise ConfigurationError(f"duplicate key {key!r}", lineno)
-            if key not in KEY_FIELDS and key != "bc":
-                raise ConfigurationError(f"unknown key {key!r}", lineno)
-            raw[key] = (value, lineno)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigurationError(f"expected 'key = value', got {text!r}", lineno)
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key in raw:
+            raise ConfigurationError(f"duplicate key {key!r}", lineno)
+        if key not in KEY_FIELDS and key != "bc":
+            raise ConfigurationError(f"unknown key {key!r}", lineno)
+        raw[key] = (value, lineno)
 
     for key, f in KEY_FIELDS.items():
         if f.default is MISSING and key not in raw:

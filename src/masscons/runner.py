@@ -11,11 +11,12 @@ the adjusted field's divergence at the run's quadrature nodes
 the adjustment already computed, as fixed-width ``%-25.17e`` cells (18
 significant digits, one more than round trip needs, space-padded to 25 bytes;
 ``nan`` and ``inf`` spelled as Python spells them), so every data record is
-260 bytes; a failed row writes none and removes an earlier run's.
-``config.echo`` re-parses to an equal configuration.
+260 bytes; a failed row writes none. Each command first removes the outputs
+an earlier one left in its directory, then writes ``config.echo``, which
+re-parses to an equal configuration.
 
-Rows run one at a time, in configuration order; ``config.echo`` is written
-before the first row, the tables and field files after the last. A run and a sweep share that row loop, so a sweep over
+Rows run one at a time, in configuration order, the tables and field files
+written after the last. A run and a sweep share that row loop, so a sweep over
 ``n`` writes the rows of a run over the same grid sizes. The loop hands out
 one row at a time and keeps none of its results: a run keeps each row's node
 arrays for its field file, a sweep only the table rows. The field files of a
@@ -37,8 +38,9 @@ from __future__ import annotations
 import csv
 import functools
 import os
+import re
 import time
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -351,24 +353,29 @@ def _write_fields(done: list[tuple[str, np.ndarray, np.ndarray]], case: ExampleC
                 fh.write(text)
 
 
-def _prepare_out(cfg: ExperimentConfig, out_override: str | None) -> ExperimentConfig:
-    """``cfg`` with ``out_override`` as its checked ``out``, if given; creates and probes that directory."""
+# The files a command writes; _claim_out removes these, and no other file.
+_OUTPUT_NAMES = r"config\.echo|table\.csv|timings\.csv|sweep\.csv|field_N[0-9]+\.csv|gram_N[0-9]+\.txt"
+
+
+def _claim_out(cfg: ExperimentConfig, out_override: str | None) -> tuple[str, ExampleCase, Problem]:
+    """Clear ``cfg.out`` or ``out_override`` of outputs and echo ``cfg`` there; returns it, the example, the problem."""
     if out_override is not None:
         cfg = replace(cfg, out=out_override)
     out = cfg.out
     try:
         os.makedirs(out, exist_ok=True)
-        probe = os.path.join(out, ".write_probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
+        for name in os.listdir(out):
+            if re.fullmatch(_OUTPUT_NAMES, name):
+                os.remove(os.path.join(out, name))
+        write_echo(cfg, os.path.join(out, "config.echo"))
     except OSError as exc:
         raise ConfigurationError(f"output directory not writable: {out} ({exc})") from None
-    return cfg
+    case = example_field(cfg.example, eps=cfg.eps)
+    return out, case, _problem(cfg, case)
 
 
 def _rows(cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threads: int, out_override: str | None):
-    """Echo ``cfg`` to the output directory, then run one row per (config, n) pair, in order.
+    """Claim the output directory, then run one row per (config, n) pair, in order.
 
     Every row shares the example, its problem and the quadrature built from
     ``cfg``. Returns the output directory, the example, the quadrature and an
@@ -378,10 +385,7 @@ def _rows(cfg: ExperimentConfig, runs: list[tuple[ExperimentConfig, int]], threa
     """
     if threads != 1:
         raise ConfigurationError(f"threads must be 1 (rows run one at a time), got {threads}")
-    cfg = _prepare_out(cfg, out_override)
-    out, case = cfg.out, example_field(cfg.example, eps=cfg.eps)
-    problem, quad = _problem(cfg, case), _quadrature(cfg)
-    write_echo(cfg, os.path.join(out, "config.echo"))
+    (out, case, problem), quad = _claim_out(cfg, out_override), _quadrature(cfg)
 
     def rows():
         for row_cfg, n in runs:
@@ -407,10 +411,6 @@ def run_experiment(
     timings = [(row.n_nodes, _sci(row.wall_time)) for row in table]
     _write_csv(os.path.join(out, "timings.csv"), ("N", "wall_time"), timings)
     done = [(os.path.join(out, f"field_N{n}.csv"), *nodes) for n, _, nodes in rows if nodes is not None]
-    for n, _, nodes in rows:
-        if nodes is None:  # so no field file beside table.csv is from an earlier run
-            with suppress(FileNotFoundError):
-                os.remove(os.path.join(out, f"field_N{n}.csv"))
     _write_fields(done, case, quad)
     return table
 
@@ -476,8 +476,7 @@ def dump_gram_for_config(
     row's. A grid whose dense solve would not fit in physical memory raises
     DomainError before its nodes are built.
     """
-    out = _prepare_out(cfg, out_override).out
-    problem = _problem(cfg, example_field(cfg.example, eps=cfg.eps))
+    out, _, problem = _claim_out(cfg, out_override)
     paths = []
     for n in cfg.grid_sizes:
         system = build_system(problem, KernelParams(cfg.shape), n)

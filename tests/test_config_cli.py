@@ -32,6 +32,15 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MINIMAL = "example = ex51\nn = 3,5,8\nc = 0.001\n"
 
 
+def run_python(*args):
+    """``python -B`` with the source tree on the path, so a test run writes no bytecode into it."""
+    env_src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-B", *args], capture_output=True, text=True,
+        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+    )
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -62,6 +71,25 @@ def test_parse_minimal_config(tmp_path):
 def test_parse_missing_file():
     with pytest.raises(ConfigurationError):
         parse_config("/nonexistent/experiment.cfg")
+
+
+def test_config_file_not_readable_as_utf8_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # a Latin-1 comment byte, then a file that cannot be opened: each names the path (exit 2)
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"example = ex51\nn = 3\nc = 0.1\nquad = 4\n# caf\xe9\n")
+    with pytest.raises(ConfigurationError, match="^configuration file not readable: .*latin1.cfg .*'utf-8' codec"):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: configuration file not readable: {path} (")
+    assert not (tmp_path / "out").exists()
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(file))
+
+    path.write_text("example = ex51\nn = 3\nc = 0.1\n")
+    monkeypatch.setattr(importlib.import_module("masscons.config"), "open", denied, raising=False)
+    with pytest.raises(ConfigurationError, match="^configuration file not readable: .*Permission denied"):
+        parse_config(path)
 
 
 def test_parse_rejects_bad_values(tmp_path):
@@ -613,16 +641,67 @@ def test_non_finite_metric_fails_the_row(tmp_path):
 
 def test_failed_row_removes_its_field_file_from_an_earlier_run(tmp_path):
     # a failed row writes no field file, so none from an earlier run into the
-    # same directory is left beside the new table; other rows' files stay
+    # same directory is left beside the new table, nor any other of its outputs
     out = tmp_path / "o"
     text = f"example = ex51\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\nout = {out}\n"
     assert main(["run", str(write_cfg(tmp_path, text + "n = 3,4\n"))]) == 0
-    kept = (out / "field_N4.csv").read_bytes()
     failing = write_cfg(tmp_path, text + "n = 3\nbase = vertical\nw_b = 1e308\n", name="failing.cfg")
     assert main(["run", str(failing)]) == 3
     assert "rel_error is not finite" in (out / "table.csv").read_text()
     assert not (out / "field_N3.csv").exists()
-    assert (out / "field_N4.csv").read_bytes() == kept
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo", "table.csv", "timings.csv"]
+
+
+def test_a_run_leaves_no_field_file_of_an_earlier_run(tmp_path):
+    out = tmp_path / "o"
+    text = f"example = ex51\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\nout = {out}\n"
+    assert main(["run", str(write_cfg(tmp_path, text + "n = 3\n", name="n3.cfg"))]) == 0
+    assert main(["run", str(write_cfg(tmp_path, text + "n = 4\n", name="n4.cfg"))]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo", "field_N4.csv", "table.csv", "timings.csv"]
+    assert [line.split(",")[0] for line in (out / "table.csv").read_text().splitlines()] == ["N", "64"]
+
+
+def test_a_sweep_after_a_run_leaves_its_own_outputs_alone(tmp_path):
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, f"example = ex51\nn = 3\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\nout = {out}\n")
+    assert main(["run", str(path)]) == 0
+    assert main(["sweep", str(path), "--param", "c", "--values", "0.2,0.3"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo", "sweep.csv"]
+
+
+def test_a_failing_dump_gram_leaves_no_gram_file_of_an_earlier_one(tmp_path, capsys):
+    # the second config's kernel is constant over a box 1e-13 across, so no system is built (exit 3)
+    text = "example = ex51\nn = 3\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\n"
+    flat = write_cfg(tmp_path, text + "domain = 0,1e-13,0,1e-13,0,1e-13\n", name="flat.cfg")
+    out = tmp_path / "dg"
+    assert main(["dump-gram", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    assert (out / "gram_N27.txt").exists()
+    assert main(["dump-gram", str(flat), "--out", str(out)]) == 3
+    assert "rounds to 1" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["config.echo"]
+    assert parse_config(out / "config.echo") == replace(parse_config(flat), out=str(out))
+
+
+def test_dump_gram_echo_reparses_to_its_config(tmp_path):
+    text = f"example = ex53\neps = 0.1\nn = 3\nc = 0.1\nquad = 4\ntopography = hill\nout = {tmp_path / 'dg'}\n"
+    cfg = parse_config(write_cfg(tmp_path, text))
+    paths = dump_gram_for_config(cfg)
+    assert paths == [str(tmp_path / "dg" / "gram_N27.txt")]
+    assert sorted(p.name for p in (tmp_path / "dg").iterdir()) == ["config.echo", "gram_N27.txt"]
+    assert parse_config(tmp_path / "dg" / "config.echo") == cfg
+
+
+def test_files_that_are_not_outputs_survive_every_command(tmp_path):
+    # only a file named as an output is removed: the whole name must match
+    out = tmp_path / "o"
+    others = ["notes.txt", "field_N3.csv.bak", "field_N.csv", "table.csv~", "gram_N27.txt.1", "config.echo.old"]
+    out.mkdir()
+    for name in others:
+        (out / name).write_text(name)
+    path = write_cfg(tmp_path, f"example = ex51\nn = 3\nc = 0.1\nquad = 4\nbc_bottom = no-flow-through\nout = {out}\n")
+    for command in (["run"], ["sweep", "--param", "c", "--values", "0.2"], ["dump-gram"]):
+        assert main([command[0], str(path), *command[1:]]) == 0
+        assert all((out / name).read_text() == name for name in others)
 
 
 def test_iterations_key_is_unknown(tmp_path):
@@ -1039,12 +1118,7 @@ def test_cell_formatter_matches_printf_on_any_bits(seed, size, extra):
 
 def test_import_builds_no_formatter_table():
     # the formatter's tables are built on the first field file written, not at import
-    code = "import masscons.runner as r; print(r._format_tables.cache_info().currsize)"
-    env_src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
-    )
+    result = run_python("-c", "import masscons.runner as r; print(r._format_tables.cache_info().currsize)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "0"
 
@@ -1058,11 +1132,7 @@ def test_run_does_not_load_numpy_random(tmp_path):
         f"rows = masscons.run_experiment(masscons.parse_config({str(path)!r}))\n"
         "print(rows[0].error == '', 'numpy.random' in sys.modules)"
     )
-    env_src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
-    )
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["True", "False"]
 
@@ -1380,12 +1450,7 @@ def test_cli_out_override(tmp_path):
 def test_cli_row_line_reports_the_solve_and_stderr_stays_empty(tmp_path):
     # a bad solve shows in the row's line through its rank and residual, not on
     # stderr: shipped ex51 keeps 9 or 10 directions and leaves residuals of 0.3-0.9
-    env_src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "masscons", "run", str(CONFIGS / "ex51.cfg"), "--out", str(tmp_path / "ex51")],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
-    )
+    result = run_python("-m", "masscons", "run", str(CONFIGS / "ex51.cfg"), "--out", str(tmp_path / "ex51"))
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     with open(tmp_path / "ex51" / "table.csv", newline="") as fh:
@@ -1399,11 +1464,6 @@ def test_cli_row_line_reports_the_solve_and_stderr_stays_empty(tmp_path):
 
 def test_module_entry_point(tmp_path):
     cfg_path = write_cfg(tmp_path, fast_cfg_text(tmp_path / "mod"))
-    env_src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "masscons", "run", str(cfg_path)],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
-    )
+    result = run_python("-m", "masscons", "run", str(cfg_path))
     assert result.returncode == 0, result.stderr
     assert "N=27" in result.stdout
